@@ -22,6 +22,8 @@ from .params import enumerate_params, param_text
 from .preoperadic import AXIOM_IDS, verify_system
 
 KIND_NAMES = ("linear", "binary", "planar", "subsets", "signs")
+# options that change how work is scheduled, never what is reported
+SCHEDULING_ONLY = ("workers",)
 
 
 class Report:
@@ -65,28 +67,35 @@ def _context(alg, report):
         return None
 
 
-def _describe(report, args, alg=None):
-    report.meta("command: %s" % " ".join(args))
+def _command_text(ns):
+    """The parsed command in one canonical spelling: the subcommand, then
+    each argument in declaration order, options as '--name value' (flags
+    only when set).  Options that affect scheduling only are left out, so
+    every accepted spelling of a command echoes the same line."""
+    words = [ns.command]
+    for action in ns.parser._actions:
+        if action.dest in SCHEDULING_ONLY or action.default == argparse.SUPPRESS:
+            continue
+        value = getattr(ns, action.dest)
+        if not action.option_strings:
+            words.append(str(value))
+        elif action.nargs == 0:
+            if value:
+                words.append(action.option_strings[0])
+        else:
+            words += [action.option_strings[0], str(value)]
+    return " ".join(words)
+
+
+def _describe(report, ns, alg=None):
+    report.meta("command: %s" % _command_text(ns))
     if alg is not None:
         report.meta("algebra: type=%s field=%s dim=%d" %
                     (alg.type_tag, alg.field.name, alg.dim))
 
 
-def cmd_verify_system(ns, report, argv):
-    # the worker count affects scheduling only, never the report
-    echo = []
-    skip = False
-    for tok in argv:
-        if skip:
-            skip = False
-            continue
-        if tok == "--workers":
-            skip = True
-            continue
-        if tok.startswith("--workers="):
-            continue
-        echo.append(tok)
-    _describe(report, echo)
+def cmd_verify_system(ns, report):
+    _describe(report, ns)
     sysrep = verify_system(ns.kind, ns.max_total, workers=ns.workers)
     report.meta("kind=%s max-total=%d checked=%d" %
                 (ns.kind, ns.max_total, sysrep.checked))
@@ -99,11 +108,11 @@ def cmd_verify_system(ns, report, argv):
                     "expected=%s" % c.expected, "actual=%s" % c.actual)
 
 
-def cmd_verify_algebra(ns, report, argv):
+def cmd_verify_algebra(ns, report):
     alg = _load(ns.file)
     if alg is None:
         return 2
-    _describe(report, argv, alg)
+    _describe(report, ns, alg)
     violations = verify_axioms(alg)
     report.check("algebra-axioms", not violations)
     for v in violations[:20]:
@@ -121,11 +130,11 @@ def cmd_verify_algebra(ns, report, argv):
     return None
 
 
-def cmd_cohomology(ns, report, argv):
+def cmd_cohomology(ns, report):
     alg = _load(ns.file)
     if alg is None:
         return 2
-    _describe(report, argv, alg)
+    _describe(report, ns, alg)
     report.meta("convention: H^1 = ker d^1 (there are no degree-0 cochains)")
     ctx = _context(alg, report)
     if ctx is None:
@@ -155,11 +164,11 @@ def cmd_cohomology(ns, report, argv):
     return None
 
 
-def cmd_compare_differentials(ns, report, argv):
+def cmd_compare_differentials(ns, report):
     alg = _load(ns.file)
     if alg is None:
         return 2
-    _describe(report, argv, alg)
+    _describe(report, ns, alg)
     if alg.type_tag != "trias":
         print("error: compare-differentials requires a trias algebra",
               file=sys.stderr)
@@ -185,11 +194,11 @@ def cmd_compare_differentials(ns, report, argv):
     return None
 
 
-def cmd_gerstenhaber(ns, report, argv):
+def cmd_gerstenhaber(ns, report):
     alg = _load(ns.file)
     if alg is None:
         return 2
-    _describe(report, argv, alg)
+    _describe(report, ns, alg)
     ctx = _context(alg, report)
     if ctx is None:
         return None
@@ -209,11 +218,11 @@ def cmd_gerstenhaber(ns, report, argv):
     return None
 
 
-def cmd_identities(ns, report, argv):
+def cmd_identities(ns, report):
     alg = _load(ns.file)
     if alg is None:
         return 2
-    _describe(report, argv, alg)
+    _describe(report, ns, alg)
     report.meta("samples=%d seed=%d" % (ns.samples, ns.seed))
     ctx = _context(alg, report)
     if ctx is None:
@@ -245,38 +254,38 @@ def build_parser():
     p.add_argument("--kind", choices=KIND_NAMES, required=True)
     p.add_argument("--max-total", type=int, default=5)
     p.add_argument("--workers", type=int, default=1)
-    p.set_defaults(run=cmd_verify_system)
+    p.set_defaults(run=cmd_verify_system, parser=p)
 
     p = sub.add_parser("verify-algebra",
                        help="check the defining axioms and pi o pi = 0")
     p.add_argument("file")
-    p.set_defaults(run=cmd_verify_algebra)
+    p.set_defaults(run=cmd_verify_algebra, parser=p)
 
     p = sub.add_parser("cohomology", help="dimensions and representatives")
     p.add_argument("file")
     p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--dump-matrices", action="store_true",
                    help="dump each differential as coordinate triplets")
-    p.set_defaults(run=cmd_cohomology)
+    p.set_defaults(run=cmd_cohomology, parser=p)
 
     p = sub.add_parser("compare-differentials",
                        help="entrywise check d = (-1)^(n+1) delta (trias)")
     p.add_argument("file")
     p.add_argument("--max-degree", type=int, default=3)
-    p.set_defaults(run=cmd_compare_differentials)
+    p.set_defaults(run=cmd_compare_differentials, parser=p)
 
     p = sub.add_parser("gerstenhaber",
                        help="check the induced laws on cohomology")
     p.add_argument("file")
     p.add_argument("--max-degree", type=int, default=4)
-    p.set_defaults(run=cmd_gerstenhaber)
+    p.set_defaults(run=cmd_gerstenhaber, parser=p)
 
     p = sub.add_parser("identities",
                        help="randomised brace / homotopy identity suites")
     p.add_argument("file")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(run=cmd_identities)
+    p.set_defaults(run=cmd_identities, parser=p)
     return parser
 
 
@@ -289,7 +298,7 @@ def main(argv=None):
         return 2 if exc.code else 0
     report = Report()
     started = time.monotonic()
-    status = ns.run(ns, report, argv)
+    status = ns.run(ns, report)
     report.emit(sys.stdout)
     print("# elapsed %.2fs" % (time.monotonic() - started), file=sys.stderr)
     if status is not None:

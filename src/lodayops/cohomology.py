@@ -5,12 +5,16 @@ order (parameter index, input tuple, output index); the differential then
 becomes a sparse matrix per degree.  There are no cochains below degree 1,
 so H^1 = ker d^1; every report states this convention.
 
-Ranks over Q are computed with the fraction-free engine and can be
-cross-checked against the independent RREF engine (and against F_p) via the
+Each matrix of d carries the field engine's column echelon, eliminated on
+first use; ranks, kernels, representatives and coboundary witnesses are all
+read from it.  Ranks over Q are computed with the fraction-free engine and
+can be cross-checked against the field engine (and against F_p) via the
 ``engine`` argument; the two must agree before a dimension is trusted.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
+from itertools import groupby
+from operator import itemgetter
 
 from . import linalg
 from .cochains import Cochain, diff_d, dot, bracket, zero_cochain
@@ -27,18 +31,29 @@ class DifferentialMatrix:
     nrows: int
     ncols: int
     entries: tuple
+    _echelons: dict = dataclass_field(default_factory=dict, init=False,
+                                      repr=False, compare=False)
 
-    def dense_rows(self, field):
-        rows = [[field.zero] * self.ncols for _ in range(self.nrows)]
-        for r, c, v in self.entries:
-            rows[r][c] = v
-        return rows
+    def sparse_rows(self):
+        """The nonzero rows, each a tuple of (column, value) pairs."""
+        return [tuple((c, v) for _, c, v in row)
+                for _, row in groupby(self.entries, key=itemgetter(0))]
 
     def column_maps(self):
         cols = {}
         for r, c, v in self.entries:
             cols.setdefault(c, {})[r] = v
         return cols
+
+    def echelon(self, field):
+        """The field engine's column echelon, eliminated on first use."""
+        ech = self._echelons.get(field)
+        if ech is None:
+            cols = self.column_maps()
+            ech = linalg.column_echelon(
+                [cols.get(c, {}) for c in range(self.ncols)], field)
+            self._echelons[field] = ech
+        return ech
 
     def apply(self, vec, field):
         out = [field.zero] * self.nrows
@@ -72,6 +87,14 @@ def vector_to_cochain(alg, n, vec):
             pos += d
         table.append(rows)
     return Cochain(alg, n, table)
+
+
+def sparse_to_cochain(alg, n, pairs):
+    """The degree-n cochain with the given nonzero (index, value) pairs."""
+    vec = [alg.field.zero] * cochain_dim(alg, n)
+    for i, v in pairs:
+        vec[i] = v
+    return vector_to_cochain(alg, n, vec)
 
 
 def matrix_of_d(ctx, n):
@@ -127,13 +150,11 @@ def matrix_product_is_zero(a, b, field):
 def matrix_rank(matrix, field, engine="bareiss"):
     if engine not in ENGINES:
         raise ValueError("unknown engine %r" % engine)
-    rows = matrix.dense_rows(field)
-    rows = [r for r in rows if any(v != field.zero for v in r)]
     if engine == "bareiss":
         if field.characteristic != 0:
             raise ValueError("the fraction-free engine runs over Q only")
-        return linalg.rank_bareiss(rows)
-    return linalg.rank_rref(rows, field)
+        return linalg.rank_bareiss(matrix.sparse_rows(), matrix.ncols)
+    return matrix.echelon(field).rank
 
 
 def _default_engine(field):
@@ -170,24 +191,17 @@ def _make_class(ctx, n, rep):
 
 
 def cocycle_representatives(ctx, n):
-    """Deterministic cocycle representatives of a basis of H^n."""
+    """Deterministic cocycle representatives of a basis of H^n: the kernel
+    vectors of d^n that are independent modulo im d^(n-1) and the ones
+    before them."""
     alg = ctx.alg
     field = alg.field
-    ncols = cochain_dim(alg, n)
-    ker = linalg.kernel_basis(matrix_of_d(ctx, n).dense_rows(field), ncols, field)
-    echelon = []
+    ker = matrix_of_d(ctx, n).echelon(field).kernel
     if n > 1:
-        below = matrix_of_d(ctx, n - 1)
-        for _, col in sorted(below.column_maps().items()):
-            vec = [field.zero] * ncols
-            for r, v in col.items():
-                vec[r] = v
-            linalg.extend_independent(echelon, vec, field)
-    reps = []
-    for vec in ker:
-        if linalg.extend_independent(echelon, vec, field):
-            reps.append(_make_class(ctx, n, vector_to_cochain(alg, n, vec)))
-    return reps
+        below = matrix_of_d(ctx, n - 1).echelon(field)
+        ker = [ker[i] for i in linalg.independent_mod_image(below, ker)]
+    return [_make_class(ctx, n, sparse_to_cochain(alg, n, vec))
+            for vec in ker]
 
 
 def coboundary_preimage(ctx, c):
@@ -203,11 +217,11 @@ def coboundary_preimage(ctx, c):
         if c.is_zero():
             return zero_cochain(ctx.alg, 1)
         return None
-    matrix = matrix_of_d(ctx, n - 1)
-    sol = linalg.solve(matrix.dense_rows(field), cochain_to_vector(c), field)
+    sol = matrix_of_d(ctx, n - 1).echelon(field).preimage(
+        enumerate(cochain_to_vector(c)))
     if sol is None:
         return None
-    return vector_to_cochain(ctx.alg, n - 1, sol)
+    return sparse_to_cochain(ctx.alg, n - 1, sol.items())
 
 
 def is_coboundary(ctx, c):

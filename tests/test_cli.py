@@ -1,3 +1,4 @@
+import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -107,6 +108,50 @@ def test_worker_configurations_identical():
     many = run_cli("verify-system", "--kind", "signs", "--max-total", "4",
                    "--workers", "4")
     assert one[:2] == many[:2]
+
+
+def test_worker_flag_spellings_identical():
+    # argparse accepts the prefix --work and the --workers=N form too
+    runs = [run_cli("verify-system", "--kind", "linear", "--max-total", "4",
+                    *flag)
+            for flag in (["--workers", "1"], ["--work", "4"],
+                         ["--workers=3"])]
+    assert runs[0][:2] == runs[1][:2] == runs[2][:2]
+    assert "# command: verify-system --kind linear --max-total 4\n" in \
+        runs[0][1]
+
+
+def test_command_echo_is_canonical(fixture_dir):
+    path = fx(fixture_dir, "didend_dim1")
+    spelled = [run_cli("cohomology", path, *args)
+               for args in ([], ["--max-degree", "3"], ["--max-d=3"])]
+    assert spelled[0] == spelled[1] == spelled[2]
+    assert spelled[0][1].startswith(
+        "# command: cohomology %s --max-degree 3\n" % path)
+
+
+def _digest(stdout):
+    kept = [line for line in stdout.splitlines(keepends=True)
+            if not line.startswith("# command:")]
+    return hashlib.sha256("".join(kept).encode()).hexdigest()
+
+
+def test_trias_dim2_representatives_pinned(fixture_dir, tmp_path):
+    # sha256 of the report minus its '# command:' line, recorded before the
+    # elimination layer was rewritten: the H and REP lines must not move
+    path = fx(fixture_dir, "trias_dim2")
+    code, out, _ = run_cli("cohomology", path, "--max-degree", "3")
+    assert code == 0
+    assert _digest(out) == ("72b818249affc5215c6d00cd6c9179e7"
+                            "b4bfa5dc5cf00560496567ec05c3d3c7")
+    text = open(path, encoding="utf-8").read()
+    assert "field = Q\n" in text
+    fp = tmp_path / "trias_dim2_fp101.alg"
+    fp.write_text(text.replace("field = Q\n", "field = Fp:101\n"))
+    code, out, _ = run_cli("cohomology", str(fp), "--max-degree", "3")
+    assert code == 0
+    assert _digest(out) == ("a5064e6ae5d0b54473b345c60d152bca"
+                            "980993d714b8e434f1dbbde8a29d41e8")
 
 
 def test_matrix_dump(fixture_dir):

@@ -1,13 +1,15 @@
 import pytest
 
+from lodayops import linalg
 from lodayops.algebra import TYPES, product_fixture, zero_fixture
 from lodayops.cochains import MultContext, diff_d, dot, random_cochain
 from lodayops.cohomology import (check_g_algebra, coboundary_preimage,
                                  cochain_dim, cochain_to_vector,
                                  cocycle_representatives, cohomology_dims,
-                                 induced_bracket, induced_dot, matrix_of_d,
+                                 cohomology_report, induced_bracket,
+                                 induced_dot, matrix_of_d,
                                  matrix_product_is_zero, matrix_rank,
-                                 vector_to_cochain)
+                                 sparse_to_cochain, vector_to_cochain)
 from lodayops.fields import PrimeField
 
 # dimensions established by the dual-elimination protocol: the fraction-free
@@ -153,10 +155,49 @@ def test_check_g_algebra_passes():
 
 
 def test_rank_nullity_consistency():
-    ctx = MultContext(product_fixture("trias", 1))
-    for n in (1, 2):
-        m = matrix_of_d(ctx, n)
-        r = matrix_rank(m, ctx.alg.field, "rref")
-        from lodayops.linalg import kernel_basis
-        ker = kernel_basis(m.dense_rows(ctx.alg.field), m.ncols, ctx.alg.field)
-        assert r + len(ker) == m.ncols
+    for key in (("trias", 1), ("trias", 2)):
+        ctx = MultContext(product_fixture(*key))
+        field = ctx.alg.field
+        for n in (1, 2, 3):
+            m = matrix_of_d(ctx, n)
+            ech = m.echelon(field)
+            r = matrix_rank(m, field, "rref")
+            assert r == ech.rank == matrix_rank(m, field, "bareiss")
+            assert r + len(ech.kernel) == m.ncols
+            for vec in ech.kernel:
+                image = m.apply(cochain_to_vector(
+                    sparse_to_cochain(ctx.alg, n, vec)), field)
+                assert all(v == field.zero for v in image)
+
+
+def test_coboundary_preimage_round_trip_trias_dim2(rng):
+    ctx = MultContext(product_fixture("trias", 2))
+    for _ in range(3):
+        b = random_cochain(ctx.alg, 2, rng)
+        c = diff_d(ctx, b)
+        assert c.degree == 3 and not c.is_zero()
+        pre = coboundary_preimage(ctx, c)
+        assert pre is not None and pre.degree == 2
+        assert diff_d(ctx, pre) == c
+
+
+def test_each_matrix_eliminated_once_per_engine(monkeypatch):
+    calls = {}
+
+    def counting(name, fn):
+        def run(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return run
+
+    monkeypatch.setattr(linalg, "column_echelon",
+                        counting("field", linalg.column_echelon))
+    monkeypatch.setattr(linalg, "rank_bareiss",
+                        counting("fraction-free", linalg.rank_bareiss))
+    ctx = MultContext(product_fixture("didend", 1))
+    cohomology_report(ctx, 3, engine="bareiss")
+    cohomology_dims(ctx, 3, engine="rref")
+    report = check_g_algebra(ctx, 4)
+    assert report.passed and report.checks
+    # one echelon per degree 1..3; is_coboundary reuses them
+    assert calls == {"field": 3, "fraction-free": 3}
