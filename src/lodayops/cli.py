@@ -15,8 +15,8 @@ import time
 from . import cohomology
 from .algebra import verify_axioms
 from .algfile import AlgebraFileError, load_algebra
-from .cochains import (MultContext, canonical_multiplication, circ,
-                       delta_trias, diff_d, random_cochain, zero_cochain)
+from .cochains import (Cochain, MultContext, canonical_multiplication,
+                       circ, cochain_dim, delta_trias, diff_d, random_cochain)
 from .identities import run_identity_suite
 from .params import enumerate_params, param_text
 from .preoperadic import AXIOM_IDS, verify_system
@@ -122,9 +122,7 @@ def cmd_verify_algebra(ns, report):
     pipi = circ(pi, pi)
     report.check("multiplication-square-zero", pipi.is_zero())
     if not pipi.is_zero():
-        z = alg.field.zero
-        bad = sorted({u for u, rows in enumerate(pipi.table)
-                      for row in rows for c in row if c != z})
+        bad = sorted({u for u, _, _, _ in pipi.entries()})
         elems = enumerate_params(alg.kind, 3)
         report.data("NONZERO-AT", " ".join(param_text(elems[u]) for u in bad))
     return None
@@ -176,20 +174,17 @@ def cmd_compare_differentials(ns, report):
     ctx = _context(alg, report)
     if ctx is None:
         return None
+    one = alg.field.one
     for n in range(1, ns.max_degree + 1):
         ok = True
-        basis = zero_cochain(alg, n)
-        for u_idx in range(len(basis.table)):
-            for flat in range(len(basis.table[u_idx])):
-                for out_idx in range(alg.dim):
-                    basis.table[u_idx][flat][out_idx] = alg.field.one
-                    lhs = diff_d(ctx, basis)
-                    rhs = delta_trias(alg, basis)
-                    basis.table[u_idx][flat][out_idx] = alg.field.zero
-                    if (n + 1) % 2 == 1:
-                        rhs = -rhs
-                    if lhs != rhs:
-                        ok = False
+        for col in range(cochain_dim(alg, n)):
+            basis = Cochain(alg, n, {col: one})
+            lhs = diff_d(ctx, basis)
+            rhs = delta_trias(alg, basis)
+            if (n + 1) % 2 == 1:
+                rhs = -rhs
+            if lhs != rhs:
+                ok = False
         report.check("d-matches-delta-degree-%d" % n, ok)
     return None
 
@@ -242,6 +237,21 @@ def cmd_identities(ns, report):
     return None
 
 
+def _int_at_least(low):
+    """argparse type: an integer >= low; anything else exits 2."""
+    def parse(text):
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                "invalid integer: %r" % text) from None
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                "must be at least %d, got %d" % (low, value))
+        return value
+    return parse
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="lodayops",
@@ -252,8 +262,8 @@ def build_parser():
     p = sub.add_parser("verify-system",
                        help="exhaustively check the structure-function laws")
     p.add_argument("--kind", choices=KIND_NAMES, required=True)
-    p.add_argument("--max-total", type=int, default=5)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--max-total", type=_int_at_least(1), default=5)
+    p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.set_defaults(run=cmd_verify_system, parser=p)
 
     p = sub.add_parser("verify-algebra",
@@ -263,7 +273,7 @@ def build_parser():
 
     p = sub.add_parser("cohomology", help="dimensions and representatives")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_int_at_least(1), default=3)
     p.add_argument("--dump-matrices", action="store_true",
                    help="dump each differential as coordinate triplets")
     p.set_defaults(run=cmd_cohomology, parser=p)
@@ -271,19 +281,19 @@ def build_parser():
     p = sub.add_parser("compare-differentials",
                        help="entrywise check d = (-1)^(n+1) delta (trias)")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=3)
+    p.add_argument("--max-degree", type=_int_at_least(1), default=3)
     p.set_defaults(run=cmd_compare_differentials, parser=p)
 
     p = sub.add_parser("gerstenhaber",
                        help="check the induced laws on cohomology")
     p.add_argument("file")
-    p.add_argument("--max-degree", type=int, default=4)
+    p.add_argument("--max-degree", type=_int_at_least(2), default=4)
     p.set_defaults(run=cmd_gerstenhaber, parser=p)
 
     p = sub.add_parser("identities",
                        help="randomised brace / homotopy identity suites")
     p.add_argument("file")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_int_at_least(1), default=200)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(run=cmd_identities, parser=p)
     return parser

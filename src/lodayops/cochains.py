@@ -4,10 +4,16 @@ A degree-n cochain over an algebra A of dimension d is a total map
 
     (element of U_n, n-tuple of basis indices)  ->  A,
 
-stored as a dense table of |U_n| * d^n coefficient vectors.  The degree of a
-cochain is n >= 1; its shifted degree is |x| = n - 1.  Composition gamma is
-driven by the pre-operadic index tables; braces, the comp/bracket/dot
-operations and the differential follow the graded sign conventions
+stored sparsely as its nonzero coefficients, keyed by the flat index
+
+    (u_idx * d^n + input tuple read in base d) * d + output index,
+
+which is also the row and column coordinate of the matrix of d.  A cochain
+is never changed after construction, and no zero coefficient is stored.
+The degree of a cochain is n >= 1; its shifted degree is |x| = n - 1.
+Composition gamma is driven by the pre-operadic index tables; braces, the
+comp/bracket/dot operations and the differential follow the graded sign
+conventions
 
     x{x_1,...,x_n} = sum over order-preserving substitutions, sign
                      (-1)^(sum |x_p| * i_p) with i_p the number of inputs
@@ -30,69 +36,80 @@ from .trees import boundary_symbol, delete_leaf
 
 
 class Cochain:
-    __slots__ = ("alg", "degree", "table")
+    """A degree-n cochain: ``cells`` maps each flat index to its nonzero
+    coefficient.  Zero coefficients given to the constructor are dropped;
+    the cell dict is the cochain's own copy."""
 
-    def __init__(self, alg, degree, table):
+    __slots__ = ("alg", "degree", "cells")
+
+    def __init__(self, alg, degree, cells):
         self.alg = alg
         self.degree = degree
-        self.table = table
+        self.cells = {i: c for i, c in cells.items() if c}
 
     @property
     def shifted(self):
         return self.degree - 1
 
+    @property
+    def table(self):
+        """Dense view [u_idx][input tuple flattened][output], built anew on
+        each access; writing to it does not change the cochain."""
+        d = self.alg.dim
+        width = d ** self.degree
+        z = self.alg.field.zero
+        get = self.cells.get
+        return [[[get((u_idx * width + flat) * d + out, z)
+                  for out in range(d)]
+                 for flat in range(width)]
+                for u_idx in range(family_size(self.alg.kind, self.degree))]
+
     def value(self, u_idx, basis_tuple):
         d = self.alg.dim
-        flat = 0
+        flat = u_idx
         for b in basis_tuple:
             flat = flat * d + b
-        return self.table[u_idx][flat]
+        z = self.alg.field.zero
+        return [self.cells.get(flat * d + out, z) for out in range(d)]
 
     def is_zero(self):
-        z = self.alg.field.zero
-        return all(c == z for rows in self.table for row in rows for c in row)
+        return not self.cells
 
     def __eq__(self, other):
         return (isinstance(other, Cochain) and self.alg == other.alg
-                and self.degree == other.degree and self.table == other.table)
+                and self.degree == other.degree and self.cells == other.cells)
+
+    def _merged(self, other, combine):
+        _same_complex(self, other)
+        z = self.alg.field.zero
+        cells = dict(self.cells)
+        for i, b in other.cells.items():
+            cells[i] = combine(cells.get(i, z), b)
+        return Cochain(self.alg, self.degree, cells)
 
     def __add__(self, other):
-        _same_complex(self, other)
-        f = self.alg.field
-        return Cochain(self.alg, self.degree, [
-            [[f.add(a, b) for a, b in zip(ra, rb)]
-             for ra, rb in zip(rowsa, rowsb)]
-            for rowsa, rowsb in zip(self.table, other.table)])
+        return self._merged(other, self.alg.field.add)
 
     def __sub__(self, other):
-        _same_complex(self, other)
-        f = self.alg.field
-        return Cochain(self.alg, self.degree, [
-            [[f.sub(a, b) for a, b in zip(ra, rb)]
-             for ra, rb in zip(rowsa, rowsb)]
-            for rowsa, rowsb in zip(self.table, other.table)])
+        return self._merged(other, self.alg.field.sub)
 
     def scaled(self, c):
-        f = self.alg.field
-        return Cochain(self.alg, self.degree, [
-            [[f.mul(c, a) for a in row] for row in rows] for rows in self.table])
+        mul = self.alg.field.mul
+        return Cochain(self.alg, self.degree,
+                       {i: mul(c, a) for i, a in self.cells.items()})
 
     def __neg__(self):
         return self.scaled(self.alg.field.neg(self.alg.field.one))
 
     def entries(self):
-        """Yield (u_idx, input_tuple, out_idx, coeff) over nonzero cells."""
+        """Yield (u_idx, input_tuple, out_idx, coeff) over nonzero cells,
+        in increasing flat index."""
         d = self.alg.dim
-        z = self.alg.field.zero
         n = self.degree
-        for u_idx, rows in enumerate(self.table):
-            for flat, row in enumerate(rows):
-                tup = None
-                for out, c in enumerate(row):
-                    if c != z:
-                        if tup is None:
-                            tup = _unflatten(flat, d, n)
-                        yield u_idx, tup, out, c
+        for i in sorted(self.cells):
+            rest, out = divmod(i, d)
+            u_idx, flat = divmod(rest, d ** n)
+            yield u_idx, _unflatten(flat, d, n), out, self.cells[i]
 
     def __repr__(self):
         return "Cochain(%s, degree=%d)" % (self.alg, self.degree)
@@ -117,53 +134,36 @@ def _unflatten(flat, d, n):
     return tuple(out)
 
 
+def _from_dense(alg, n, values):
+    """The cochain whose coefficients, in flat index order, are values."""
+    return Cochain(alg, n, dict(enumerate(values)))
+
+
+def cochain_dim(alg, n):
+    """Number of coefficients of a degree-n cochain: |U_n| * d^(n+1)."""
+    return family_size(alg.kind, n) * alg.dim ** (n + 1)
+
+
 def zero_cochain(alg, n):
     if n < 1:
         raise ValueError("cochain degree must be >= 1")
-    z = alg.field.zero
-    un = family_size(alg.kind, n)
-    return Cochain(alg, n, [[[z] * alg.dim for _ in range(alg.dim ** n)]
-                            for _ in range(un)])
-
-
-def basis_cochain(alg, n, u_idx, basis_tuple, out_idx):
-    c = zero_cochain(alg, n)
-    d = alg.dim
-    flat = 0
-    for b in basis_tuple:
-        flat = flat * d + b
-    c.table[u_idx][flat][out_idx] = alg.field.one
-    return c
-
-
-def cochain_from_function(alg, n, fn):
-    """fn(param_element, basis_tuple) must return a coefficient vector."""
-    c = zero_cochain(alg, n)
-    for u_idx, e in enumerate(enumerate_params(alg.kind, n)):
-        for flat, tup in enumerate(product(range(alg.dim), repeat=n)):
-            c.table[u_idx][flat] = list(fn(e, tup))
-    return c
+    return Cochain(alg, n, {})
 
 
 def random_cochain(alg, n, rng, span=3):
     """Seeded random cochain with small integer coefficients."""
     f = alg.field
-    c = zero_cochain(alg, n)
-    for rows in c.table:
-        for flat in range(len(rows)):
-            rows[flat] = [f.from_fraction(rng.randint(-span, span))
-                          for _ in range(alg.dim)]
-    return c
+    return _from_dense(alg, n, (f.from_fraction(rng.randint(-span, span))
+                                for _ in range(cochain_dim(alg, n))))
 
 
 def identity_cochain(alg):
     """The operad unit: value x at (r; x) for every r in U_1."""
-    c = zero_cochain(alg, 1)
+    d = alg.dim
     one = alg.field.one
-    for rows in c.table:
-        for i in range(alg.dim):
-            rows[i][i] = one
-    return c
+    return Cochain(alg, 1, {(u_idx * d + i) * d + i: one
+                            for u_idx in range(family_size(alg.kind, 1))
+                            for i in range(d)})
 
 
 def canonical_multiplication(alg):
@@ -174,28 +174,23 @@ def canonical_multiplication(alg):
     on the right edge -> left product, on the left edge -> right product,
     corolla -> middle product.
     """
-    c = zero_cochain(alg, 2)
+    pairs = [(alg.basis_vector(i), alg.basis_vector(j))
+             for i, j in product(range(alg.dim), repeat=2)]
     if alg.type_tag in STAR_TYPES:
-        cells = {}
-        for i in range(alg.dim):
-            for j in range(alg.dim):
-                cells[(i, j)] = star(alg, alg.basis_vector(i), alg.basis_vector(j))
-        for rows in c.table:
-            for flat, (i, j) in enumerate(product(range(alg.dim), repeat=2)):
-                rows[flat] = list(cells[(i, j)])
-        return c
-    for u_idx, e in enumerate(enumerate_params(alg.kind, 2)):
-        parts = e.payload.children
-        if len(parts) == 3:
-            op = "middle"
-        elif parts[0].is_leaf:
-            op = "left"
-        else:
-            op = "right"
-        for flat, (i, j) in enumerate(product(range(alg.dim), repeat=2)):
-            c.table[u_idx][flat] = multiply(
-                alg, op, alg.basis_vector(i), alg.basis_vector(j))
-    return c
+        row = [star(alg, x, y) for x, y in pairs]
+        rows = [row] * family_size(alg.kind, 2)
+    else:
+        rows = []
+        for e in enumerate_params(alg.kind, 2):
+            parts = e.payload.children
+            if len(parts) == 3:
+                op = "middle"
+            elif parts[0].is_leaf:
+                op = "left"
+            else:
+                op = "right"
+            rows.append([multiply(alg, op, x, y) for x, y in pairs])
+    return _from_dense(alg, 2, (c for row in rows for vec in row for c in vec))
 
 
 # -- composition -------------------------------------------------------------
@@ -215,7 +210,7 @@ def gamma(f, gs):
 
     The value at (r; x_1..x_N) is f at R_0(r) applied to the g_i evaluated
     at (R_i(r), i-th input block).  Assembly iterates the nonzero cells of f
-    and of the g_i slices, so sparse factors compose cheaply.
+    and of the g_i, so sparse factors compose cheaply.
     """
     gs = list(gs)
     if len(gs) != f.degree:
@@ -223,82 +218,72 @@ def gamma(f, gs):
     for g in gs:
         if g.alg != f.alg:
             raise ValueError("cochains over different algebras")
-    out = zero_cochain(f.alg, sum(g.degree for g in gs))
-    _gamma_into(f, gs, out, False)
-    return out
+    cells = {}
+    _gamma_into(f, gs, cells, False)
+    return Cochain(f.alg, sum(g.degree for g in gs), cells)
 
 
-def _gamma_into(f, gs, out, negate):
-    """Accumulate (+/-) gamma(f; gs) into out.table in place."""
+def _gamma_into(f, gs, cells, negate):
+    """Accumulate (+/-) gamma(f; gs) into the cell dict ``cells``."""
     alg = f.alg
     d = alg.dim
     z = alg.field.zero
     fmul = alg.field.mul
     faccum = alg.field.sub if negate else alg.field.add
     parts = tuple(g.degree for g in gs)
-    n_total = sum(parts)
     groups = _composition_data(alg.kind, parts)
+    stride = d ** (sum(parts) + 1)     # flat-index width of one parameter
 
-    # Input-index place value of each slot within the composed table row.
-    places = []
-    acc = n_total
-    for n_i in parts:
-        acc -= n_i
-        places.append(d ** acc)
+    # slots[t][u * d + out] : [(flat index contribution, coeff)] over the
+    # nonzero cells of g_t at parameter u with output out
+    slots = []
+    place = stride
+    for g in gs:
+        width = d ** g.degree
+        place //= width
+        by_key = {}
+        for i, coeff in g.cells.items():
+            rest, out = divmod(i, d)
+            u_idx, flat = divmod(rest, width)
+            by_key.setdefault(u_idx * d + out, []).append((flat * place, coeff))
+        slots.append(by_key)
 
-    # slice_maps[t][islot] : out basis index -> [(flat contribution, coeff)]
-    slice_maps = [dict() for _ in parts]
+    # the nonzero cells of f, grouped by (parameter, inputs)
+    f_rows = {}
+    for i, a in f.cells.items():
+        rest, out = divmod(i, d)
+        f_rows.setdefault(rest, []).append((out, a))
 
-    def slot_options(t, islot):
-        cache = slice_maps[t]
-        got = cache.get(islot)
-        if got is None:
-            got = {}
-            rows = gs[t].table[islot]
-            place = places[t]
-            for flat, row in enumerate(rows):
-                for c_out, coeff in enumerate(row):
-                    if coeff != z:
-                        got.setdefault(c_out, []).append((flat * place, coeff))
-            cache[islot] = got
-        return got
-
-    for u_idx, rows in enumerate(f.table):
+    width = d ** f.degree
+    for rest, vec in f_rows.items():
+        u_idx, flat = divmod(rest, width)
         members = groups.get(u_idx)
         if not members:
             continue
-        for flat, vec in enumerate(rows):
-            if all(c == z for c in vec):
-                continue
-            ctuple = _unflatten(flat, d, f.degree)
-            for out_u, islots in members:
-                options = []
-                ok = True
-                for t in range(len(parts)):
-                    opts = slot_options(t, islots[t]).get(ctuple[t])
-                    if not opts:
-                        ok = False
-                        break
-                    options.append(opts)
-                if not ok:
-                    continue
-                target = out.table[out_u]
+        ctuple = _unflatten(flat, d, f.degree)
+        for out_u, islots in members:
+            options = []
+            for t, by_key in enumerate(slots):
+                opts = by_key.get(islots[t] * d + ctuple[t])
+                if not opts:
+                    break
+                options.append(opts)
+            else:
                 for combo in product(*options):
-                    pos = 0
+                    pos = out_u * stride
                     coeff = None
                     for contrib, c in combo:
                         pos += contrib
                         coeff = c if coeff is None else fmul(coeff, c)
-                    row = target[pos]
-                    for o, a in enumerate(vec):
-                        if a != z:
-                            row[o] = faccum(row[o], fmul(coeff, a))
+                    for o, a in vec:
+                        key = pos + o
+                        cells[key] = faccum(cells.get(key, z), fmul(coeff, a))
 
 
 # -- braces and derived operations -------------------------------------------
 
-def _brace_into(x, xs, out, negate):
-    """Accumulate (+/-) x{x_1,...,x_n} into out (degree already fixed)."""
+def _brace_into(x, xs, cells, negate):
+    """Accumulate (+/-) x{x_1,...,x_n} into the cell dict ``cells``."""
     n = len(xs)
     k = x.degree
     if n > k:
@@ -315,7 +300,7 @@ def _brace_into(x, xs, out, negate):
             inputs_before = (s - p) + consumed
             eps += shifts[p] * inputs_before
             consumed += degrees[p]
-        _gamma_into(x, gs, out, negate if eps % 2 == 0 else not negate)
+        _gamma_into(x, gs, cells, negate if eps % 2 == 0 else not negate)
 
 
 def brace(x, xs):
@@ -327,9 +312,10 @@ def brace(x, xs):
     xs = list(xs)
     if not xs:
         return x
-    out = zero_cochain(x.alg, sum(g.degree for g in xs) + x.degree - len(xs))
-    _brace_into(x, xs, out, False)
-    return out
+    cells = {}
+    _brace_into(x, xs, cells, False)
+    return Cochain(x.alg, sum(g.degree for g in xs) + x.degree - len(xs),
+                   cells)
 
 
 def circ(x, y):
@@ -340,17 +326,18 @@ def circ(x, y):
 def bracket(x, y):
     """[x, y] = x o y - (-1)^(|x||y|) y o x, of degree deg x + deg y - 1."""
     _same_algebra(x, y)
-    out = zero_cochain(x.alg, x.degree + y.degree - 1)
-    _brace_into(x, [y], out, False)
-    _brace_into(y, [x], out, (x.shifted * y.shifted) % 2 == 0)
-    return out
+    cells = {}
+    _brace_into(x, [y], cells, False)
+    _brace_into(y, [x], cells, (x.shifted * y.shifted) % 2 == 0)
+    return Cochain(x.alg, x.degree + y.degree - 1, cells)
 
 
 class MultContext:
     """An algebra with its canonical multiplication pi and the unit cochain.
 
     Construction verifies pi o pi = 0 and fails otherwise, so holding a
-    context certifies that the differential below squares to zero.
+    context certifies that the differential below squares to zero.  The
+    context memoises the matrices of d (``matrix_cache``, by degree).
     """
 
     def __init__(self, alg):
@@ -412,22 +399,20 @@ def delta_trias(alg, f):
     d = alg.dim
     fld = alg.field
     z = fld.zero
-    out = zero_cochain(alg, n + 1)
-    data = _delta_data(n)
-    for psi_idx, row_data in enumerate(data):
-        rows = out.table[psi_idx]
-        for flat, a in enumerate(product(range(d), repeat=n + 1)):
+    values = []
+    for row_data in _delta_data(n):
+        for a in product(range(d), repeat=n + 1):
             acc = [z] * d
             for i in range(n + 2):
                 face_idx, op = row_data[i]
                 if i == 0:
                     v = f.value(face_idx, a[1:])
-                    if all(c == z for c in v):
+                    if not any(v):
                         continue
                     w = multiply(alg, op, alg.basis_vector(a[0]), v)
                 elif i == n + 1:
                     v = f.value(face_idx, a[:n])
-                    if all(c == z for c in v):
+                    if not any(v):
                         continue
                     w = multiply(alg, op, v, alg.basis_vector(a[n]))
                 else:
@@ -435,15 +420,15 @@ def delta_trias(alg, f):
                                         alg.basis_vector(a[i]))
                     w = [z] * d
                     for c_mid, coeff in enumerate(prod_vec):
-                        if coeff == z:
+                        if not coeff:
                             continue
                         v = f.value(face_idx, a[:i - 1] + (c_mid,) + a[i + 1:])
                         for o, c in enumerate(v):
-                            if c != z:
+                            if c:
                                 w[o] = fld.add(w[o], fld.mul(coeff, c))
                 if i % 2 == 0:
                     acc = [fld.add(p, q) for p, q in zip(acc, w)]
                 else:
                     acc = [fld.sub(p, q) for p, q in zip(acc, w)]
-            rows[flat] = acc
-    return out
+            values.extend(acc)
+    return _from_dense(alg, n + 1, values)

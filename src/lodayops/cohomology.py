@@ -1,8 +1,9 @@
 """Exact cohomology of the cochain complex and the induced structure on it.
 
-Cochains of degree n flatten to vectors of length |U_n| * d^(n+1) in the
-order (parameter index, input tuple, output index); the differential then
-becomes a sparse matrix per degree.  There are no cochains below degree 1,
+The cells of a degree-n cochain are keyed by its flat index in the order
+(parameter index, input tuple, output index), so a cochain is a sparse
+vector of length |U_n| * d^(n+1) and the differential a sparse matrix per
+degree in the same coordinates.  There are no cochains below degree 1,
 so H^1 = ker d^1; every report states this convention.
 
 Each matrix of d carries the field engine's column echelon, eliminated on
@@ -17,8 +18,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from . import linalg
-from .cochains import Cochain, diff_d, dot, bracket, zero_cochain
-from .params import family_size
+from .cochains import Cochain, cochain_dim, diff_d, dot, bracket, zero_cochain
 
 ENGINES = ("bareiss", "rref")
 
@@ -55,46 +55,15 @@ class DifferentialMatrix:
             self._echelons[field] = ech
         return ech
 
-    def apply(self, vec, field):
-        out = [field.zero] * self.nrows
+    def apply(self, cells, field):
+        """M x for a sparse vector x ({column: value}), as {row: value}
+        without zeros."""
+        out = {}
         for r, c, v in self.entries:
-            if vec[c] != field.zero:
-                out[r] = field.add(out[r], field.mul(v, vec[c]))
-        return out
-
-
-def cochain_dim(alg, n):
-    return family_size(alg.kind, n) * alg.dim ** (n + 1)
-
-
-def cochain_to_vector(f):
-    out = []
-    for rows in f.table:
-        for row in rows:
-            out.extend(row)
-    return out
-
-
-def vector_to_cochain(alg, n, vec):
-    d = alg.dim
-    un = family_size(alg.kind, n)
-    table = []
-    pos = 0
-    for _ in range(un):
-        rows = []
-        for _ in range(d ** n):
-            rows.append(list(vec[pos:pos + d]))
-            pos += d
-        table.append(rows)
-    return Cochain(alg, n, table)
-
-
-def sparse_to_cochain(alg, n, pairs):
-    """The degree-n cochain with the given nonzero (index, value) pairs."""
-    vec = [alg.field.zero] * cochain_dim(alg, n)
-    for i, v in pairs:
-        vec[i] = v
-    return vector_to_cochain(alg, n, vec)
+            x = cells.get(c)
+            if x is not None:
+                out[r] = field.add(out.get(r, field.zero), field.mul(v, x))
+        return {r: v for r, v in out.items() if v != field.zero}
 
 
 def matrix_of_d(ctx, n):
@@ -105,28 +74,16 @@ def matrix_of_d(ctx, n):
     if cached is not None:
         return cached
     alg = ctx.alg
-    z = alg.field.zero
+    one = alg.field.one
     ncols = cochain_dim(alg, n)
-    nrows = cochain_dim(alg, n + 1)
     entries = []
-    basis = zero_cochain(alg, n)
-    col = 0
-    for u_idx in range(len(basis.table)):
-        for flat in range(len(basis.table[u_idx])):
-            for out_idx in range(alg.dim):
-                basis.table[u_idx][flat][out_idx] = alg.field.one
-                image = diff_d(ctx, basis)
-                basis.table[u_idx][flat][out_idx] = z
-                row = 0
-                for rows in image.table:
-                    for rr in rows:
-                        for v in rr:
-                            if v != z:
-                                entries.append((row, col, v))
-                            row += 1
-                col += 1
-    entries.sort(key=lambda e: (e[0], e[1]))
-    matrix = DifferentialMatrix(n, nrows, ncols, tuple(entries))
+    for col in range(ncols):
+        image = diff_d(ctx, Cochain(alg, n, {col: one}))
+        entries.extend((row, col, v) for row, v in image.cells.items())
+    # (row, col) pairs are distinct, so values are never compared
+    entries.sort()
+    matrix = DifferentialMatrix(n, cochain_dim(alg, n + 1), ncols,
+                                tuple(entries))
     ctx.matrix_cache[n] = matrix
     return matrix
 
@@ -200,8 +157,7 @@ def cocycle_representatives(ctx, n):
     if n > 1:
         below = matrix_of_d(ctx, n - 1).echelon(field)
         ker = [ker[i] for i in linalg.independent_mod_image(below, ker)]
-    return [_make_class(ctx, n, sparse_to_cochain(alg, n, vec))
-            for vec in ker]
+    return [_make_class(ctx, n, Cochain(alg, n, dict(vec))) for vec in ker]
 
 
 def coboundary_preimage(ctx, c):
@@ -217,11 +173,10 @@ def coboundary_preimage(ctx, c):
         if c.is_zero():
             return zero_cochain(ctx.alg, 1)
         return None
-    sol = matrix_of_d(ctx, n - 1).echelon(field).preimage(
-        enumerate(cochain_to_vector(c)))
+    sol = matrix_of_d(ctx, n - 1).echelon(field).preimage(c.cells)
     if sol is None:
         return None
-    return sparse_to_cochain(ctx.alg, n - 1, sol.items())
+    return Cochain(ctx.alg, n - 1, sol)
 
 
 def is_coboundary(ctx, c):
@@ -255,11 +210,6 @@ def cohomology_report(ctx, max_degree, engine=None):
     dims = cohomology_dims(ctx, max_degree, engine=engine)
     reps = {n: cocycle_representatives(ctx, n) for n, _ in dims}
     return CohomologyReport(max_degree, dims, reps)
-
-
-def matrix_triplet_text(matrix):
-    """Coordinate-triplet dump, one '<row> <col> <value>' line per entry."""
-    return "\n".join("%d %d %s" % (r, c, v) for r, c, v in matrix.entries)
 
 
 @dataclass(frozen=True)

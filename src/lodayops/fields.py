@@ -2,7 +2,9 @@
 
 Scalars are plain Python values (``fractions.Fraction`` for the rationals,
 ``int`` in ``range(p)`` for a prime field); a field object supplies the
-arithmetic so the rest of the library stays field-generic.
+arithmetic so the rest of the library stays field-generic.  In both fields
+zero is the only scalar that tests false, which lets sparse containers drop
+zeros with a plain truth test.
 """
 
 from fractions import Fraction

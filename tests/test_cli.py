@@ -2,6 +2,8 @@ import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
+
 from lodayops.cli import main
 
 
@@ -91,6 +93,26 @@ def test_exit_codes_for_bad_input(fixture_dir, tmp_path):
     assert "not prime" in err
     code, _, _ = run_cli("no-such-command")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "FIXTURE", "--max-degree", "0"],
+    ["gerstenhaber", "FIXTURE", "--max-degree", "1"],
+    ["verify-system", "--kind", "linear", "--max-total", "0"],
+    ["compare-differentials", "FIXTURE", "--max-degree", "0"],
+    ["identities", "FIXTURE", "--samples", "0"],
+    ["verify-system", "--kind", "linear", "--workers", "0"],
+    ["verify-system", "--kind", "linear", "--workers", "-2"],
+    ["cohomology", "FIXTURE", "--max-degree", "three"],
+])
+def test_out_of_range_numbers_exit_2(fixture_dir, argv):
+    argv = [fx(fixture_dir, "trias_dim1") if a == "FIXTURE" else a
+            for a in argv]
+    code, out, err = run_cli(*argv)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "error: argument %s: " % argv[-2] in err
 
 
 def test_reports_byte_identical(fixture_dir):

@@ -1,25 +1,39 @@
-from fractions import Fraction
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lodayops.algebra import (AXIOMS, TYPES, axiom_mutation, product_fixture,
                               suspension_fixture, zero_fixture)
 from lodayops.cochains import (MultContext, bracket, brace,
-                               canonical_multiplication, circ, delta_trias,
-                               diff_d, dot, gamma, identity_cochain,
-                               random_cochain, zero_cochain)
+                               canonical_multiplication, circ, cochain_dim,
+                               delta_trias, diff_d, dot, gamma,
+                               identity_cochain, random_cochain, zero_cochain)
+from lodayops.fields import QQ, PrimeField
 from lodayops.params import enumerate_params
 from lodayops.preoperadic import r_index_tables
 
 
-def test_table_shape():
+def test_table_shape(rng):
     alg = product_fixture("trias", 2)
     for n in (1, 2, 3):
         c = zero_cochain(alg, n)
-        assert len(c.table) == len(enumerate_params("planar", n))
-        assert all(len(rows) == alg.dim ** n for rows in c.table)
-        assert all(len(row) == alg.dim for rows in c.table for row in rows)
+        assert c.cells == {} and c.is_zero()
+        assert cochain_dim(alg, n) == \
+            len(enumerate_params("planar", n)) * alg.dim ** (n + 1)
+        # the dense view keeps the layout [u_idx][flat inputs][output]
+        table = random_cochain(alg, n, rng).table
+        assert len(table) == len(enumerate_params("planar", n))
+        assert all(len(rows) == alg.dim ** n for rows in table)
+        assert all(len(row) == alg.dim for rows in table for row in rows)
         assert c.shifted == n - 1
+    x = random_cochain(alg, 2, rng)
+    for u_idx, rows in enumerate(x.table):
+        for flat, row in enumerate(rows):
+            assert x.value(u_idx, divmod(flat, alg.dim)) == row
+            for out, coeff in enumerate(row):
+                key = (u_idx * alg.dim ** 2 + flat) * alg.dim + out
+                assert x.cells.get(key, alg.field.zero) == coeff
 
 
 def test_identity_cochain_values():
@@ -232,13 +246,11 @@ def test_trias_mutations_localise_on_the_matching_tree():
     derived = _tree_axiom_map(alg)
     axioms = [(lhs[0], rhs[0]) for lhs, rhs in AXIOMS["trias"]]
     tree_of_axiom = {axioms.index(inst): u for u, inst in enumerate(derived)}
-    z = Fraction(0)
     for index in range(1, 12):
         mutated = axiom_mutation("trias", index)
         pi = canonical_multiplication(mutated)
         pipi = circ(pi, pi)
-        nonzero = {u for u, rows in enumerate(pipi.table)
-                   for row in rows for c in row if c != z}
+        nonzero = {u for u, _, _, _ in pipi.entries()}
         assert nonzero == {tree_of_axiom[index - 1]}, index
 
 
@@ -279,3 +291,38 @@ def test_multilinearity_of_gamma_and_brace(rng):
     assert brace(f, [g + g2]) == brace(f, [g]) + brace(f, [g2])
     x2 = random_cochain(alg, 2, rng)
     assert brace(f + x2, [g]) == brace(f, [g]) + brace(x2, [g])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32), st.sampled_from([QQ, PrimeField(101)]),
+       st.sampled_from([1, 2]))
+def test_results_store_no_zero_coefficient(seed, field, dim):
+    # coefficients in {-1, 0, 1} make cancellations common
+    rng = random.Random(seed)
+    alg = product_fixture("trias", dim, field=field)
+    ctx = MultContext(alg)
+    x1, y1 = (random_cochain(alg, 1, rng, span=1) for _ in range(2))
+    x2, y2 = (random_cochain(alg, 2, rng, span=1) for _ in range(2))
+    results = [x2 + y2, x2 - y2, x2.scaled(field.zero),
+               x2.scaled(field.from_fraction(3)), -x2,
+               gamma(x2, [x1, y1]), gamma(x1, [y2]), brace(x2, [x1]),
+               brace(x2, [x1, y1]), bracket(x1, y2), bracket(x2, y2),
+               diff_d(ctx, x1), diff_d(ctx, y2), delta_trias(alg, x2),
+               delta_trias(alg, delta_trias(alg, x1))]
+    for x in results:
+        assert all(c != field.zero for c in x.cells.values())
+        keys = [((u_idx * dim ** x.degree + _flat(tup, dim)) * dim + out)
+                for u_idx, tup, out, _ in x.entries()]
+        assert keys == sorted(x.cells)
+    assert x2.scaled(field.zero) == zero_cochain(alg, 2)
+    for x in (x1, x2, y2, brace(x2, [x1])):
+        zero = zero_cochain(alg, x.degree)
+        assert x - x == zero
+        assert x + (-x) == zero
+
+
+def _flat(tup, d):
+    flat = 0
+    for b in tup:
+        flat = flat * d + b
+    return flat
