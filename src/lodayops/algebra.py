@@ -8,12 +8,15 @@ Supported types and their binary operations:
     tridend  ≺ · ≻        (7 axioms; ≺+·+≻ is associative)
     tricub   ⊣ ⊢ ⊥        (9 axioms: all mixed associativity)
 
-Structure constants are stored sparsely: tables[op][(i, j)] = {k: c} means
-e_i op e_j = sum_k c e_k.  Axioms are evaluated on basis triples only, which
-suffices by multilinearity.
+An element of the algebra is a sparse dict {basis index: coefficient} that
+stores no zero; the structure constants are rows of the same form,
+tables[op][(i, j)] = {k: c} meaning e_i op e_j = sum_k c e_k.  ``multiply``
+is the one product on such elements.  Axioms are evaluated on basis triples
+only, which suffices by multilinearity.
 """
 
 from dataclasses import dataclass
+from itertools import product
 
 from .fields import QQ
 
@@ -142,14 +145,6 @@ class AlgebraSpec:
     def kind(self):
         return PARAM_KIND[self.type_tag]
 
-    def zero_vector(self):
-        return [self.field.zero] * self.dim
-
-    def basis_vector(self, i):
-        v = self.zero_vector()
-        v[i] = self.field.one
-        return v
-
     def __eq__(self, other):
         return (isinstance(other, AlgebraSpec)
                 and self.type_tag == other.type_tag
@@ -164,40 +159,40 @@ class AlgebraSpec:
 
 
 def multiply(alg, op, x, y):
-    """Bilinear extension of the structure constants of one operation."""
+    """Bilinear extension of the structure constants of one operation to
+    sparse elements; the product stores no zero coefficient."""
     if op not in alg.ops:
         raise ValueError("operation %r does not belong to type %s"
                          % (op, alg.type_tag))
-    if len(x) != alg.dim or len(y) != alg.dim:
-        raise ValueError("element dimension mismatch")
+    if any(not 0 <= i < alg.dim for v in (x, y) for i in v):
+        raise ValueError("basis index out of range")
     f = alg.field
     table = alg.tables[op]
-    out = alg.zero_vector()
-    for i, xi in enumerate(x):
-        if xi == f.zero:
-            continue
-        for j, yj in enumerate(y):
-            if yj == f.zero:
-                continue
+    out = {}
+    for i, xi in x.items():
+        for j, yj in y.items():
             row = table.get((i, j))
             if not row:
                 continue
             scale = f.mul(xi, yj)
             for k, c in row.items():
-                out[k] = f.add(out[k], f.mul(scale, c))
-    return out
+                out[k] = f.add(out.get(k, f.zero), f.mul(scale, c))
+    return {k: c for k, c in out.items() if c}
+
+
+def _sparse_sum(field, rows):
+    out = {}
+    for row in rows:
+        for t, c in row.items():
+            out[t] = field.add(out.get(t, field.zero), c)
+    return {t: c for t, c in out.items() if c}
 
 
 def star(alg, x, y):
     """Sum of all operations; defined for the types whose multiplication is it."""
     if alg.type_tag not in STAR_TYPES:
         raise ValueError("star is not defined for type %s" % alg.type_tag)
-    f = alg.field
-    out = alg.zero_vector()
-    for op in alg.ops:
-        v = multiply(alg, op, x, y)
-        out = [f.add(a, b) for a, b in zip(out, v)]
-    return out
+    return _sparse_sum(alg.field, [multiply(alg, op, x, y) for op in alg.ops])
 
 
 @dataclass(frozen=True)
@@ -209,62 +204,23 @@ class AxiomViolation:
     right: tuple
 
 
-def _basis_product(alg, op, i, j):
-    """Sparse row {k: c} of e_i op e_j."""
-    return alg.tables[op].get((i, j), {})
-
-
-def _nested_left(alg, op_a, op_b, i, j, k):
-    """Sparse value of (e_i op_a e_j) op_b e_k."""
-    f = alg.field
-    out = {}
-    for mid, c in _basis_product(alg, op_a, i, j).items():
-        for target, c2 in _basis_product(alg, op_b, mid, k).items():
-            out[target] = f.add(out.get(target, f.zero), f.mul(c, c2))
-    return {t: c for t, c in out.items() if c != f.zero}
-
-
-def _nested_right(alg, op_c, op_d, i, j, k):
-    """Sparse value of e_i op_c (e_j op_d e_k)."""
-    f = alg.field
-    out = {}
-    for mid, c in _basis_product(alg, op_d, j, k).items():
-        for target, c2 in _basis_product(alg, op_c, i, mid).items():
-            out[target] = f.add(out.get(target, f.zero), f.mul(c, c2))
-    return {t: c for t, c in out.items() if c != f.zero}
-
-
-def _sparse_sum(field, rows):
-    out = {}
-    for row in rows:
-        for t, c in row.items():
-            out[t] = field.add(out.get(t, field.zero), c)
-    return {t: c for t, c in out.items() if c != field.zero}
-
-
 def verify_axioms(alg):
     """Evaluate every defining axiom on every basis triple; [] means valid."""
     f = alg.field
     violations = []
-    dim = alg.dim
+    basis = [{i: f.one} for i in range(alg.dim)]
     for a_idx, (lhs_terms, rhs_terms) in enumerate(AXIOMS[alg.type_tag], start=1):
         label = axiom_label(alg.type_tag, a_idx)
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    lhs = _sparse_sum(f, [_nested_left(alg, a, b, i, j, k)
-                                          for a, b in lhs_terms])
-                    rhs = _sparse_sum(f, [_nested_right(alg, c, d, i, j, k)
-                                          for c, d in rhs_terms])
-                    if lhs != rhs:
-                        left = alg.zero_vector()
-                        right = alg.zero_vector()
-                        for t, c in lhs.items():
-                            left[t] = c
-                        for t, c in rhs.items():
-                            right[t] = c
-                        violations.append(AxiomViolation(
-                            a_idx, label, (i, j, k), tuple(left), tuple(right)))
+        for (i, x), (j, y), (k, z) in product(enumerate(basis), repeat=3):
+            lhs = _sparse_sum(f, [multiply(alg, b, multiply(alg, a, x, y), z)
+                                  for a, b in lhs_terms])
+            rhs = _sparse_sum(f, [multiply(alg, c, x, multiply(alg, d, y, z))
+                                  for c, d in rhs_terms])
+            if lhs != rhs:
+                violations.append(AxiomViolation(
+                    a_idx, label, (i, j, k),
+                    tuple(lhs.get(t, f.zero) for t in range(alg.dim)),
+                    tuple(rhs.get(t, f.zero) for t in range(alg.dim))))
     return violations
 
 

@@ -137,8 +137,7 @@ def cmd_cohomology(ns, report):
     ctx = _context(alg, report)
     if ctx is None:
         return None
-    engine = "rref" if alg.field.characteristic else "bareiss"
-    summary = cohomology.cohomology_report(ctx, ns.max_degree, engine=engine)
+    summary = cohomology.cohomology_report(ctx, ns.max_degree)
     cross = cohomology.cohomology_dims(ctx, ns.max_degree, engine="rref")
     report.check("rank-engines-agree", summary.dims == cross)
     for n, dim in summary.dims:
@@ -166,11 +165,11 @@ def cmd_compare_differentials(ns, report):
     alg = _load(ns.file)
     if alg is None:
         return 2
-    _describe(report, ns, alg)
     if alg.type_tag != "trias":
         print("error: compare-differentials requires a trias algebra",
               file=sys.stderr)
         return 2
+    _describe(report, ns, alg)
     ctx = _context(alg, report)
     if ctx is None:
         return None

@@ -64,14 +64,6 @@ class Cochain:
                  for flat in range(width)]
                 for u_idx in range(family_size(self.alg.kind, self.degree))]
 
-    def value(self, u_idx, basis_tuple):
-        d = self.alg.dim
-        flat = u_idx
-        for b in basis_tuple:
-            flat = flat * d + b
-        z = self.alg.field.zero
-        return [self.cells.get(flat * d + out, z) for out in range(d)]
-
     def is_zero(self):
         return not self.cells
 
@@ -134,11 +126,6 @@ def _unflatten(flat, d, n):
     return tuple(out)
 
 
-def _from_dense(alg, n, values):
-    """The cochain whose coefficients, in flat index order, are values."""
-    return Cochain(alg, n, dict(enumerate(values)))
-
-
 def cochain_dim(alg, n):
     """Number of coefficients of a degree-n cochain: |U_n| * d^(n+1)."""
     return family_size(alg.kind, n) * alg.dim ** (n + 1)
@@ -153,8 +140,8 @@ def zero_cochain(alg, n):
 def random_cochain(alg, n, rng, span=3):
     """Seeded random cochain with small integer coefficients."""
     f = alg.field
-    return _from_dense(alg, n, (f.from_fraction(rng.randint(-span, span))
-                                for _ in range(cochain_dim(alg, n))))
+    return Cochain(alg, n, {i: f.from_fraction(rng.randint(-span, span))
+                            for i in range(cochain_dim(alg, n))})
 
 
 def identity_cochain(alg):
@@ -174,23 +161,28 @@ def canonical_multiplication(alg):
     on the right edge -> left product, on the left edge -> right product,
     corolla -> middle product.
     """
-    pairs = [(alg.basis_vector(i), alg.basis_vector(j))
-             for i, j in product(range(alg.dim), repeat=2)]
     if alg.type_tag in STAR_TYPES:
-        row = [star(alg, x, y) for x, y in pairs]
-        rows = [row] * family_size(alg.kind, 2)
+        ops = [None] * family_size(alg.kind, 2)
     else:
-        rows = []
+        ops = []
         for e in enumerate_params(alg.kind, 2):
             parts = e.payload.children
             if len(parts) == 3:
-                op = "middle"
+                ops.append("middle")
             elif parts[0].is_leaf:
-                op = "left"
+                ops.append("left")
             else:
-                op = "right"
-            rows.append([multiply(alg, op, x, y) for x, y in pairs])
-    return _from_dense(alg, 2, (c for row in rows for vec in row for c in vec))
+                ops.append("right")
+    d = alg.dim
+    one = alg.field.one
+    cells = {}
+    for u_idx, op in enumerate(ops):
+        for i, j in product(range(d), repeat=2):
+            x, y = {i: one}, {j: one}
+            value = star(alg, x, y) if op is None else multiply(alg, op, x, y)
+            for k, c in value.items():
+                cells[((u_idx * d + i) * d + j) * d + k] = c
+    return Cochain(alg, 2, cells)
 
 
 # -- composition -------------------------------------------------------------
@@ -383,6 +375,16 @@ def _delta_data(n):
     return tuple(faces)
 
 
+@lru_cache(maxsize=None)
+def _delta_pushes(n):
+    """For each tree u of weight n: the (psi, i, op symbol) with d_i psi = u."""
+    pushes = {}
+    for psi, row in enumerate(_delta_data(n)):
+        for i, (face_idx, op) in enumerate(row):
+            pushes.setdefault(face_idx, []).append((psi, i, op))
+    return pushes
+
+
 def delta_trias(alg, f):
     """The deformation-style differential on trialgebra cochains:
 
@@ -391,7 +393,14 @@ def delta_trias(alg, f):
             + sum_i (-1)^i f(d_i psi; a_1,..., a_i o_i a_{i+1}, ..., a_{n+1})
             + (-1)^(n+1) f(d_{n+1} psi; a_1..a_n) o_{n+1} a_{n+1}
 
-    with the operation symbols o_i read off the tree psi.
+    with the operation symbols o_i read off the tree psi.  Each nonzero
+    cell (u, b, o, c) of f is pushed to every (psi, i) with d_i psi = u:
+    face 0 multiplies e_x o_0 e_o for every x, face n+1 multiplies
+    e_o o_{n+1} e_y for every y, and an interior face i puts every pair
+    (x, y) whose product under o_i has a nonzero coefficient at b_i in
+    place of b_i.  Only the structure constants and the face maps are read,
+    never pi, so the comparison with d = [pi, -] is between independent
+    computations.
     """
     if alg.type_tag != "trias":
         raise ValueError("the explicit differential is defined for trias only")
@@ -399,36 +408,38 @@ def delta_trias(alg, f):
     d = alg.dim
     fld = alg.field
     z = fld.zero
-    values = []
-    for row_data in _delta_data(n):
-        for a in product(range(d), repeat=n + 1):
-            acc = [z] * d
-            for i in range(n + 2):
-                face_idx, op = row_data[i]
-                if i == 0:
-                    v = f.value(face_idx, a[1:])
-                    if not any(v):
-                        continue
-                    w = multiply(alg, op, alg.basis_vector(a[0]), v)
-                elif i == n + 1:
-                    v = f.value(face_idx, a[:n])
-                    if not any(v):
-                        continue
-                    w = multiply(alg, op, v, alg.basis_vector(a[n]))
-                else:
-                    prod_vec = multiply(alg, op, alg.basis_vector(a[i - 1]),
-                                        alg.basis_vector(a[i]))
-                    w = [z] * d
-                    for c_mid, coeff in enumerate(prod_vec):
-                        if not coeff:
-                            continue
-                        v = f.value(face_idx, a[:i - 1] + (c_mid,) + a[i + 1:])
-                        for o, c in enumerate(v):
-                            if c:
-                                w[o] = fld.add(w[o], fld.mul(coeff, c))
-                if i % 2 == 0:
-                    acc = [fld.add(p, q) for p, q in zip(acc, w)]
-                else:
-                    acc = [fld.sub(p, q) for p, q in zip(acc, w)]
-            values.extend(acc)
-    return _from_dense(alg, n + 1, values)
+    tables = alg.tables
+    # preimages[op][k]: every (x, y, coefficient of e_k in e_x op e_y)
+    preimages = {}
+    for op, table in tables.items():
+        inverse = preimages[op] = {}
+        for (x, y), row in table.items():
+            for k, coeff in row.items():
+                inverse.setdefault(k, []).append((x, y, coeff))
+    pushes = _delta_pushes(n)
+    width = d ** n
+    cells = {}
+    for key, c in f.cells.items():
+        rest, o = divmod(key, d)
+        u_idx, flat = divmod(rest, width)
+        for psi, i, op in pushes.get(u_idx, ()):
+            base = psi * width * d
+            if i == 0:
+                terms = [((base + x * width + flat) * d + out, fld.mul(c, c2))
+                         for x in range(d)
+                         for out, c2 in tables[op].get((x, o), {}).items()]
+            elif i == n + 1:
+                terms = [((base + flat * d + y) * d + out, fld.mul(c, c2))
+                         for y in range(d)
+                         for out, c2 in tables[op].get((o, y), {}).items()]
+            else:
+                place = d ** (n - i)        # weight of b_i in flat
+                high, low = divmod(flat, place)
+                high, mid = divmod(high, d)
+                terms = [((base + ((high * d + x) * d + y) * place + low) * d + o,
+                          fld.mul(c, coeff))
+                         for x, y, coeff in preimages[op].get(mid, ())]
+            accum = fld.sub if i % 2 else fld.add
+            for pos, v in terms:
+                cells[pos] = accum(cells.get(pos, z), v)
+    return Cochain(alg, n + 1, cells)

@@ -11,7 +11,7 @@ from math import prod
 
 from . import params
 from .params import ParamElement, enumerate_params, param_text
-from .trees import delete_leaves
+from .trees import _compositions, delete_leaves
 
 
 @dataclass(frozen=True)
@@ -178,23 +178,8 @@ class SystemReport:
 
 def _compositions_of(total):
     """All ordered compositions of total, lexicographically."""
-    if total == 0:
-        return [()]
-    out = []
-    for first in range(1, total + 1):
-        for rest in _compositions_of(total - first):
-            out.append((first,) + rest)
-    return sorted(out)
-
-
-def _compositions_into(total, nparts):
-    if nparts == 1:
-        return [(total,)]
-    out = []
-    for first in range(1, total - nparts + 2):
-        for rest in _compositions_into(total - first, nparts - 1):
-            out.append((first,) + rest)
-    return out
+    return sorted(c for nparts in range(1, total + 1)
+                  for c in _compositions(total, nparts))
 
 
 def _scan_outer(kind, outer, max_total, r0, rj):
@@ -211,7 +196,7 @@ def _scan_outer(kind, outer, max_total, r0, rj):
             param_text(expected), param_text(actual)))
 
     for m_total in range(n_total, max_total + 1):
-        for inner in _compositions_into(m_total, n_total):
+        for inner in _compositions(m_total, n_total):
             p_inner = Profile(inner)
             m_partial = [p_inner.partial(i) for i in range(n_total + 1)]
             t_parts = tuple(

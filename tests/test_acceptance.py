@@ -9,7 +9,8 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from lodayops.algebra import AXIOMS, TYPES, axiom_mutation, product_fixture
+from lodayops.algebra import (AXIOMS, TYPES, axiom_mutation, product_fixture,
+                              suspension_fixture)
 from lodayops.algfile import load_algebra
 from lodayops.cli import main as cli_main
 from lodayops.cochains import (Cochain, MultContext,
@@ -170,11 +171,15 @@ def test_criterion_4_differential_squares_to_zero(fixture_dir):
 
 
 def test_criterion_5_comparison_theorem(fixture_dir):
+    cases = [(_corpus_algebra(fixture_dir, name), (1, 2, 3))
+             for name in ("trias_dim1", "trias_dim2")]
+    # the three operations are equal in both files; in the suspension
+    # fixture they differ, so a wrong operation symbol at a face shows there
+    cases.append((suspension_fixture("trias"), (1, 2)))
     ok = True
-    for name in ("trias_dim1", "trias_dim2"):
-        alg = _corpus_algebra(fixture_dir, name)
+    for alg, degrees in cases:
         ctx = MultContext(alg)
-        for n in (1, 2, 3):
+        for n in degrees:
             sign_flip = (n + 1) % 2 == 1
             for col in range(cochain_dim(alg, n)):
                 basis = Cochain(alg, n, {col: alg.field.one})
@@ -183,7 +188,8 @@ def test_criterion_5_comparison_theorem(fixture_dir):
                 if sign_flip:
                     rhs = -rhs
                 ok = ok and lhs == rhs
-    _report(5, "d = (-1)^(n+1) delta entrywise, trias, n <= 3, dim <= 2", ok)
+    _report(5, "d = (-1)^(n+1) delta entrywise, trias: n <= 3 at dim <= 2, "
+               "n <= 2 on the 11-dim suspension fixture", ok)
 
 
 def test_criterion_6_brace_and_homotopy_identities():

@@ -61,8 +61,9 @@ def test_compare_differentials(fixture_dir):
 
 
 def test_compare_differentials_wrong_type(fixture_dir):
-    code, _, err = run_cli("compare-differentials", fx(fixture_dir, "didend_dim1"))
+    code, out, err = run_cli("compare-differentials", fx(fixture_dir, "didend_dim1"))
     assert code == 2
+    assert out == ""
     assert "trias" in err
 
 

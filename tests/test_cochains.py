@@ -28,20 +28,22 @@ def test_table_shape(rng):
         assert all(len(row) == alg.dim for rows in table for row in rows)
         assert c.shifted == n - 1
     x = random_cochain(alg, 2, rng)
-    for u_idx, rows in enumerate(x.table):
-        for flat, row in enumerate(rows):
-            assert x.value(u_idx, divmod(flat, alg.dim)) == row
-            for out, coeff in enumerate(row):
-                key = (u_idx * alg.dim ** 2 + flat) * alg.dim + out
-                assert x.cells.get(key, alg.field.zero) == coeff
+    table = x.table
+    for u_idx, (a, b), out, coeff in x.entries():
+        flat = a * alg.dim + b
+        key = (u_idx * alg.dim ** 2 + flat) * alg.dim + out
+        assert x.cells[key] == coeff == table[u_idx][flat][out]
+    assert len(x.cells) == sum(1 for rows in table for row in rows
+                               for coeff in row if coeff)
 
 
 def test_identity_cochain_values():
     alg = product_fixture("tricub", 2)   # U_1 has three elements here
     ident = identity_cochain(alg)
-    for u_idx in range(len(enumerate_params("signs", 1))):
-        for i in range(alg.dim):
-            assert ident.value(u_idx, (i,)) == alg.basis_vector(i)
+    assert list(ident.entries()) == [
+        (u_idx, (i,), i, alg.field.one)
+        for u_idx in range(len(enumerate_params("signs", 1)))
+        for i in range(alg.dim)]
 
 
 def test_gamma_unit_laws_exact(rng):
