@@ -274,13 +274,13 @@ def _gamma_into(f, gs, cells, negate):
 
 # -- braces and derived operations -------------------------------------------
 
-def _brace_into(x, xs, cells, negate):
-    """Accumulate (+/-) x{x_1,...,x_n} into the cell dict ``cells``."""
+def _brace_into(x, xs, ident, cells, negate):
+    """Accumulate (+/-) x{x_1,...,x_n} into the cell dict ``cells``;
+    ``ident`` is the unit cochain filling the slots left free."""
     n = len(xs)
     k = x.degree
     if n > k:
         return
-    ident = identity_cochain(x.alg)
     shifts = [g.shifted for g in xs]
     degrees = [g.degree for g in xs]
     for slots in combinations(range(k), n):
@@ -305,7 +305,7 @@ def brace(x, xs):
     if not xs:
         return x
     cells = {}
-    _brace_into(x, xs, cells, False)
+    _brace_into(x, xs, identity_cochain(x.alg), cells, False)
     return Cochain(x.alg, sum(g.degree for g in xs) + x.degree - len(xs),
                    cells)
 
@@ -319,8 +319,9 @@ def bracket(x, y):
     """[x, y] = x o y - (-1)^(|x||y|) y o x, of degree deg x + deg y - 1."""
     _same_algebra(x, y)
     cells = {}
-    _brace_into(x, [y], cells, False)
-    _brace_into(y, [x], cells, (x.shifted * y.shifted) % 2 == 0)
+    ident = identity_cochain(x.alg)
+    _brace_into(x, [y], ident, cells, False)
+    _brace_into(y, [x], ident, cells, (x.shifted * y.shifted) % 2 == 0)
     return Cochain(x.alg, x.degree + y.degree - 1, cells)
 
 

@@ -91,8 +91,10 @@ def enumerate_params(kind, n):
 
 
 @lru_cache(maxsize=None)
-def _index_map(kind, n):
-    return {e: i for i, e in enumerate(enumerate_params(kind, n))}
+def _family(kind, n):
+    """U_n in canonical order, and the index of each payload within it."""
+    elems = enumerate_params(kind, n)
+    return elems, {e.payload: i for i, e in enumerate(elems)}
 
 
 def family_size(kind, n):
@@ -104,4 +106,4 @@ def encode(kind, e):
     if e.kind != kind:
         raise ValueError("element of kind %r passed as %r" % (e.kind, kind))
     validate_element(e)
-    return _index_map(kind, e.n)[e]
+    return _family(kind, e.n)[1][e.payload]

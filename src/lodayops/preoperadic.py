@@ -1,17 +1,27 @@
 """The structure functions R_0, R_j on each parameter family, and an
 exhaustive verifier for the four conditions (identity, idempotency,
 commutativity, closure) that make them a pre-operadic system.
+
+On the tree families (binary, planar) R_0 and R_j restrict a tree to a set
+of its leaves: the leaves N_0, N_1, ..., N_k for R_0, and the interval
+N_{j-1}..N_j for R_j.  Both read one index table per (kind, N, kept
+leaves), built once from ``trees.restrict`` over all of U_N, and return
+the canonical element of ``enumerate_params``; the R_j table of a leaf
+interval is shared by every profile with that interval.  The linear,
+subset and sign families compute their maps arithmetically.
 """
 
 from bisect import bisect_left
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from math import prod
 
-from . import params
-from .params import ParamElement, enumerate_params, param_text
-from .trees import _compositions, delete_leaves
+from .params import ParamElement, _family, param_text
+from .trees import _compositions, restrict
+
+TREE_KINDS = ("binary", "planar")
 
 
 @dataclass(frozen=True)
@@ -19,10 +29,13 @@ class Profile:
     """Composition data (k; n_1,...,n_k) with partial sums N_i."""
 
     parts: tuple
+    # (N_0, N_1, ..., N_k), also the leaves that R_0 keeps on a tree
+    partials: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.parts or any(p < 1 for p in self.parts):
             raise ValueError("profile parts must be positive: %r" % (self.parts,))
+        object.__setattr__(self, "partials", (0,) + tuple(accumulate(self.parts)))
 
     @property
     def k(self):
@@ -30,11 +43,11 @@ class Profile:
 
     @property
     def total(self):
-        return sum(self.parts)
+        return self.partials[-1]
 
     def partial(self, i):
         """N_i = n_1 + ... + n_i, with N_0 = 0."""
-        return sum(self.parts[:i])
+        return self.partials[i]
 
 
 def _check_arity(p, elem):
@@ -43,23 +56,36 @@ def _check_arity(p, elem):
             "element arity %d does not match profile total %d" % (elem.n, p.total))
 
 
+@lru_cache(maxsize=None)
+def _restriction_table(kind, n, labels):
+    """For each tree of U_n, by index: the index in U_k of the tree spanned
+    by its leaves ``labels`` (k + 1 sorted labels)."""
+    trees = _family(kind, n)[0]
+    targets, index = _family(kind, len(labels) - 1)
+    if len(targets) == 1:       # U_1: every tree spans its one element
+        return (0,) * len(trees)
+    return tuple(index[restrict(e.payload, labels)] for e in trees)
+
+
+def _restricted(kind, elem, labels):
+    """The element of U_k spanned by the leaves ``labels`` of elem's tree."""
+    i = _family(kind, elem.n)[1].get(elem.payload)
+    if i is None:
+        raise ValueError("%s is not an element of the %s family"
+                         % (param_text(elem), kind))
+    table = _restriction_table(kind, elem.n, labels)
+    return _family(kind, len(labels) - 1)[0][table[i]]
+
+
 def r_zero(kind, p, elem):
     """R_0(k; n_1,...,n_k): U_N -> U_k."""
     _check_arity(p, elem)
     parts = p.parts
     k = len(parts)
     if kind == "linear":
-        partials = [sum(parts[:i + 1]) for i in range(k)]
-        i = bisect_left(partials, elem.payload) + 1
-        return ParamElement(kind, k, i)
-    if kind in ("binary", "planar"):
-        keep = {0}
-        acc = 0
-        for n_i in parts:
-            acc += n_i
-            keep.add(acc)
-        doomed = [i for i in range(elem.n + 1) if i not in keep]
-        return ParamElement(kind, k, delete_leaves(elem.payload, doomed))
+        return ParamElement(kind, k, bisect_left(p.partials, elem.payload))
+    if kind in TREE_KINDS:
+        return _restricted(kind, elem, p.partials)
     if kind == "subsets":
         x = elem.payload
         out = set()
@@ -98,9 +124,8 @@ def r_part(kind, p, j, elem):
         else:
             i = n_j
         return ParamElement(kind, n_j, i)
-    if kind in ("binary", "planar"):
-        doomed = [i for i in range(elem.n + 1) if not lo <= i <= hi]
-        return ParamElement(kind, n_j, delete_leaves(elem.payload, doomed))
+    if kind in TREE_KINDS:
+        return _restricted(kind, elem, tuple(range(lo, hi + 1)))
     if kind == "subsets":
         x = elem.payload
         n = p.total
@@ -127,13 +152,21 @@ def r_index_tables(kind, parts):
 
     These index maps drive operadic composition; they are cached per
     (kind, profile) since the same profiles recur for every cochain degree.
+    On the tree families they zip the restriction tables.
     """
     p = Profile(parts)
+    n = p.total
+    if kind in TREE_KINDS:
+        cuts = p.partials
+        part_tables = [_restriction_table(kind, n, tuple(range(lo, hi + 1)))
+                       for lo, hi in zip(cuts, cuts[1:])]
+        return tuple(zip(_restriction_table(kind, n, cuts), zip(*part_tables)))
+    index_k = _family(kind, p.k)[1]
     out = []
-    for elem in enumerate_params(kind, p.total):
-        i0 = params.encode(kind, r_zero(kind, p, elem))
-        ijs = tuple(params.encode(kind, r_part(kind, p, j, elem))
-                    for j in range(1, p.k + 1))
+    for elem in _family(kind, n)[0]:
+        i0 = index_k[r_zero(kind, p, elem).payload]
+        ijs = tuple(_family(kind, n_j)[1][r_part(kind, p, j, elem).payload]
+                    for j, n_j in enumerate(parts, start=1))
         out.append((i0, ijs))
     return tuple(out)
 
@@ -205,7 +238,7 @@ def _scan_outer(kind, outer, max_total, r0, rj):
             p_t = Profile(t_parts)
             blocks = [Profile(inner[p_outer.partial(i - 1):p_outer.partial(i)])
                       for i in range(1, k + 1)]
-            for u in enumerate_params(kind, m_total):
+            for u in _family(kind, m_total)[0]:
                 checked += 1
                 via0 = r0(kind, p_inner, u)
                 # (2) idempotency
@@ -243,7 +276,7 @@ def verify_system(kind, max_total, workers=1, r0=r_zero, rj=r_part):
     # (1) identity: R_0(k; 1,...,1) = id on U_k
     for k in range(1, max_total + 1):
         p = Profile((1,) * k)
-        for u in enumerate_params(kind, k):
+        for u in _family(kind, k)[0]:
             report.checked += 1
             got = r0(kind, p, u)
             if got != u:

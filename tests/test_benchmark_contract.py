@@ -5,6 +5,10 @@ some of their arguments and results (the dense ``table`` view of the
 cochain given to ``diff_d``, ``MultContext.matrix_cache``, the ``workers``
 argument of ``verify_system``).  Each job here runs the way the benchmark
 runs it and must finish with exit 0 and a nonempty span list.
+
+The traced run records a span per call of every public function of
+``params`` and ``preoperadic``, so per-element work in the structure maps
+must stay in private helpers; the planar scan job checks that.
 """
 
 import json
@@ -30,6 +34,10 @@ JOBS = {
         "kind": "cli", "algebra": None,
         "argv": ["verify-system", "--kind", "linear", "--max-total", "3",
                  "--workers", "2"]},
+    "verify-system:planar": {
+        "kind": "cli", "algebra": None,
+        "argv": ["verify-system", "--kind", "planar", "--max-total", "4",
+                 "--workers", "2"]},
 }
 
 
@@ -49,3 +57,6 @@ def test_traced_job_runs(label):
     assert "job" in names and len(names) > 1
     if label.startswith("identities"):
         assert "cochains.diff_d" in names
+    if label == "verify-system:planar":
+        assert not names & {"params.encode", "params.validate_element"}
+        assert len(report["spans"]) < 1000

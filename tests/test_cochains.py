@@ -190,6 +190,35 @@ def test_diff_degree_and_square(rng):
         assert diff_d(ctx, diff_d(ctx, x)).is_zero()
 
 
+def test_unit_cochain_built_at_most_once_per_call(rng, monkeypatch):
+    from lodayops import cochains
+    alg = product_fixture("trias", 2)
+    ctx = MultContext(alg)
+    x = random_cochain(alg, 2, rng)
+    y = random_cochain(alg, 1, rng)
+    builds = []
+
+    def counting(a):
+        builds.append(a)
+        return identity_cochain(a)
+
+    monkeypatch.setattr(cochains, "identity_cochain", counting)
+    calls = {
+        "brace": lambda: brace(x, [y]),
+        "brace-two": lambda: brace(ctx.pi, [x, y]),
+        "bracket": lambda: bracket(x, y),
+        "dot": lambda: dot(ctx, x, y),
+        "diff_d": lambda: diff_d(ctx, x),
+    }
+    for name, call in calls.items():
+        builds.clear()
+        expected = call()
+        assert len(builds) <= 1, name
+        monkeypatch.setattr(cochains, "identity_cochain", identity_cochain)
+        assert call() == expected, name
+        monkeypatch.setattr(cochains, "identity_cochain", counting)
+
+
 def test_multiplication_square_zero_on_fixtures():
     for t in TYPES:
         for alg in (product_fixture(t, 1), product_fixture(t, 2),

@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import pytest
 
-from lodayops.params import ParamElement, enumerate_params
+from lodayops.params import KINDS, ParamElement, encode, enumerate_params
 from lodayops.preoperadic import (Profile, r_part, r_zero, r_index_tables,
                                   verify_system)
-from lodayops.trees import PlanarTree
+from lodayops.trees import (PlanarTree, binary_trees, delete_leaf, is_binary,
+                            planar_trees, restrict)
 
 
 def lin(n, r):
@@ -95,11 +98,56 @@ def _keep_leaves_direct(t, keep):
     return out
 
 
+def _all_compositions(max_total):
+    """Every composition of every total 1..max_total, from its cut points."""
+    for total in range(1, max_total + 1):
+        for k in range(1, total + 1):
+            for cuts in combinations(range(1, total), k - 1):
+                bounds = (0,) + cuts + (total,)
+                yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+def _sequential_deletions(t):
+    """{kept labels: t with every other leaf deleted by delete_leaf, from the
+    right}, for every nonempty kept set; shared prefixes are deleted once."""
+    out = {}
+
+    def rec(i, tree, kept):
+        if i < 0:
+            out[kept] = tree
+            return
+        rec(i - 1, tree, (i,) + kept)
+        if not tree.is_leaf:
+            rec(i - 1, delete_leaf(tree, i), kept)
+
+    rec(t.weight, t, ())
+    return out
+
+
+def test_restrict_matches_sequential_deletion_and_direct_construction():
+    # every tree of weight <= 6 and every set of >= 2 kept leaves:
+    # sum over n of |T_n| (2^(n+1) - n - 2) cases
+    cases = 0
+    for n in range(1, 7):
+        binary = set(binary_trees(n))
+        for t in planar_trees(n):
+            sequential = _sequential_deletions(t)
+            for size in range(2, n + 2):
+                for keep in combinations(range(n + 1), size):
+                    got = restrict(t, keep)
+                    assert got == sequential[keep]
+                    assert got == _keep_leaves_direct(t, set(keep))
+                    assert got.weight == size - 1
+                    if t in binary:
+                        assert is_binary(got)
+                    cases += 1
+    assert cases == 120893
+
+
 def test_tree_r_functions_match_direct_construction():
-    # composite right-to-left deletions versus direct extraction, weights <= 4
+    # R_0 and R_j on trees versus direct extraction, every profile of total <= 6
     for kind in ("binary", "planar"):
-        for parts in ((1, 1), (2, 1), (1, 2), (1, 1, 1), (2, 2), (3, 1), (1, 3),
-                      (1, 1, 2), (2, 1, 1), (1, 2, 1)):
+        for parts in _all_compositions(6):
             p = Profile(parts)
             total = sum(parts)
             partials = [p.partial(i) for i in range(len(parts) + 1)]
@@ -163,13 +211,16 @@ def test_profile_dependent_corruption_caught_by_closure():
 
 
 def test_index_tables_consistent_with_functions():
-    from lodayops.params import encode
-    for kind in ("linear", "planar", "signs"):
-        parts = (2, 1)
-        tables = r_index_tables(kind, parts)
-        p = Profile(parts)
-        for u_idx, u in enumerate(enumerate_params(kind, 3)):
-            i0, ijs = tables[u_idx]
-            assert i0 == encode(kind, r_zero(kind, p, u))
-            for j, ij in enumerate(ijs, start=1):
-                assert ij == encode(kind, r_part(kind, p, j, u))
+    # every profile of total <= 5 on every family, <= 6 on the tree families
+    for kind in KINDS:
+        max_total = 6 if kind in ("binary", "planar") else 5
+        for parts in _all_compositions(max_total):
+            tables = r_index_tables(kind, parts)
+            p = Profile(parts)
+            family = enumerate_params(kind, p.total)
+            assert len(tables) == len(family)
+            for (i0, ijs), u in zip(tables, family):
+                assert i0 == encode(kind, r_zero(kind, p, u))
+                assert len(ijs) == p.k
+                for j, ij in enumerate(ijs, start=1):
+                    assert ij == encode(kind, r_part(kind, p, j, u))

@@ -100,6 +100,13 @@ def test_delete_leaves_right_to_left():
     assert delete_leaves(c4, [1, 2]) == T1
     t = graft([T1, T1])   # leaves 0,1 | 2,3
     assert delete_leaves(t, [0, 3]) == T1
+    # the labels are a set of original labels: a repeated one deletes once
+    assert delete_leaves(c4, [1, 1]) == delete_leaves(c4, {1}) == CORolla3
+    assert delete_leaves(c4, []) == c4
+    with pytest.raises(ValueError):
+        delete_leaves(c4, [4])
+    with pytest.raises(ValueError):
+        delete_leaves(c4, range(4))
 
 
 def test_orientations_on_reference_tree():
