@@ -7,10 +7,12 @@ degree in the same coordinates.  There are no cochains below degree 1,
 so H^1 = ker d^1; every report states this convention.
 
 Each matrix of d carries the field engine's column echelon, eliminated on
-first use; ranks, kernels, representatives and coboundary witnesses are all
-read from it.  Ranks over Q are computed with the fraction-free engine and
-can be cross-checked against the field engine (and against F_p) via the
-``engine`` argument; the two must agree before a dimension is trusted.
+first use; kernels, representatives and coboundary witnesses are all read
+from it.  Ranks come by default from the fraction-free row engine, which
+runs over Q on primitive integer rows and over F_p on integer rows reduced
+mod p, and shares no code with the echelon.  The ``engine`` argument picks
+either engine, and a dimension is trusted only once the two agree; the
+CLI's ``rank-engines-agree`` check compares them on both fields.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -108,22 +110,16 @@ def matrix_rank(matrix, field, engine="bareiss"):
     if engine not in ENGINES:
         raise ValueError("unknown engine %r" % engine)
     if engine == "bareiss":
-        if field.characteristic != 0:
-            raise ValueError("the fraction-free engine runs over Q only")
-        return linalg.rank_bareiss(matrix.sparse_rows(), matrix.ncols)
+        return linalg.rank_bareiss(matrix.sparse_rows(), matrix.ncols,
+                                   field.characteristic)
     return matrix.echelon(field).rank
 
 
-def _default_engine(field):
-    return "bareiss" if field.characteristic == 0 else "rref"
-
-
-def cohomology_dims(ctx, max_degree, engine=None):
+def cohomology_dims(ctx, max_degree, engine="bareiss"):
     """[(n, dim H^n)] for 1 <= n <= max_degree; H^1 = ker d^1."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     field = ctx.alg.field
-    engine = engine or _default_engine(field)
     ranks = {}
     for n in range(1, max_degree + 1):
         ranks[n] = matrix_rank(matrix_of_d(ctx, n), field, engine)
@@ -206,7 +202,7 @@ class CohomologyReport:
     representatives: dict
 
 
-def cohomology_report(ctx, max_degree, engine=None):
+def cohomology_report(ctx, max_degree, engine="bareiss"):
     dims = cohomology_dims(ctx, max_degree, engine=engine)
     reps = {n: cocycle_representatives(ctx, n) for n, _ in dims}
     return CohomologyReport(max_degree, dims, reps)

@@ -1,10 +1,21 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
-Scalars are plain Python values (``fractions.Fraction`` for the rationals,
-``int`` in ``range(p)`` for a prime field); a field object supplies the
-arithmetic so the rest of the library stays field-generic.  In both fields
-zero is the only scalar that tests false, which lets sparse containers drop
-zeros with a plain truth test.
+Scalars are plain Python values and a field object supplies the arithmetic,
+so the rest of the library stays field-generic.
+
+* Over Q a scalar is an exact Python rational: an ``int`` when its value is
+  an integer and a ``fractions.Fraction`` only when it is not.  Every scalar
+  that enters the library (``from_fraction``, ``inv``, hence the parser and
+  the random cochains) is normalised this way, and the arithmetic is the
+  plain numeric tower: ``int`` op ``int`` stays ``int``, a mixed operation
+  gives a ``Fraction``, and ``==``, ``hash``, truth value and ``str`` agree
+  across the two types.  So integral structure constants and cochains are
+  computed on ``int`` throughout, with no per-operation normalisation; a
+  ``Fraction`` whose value happens to be integral is a valid scalar too.
+* Over F_p a scalar is an ``int`` in ``range(p)``.
+
+In both fields zero is the only scalar that tests false, which lets sparse
+containers drop zeros with a plain truth test.
 """
 
 from fractions import Fraction
@@ -24,14 +35,12 @@ def is_prime(p):
 
 
 class Rationals:
-    """The field Q with Fraction scalars."""
+    """The field Q; scalars are ``int`` or, when not integral, ``Fraction``."""
 
     name = "Q"
     characteristic = 0
-
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    zero = 0
+    one = 1
 
     def add(self, a, b):
         return a + b
@@ -48,10 +57,11 @@ class Rationals:
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
+        return self.from_fraction(1 / Fraction(a))
 
     def from_fraction(self, q):
-        return Fraction(q)
+        q = Fraction(q)
+        return q.numerator if q.denominator == 1 else q
 
     def to_text(self, a):
         return str(a)

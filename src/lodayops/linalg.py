@@ -5,10 +5,12 @@ of their ranks is part of the verification protocol, so they share no
 elimination code:
 
 * ``rank_bareiss``: fraction-free elimination on sparse integer rows, for
-  the rank over Q only.  Rational rows are scaled to integers first; a row
-  is combined with the stored row of its leading column, and each combined
-  row is divided by the gcd of its entries (the primitive-row variant of
-  Bareiss's method), so neither a field object nor a fraction enters.
+  the rank over Q or over F_p.  A row is combined with the stored row of
+  its leading column by integer multiples that cancel that entry.  Over Q
+  rational rows are scaled to integers first and each combined row is
+  divided by the gcd of its entries (the primitive-row variant of Bareiss's
+  method); over F_p each combined row is reduced mod p instead.  Neither a
+  field object nor a fraction enters, and no inverse is taken.
 * ``column_echelon``: Gauss-Jordan elimination of the columns of a matrix
   over a field object, taken in increasing column order.  Each reduced image
   vector carries its sparse preimage, so one echelon answers the rank, the
@@ -39,19 +41,26 @@ def _primitive(row):
     return row
 
 
-def rank_bareiss(rows, ncols):
-    """Rank over Q of a matrix given by its sparse rows.
+def _mod_row(row, p):
+    """The integer row reduced mod p, without the entries that vanish."""
+    return {c: v % p for c, v in row.items() if v % p}
 
-    Each row is a sequence of ``(column, value)`` pairs with int or Fraction
-    values and columns in ``range(ncols)``.  Rows are inserted one at a time:
-    while the row's leading column already has a stored row, the two are
-    combined to cancel that entry; otherwise the row is stored under it.
+
+def rank_bareiss(rows, ncols, p=0):
+    """Rank of a matrix given by its sparse rows, over Q (``p == 0``) or
+    over F_p (``p`` prime).
+
+    Each row is a sequence of ``(column, value)`` pairs with columns in
+    ``range(ncols)``: int or Fraction values over Q, int values over F_p.
+    Rows are inserted one at a time: while the row's leading column already
+    has a stored row, the two are combined to cancel that entry; otherwise
+    the row is stored under it.
     """
     pivots = {}
     for pairs in rows:
         if any(not 0 <= c < ncols for c, _ in pairs):
             raise ValueError("column index outside range(%d)" % ncols)
-        row = _integer_row(pairs)
+        row = _mod_row(dict(pairs), p) if p else _integer_row(pairs)
         while row:
             lead = min(row)
             stored = pivots.get(lead)
@@ -65,7 +74,7 @@ def rank_bareiss(rows, ncols):
                 v = a * row.get(c, 0) - b * stored.get(c, 0)
                 if v:
                     combined[c] = v
-            row = _primitive(combined)
+            row = _mod_row(combined, p) if p else _primitive(combined)
     return len(pivots)
 
 

@@ -8,7 +8,8 @@ N_{j-1}..N_j for R_j.  Both read one index table per (kind, N, kept
 leaves), built once from ``trees.restrict`` over all of U_N, and return
 the canonical element of ``enumerate_params``; the R_j table of a leaf
 interval is shared by every profile with that interval.  The linear,
-subset and sign families compute their maps arithmetically.
+subset and sign families compute their maps arithmetically on payloads, in
+private helpers that the public R_0, R_j and the index tables all call.
 """
 
 from bisect import bisect_left
@@ -77,17 +78,13 @@ def _restricted(kind, elem, labels):
     return _family(kind, len(labels) - 1)[0][table[i]]
 
 
-def r_zero(kind, p, elem):
-    """R_0(k; n_1,...,n_k): U_N -> U_k."""
-    _check_arity(p, elem)
+def _r_zero_payload(kind, p, x):
+    """The payload of R_0(u) for the payload x of u, on the linear, subset
+    and sign families."""
     parts = p.parts
-    k = len(parts)
     if kind == "linear":
-        return ParamElement(kind, k, bisect_left(p.partials, elem.payload))
-    if kind in TREE_KINDS:
-        return _restricted(kind, elem, p.partials)
+        return bisect_left(p.partials, x)
     if kind == "subsets":
-        x = elem.payload
         out = set()
         lo = 0
         for i, n_i in enumerate(parts, start=1):
@@ -95,39 +92,30 @@ def r_zero(kind, p, elem):
             if any(lo + 1 <= r <= hi for r in x):
                 out.add(i)
             lo = hi
-        return ParamElement(kind, k, frozenset(out))
+        return frozenset(out)
     if kind == "signs":
-        x = elem.payload
         out = []
         lo = 0
         for n_i in parts:
             out.append(prod(x[lo:lo + n_i]))
             lo += n_i
-        return ParamElement(kind, k, tuple(out))
+        return tuple(out)
     raise ValueError("unknown parameter kind %r" % kind)
 
 
-def r_part(kind, p, j, elem):
-    """R_j(k; n_1,...,n_k): U_N -> U_{n_j} for 1 <= j <= k."""
-    _check_arity(p, elem)
-    if not 1 <= j <= p.k:
-        raise ValueError("part index %d out of range 1..%d" % (j, p.k))
+def _r_part_payload(kind, p, j, x):
+    """The payload of R_j(u) for the payload x of u, on the linear, subset
+    and sign families."""
     n_j = p.parts[j - 1]
     lo = p.partial(j - 1)          # N_{j-1}
     hi = lo + n_j                  # N_j
     if kind == "linear":
-        r = elem.payload
-        if r <= lo:
-            i = 1
-        elif r <= hi:
-            i = r - lo
-        else:
-            i = n_j
-        return ParamElement(kind, n_j, i)
-    if kind in TREE_KINDS:
-        return _restricted(kind, elem, tuple(range(lo, hi + 1)))
+        if x <= lo:
+            return 1
+        if x <= hi:
+            return x - lo
+        return n_j
     if kind == "subsets":
-        x = elem.payload
         n = p.total
         out = set()
         for i in range(1, n_j + 1):
@@ -140,10 +128,30 @@ def r_part(kind, p, j, elem):
                 hit = any(hi <= r <= n for r in x)
             if hit:
                 out.add(i)
-        return ParamElement(kind, n_j, frozenset(out))
+        return frozenset(out)
     if kind == "signs":
-        return ParamElement(kind, n_j, elem.payload[lo:hi])
+        return x[lo:hi]
     raise ValueError("unknown parameter kind %r" % kind)
+
+
+def r_zero(kind, p, elem):
+    """R_0(k; n_1,...,n_k): U_N -> U_k."""
+    _check_arity(p, elem)
+    if kind in TREE_KINDS:
+        return _restricted(kind, elem, p.partials)
+    return ParamElement(kind, p.k, _r_zero_payload(kind, p, elem.payload))
+
+
+def r_part(kind, p, j, elem):
+    """R_j(k; n_1,...,n_k): U_N -> U_{n_j} for 1 <= j <= k."""
+    _check_arity(p, elem)
+    if not 1 <= j <= p.k:
+        raise ValueError("part index %d out of range 1..%d" % (j, p.k))
+    if kind in TREE_KINDS:
+        lo = p.partial(j - 1)
+        return _restricted(kind, elem, tuple(range(lo, p.partial(j) + 1)))
+    return ParamElement(kind, p.parts[j - 1],
+                        _r_part_payload(kind, p, j, elem.payload))
 
 
 @lru_cache(maxsize=None)
@@ -152,7 +160,8 @@ def r_index_tables(kind, parts):
 
     These index maps drive operadic composition; they are cached per
     (kind, profile) since the same profiles recur for every cochain degree.
-    On the tree families they zip the restriction tables.
+    On the tree families they zip the restriction tables; on the others
+    they look up the payloads that R_0 and R_j compute.
     """
     p = Profile(parts)
     n = p.total
@@ -162,11 +171,13 @@ def r_index_tables(kind, parts):
                        for lo, hi in zip(cuts, cuts[1:])]
         return tuple(zip(_restriction_table(kind, n, cuts), zip(*part_tables)))
     index_k = _family(kind, p.k)[1]
+    part_indices = [_family(kind, n_j)[1] for n_j in parts]
     out = []
     for elem in _family(kind, n)[0]:
-        i0 = index_k[r_zero(kind, p, elem).payload]
-        ijs = tuple(_family(kind, n_j)[1][r_part(kind, p, j, elem).payload]
-                    for j, n_j in enumerate(parts, start=1))
+        x = elem.payload
+        i0 = index_k[_r_zero_payload(kind, p, x)]
+        ijs = tuple(index[_r_part_payload(kind, p, j, x)]
+                    for j, index in enumerate(part_indices, start=1))
         out.append((i0, ijs))
     return tuple(out)
 

@@ -1,9 +1,11 @@
 import hashlib
 import io
 from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
 
 import pytest
 
+from lodayops import linalg
 from lodayops.cli import main
 
 
@@ -175,6 +177,42 @@ def test_trias_dim2_representatives_pinned(fixture_dir, tmp_path):
     assert code == 0
     assert _digest(out) == ("a5064e6ae5d0b54473b345c60d152bca"
                             "980993d714b8e434f1dbbde8a29d41e8")
+
+
+def test_scaled_trias_dim2_matrix_dump_pinned(fixture_dir, tmp_path):
+    # every structure constant times 2/3: the matrices of d hold p/q
+    # entries beside integers; sha256 of the report minus '# command:',
+    # recorded while every rational scalar was a Fraction
+    lines = []
+    for raw in open(fx(fixture_dir, "trias_dim2"), encoding="utf-8"):
+        tokens = raw.split()
+        if len(tokens) == 4 and all(t.isdigit() for t in tokens[:3]):
+            scaled = Fraction(tokens[3]) * Fraction(2, 3)
+            raw = "%s %s\n" % (" ".join(tokens[:3]), scaled)
+        lines.append(raw)
+    path = tmp_path / "trias_dim2_scaled.alg"
+    path.write_text("".join(lines))
+    code, out, _ = run_cli("cohomology", str(path), "--max-degree", "3",
+                           "--dump-matrices")
+    assert code == 0
+    assert "MATRIX 1 0 0 2/3" in out
+    assert _digest(out) == ("32fcbf49b9cbc92fefb6150b88b8b8fb"
+                            "0593ccd7bad58cc096ffd039beccf7d9")
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:101"])
+def test_rank_cross_check_fails_on_a_wrong_echelon(fixture_dir, tmp_path,
+                                                   monkeypatch, field):
+    # the default ranks come from the row engine on both fields and the
+    # cross-check reads the echelon, so a wrong echelon rank must show
+    text = open(fx(fixture_dir, "trias_dim2"), encoding="utf-8").read()
+    path = tmp_path / "trias_dim2.alg"
+    path.write_text(text.replace("field = Q\n", "field = %s\n" % field))
+    monkeypatch.setattr(linalg.ColumnEchelon, "rank",
+                        property(lambda ech: len(ech.basis) + 1))
+    code, out, _ = run_cli("cohomology", str(path), "--max-degree", "3")
+    assert code == 1
+    assert "CHECK rank-engines-agree FAIL" in out
 
 
 def test_matrix_dump(fixture_dir):

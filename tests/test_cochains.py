@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lodayops.algebra import (AXIOMS, TYPES, axiom_mutation, product_fixture,
                               suspension_fixture, zero_fixture)
-from lodayops.cochains import (MultContext, bracket, brace,
+from lodayops.cochains import (Cochain, MultContext, bracket, brace,
                                canonical_multiplication, circ, cochain_dim,
                                delta_trias, diff_d, dot, gamma,
                                identity_cochain, random_cochain, zero_cochain)
@@ -357,3 +358,36 @@ def _flat(tup, d):
     for b in tup:
         flat = flat * d + b
     return flat
+
+
+def _as_fractions(x):
+    return Cochain(x.alg, x.degree,
+                   {i: Fraction(c) for i, c in x.cells.items()})
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32),
+       st.sampled_from([("trias", 1), ("trias", 2), ("tricub", 1)]))
+def test_integral_cells_stay_int_and_match_fraction_cells(seed, key):
+    # over Q an integral scalar is an int; the same cochains with every
+    # cell cast to Fraction must give equal results
+    rng = random.Random(seed)
+    alg = product_fixture(*key)
+    ctx = MultContext(alg)
+    x1, y1 = (random_cochain(alg, 1, rng) for _ in range(2))
+    x2 = random_cochain(alg, 2, rng)
+
+    def results(x1, y1, x2):
+        out = [gamma(x2, [x1, y1]), gamma(x1, [x2]), brace(x2, [x1]),
+               brace(x2, [x1, y1]), bracket(x1, x2), bracket(x2, x2),
+               dot(ctx, x1, y1), dot(ctx, x1, x2), diff_d(ctx, x1),
+               diff_d(ctx, x2)]
+        if alg.type_tag == "trias":
+            out += [delta_trias(alg, x1), delta_trias(alg, x2)]
+        return out
+
+    ints = results(x1, y1, x2)
+    assert ints == results(*map(_as_fractions, (x1, y1, x2)))
+    assert any(not x.is_zero() for x in ints)
+    for x in [x1, y1, x2, ctx.pi, ctx.identity] + ints:
+        assert all(type(c) is int for c in x.cells.values())

@@ -70,3 +70,29 @@ def test_field_equality_and_names():
     assert QQ.name == "Q"
     assert PrimeField(101).name == "Fp:101"
     assert QQ.to_text(Fraction(-1, 2)) == "-1/2"
+
+
+def test_rational_scalars_are_int_when_integral():
+    # an integral value is an int; only a non-integer is a Fraction
+    assert type(QQ.zero) is int and type(QQ.one) is int
+    assert type(QQ.from_fraction(Fraction(6, 3))) is int
+    assert QQ.from_fraction(Fraction(6, 3)) == 2
+    assert type(QQ.from_fraction(-4)) is int
+    assert type(parse_scalar(QQ, "5")) is int
+    assert type(parse_scalar(QQ, "4/2")) is int
+    assert type(QQ.inv(Fraction(1, 3))) is int
+    assert QQ.inv(Fraction(1, 3)) == 3
+    assert type(QQ.inv(-1)) is int
+    assert type(parse_scalar(QQ, "-3/4")) is Fraction
+    assert type(QQ.inv(2)) is Fraction
+    # int op int stays int; mixing with a Fraction is exact
+    assert type(QQ.mul(QQ.add(2, 3), QQ.neg(4))) is int
+    assert QQ.add(Fraction(1, 2), Fraction(1, 2)) == QQ.one
+
+
+def test_rational_text_is_unchanged_by_the_scalar_type():
+    for value, text in ((0, "0"), (5, "5"), (-7, "-7"),
+                        (Fraction(-3, 4), "-3/4"), (Fraction(4, 2), "2")):
+        assert QQ.to_text(value) == text
+        assert QQ.to_text(QQ.from_fraction(value)) == text
+        assert QQ.to_text(parse_scalar(QQ, text)) == text

@@ -63,7 +63,10 @@ def test_rank_engines_agree_on_random_matrices():
         rank = rng.randint(0, min(nrows, ncols))
         m = random_matrix(rng, nrows, ncols, rank)
         rb = rank_bareiss(sparse_rows(m), ncols)
+        rows_p = [[(c, F101.from_fraction(v)) for c, v in row]
+                  for row in sparse_rows(m)]
         assert rb == echelon(m).rank == echelon(m, F101).rank
+        assert rank_bareiss(rows_p, ncols, 101) == rb
         assert rb <= rank
 
 
@@ -72,6 +75,12 @@ def test_known_ranks():
     assert rank_bareiss([[(0, 1)], [(1, 1)]], 2) == 2
     assert rank_bareiss([[], []], 2) == 0
     assert rank_bareiss([], 3) == 0
+    # determinant -5: full rank over Q, rank 1 over F_5, entries reduced
+    rows = [[(0, 1), (1, 2)], [(0, 3), (1, 1)]]
+    assert rank_bareiss(rows, 2) == 2
+    assert rank_bareiss(rows, 2, 5) == 1
+    assert echelon([[1, 2], [3, 1]], PrimeField(5)).rank == 1
+    assert rank_bareiss([[(0, 10)], [(1, -3)]], 2, 5) == 1
     assert echelon([[Fraction(1, 2), Fraction(1)],
                     [Fraction(1), Fraction(2)]]).rank == 1
 

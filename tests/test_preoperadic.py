@@ -2,6 +2,7 @@ from itertools import combinations
 
 import pytest
 
+from lodayops import preoperadic
 from lodayops.params import KINDS, ParamElement, encode, enumerate_params
 from lodayops.preoperadic import (Profile, r_part, r_zero, r_index_tables,
                                   verify_system)
@@ -224,3 +225,23 @@ def test_index_tables_consistent_with_functions():
                 assert len(ijs) == p.k
                 for j, ij in enumerate(ijs, start=1):
                     assert ij == encode(kind, r_part(kind, p, j, u))
+
+
+def test_index_tables_built_without_public_r_functions(monkeypatch):
+    # the tables compute on payloads; they never build a ParamElement
+    # through the public R_0 / R_j
+    keys = [(kind, parts) for kind in KINDS for parts in _all_compositions(5)]
+    r_index_tables.cache_clear()
+    expected = {key: r_index_tables(*key) for key in keys}
+
+    def refuse(*args):
+        raise AssertionError("public R function called by r_index_tables")
+
+    monkeypatch.setattr(preoperadic, "r_zero", refuse)
+    monkeypatch.setattr(preoperadic, "r_part", refuse)
+    r_index_tables.cache_clear()
+    try:
+        for key in keys:
+            assert r_index_tables(*key) == expected[key]
+    finally:
+        r_index_tables.cache_clear()
