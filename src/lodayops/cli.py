@@ -19,11 +19,13 @@ from .cochains import (Cochain, MultContext, canonical_multiplication,
                        circ, cochain_dim, delta_trias, diff_d, random_cochain)
 from .identities import run_identity_suite
 from .params import enumerate_params, param_text
-from .preoperadic import AXIOM_IDS, verify_system
+from .preoperadic import AXIOM_IDS, scan_instances, verify_system
 
 KIND_NAMES = ("linear", "binary", "planar", "subsets", "signs")
 # options that change how work is scheduled, never what is reported
 SCHEDULING_ONLY = ("workers",)
+# the largest law scan verify-system runs; a larger one is refused (exit 2)
+MAX_SCAN_INSTANCES = 5_000_000
 
 
 class Report:
@@ -95,6 +97,13 @@ def _describe(report, ns, alg=None):
 
 
 def cmd_verify_system(ns, report):
+    size = scan_instances(ns.kind, ns.max_total, MAX_SCAN_INSTANCES)
+    if size > MAX_SCAN_INSTANCES:
+        print("error: verify-system --kind %s --max-total %d checks at "
+              "least %d law instances, over the limit of %d"
+              % (ns.kind, ns.max_total, size, MAX_SCAN_INSTANCES),
+              file=sys.stderr)
+        return 2
     _describe(report, ns)
     sysrep = verify_system(ns.kind, ns.max_total, workers=ns.workers)
     report.meta("kind=%s max-total=%d checked=%d" %

@@ -10,16 +10,23 @@ the canonical element of ``enumerate_params``; the R_j table of a leaf
 interval is shared by every profile with that interval.  The linear,
 subset and sign families compute their maps arithmetically on payloads, in
 private helpers that the public R_0, R_j and the index tables all call.
+
+``verify_system`` checks the laws on index tables of its own, built per
+scan from whatever r0/rj it is given, default or overridden, by one path:
+every element it meets gets an integer id (equal elements share one), and
+each map R_0(p), R_j(p) is a dict from id to id that calls r0/rj once per
+new input.  A law is then checked on all of U_m by dict lookups and a
+comparison of id lists, in one thread.  The scan relies on r0/rj being
+pure and returning hashable elements.
 """
 
 from bisect import bisect_left
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import accumulate
 from math import prod
 
-from .params import ParamElement, _family, param_text
+from .params import ParamElement, _family, family_size, param_text
 from .trees import _compositions, restrict
 
 TREE_KINDS = ("binary", "planar")
@@ -226,51 +233,53 @@ def _compositions_of(total):
                   for c in _compositions(total, nparts))
 
 
-def _scan_outer(kind, outer, max_total, r0, rj):
-    """All axiom instances for one outer profile; returns (checked, failures)."""
-    checked = 0
-    failures = []
-    p_outer = Profile(outer)
-    k = len(outer)
-    n_total = p_outer.total
+def scan_instances(kind, max_total, limit):
+    """The number of law instances ``verify_system(kind, max_total)``
+    checks: the sum over m <= max_total of |U_m| (1 + 3^(m-1)).  Each u in
+    U_m is one identity instance, and one instance for each of the 3^(m-1)
+    (outer, inner) pairs whose inner profile has total m.  The sum stops as
+    soon as it passes ``limit``, so no family past that point is
+    enumerated."""
+    total = 0
+    for m in range(1, max_total + 1):
+        total += family_size(kind, m) * (1 + 3 ** (m - 1))
+        if total > limit:
+            break
+    return total
 
-    def record(axiom, inner, elem, expected, actual):
-        failures.append(Counterexample(
-            axiom, outer, inner, param_text(elem),
-            param_text(expected), param_text(actual)))
 
-    for m_total in range(n_total, max_total + 1):
-        for inner in _compositions(m_total, n_total):
-            p_inner = Profile(inner)
-            m_partial = [p_inner.partial(i) for i in range(n_total + 1)]
-            t_parts = tuple(
-                m_partial[p_outer.partial(i)] - m_partial[p_outer.partial(i - 1)]
-                for i in range(1, k + 1))
-            p_t = Profile(t_parts)
-            blocks = [Profile(inner[p_outer.partial(i - 1):p_outer.partial(i)])
-                      for i in range(1, k + 1)]
-            for u in _family(kind, m_total)[0]:
-                checked += 1
-                via0 = r0(kind, p_inner, u)
-                # (2) idempotency
-                lhs = r0(kind, p_outer, via0)
-                rhs = r0(kind, p_t, u)
-                if lhs != rhs:
-                    record("idempotency", inner, u, rhs, lhs)
-                for i in range(1, k + 1):
-                    via_i = rj(kind, p_t, i, u)
-                    # (3) commutativity
-                    lhs = rj(kind, p_outer, i, via0)
-                    rhs = r0(kind, blocks[i - 1], via_i)
-                    if lhs != rhs:
-                        record("commutativity", inner, u, rhs, lhs)
-                    # (4) closure
-                    for j in range(1, outer[i - 1] + 1):
-                        lhs = rj(kind, p_inner, p_outer.partial(i - 1) + j, u)
-                        rhs = rj(kind, blocks[i - 1], j, via_i)
-                        if lhs != rhs:
-                            record("closure", inner, u, rhs, lhs)
-    return checked, failures
+class _Interner(dict):
+    """Element -> integer id, handed out in order of first sight.  Equal
+    elements share one id, and ``elements[id]`` reads the element back."""
+
+    def __init__(self):
+        super().__init__()
+        self.elements = []
+
+    def __missing__(self, elem):
+        i = self[elem] = len(self.elements)
+        self.elements.append(elem)
+        return i
+
+
+class _MapTable(dict):
+    """One structure map R_0(p) or R_j(p) as a dict from input id to output
+    id.  A miss calls the map once and interns its result; every later
+    lookup of that input is a plain dict hit."""
+
+    def __init__(self, ids, structure_map):
+        super().__init__()
+        self.ids = ids
+        self.structure_map = structure_map
+
+    def __missing__(self, i):
+        out = self[i] = self.ids[self.structure_map(self.ids.elements[i])]
+        return out
+
+
+def _image(table, ids):
+    """The table applied to each id of the list ``ids``."""
+    return list(map(table.__getitem__, ids))
 
 
 def verify_system(kind, max_total, workers=1, r0=r_zero, rj=r_part):
@@ -278,36 +287,77 @@ def verify_system(kind, max_total, workers=1, r0=r_zero, rj=r_part):
     (k; n_1..n_k) and inner profiles (m_1..m_N) with sum(m) <= max_total,
     over every element of the relevant family.
 
-    r0/rj may be overridden to scan a deliberately corrupted system.
+    r0/rj may be overridden to scan a deliberately corrupted system.  The
+    scan relies on this contract: r0 and rj are pure, and they return
+    hashable elements, where equal elements are interchangeable (same
+    text).  Each is called at most once per distinct argument: every
+    element the scan meets (U_m, and whatever r0/rj return, in or out of
+    the family) gets an integer id, each map R_0(p), R_j(p) is a table
+    from id to id filled on first use, and a law compares the images of
+    all of U_m at once.  Counterexample texts are read back from the
+    interned elements.  ``workers`` is accepted and changes nothing: the
+    tables are shared and filled in one thread.
     """
     if max_total < 1:
         raise ValueError("max_total must be >= 1")
     report = SystemReport(kind, max_total)
+    ids = _Interner()
+    tables = {}
+
+    def table(parts, j=0):
+        """R_0(parts) for j = 0, else R_j(parts), as an id table."""
+        t = tables.get((parts, j))
+        if t is None:
+            p = Profile(parts)
+            call = partial(r0, kind, p) if j == 0 else partial(rj, kind, p, j)
+            t = tables[parts, j] = _MapTable(ids, call)
+        return t
+
+    def check(axiom, outer, inner, us, expected, actual):
+        if expected == actual:
+            return
+        elems = ids.elements
+        for u, e, a in zip(us, expected, actual):
+            if e != a:
+                report.counterexamples.append(Counterexample(
+                    axiom, outer, inner, param_text(elems[u]),
+                    param_text(elems[e]), param_text(elems[a])))
+
+    family = {m: [ids[u] for u in _family(kind, m)[0]]
+              for m in range(1, max_total + 1)}
 
     # (1) identity: R_0(k; 1,...,1) = id on U_k
-    for k in range(1, max_total + 1):
-        p = Profile((1,) * k)
-        for u in _family(kind, k)[0]:
-            report.checked += 1
-            got = r0(kind, p, u)
-            if got != u:
-                report.counterexamples.append(Counterexample(
-                    "identity", p.parts, (), param_text(u),
-                    param_text(u), param_text(got)))
+    for k, us in family.items():
+        ones = (1,) * k
+        report.checked += len(us)
+        check("identity", ones, (), us, us, _image(table(ones), us))
 
-    outers = [c for n in range(1, max_total + 1) for c in _compositions_of(n)]
-    if workers > 1:
-        chunks = [outers[w::workers] for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda chunk: [_scan_outer(kind, o, max_total, r0, rj)
-                               for o in chunk],
-                chunks))
-        flat = [item for chunk in results for item in chunk]
-    else:
-        flat = [_scan_outer(kind, o, max_total, r0, rj) for o in outers]
-    for checked, failures in flat:
-        report.checked += checked
-        report.counterexamples.extend(failures)
+    for n_total in range(1, max_total + 1):
+        for outer in _compositions_of(n_total):
+            cuts = Profile(outer).partials
+            for m_total in range(n_total, max_total + 1):
+                us = family[m_total]
+                for inner in _compositions(m_total, n_total):
+                    report.checked += len(us)
+                    m_cuts = Profile(inner).partials
+                    t_parts = tuple(m_cuts[hi] - m_cuts[lo]
+                                    for lo, hi in zip(cuts, cuts[1:]))
+                    via0 = _image(table(inner), us)
+                    # (2) idempotency
+                    check("idempotency", outer, inner, us,
+                          _image(table(t_parts), us),
+                          _image(table(outer), via0))
+                    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
+                        block = inner[lo:hi]
+                        via_i = _image(table(t_parts, i), us)
+                        # (3) commutativity
+                        check("commutativity", outer, inner, us,
+                              _image(table(block), via_i),
+                              _image(table(outer, i), via0))
+                        # (4) closure
+                        for j in range(1, hi - lo + 1):
+                            check("closure", outer, inner, us,
+                                  _image(table(block, j), via_i),
+                                  _image(table(inner, lo + j), us))
     report.counterexamples.sort(key=Counterexample.sort_key)
     return report

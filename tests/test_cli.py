@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from lodayops import linalg
-from lodayops.cli import main
+from lodayops.cli import MAX_SCAN_INSTANCES, main
+from lodayops.preoperadic import scan_instances
 
 
 def run_cli(*argv):
@@ -144,6 +145,24 @@ def test_worker_flag_spellings_identical():
     assert runs[0][:2] == runs[1][:2] == runs[2][:2]
     assert "# command: verify-system --kind linear --max-total 4\n" in \
         runs[0][1]
+
+
+@pytest.mark.parametrize("kind, max_total", [("planar", "8"),
+                                             ("linear", "1000000")])
+def test_oversized_scan_refused(kind, max_total):
+    code, out, err = run_cli("verify-system", "--kind", kind,
+                             "--max-total", max_total)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert "over the limit of %d" % MAX_SCAN_INSTANCES in err
+
+
+def test_scan_limit_admits_planar_at_total_7():
+    # counted, not run: the scan itself takes many seconds
+    size = scan_instances("planar", 7, MAX_SCAN_INSTANCES)
+    assert size == 3361540 <= MAX_SCAN_INSTANCES
+    assert scan_instances("planar", 8, MAX_SCAN_INSTANCES) == 48856624
 
 
 def test_command_echo_is_canonical(fixture_dir):

@@ -1,13 +1,17 @@
+from collections import Counter
 from itertools import combinations
 
 import pytest
 
 from lodayops import preoperadic
-from lodayops.params import KINDS, ParamElement, encode, enumerate_params
-from lodayops.preoperadic import (Profile, r_part, r_zero, r_index_tables,
+from lodayops.params import (KINDS, ParamElement, _family, encode,
+                             enumerate_params, param_text)
+from lodayops.preoperadic import (Counterexample, Profile, SystemReport,
+                                  _compositions_of, r_part, r_zero,
+                                  r_index_tables, scan_instances,
                                   verify_system)
-from lodayops.trees import (PlanarTree, binary_trees, delete_leaf, is_binary,
-                            planar_trees, restrict)
+from lodayops.trees import (PlanarTree, _compositions, binary_trees,
+                            delete_leaf, is_binary, planar_trees, restrict)
 
 
 def lin(n, r):
@@ -245,3 +249,154 @@ def test_index_tables_built_without_public_r_functions(monkeypatch):
             assert r_index_tables(*key) == expected[key]
     finally:
         r_index_tables.cache_clear()
+
+
+# -- reference scan ---------------------------------------------------------
+# The per-instance scan that verify_system replaced, kept as the oracle: it
+# calls r0/rj afresh for every instance and memoises nothing.
+
+def _scan_outer(kind, outer, max_total, r0, rj):
+    """All axiom instances for one outer profile; returns (checked, failures)."""
+    checked = 0
+    failures = []
+    p_outer = Profile(outer)
+    k = len(outer)
+    n_total = p_outer.total
+
+    def record(axiom, inner, elem, expected, actual):
+        failures.append(Counterexample(
+            axiom, outer, inner, param_text(elem),
+            param_text(expected), param_text(actual)))
+
+    for m_total in range(n_total, max_total + 1):
+        for inner in _compositions(m_total, n_total):
+            p_inner = Profile(inner)
+            m_partial = [p_inner.partial(i) for i in range(n_total + 1)]
+            t_parts = tuple(
+                m_partial[p_outer.partial(i)] - m_partial[p_outer.partial(i - 1)]
+                for i in range(1, k + 1))
+            p_t = Profile(t_parts)
+            blocks = [Profile(inner[p_outer.partial(i - 1):p_outer.partial(i)])
+                      for i in range(1, k + 1)]
+            for u in _family(kind, m_total)[0]:
+                checked += 1
+                via0 = r0(kind, p_inner, u)
+                # (2) idempotency
+                lhs = r0(kind, p_outer, via0)
+                rhs = r0(kind, p_t, u)
+                if lhs != rhs:
+                    record("idempotency", inner, u, rhs, lhs)
+                for i in range(1, k + 1):
+                    via_i = rj(kind, p_t, i, u)
+                    # (3) commutativity
+                    lhs = rj(kind, p_outer, i, via0)
+                    rhs = r0(kind, blocks[i - 1], via_i)
+                    if lhs != rhs:
+                        record("commutativity", inner, u, rhs, lhs)
+                    # (4) closure
+                    for j in range(1, outer[i - 1] + 1):
+                        lhs = rj(kind, p_inner, p_outer.partial(i - 1) + j, u)
+                        rhs = rj(kind, blocks[i - 1], j, via_i)
+                        if lhs != rhs:
+                            record("closure", inner, u, rhs, lhs)
+    return checked, failures
+
+
+def _reference_scan(kind, max_total, r0=r_zero, rj=r_part):
+    report = SystemReport(kind, max_total)
+    for k in range(1, max_total + 1):
+        p = Profile((1,) * k)
+        for u in _family(kind, k)[0]:
+            report.checked += 1
+            got = r0(kind, p, u)
+            if got != u:
+                report.counterexamples.append(Counterexample(
+                    "identity", p.parts, (), param_text(u),
+                    param_text(u), param_text(got)))
+    for n in range(1, max_total + 1):
+        for outer in _compositions_of(n):
+            checked, failures = _scan_outer(kind, outer, max_total, r0, rj)
+            report.checked += checked
+            report.counterexamples.extend(failures)
+    report.counterexamples.sort(key=Counterexample.sort_key)
+    return report
+
+
+def _assert_same_report(got, want):
+    assert got.checked == want.checked
+    assert got.counterexamples == want.counterexamples
+
+
+def _next_in_family(kind, elem):
+    """The element after elem in its family, cyclically."""
+    family = enumerate_params(kind, elem.n)
+    return family[(family.index(elem) + 1) % len(family)]
+
+
+def _corrupt_r0(kind, p, elem):
+    out = r_zero(kind, p, elem)
+    return _next_in_family(kind, out) if p.parts[-1] == 2 else out
+
+
+def _corrupt_rj(kind, p, j, elem):
+    out = r_part(kind, p, j, elem)
+    return _next_in_family(kind, out) if j == p.k > 1 else out
+
+
+def _unclamped_linear_rj(kind, p, j, elem):
+    # leaves the family: payloads below 1 and above n_j
+    if kind == "linear":
+        return ParamElement("linear", p.parts[j - 1],
+                            elem.payload - p.partial(j - 1))
+    return r_part(kind, p, j, elem)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scan_matches_reference_on_default_maps(kind):
+    _assert_same_report(verify_system(kind, 5), _reference_scan(kind, 5))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("corrupted", ["r0", "rj"])
+def test_scan_matches_reference_on_corrupted_maps(kind, corrupted):
+    maps = ({"r0": _corrupt_r0} if corrupted == "r0"
+            else {"rj": _corrupt_rj})
+    want = _reference_scan(kind, 4, **maps)
+    _assert_same_report(verify_system(kind, 4, **maps), want)
+    assert want.counterexamples
+
+
+def test_scan_matches_reference_on_off_family_values():
+    want = _reference_scan("linear", 4, rj=_unclamped_linear_rj)
+    _assert_same_report(verify_system("linear", 4, rj=_unclamped_linear_rj),
+                        want)
+    # the off-family values reach the counterexample texts
+    assert any(int(c.actual) < 1 for c in want.counterexamples)
+
+
+def test_each_structure_map_argument_evaluated_once():
+    calls = Counter()
+
+    def counted_r0(kind, p, elem):
+        calls[kind, p.parts, 0, elem] += 1
+        return r_zero(kind, p, elem)
+
+    def counted_rj(kind, p, j, elem):
+        calls[kind, p.parts, j, elem] += 1
+        return r_part(kind, p, j, elem)
+
+    for kind in KINDS:
+        _assert_same_report(
+            verify_system(kind, 4, r0=counted_r0, rj=counted_rj),
+            verify_system(kind, 4))
+    assert calls
+    assert set(calls.values()) == {1}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scan_instances_counts_the_scan(kind):
+    for max_total in range(1, 6):
+        assert scan_instances(kind, max_total, 10 ** 6) == \
+            verify_system(kind, max_total).checked
+    # the sum stops at the first total that passes the limit
+    assert scan_instances(kind, 5, 1) == scan_instances(kind, 1, 10 ** 6)
