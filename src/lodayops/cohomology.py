@@ -21,6 +21,8 @@ from operator import itemgetter
 
 from . import linalg
 from .cochains import Cochain, cochain_dim, diff_d, dot, bracket, zero_cochain
+from .params import family_size
+from .preoperadic import r_index_tables
 
 ENGINES = ("bareiss", "rref")
 
@@ -69,22 +71,113 @@ class DifferentialMatrix:
 
 
 def matrix_of_d(ctx, n):
-    """Matrix of d on degree n, assembled column by column from basis cochains."""
+    """Matrix of d on degree n, assembled by linearity from the index tables.
+
+    Column (u, b, o) is d e for the basis cochain e with the single cell
+    e(u; b) = e_o.  By SIGN_NOTES.md
+
+        d e =   gamma(pi; e, Id) + (-1)^|e| gamma(pi; Id, e)
+              - (-1)^|e| sum_s (-1)^s gamma(e; Id,...,pi at s,...,Id),
+
+    so every entry is a signed cell of pi read through ``r_index_tables``
+    on the n+2 profiles (n, 1), (1, n) and (1,...,2 at s,...,1).  On the
+    first two, R_1 or R_2 of the output parameter r gives u and pi is read
+    at R_0(r); on the third, R_0(r) gives u and each cell of pi at R_s(r)
+    with output b_s puts its pair of inputs in place of b_s.  One walk per
+    profile files every r under the u it feeds.  The columns of one u are
+    then summed with the field's addition, emitted without zeros and let
+    go, so the sums of only one parameter are held at a time.  No cochain
+    is built per column.
+    """
     if n < 1:
         raise ValueError("degree must be >= 1")
     cached = ctx.matrix_cache.get(n)
     if cached is not None:
         return cached
     alg = ctx.alg
-    one = alg.field.one
-    ncols = cochain_dim(alg, n)
+    kind = alg.kind
+    d = alg.dim
+    add, neg, zero = alg.field.add, alg.field.neg, alg.field.zero
+    width = d ** n                  # input tuples b of a degree-n cochain
+    col_stride = width * d          # columns (b, o) per parameter u
+    row_stride = col_stride * d     # rows per output parameter r
+    nparams = family_size(kind, n)
+
+    # the cells of pi at each parameter as (first input, second input,
+    # output, coefficient), and by output as (input pair, coefficient);
+    # the entries under True hold the negated coefficients
+    cells = {False: {}, True: {}}
+    preimages = {False: {}, True: {}}
+    for key, a in ctx.pi.cells.items():
+        rest, out = divmod(key, d)
+        p, pair = divmod(rest, d * d)
+        for negative, c in ((False, a), (True, neg(a))):
+            cells[negative].setdefault(p, []).append(
+                (pair // d, pair % d, out, c))
+            preimages[negative].setdefault(p, {}).setdefault(
+                out, []).append((pair, c))
+
+    # each output parameter r, filed under the column parameter u it feeds
+    # (R_1 r on the profile (n, 1), R_2 r on (1, n), R_0 r on the profile
+    # with 2 at s) with the parameter at which it reads pi
+    left = [[] for _ in range(nparams)]
+    for r, (i0, (u, _)) in enumerate(r_index_tables(kind, (n, 1))):
+        left[u].append((r, i0))
+    right = [[] for _ in range(nparams)]
+    for r, (i0, (_, u)) in enumerate(r_index_tables(kind, (1, n))):
+        right[u].append((r, i0))
+    inner = []
+    for s in range(n):
+        by_u = [[] for _ in range(nparams)]
+        parts = (1,) * s + (2,) + (1,) * (n - 1 - s)
+        for r, (u, islots) in enumerate(r_index_tables(kind, parts)):
+            by_u[u].append((r, islots[s]))
+        inner.append(by_u)
+
+    right_cells = cells[(n - 1) % 2 == 1]
     entries = []
-    for col in range(ncols):
-        image = diff_d(ctx, Cochain(alg, n, {col: one}))
-        entries.extend((row, col, v) for row, v in image.cells.items())
-    # (row, col) pairs are distinct, so values are never compared
-    entries.sort()
-    matrix = DifferentialMatrix(n, cochain_dim(alg, n + 1), ncols,
+    for u in range(nparams):
+        cols = [{} for _ in range(col_stride)]  # column (u, b, o) at b * d + o
+        # gamma(pi; e, Id): (r; b, y) -> pi(R_0 r; e_o, e_y)
+        for r, i0 in left[u]:
+            for o, y, out, a in cells[False].get(i0, ()):
+                row = r * row_stride + y * d + out
+                for b in range(width):
+                    acc = cols[b * d + o]
+                    key = row + b * d * d
+                    acc[key] = add(acc.get(key, zero), a)
+        # (-1)^|e| gamma(pi; Id, e): (r; y, b) -> pi(R_0 r; e_y, e_o)
+        for r, i0 in right[u]:
+            for y, o, out, a in right_cells.get(i0, ()):
+                row = r * row_stride + y * col_stride + out
+                for b in range(width):
+                    acc = cols[b * d + o]
+                    key = row + b * d
+                    acc[key] = add(acc.get(key, zero), a)
+        # -(-1)^|e| (-1)^s gamma(e; Id,...,pi at s,...,Id): the input b_s is
+        # replaced by each pair (x, y) with pi(R_s r; e_x, e_y) = a e_(b_s)
+        for s, by_u in enumerate(inner):
+            place = d ** (n - 1 - s)    # weight of b_s in b
+            inverses = preimages[(n + s) % 2 == 1]
+            for r, p in by_u[u]:
+                for k, pairs in inverses.get(p, {}).items():
+                    for rest in range(width // d):
+                        high, low = divmod(rest, place)
+                        col = ((high * d + k) * place + low) * d
+                        base = r * width * d + high * d * d * place + low
+                        for pair, a in pairs:
+                            row = (base + pair * place) * d
+                            for o in range(d):
+                                acc = cols[col + o]
+                                key = row + o
+                                acc[key] = add(acc.get(key, zero), a)
+        for col, acc in enumerate(cols, start=u * col_stride):
+            entries.extend((row, col, v) for row, v in acc.items() if v)
+    # the columns came in increasing order, so a stable sort by row gives
+    # the (row, col) order without comparing tuples
+    entries.sort(key=itemgetter(0))
+    matrix = DifferentialMatrix(n, cochain_dim(alg, n + 1),
+                                cochain_dim(alg, n),
                                 tuple(entries))
     ctx.matrix_cache[n] = matrix
     return matrix

@@ -169,10 +169,10 @@ def test_criterion_4_differential_squares_to_zero(fixture_dir):
     for name, _, _ in CORPUS:
         alg = _corpus_algebra(fixture_dir, name)
         ctx = MultContext(alg)
-        for n in (1, 2, 3):
+        for n in (1, 2, 3, 4):
             ok = ok and matrix_product_is_zero(
                 matrix_of_d(ctx, n + 1), matrix_of_d(ctx, n), alg.field)
-    _report(4, "d^2 = 0 as exact matrix products, n <= 3, all fixtures", ok)
+    _report(4, "d^2 = 0 as exact matrix products, n <= 4, all fixtures", ok)
 
 
 def test_criterion_5_comparison_theorem(fixture_dir):

@@ -1,7 +1,12 @@
+import hashlib
+from fractions import Fraction
+
 import pytest
 
-from lodayops import linalg
-from lodayops.algebra import TYPES, product_fixture, zero_fixture
+from lodayops import cochains, cohomology, linalg
+from lodayops.algebra import (TYPES, AlgebraSpec, product_fixture,
+                              suspension_fixture, zero_fixture)
+from lodayops.algfile import load_algebra
 from lodayops.cochains import Cochain, MultContext, diff_d, dot, random_cochain
 from lodayops.cohomology import (check_g_algebra, coboundary_preimage,
                                  cochain_dim, cocycle_representatives,
@@ -53,6 +58,104 @@ def test_d_squared_zero_as_matrices():
         for n in (1, 2):
             assert matrix_product_is_zero(
                 matrix_of_d(ctx, n + 1), matrix_of_d(ctx, n), ctx.alg.field)
+
+
+# -- the assembly of d against the per-column route ---------------------------
+
+def _matrix_by_columns(ctx, n):
+    """Entries of the matrix of d from diff_d of each basis cochain, the
+    route that matrix_of_d replaced."""
+    alg = ctx.alg
+    entries = []
+    for col in range(cochain_dim(alg, n)):
+        image = diff_d(ctx, Cochain(alg, n, {col: alg.field.one}))
+        entries.extend((row, col, v) for row, v in image.cells.items())
+    entries.sort()
+    return tuple(entries)
+
+
+def _recast(alg, field, factor=1):
+    """The algebra with every structure constant times ``factor``, over
+    ``field``."""
+    tables = {op: {cell: {k: field.from_fraction(Fraction(c) * factor)
+                          for k, c in row.items()}
+                   for cell, row in table.items()}
+              for op, table in alg.tables.items()}
+    return AlgebraSpec(alg.type_tag, field, alg.dim, alg.basis, tables)
+
+
+SHIPPED = ("dias_dim1", "didend_dim1", "trias_dim1", "tridend_dim1",
+           "tricub_dim1", "trias_dim2", "zero_didend_dim1")
+
+# (case, max degree); the 11-dim suspension of tricub costs 8.6 s per
+# column route at degree 2, so it stops at degree 1
+ORACLE_CASES = ([("file:%s" % name, 4) for name in SHIPPED]
+                + [("product:%s" % t, 3) for t in TYPES]
+                + [("suspension:%s" % t, 2)
+                   for t in ("dias", "didend", "trias", "tridend")]
+                + [("suspension:tricub", 1),
+                   ("fp101:trias_dim2", 3), ("scaled:trias_dim2", 3)])
+
+
+def _oracle_algebra(case, fixture_dir):
+    source, name = case.split(":")
+    if source == "product":
+        return product_fixture(name, 2)
+    if source == "suspension":
+        return suspension_fixture(name)
+    alg = load_algebra(fixture_dir / ("%s.alg" % name), warn=lambda m: None)
+    if source == "fp101":
+        return _recast(alg, PrimeField(101))
+    if source == "scaled":
+        return _recast(alg, alg.field, Fraction(2, 3))
+    return alg
+
+
+@pytest.mark.parametrize("case,max_degree", ORACLE_CASES,
+                         ids=[c for c, _ in ORACLE_CASES])
+def test_matrix_of_d_equals_per_column_route(case, max_degree, fixture_dir):
+    ctx = MultContext(_oracle_algebra(case, fixture_dir))
+    fractions = False
+    for n in range(1, max_degree + 1):
+        m = matrix_of_d(ctx, n)
+        expected = _matrix_by_columns(ctx, n)
+        assert (m.nrows, m.ncols) == (cochain_dim(ctx.alg, n + 1),
+                                      cochain_dim(ctx.alg, n))
+        assert m.entries == expected
+        # equal values are not enough: an int must stay an int
+        assert [type(v) for _, _, v in m.entries] == \
+            [type(v) for _, _, v in expected]
+        fractions = fractions or any(type(v) is Fraction
+                                     for _, _, v in m.entries)
+    assert fractions == case.startswith("scaled:")
+
+
+def test_matrix_of_d_builds_no_cochain_per_column(fixture_dir, monkeypatch):
+    ctx = MultContext(load_algebra(fixture_dir / "trias_dim2.alg"))
+    expected = [matrix_of_d(ctx, n) for n in range(1, 5)]
+    ctx.matrix_cache.clear()
+
+    def refuse(*args):
+        raise AssertionError("matrix_of_d went through the cochain calculus")
+
+    monkeypatch.setattr(cohomology, "diff_d", refuse)
+    monkeypatch.setattr(cochains, "_gamma_into", refuse)
+    for n, old in enumerate(expected, start=1):
+        m = matrix_of_d(ctx, n)
+        assert m is not old and m == old
+
+
+def test_trias_dim2_degree_5_matrix_pinned(fixture_dir):
+    # sha256 of the "%d %d %s\n" text of the entries, computed once by the
+    # per-column route (30-45 s on a 2-core host, so not run here)
+    ctx = MultContext(load_algebra(fixture_dir / "trias_dim2.alg"))
+    m4 = matrix_of_d(ctx, 4)
+    m5 = matrix_of_d(ctx, 5)
+    assert (m5.nrows, m5.ncols, len(m5.entries)) == (115584, 12608, 271929)
+    text = "".join("%d %d %s\n" % e for e in m5.entries)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a32e3e7467c05e2f14ca1eb9123bd6d9eeb9fafa4263c21fe73ad1f9bf6765d1")
+    assert matrix_product_is_zero(m5, m4, ctx.alg.field)
 
 
 def test_flatten_round_trip(rng):
