@@ -16,7 +16,7 @@ from . import cohomology
 from .algebra import verify_axioms
 from .algfile import AlgebraFileError, load_algebra
 from .cochains import (Cochain, MultContext, canonical_multiplication,
-                       circ, cochain_dim, delta_trias, random_cochain)
+                       circ, delta_trias, random_cochain)
 from .identities import run_identity_suite
 from .params import enumerate_params, param_text
 from .preoperadic import AXIOM_IDS, scan_instances, verify_system
@@ -163,9 +163,10 @@ def cmd_cohomology(ns, report):
     if ns.dump_matrices:
         for n in range(1, ns.max_degree + 1):
             m = cohomology.matrix_of_d(ctx, n)
+            triples = m.entries
             report.meta("matrix of d^%d: %d x %d, %d entries"
-                        % (n, m.nrows, m.ncols, len(m.entries)))
-            for r, c, v in m.entries:
+                        % (n, m.nrows, m.ncols, len(triples)))
+            for r, c, v in triples:
                 report.data("MATRIX", n, r, c, alg.field.to_text(v))
     return None
 
@@ -186,13 +187,12 @@ def cmd_compare_differentials(ns, report):
     for n in range(1, ns.max_degree + 1):
         # the matrix that cohomology eliminates, against delta of each
         # basis cochain: the two routes share no code
-        columns = cohomology.matrix_of_d(ctx, n).column_maps()
         ok = True
-        for col in range(cochain_dim(alg, n)):
+        for col, cells in enumerate(cohomology.matrix_of_d(ctx, n).columns):
             rhs = delta_trias(alg, Cochain(alg, n, {col: one}))
             if (n + 1) % 2 == 1:
                 rhs = -rhs
-            if columns.get(col, {}) != rhs.cells:
+            if cells != rhs.cells:
                 ok = False
         report.check("d-matches-delta-degree-%d" % n, ok)
     return None

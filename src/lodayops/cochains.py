@@ -189,12 +189,13 @@ def canonical_multiplication(alg):
 
 @lru_cache(maxsize=None)
 def _composition_data(kind, parts):
-    """Index tables for gamma: groups output parameters by their R_0 image."""
-    tables = r_index_tables(kind, parts)
+    """Index tables for gamma: the output parameters grouped by their R_0
+    image, and the R_1..R_k tables."""
+    r0, part_tables = r_index_tables(kind, parts)
     groups = {}
-    for u_idx, (i0, islots) in enumerate(tables):
-        groups.setdefault(i0, []).append((u_idx, islots))
-    return groups
+    for u_idx, i0 in enumerate(r0):
+        groups.setdefault(i0, []).append(u_idx)
+    return groups, part_tables
 
 
 def gamma(f, gs):
@@ -223,7 +224,7 @@ def _gamma_into(f, gs, cells, negate):
     fmul = alg.field.mul
     faccum = alg.field.sub if negate else alg.field.add
     parts = tuple(g.degree for g in gs)
-    groups = _composition_data(alg.kind, parts)
+    groups, part_tables = _composition_data(alg.kind, parts)
     stride = d ** (sum(parts) + 1)     # flat-index width of one parameter
 
     # slots[t][u * d + out] : [(flat index contribution, coeff)] over the
@@ -253,10 +254,10 @@ def _gamma_into(f, gs, cells, negate):
         if not members:
             continue
         ctuple = _unflatten(flat, d, f.degree)
-        for out_u, islots in members:
+        for out_u in members:
             options = []
-            for t, by_key in enumerate(slots):
-                opts = by_key.get(islots[t] * d + ctuple[t])
+            for by_key, table, c in zip(slots, part_tables, ctuple):
+                opts = by_key.get(table[out_u] * d + c)
                 if not opts:
                     break
                 options.append(opts)

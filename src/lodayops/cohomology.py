@@ -6,17 +6,21 @@ vector of length |U_n| * d^(n+1) and the differential a sparse matrix per
 degree in the same coordinates.  There are no cochains below degree 1,
 so H^1 = ker d^1; every report states this convention.
 
-Each matrix of d carries the field engine's column echelon, eliminated on
-first use; kernels, representatives and coboundary witnesses are all read
-from it.  Ranks come by default from the fraction-free row engine, which
-runs over Q on primitive integer rows and over F_p on integer rows reduced
-mod p, and shares no code with the echelon.  The ``engine`` argument picks
-either engine, and a dimension is trusted only once the two agree; the
-CLI's ``rank-engines-agree`` check compares them on both fields.
+Each matrix of d is stored once, as its sparse columns in column order:
+the layout in which it is assembled, applied, multiplied and eliminated.
+The (row, col) triples and the rows are derived from the columns on
+demand.  Each matrix carries the field engine's column echelon, eliminated
+on first use; kernels, representatives and coboundary witnesses are all
+read from it.  Ranks come by default from the fraction-free row engine,
+which runs over Q on primitive integer rows and over F_p on integer rows
+reduced mod p, and shares no code with the echelon.  The ``engine``
+argument of ``matrix_rank`` and ``cohomology_dims`` picks either engine,
+and a dimension is trusted only once the two agree; the CLI's
+``rank-engines-agree`` check compares them on both fields.
 """
 
 from dataclasses import dataclass, field as dataclass_field
-from itertools import groupby
+from itertools import groupby, product
 from operator import itemgetter
 
 from . import linalg
@@ -29,45 +33,49 @@ ENGINES = ("bareiss", "rref")
 
 @dataclass(frozen=True)
 class DifferentialMatrix:
-    """Sparse matrix of d: C^n -> C^(n+1); entries sorted by (row, col)."""
+    """Sparse matrix of d: C^n -> C^(n+1), stored by columns: ``columns[c]``
+    maps each row to its nonzero value in column c."""
 
     degree: int
     nrows: int
     ncols: int
-    entries: tuple
+    columns: tuple
     _echelons: dict = dataclass_field(default_factory=dict, init=False,
                                       repr=False, compare=False)
+
+    @property
+    def entries(self):
+        """The (row, col, value) triples sorted by (row, col), built anew on
+        each access."""
+        # the triples come in column order, so a stable sort by row gives
+        # the (row, col) order without comparing tuples
+        entries = [(r, c, v) for c, col in enumerate(self.columns)
+                   for r, v in col.items()]
+        entries.sort(key=itemgetter(0))
+        return tuple(entries)
 
     def sparse_rows(self):
         """The nonzero rows, each a tuple of (column, value) pairs."""
         return [tuple((c, v) for _, c, v in row)
                 for _, row in groupby(self.entries, key=itemgetter(0))]
 
-    def column_maps(self):
-        cols = {}
-        for r, c, v in self.entries:
-            cols.setdefault(c, {})[r] = v
-        return cols
-
     def echelon(self, field):
         """The field engine's column echelon, eliminated on first use."""
         ech = self._echelons.get(field)
         if ech is None:
-            cols = self.column_maps()
-            ech = linalg.column_echelon(
-                [cols.get(c, {}) for c in range(self.ncols)], field)
+            ech = linalg.column_echelon(self.columns, field)
             self._echelons[field] = ech
         return ech
 
     def apply(self, cells, field):
         """M x for a sparse vector x ({column: value}), as {row: value}
         without zeros."""
+        add, mul, zero = field.add, field.mul, field.zero
         out = {}
-        for r, c, v in self.entries:
-            x = cells.get(c)
-            if x is not None:
-                out[r] = field.add(out.get(r, field.zero), field.mul(v, x))
-        return {r: v for r, v in out.items() if v != field.zero}
+        for c, x in cells.items():
+            for r, v in self.columns[c].items():
+                out[r] = add(out.get(r, zero), mul(v, x))
+        return {r: v for r, v in out.items() if v != zero}
 
 
 def matrix_of_d(ctx, n):
@@ -85,9 +93,8 @@ def matrix_of_d(ctx, n):
     at R_0(r); on the third, R_0(r) gives u and each cell of pi at R_s(r)
     with output b_s puts its pair of inputs in place of b_s.  One walk per
     profile files every r under the u it feeds.  The columns of one u are
-    then summed with the field's addition, emitted without zeros and let
-    go, so the sums of only one parameter are held at a time.  No cochain
-    is built per column.
+    then summed with the field's addition and stored without zeros, one
+    parameter at a time.  No cochain is built per column.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -117,25 +124,28 @@ def matrix_of_d(ctx, n):
             preimages[negative].setdefault(p, {}).setdefault(
                 out, []).append((pair, c))
 
-    # each output parameter r, filed under the column parameter u it feeds
-    # (R_1 r on the profile (n, 1), R_2 r on (1, n), R_0 r on the profile
-    # with 2 at s) with the parameter at which it reads pi
-    left = [[] for _ in range(nparams)]
-    for r, (i0, (u, _)) in enumerate(r_index_tables(kind, (n, 1))):
-        left[u].append((r, i0))
-    right = [[] for _ in range(nparams)]
-    for r, (i0, (_, u)) in enumerate(r_index_tables(kind, (1, n))):
-        right[u].append((r, i0))
+    def filed(u_of, at):
+        """Each output parameter r, as (r, at[r]), under the column
+        parameter u_of[r] it feeds."""
+        by_u = [[] for _ in range(nparams)]
+        for r, (u, p) in enumerate(zip(u_of, at)):
+            by_u[u].append((r, p))
+        return by_u
+
+    # u is R_1 r on the profile (n, 1), R_2 r on (1, n) and R_0 r on the
+    # profile with 2 at s; pi is read at R_0 r, R_0 r and R_s r
+    r0, (u_of, _) = r_index_tables(kind, (n, 1))
+    left = filed(u_of, r0)
+    r0, (_, u_of) = r_index_tables(kind, (1, n))
+    right = filed(u_of, r0)
     inner = []
     for s in range(n):
-        by_u = [[] for _ in range(nparams)]
-        parts = (1,) * s + (2,) + (1,) * (n - 1 - s)
-        for r, (u, islots) in enumerate(r_index_tables(kind, parts)):
-            by_u[u].append((r, islots[s]))
-        inner.append(by_u)
+        r0, part_tables = r_index_tables(
+            kind, (1,) * s + (2,) + (1,) * (n - 1 - s))
+        inner.append(filed(r0, part_tables[s]))
 
     right_cells = cells[(n - 1) % 2 == 1]
-    entries = []
+    columns = []
     for u in range(nparams):
         cols = [{} for _ in range(col_stride)]  # column (u, b, o) at b * d + o
         # gamma(pi; e, Id): (r; b, y) -> pi(R_0 r; e_o, e_y)
@@ -171,14 +181,10 @@ def matrix_of_d(ctx, n):
                                 acc = cols[col + o]
                                 key = row + o
                                 acc[key] = add(acc.get(key, zero), a)
-        for col, acc in enumerate(cols, start=u * col_stride):
-            entries.extend((row, col, v) for row, v in acc.items() if v)
-    # the columns came in increasing order, so a stable sort by row gives
-    # the (row, col) order without comparing tuples
-    entries.sort(key=itemgetter(0))
+        columns.extend({row: v for row, v in acc.items() if v}
+                       for acc in cols)
     matrix = DifferentialMatrix(n, cochain_dim(alg, n + 1),
-                                cochain_dim(alg, n),
-                                tuple(entries))
+                                cochain_dim(alg, n), tuple(columns))
     ctx.matrix_cache[n] = matrix
     return matrix
 
@@ -187,16 +193,7 @@ def matrix_product_is_zero(a, b, field):
     """Whether the sparse product a*b vanishes (b maps into a's source)."""
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch")
-    a_cols = a.column_maps()
-    b_cols = b.column_maps()
-    for c, bcol in b_cols.items():
-        acc = {}
-        for mid, bv in bcol.items():
-            for r, av in a_cols.get(mid, {}).items():
-                acc[r] = field.add(acc.get(r, field.zero), field.mul(av, bv))
-        if any(v != field.zero for v in acc.values()):
-            return False
-    return True
+    return not any(a.apply(col, field) for col in b.columns)
 
 
 def matrix_rank(matrix, field, engine="bareiss"):
@@ -295,8 +292,8 @@ class CohomologyReport:
     representatives: dict
 
 
-def cohomology_report(ctx, max_degree, engine="bareiss"):
-    dims = cohomology_dims(ctx, max_degree, engine=engine)
+def cohomology_report(ctx, max_degree):
+    dims = cohomology_dims(ctx, max_degree)
     reps = {n: cocycle_representatives(ctx, n) for n, _ in dims}
     return CohomologyReport(max_degree, dims, reps)
 
@@ -333,28 +330,17 @@ def check_g_algebra(ctx, max_degree):
     reps = {}
     for n in range(1, max_degree):
         reps[n] = cocycle_representatives(ctx, n)
+    degs = [n for n in reps if reps[n]]
+
+    def classes(count):
+        """Every tuple of ``count`` representatives of total degree at most
+        max_degree, by degree tuple and then by representatives."""
+        for ns in product(degs, repeat=count):
+            if sum(ns) <= max_degree:
+                yield from product(*(reps[n] for n in ns))
+
     checks = []
-
-    def classes(total_max, count):
-        degs = [n for n in reps if reps[n]]
-        if count == 2:
-            for p in degs:
-                for q in degs:
-                    if p + q <= total_max:
-                        for a in reps[p]:
-                            for b in reps[q]:
-                                yield (a, b)
-        else:
-            for p in degs:
-                for q in degs:
-                    for r in degs:
-                        if p + q + r <= total_max:
-                            for a in reps[p]:
-                                for b in reps[q]:
-                                    for c in reps[r]:
-                                        yield (a, b, c)
-
-    for a, b in classes(max_degree, 2):
+    for a, b in classes(2):
         x, y = a.representative, b.representative
         comm = dot(ctx, x, y)
         swapped = dot(ctx, y, x)
@@ -365,7 +351,7 @@ def check_g_algebra(ctx, max_degree):
         checks.append(GCheck("graded-commutativity", (a.degree, b.degree),
                              is_coboundary(ctx, comm)))
 
-    for a, b, c in classes(max_degree, 3):
+    for a, b, c in classes(3):
         x, y, z = a.representative, b.representative, c.representative
         lhs = bracket(x, dot(ctx, y, z))
         lhs = lhs - dot(ctx, bracket(x, y), z)

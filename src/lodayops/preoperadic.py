@@ -163,30 +163,29 @@ def r_part(kind, p, j, elem):
 
 @lru_cache(maxsize=None)
 def r_index_tables(kind, parts):
-    """Per element of U_N (by index): (index of R_0(u), tuple of R_j(u) indices).
+    """(R_0 table, (R_1 table, ..., R_k table)): the R_j table holds, for
+    each element of U_N by index, the index of R_j(u) in U_{n_j}, and the
+    R_0 table the index of R_0(u) in U_k.
 
     These index maps drive operadic composition; they are cached per
     (kind, profile) since the same profiles recur for every cochain degree.
-    On the tree families they zip the restriction tables; on the others
-    they look up the payloads that R_0 and R_j compute.
+    On the tree families they are the shared restriction tables themselves;
+    on the others they look up the payloads that R_0 and R_j compute.
     """
     p = Profile(parts)
     n = p.total
     if kind in TREE_KINDS:
         cuts = p.partials
-        part_tables = [_restriction_table(kind, n, tuple(range(lo, hi + 1)))
-                       for lo, hi in zip(cuts, cuts[1:])]
-        return tuple(zip(_restriction_table(kind, n, cuts), zip(*part_tables)))
+        return (_restriction_table(kind, n, cuts),
+                tuple(_restriction_table(kind, n, tuple(range(lo, hi + 1)))
+                      for lo, hi in zip(cuts, cuts[1:])))
+    payloads = [elem.payload for elem in _family(kind, n)[0]]
     index_k = _family(kind, p.k)[1]
     part_indices = [_family(kind, n_j)[1] for n_j in parts]
-    out = []
-    for elem in _family(kind, n)[0]:
-        x = elem.payload
-        i0 = index_k[_r_zero_payload(kind, p, x)]
-        ijs = tuple(index[_r_part_payload(kind, p, j, x)]
-                    for j, index in enumerate(part_indices, start=1))
-        out.append((i0, ijs))
-    return tuple(out)
+    return (tuple(index_k[_r_zero_payload(kind, p, x)] for x in payloads),
+            tuple(tuple(index[_r_part_payload(kind, p, j, x)]
+                        for x in payloads)
+                  for j, index in enumerate(part_indices, start=1)))
 
 
 # -- exhaustive verification ------------------------------------------------

@@ -143,14 +143,12 @@ def test_criterion_3_multiplication_matches_axioms(fixture_dir):
         ok = ok and circ(pi, pi).is_zero()
     # tree <-> axiom dictionary, derived through the composition tables
     alg = product_fixture("trias", 1)
-    left = r_index_tables("planar", (2, 1))
-    right = r_index_tables("planar", (1, 2))
+    left0, (left1, _) = r_index_tables("planar", (2, 1))
+    right0, (_, right2) = r_index_tables("planar", (1, 2))
     derived = []
     for u in range(11):
-        i0a, (i1a, _) = left[u]
-        i0b, (_, i2b) = right[u]
-        derived.append(((_t2_op(alg, i1a), _t2_op(alg, i0a)),
-                        (_t2_op(alg, i0b), _t2_op(alg, i2b))))
+        derived.append(((_t2_op(alg, left1[u]), _t2_op(alg, left0[u])),
+                        (_t2_op(alg, right0[u]), _t2_op(alg, right2[u]))))
     axioms = [(lhs[0], rhs[0]) for lhs, rhs in AXIOMS["trias"]]
     ok = ok and sorted(derived) == sorted(axioms)
     # each single-axiom mutation is nonzero exactly at the matching tree

@@ -1,10 +1,13 @@
-"""The library surface that the benchmark's traced run reads.
+"""The library surface that the benchmark reads.
 
 ``perfbench/job.py --trace`` wraps the library's public functions and reads
 some of their arguments and results (the dense ``table`` view of the
 cochain given to ``diff_d``, ``MultContext.matrix_cache``, the ``workers``
-argument of ``verify_system``).  Each job here runs the way the benchmark
-runs it and must finish with exit 0 and a nonempty span list.
+argument of ``verify_system``).  Its ``d_squared`` job, traced or not,
+reads ``DifferentialMatrix.entries``, ``degree``, ``nrows`` and ``ncols``
+and calls ``matrix_product_is_zero(upper, lower, field)``.  Each job here
+runs the way the benchmark runs it and must finish with exit 0 and a
+nonempty span list.
 
 The traced run records a span per call of every public function of
 ``params`` and ``preoperadic``, so per-element work in the structure maps

@@ -253,14 +253,12 @@ def _t2_op(alg, u_idx):
 def _tree_axiom_map(alg):
     """For each weight-3 tree: the instance ((A,B),(C,D)) realised by the
     square of the multiplication, read off the composition index tables."""
-    left = r_index_tables(alg.kind, (2, 1))    # gamma(pi; pi, Id)
-    right = r_index_tables(alg.kind, (1, 2))   # gamma(pi; Id, pi)
+    left0, (left1, _) = r_index_tables(alg.kind, (2, 1))    # gamma(pi; pi, Id)
+    right0, (_, right2) = r_index_tables(alg.kind, (1, 2))  # gamma(pi; Id, pi)
     out = []
     for u in range(len(enumerate_params(alg.kind, 3))):
-        i0a, (i1a, _) = left[u]
-        i0b, (_, i2b) = right[u]
-        out.append((( _t2_op(alg, i1a), _t2_op(alg, i0a)),
-                    (( _t2_op(alg, i0b), _t2_op(alg, i2b)))))
+        out.append(((_t2_op(alg, left1[u]), _t2_op(alg, left0[u])),
+                    (_t2_op(alg, right0[u]), _t2_op(alg, right2[u]))))
     return out
 
 

@@ -8,10 +8,11 @@ from lodayops.algebra import (TYPES, AlgebraSpec, product_fixture,
                               suspension_fixture, zero_fixture)
 from lodayops.algfile import load_algebra
 from lodayops.cochains import Cochain, MultContext, diff_d, dot, random_cochain
-from lodayops.cohomology import (check_g_algebra, coboundary_preimage,
-                                 cochain_dim, cocycle_representatives,
-                                 cohomology_dims, cohomology_report,
-                                 induced_bracket, induced_dot, matrix_of_d,
+from lodayops.cohomology import (DifferentialMatrix, check_g_algebra,
+                                 coboundary_preimage, cochain_dim,
+                                 cocycle_representatives, cohomology_dims,
+                                 cohomology_report, induced_bracket,
+                                 induced_dot, matrix_of_d,
                                  matrix_product_is_zero, matrix_rank)
 from lodayops.fields import PrimeField
 
@@ -63,15 +64,11 @@ def test_d_squared_zero_as_matrices():
 # -- the assembly of d against the per-column route ---------------------------
 
 def _matrix_by_columns(ctx, n):
-    """Entries of the matrix of d from diff_d of each basis cochain, the
+    """Columns of the matrix of d from diff_d of each basis cochain, the
     route that matrix_of_d replaced."""
     alg = ctx.alg
-    entries = []
-    for col in range(cochain_dim(alg, n)):
-        image = diff_d(ctx, Cochain(alg, n, {col: alg.field.one}))
-        entries.extend((row, col, v) for row, v in image.cells.items())
-    entries.sort()
-    return tuple(entries)
+    return tuple(diff_d(ctx, Cochain(alg, n, {col: alg.field.one})).cells
+                 for col in range(cochain_dim(alg, n)))
 
 
 def _recast(alg, field, factor=1):
@@ -118,10 +115,18 @@ def test_matrix_of_d_equals_per_column_route(case, max_degree, fixture_dir):
     fractions = False
     for n in range(1, max_degree + 1):
         m = matrix_of_d(ctx, n)
-        expected = _matrix_by_columns(ctx, n)
+        columns = _matrix_by_columns(ctx, n)
+        expected = tuple(sorted((row, col, v)
+                                for col, cells in enumerate(columns)
+                                for row, v in cells.items()))
         assert (m.nrows, m.ncols) == (cochain_dim(ctx.alg, n + 1),
                                       cochain_dim(ctx.alg, n))
+        assert m.columns == columns
         assert m.entries == expected
+        rows = {}
+        for row, col, v in expected:
+            rows.setdefault(row, []).append((col, v))
+        assert m.sparse_rows() == [tuple(rows[row]) for row in sorted(rows)]
         # equal values are not enough: an int must stay an int
         assert [type(v) for _, _, v in m.entries] == \
             [type(v) for _, _, v in expected]
@@ -143,6 +148,36 @@ def test_matrix_of_d_builds_no_cochain_per_column(fixture_dir, monkeypatch):
     for n, old in enumerate(expected, start=1):
         m = matrix_of_d(ctx, n)
         assert m is not old and m == old
+
+
+def _perturbed(m, row, col, field):
+    """m with field.one added to its entry at (row, col)."""
+    columns = list(m.columns)
+    cells = columns[col] = dict(columns[col])
+    cells[row] = field.add(cells.get(row, field.zero), field.one)
+    return DifferentialMatrix(m.degree, m.nrows, m.ncols, tuple(columns))
+
+
+@pytest.mark.parametrize("case", ["file:trias_dim2", "fp101:trias_dim2"])
+def test_matrix_product_is_zero_can_fail(case, fixture_dir):
+    ctx = MultContext(_oracle_algebra(case, fixture_dir))
+    field = ctx.alg.field
+    lower, upper = matrix_of_d(ctx, 2), matrix_of_d(ctx, 3)
+    assert matrix_product_is_zero(upper, lower, field)
+    # an entry (r, c) of d^2 whose row r meets a nonzero column of d^3: the
+    # product's column c moves by that column
+    r, c, _ = next(e for e in lower.entries if upper.columns[e[0]])
+    assert not matrix_product_is_zero(upper, _perturbed(lower, r, c, field),
+                                      field)
+    # an entry (r, c) of d^3 whose column c meets a nonzero row of d^2: the
+    # product's row r moves by that row
+    lower_rows = {row for row, _, _ in lower.entries}
+    r, c, _ = next(e for e in upper.entries if e[1] in lower_rows)
+    assert not matrix_product_is_zero(_perturbed(upper, r, c, field), lower,
+                                      field)
+    for a, b in ((lower, upper), (upper, upper), (lower, lower)):
+        with pytest.raises(ValueError):
+            matrix_product_is_zero(a, b, field)
 
 
 def test_trias_dim2_degree_5_matrix_pinned(fixture_dir):
@@ -299,7 +334,7 @@ def test_each_matrix_eliminated_once_per_engine(monkeypatch):
     monkeypatch.setattr(linalg, "rank_bareiss",
                         counting("fraction-free", linalg.rank_bareiss))
     ctx = MultContext(product_fixture("didend", 1))
-    cohomology_report(ctx, 3, engine="bareiss")
+    cohomology_report(ctx, 3)
     cohomology_dims(ctx, 3, engine="rref")
     report = check_g_algebra(ctx, 4)
     assert report.passed and report.checks

@@ -220,15 +220,29 @@ def test_index_tables_consistent_with_functions():
     for kind in KINDS:
         max_total = 6 if kind in ("binary", "planar") else 5
         for parts in _all_compositions(max_total):
-            tables = r_index_tables(kind, parts)
+            r0, part_tables = r_index_tables(kind, parts)
             p = Profile(parts)
             family = enumerate_params(kind, p.total)
-            assert len(tables) == len(family)
-            for (i0, ijs), u in zip(tables, family):
-                assert i0 == encode(kind, r_zero(kind, p, u))
-                assert len(ijs) == p.k
-                for j, ij in enumerate(ijs, start=1):
-                    assert ij == encode(kind, r_part(kind, p, j, u))
+            assert len(part_tables) == p.k
+            for table in (r0,) + part_tables:
+                assert len(table) == len(family)
+            for i, u in enumerate(family):
+                assert r0[i] == encode(kind, r_zero(kind, p, u))
+                for j, table in enumerate(part_tables, start=1):
+                    assert table[i] == encode(kind, r_part(kind, p, j, u))
+
+
+def test_tree_index_tables_are_the_restriction_tables():
+    # no copy per profile: R_0 and each R_j are the shared cached tables
+    for kind in ("binary", "planar"):
+        for parts in _all_compositions(5):
+            cuts = Profile(parts).partials
+            r0, part_tables = r_index_tables(kind, parts)
+            n = cuts[-1]
+            assert r0 is preoperadic._restriction_table(kind, n, cuts)
+            for table, lo, hi in zip(part_tables, cuts, cuts[1:]):
+                assert table is preoperadic._restriction_table(
+                    kind, n, tuple(range(lo, hi + 1)))
 
 
 def test_index_tables_built_without_public_r_functions(monkeypatch):
