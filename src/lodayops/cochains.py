@@ -98,10 +98,11 @@ class Cochain:
         in increasing flat index."""
         d = self.alg.dim
         n = self.degree
+        inputs = _input_tuples(d, n)
         for i in sorted(self.cells):
             rest, out = divmod(i, d)
             u_idx, flat = divmod(rest, d ** n)
-            yield u_idx, _unflatten(flat, d, n), out, self.cells[i]
+            yield u_idx, inputs[flat], out, self.cells[i]
 
     def __repr__(self):
         return "Cochain(%s, degree=%d)" % (self.alg, self.degree)
@@ -116,14 +117,6 @@ def _same_complex(a, b):
     _same_algebra(a, b)
     if a.degree != b.degree:
         raise ValueError("cochains of different degrees")
-
-
-def _unflatten(flat, d, n):
-    out = [0] * n
-    for t in range(n - 1, -1, -1):
-        out[t] = flat % d
-        flat //= d
-    return tuple(out)
 
 
 def cochain_dim(alg, n):
@@ -217,29 +210,44 @@ def gamma(f, gs):
 
 
 def _gamma_into(f, gs, cells, negate):
-    """Accumulate (+/-) gamma(f; gs) into the cell dict ``cells``."""
+    """Accumulate (+/-) gamma(f; gs) into the cell dict ``cells``.
+
+    A slot of ``gs`` holding ``None`` stands for the operad unit.  The unit
+    has the value e_c at (u; c) for every u in U_1, so such a slot moves f's
+    input c in that slot to the same place of the output's inputs: a fixed
+    offset ``c * place`` per row of f, with no lookup and no factor.  At
+    least one slot must hold a cochain.
+    """
     alg = f.alg
     d = alg.dim
     z = alg.field.zero
     fmul = alg.field.mul
     faccum = alg.field.sub if negate else alg.field.add
-    parts = tuple(g.degree for g in gs)
+    parts = tuple(1 if g is None else g.degree for g in gs)
     groups, part_tables = _composition_data(alg.kind, parts)
     stride = d ** (sum(parts) + 1)     # flat-index width of one parameter
 
-    # slots[t][u * d + out] : [(flat index contribution, coeff)] over the
-    # nonzero cells of g_t at parameter u with output out
+    # units: (slot, place) of each unit slot; slots: (by_key, R_t table,
+    # slot) of each cochain slot, with by_key[u * d + out] the
+    # [(flat index contribution, coeff)] over the nonzero cells of g_t at
+    # parameter u with output out
+    units = []
     slots = []
     place = stride
-    for g in gs:
-        width = d ** g.degree
+    for t, (g, n) in enumerate(zip(gs, parts)):
+        width = d ** n
         place //= width
+        if g is None:
+            units.append((t, place))
+            continue
         by_key = {}
         for i, coeff in g.cells.items():
             rest, out = divmod(i, d)
             u_idx, flat = divmod(rest, width)
             by_key.setdefault(u_idx * d + out, []).append((flat * place, coeff))
-        slots.append(by_key)
+        slots.append((by_key, part_tables[t], t))
+    by_key, table, t0 = slots[0]
+    more = slots[1:]
 
     # the nonzero cells of f, grouped by (parameter, inputs)
     f_rows = {}
@@ -248,36 +256,48 @@ def _gamma_into(f, gs, cells, negate):
         f_rows.setdefault(rest, []).append((out, a))
 
     width = d ** f.degree
+    inputs = _input_tuples(d, f.degree)
     for rest, vec in f_rows.items():
         u_idx, flat = divmod(rest, width)
         members = groups.get(u_idx)
         if not members:
             continue
-        ctuple = _unflatten(flat, d, f.degree)
+        ctuple = inputs[flat]
+        shift = 0
+        for t, place in units:
+            shift += ctuple[t] * place
+        c = ctuple[t0]
         for out_u in members:
-            options = []
-            for by_key, table, c in zip(slots, part_tables, ctuple):
-                opts = by_key.get(table[out_u] * d + c)
+            combos = by_key.get(table[out_u] * d + c)
+            if not combos:
+                continue
+            # multiply out the other cochain slots: [(offset, coeff)]
+            for by_key2, table2, t2 in more:
+                opts = by_key2.get(table2[out_u] * d + ctuple[t2])
                 if not opts:
                     break
-                options.append(opts)
+                combos = [(p + q, fmul(a, b))
+                          for p, a in combos for q, b in opts]
             else:
-                for combo in product(*options):
-                    pos = out_u * stride
-                    coeff = None
-                    for contrib, c in combo:
-                        pos += contrib
-                        coeff = c if coeff is None else fmul(coeff, c)
+                base = out_u * stride + shift
+                for contrib, coeff in combos:
+                    pos = base + contrib
                     for o, a in vec:
                         key = pos + o
                         cells[key] = faccum(cells.get(key, z), fmul(coeff, a))
 
 
+@lru_cache(maxsize=None)
+def _input_tuples(d, n):
+    """Every n-tuple of basis indices, indexed by its flat value in base d."""
+    return tuple(product(range(d), repeat=n))
+
+
 # -- braces and derived operations -------------------------------------------
 
-def _brace_into(x, xs, ident, cells, negate):
-    """Accumulate (+/-) x{x_1,...,x_n} into the cell dict ``cells``;
-    ``ident`` is the unit cochain filling the slots left free."""
+def _brace_into(x, xs, cells, negate):
+    """Accumulate (+/-) x{x_1,...,x_n} into the cell dict ``cells``; the
+    slots left free hold the operad unit, passed to gamma as ``None``."""
     n = len(xs)
     k = x.degree
     if n > k:
@@ -285,7 +305,7 @@ def _brace_into(x, xs, ident, cells, negate):
     shifts = [g.shifted for g in xs]
     degrees = [g.degree for g in xs]
     for slots in combinations(range(k), n):
-        gs = [ident] * k
+        gs = [None] * k
         eps = 0
         consumed = 0
         for p, s in enumerate(slots):
@@ -306,7 +326,7 @@ def brace(x, xs):
     if not xs:
         return x
     cells = {}
-    _brace_into(x, xs, identity_cochain(x.alg), cells, False)
+    _brace_into(x, xs, cells, False)
     return Cochain(x.alg, sum(g.degree for g in xs) + x.degree - len(xs),
                    cells)
 
@@ -320,14 +340,13 @@ def bracket(x, y):
     """[x, y] = x o y - (-1)^(|x||y|) y o x, of degree deg x + deg y - 1."""
     _same_algebra(x, y)
     cells = {}
-    ident = identity_cochain(x.alg)
-    _brace_into(x, [y], ident, cells, False)
-    _brace_into(y, [x], ident, cells, (x.shifted * y.shifted) % 2 == 0)
+    _brace_into(x, [y], cells, False)
+    _brace_into(y, [x], cells, (x.shifted * y.shifted) % 2 == 0)
     return Cochain(x.alg, x.degree + y.degree - 1, cells)
 
 
 class MultContext:
-    """An algebra with its canonical multiplication pi and the unit cochain.
+    """An algebra with its canonical multiplication pi.
 
     Construction verifies pi o pi = 0 and fails otherwise, so holding a
     context certifies that the differential below squares to zero.  The
@@ -337,7 +356,6 @@ class MultContext:
     def __init__(self, alg):
         self.alg = alg
         self.pi = canonical_multiplication(alg)
-        self.identity = identity_cochain(alg)
         self.matrix_cache = {}
         if not circ(self.pi, self.pi).is_zero():
             raise ValueError(

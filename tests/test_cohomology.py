@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 
 from lodayops import cochains, cohomology, linalg
-from lodayops.algebra import (TYPES, AlgebraSpec, product_fixture,
-                              suspension_fixture, zero_fixture)
+from lodayops.algebra import TYPES, product_fixture, zero_fixture
 from lodayops.algfile import load_algebra
 from lodayops.cochains import Cochain, MultContext, diff_d, dot, random_cochain
 from lodayops.cohomology import (DifferentialMatrix, check_g_algebra,
@@ -71,16 +70,6 @@ def _matrix_by_columns(ctx, n):
                  for col in range(cochain_dim(alg, n)))
 
 
-def _recast(alg, field, factor=1):
-    """The algebra with every structure constant times ``factor``, over
-    ``field``."""
-    tables = {op: {cell: {k: field.from_fraction(Fraction(c) * factor)
-                          for k, c in row.items()}
-                   for cell, row in table.items()}
-              for op, table in alg.tables.items()}
-    return AlgebraSpec(alg.type_tag, field, alg.dim, alg.basis, tables)
-
-
 SHIPPED = ("dias_dim1", "didend_dim1", "trias_dim1", "tridend_dim1",
            "tricub_dim1", "trias_dim2", "zero_didend_dim1")
 
@@ -94,24 +83,10 @@ ORACLE_CASES = ([("file:%s" % name, 4) for name in SHIPPED]
                    ("fp101:trias_dim2", 3), ("scaled:trias_dim2", 3)])
 
 
-def _oracle_algebra(case, fixture_dir):
-    source, name = case.split(":")
-    if source == "product":
-        return product_fixture(name, 2)
-    if source == "suspension":
-        return suspension_fixture(name)
-    alg = load_algebra(fixture_dir / ("%s.alg" % name), warn=lambda m: None)
-    if source == "fp101":
-        return _recast(alg, PrimeField(101))
-    if source == "scaled":
-        return _recast(alg, alg.field, Fraction(2, 3))
-    return alg
-
-
 @pytest.mark.parametrize("case,max_degree", ORACLE_CASES,
                          ids=[c for c, _ in ORACLE_CASES])
-def test_matrix_of_d_equals_per_column_route(case, max_degree, fixture_dir):
-    ctx = MultContext(_oracle_algebra(case, fixture_dir))
+def test_matrix_of_d_equals_per_column_route(case, max_degree, case_algebra):
+    ctx = MultContext(case_algebra(case))
     fractions = False
     for n in range(1, max_degree + 1):
         m = matrix_of_d(ctx, n)
@@ -159,8 +134,8 @@ def _perturbed(m, row, col, field):
 
 
 @pytest.mark.parametrize("case", ["file:trias_dim2", "fp101:trias_dim2"])
-def test_matrix_product_is_zero_can_fail(case, fixture_dir):
-    ctx = MultContext(_oracle_algebra(case, fixture_dir))
+def test_matrix_product_is_zero_can_fail(case, case_algebra):
+    ctx = MultContext(case_algebra(case))
     field = ctx.alg.field
     lower, upper = matrix_of_d(ctx, 2), matrix_of_d(ctx, 3)
     assert matrix_product_is_zero(upper, lower, field)
