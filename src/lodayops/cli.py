@@ -147,7 +147,7 @@ def cmd_cohomology(ns, report):
     if ctx is None:
         return None
     summary = cohomology.cohomology_report(ctx, ns.max_degree)
-    cross = cohomology.cohomology_dims(ctx, ns.max_degree, engine="rref")
+    cross = cohomology.cohomology_dims(ctx, ns.max_degree, engine="echelon")
     report.check("rank-engines-agree", summary.dims == cross)
     for n, dim in summary.dims:
         report.data("H", n, dim)

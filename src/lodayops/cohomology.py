@@ -9,14 +9,15 @@ so H^1 = ker d^1; every report states this convention.
 Each matrix of d is stored once, as its sparse columns in column order:
 the layout in which it is assembled, applied, multiplied and eliminated.
 The (row, col) triples and the rows are derived from the columns on
-demand.  Each matrix carries the field engine's column echelon, eliminated
-on first use; kernels, representatives and coboundary witnesses are all
-read from it.  Ranks come by default from the fraction-free row engine,
-which runs over Q on primitive integer rows and over F_p on integer rows
-reduced mod p, and shares no code with the echelon.  The ``engine``
-argument of ``matrix_rank`` and ``cohomology_dims`` picks either engine,
-and a dimension is trusted only once the two agree; the CLI's
-``rank-engines-agree`` check compares them on both fields.
+demand.  Each matrix carries the field engine's triangular column echelon
+(each pivot on the sparsest row of its reduced column, and never changed),
+eliminated on first use; kernels, representatives and coboundary witnesses
+are all read from it.  Ranks come by default from the fraction-free row
+engine, which runs over Q on primitive integer rows and over F_p on integer
+rows reduced mod p, and shares no code with the echelon.  The ``engine``
+argument of ``matrix_rank`` and ``cohomology_dims`` picks ``"bareiss"`` or
+``"echelon"``, and a dimension is trusted only once the two agree; the
+CLI's ``rank-engines-agree`` check compares them on both fields.
 """
 
 from dataclasses import dataclass, field as dataclass_field
@@ -28,7 +29,7 @@ from .cochains import Cochain, cochain_dim, diff_d, dot, bracket, zero_cochain
 from .params import family_size
 from .preoperadic import r_index_tables
 
-ENGINES = ("bareiss", "rref")
+ENGINES = ("bareiss", "echelon")
 
 
 @dataclass(frozen=True)

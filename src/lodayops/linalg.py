@@ -11,18 +11,23 @@ elimination code:
   divided by the gcd of its entries (the primitive-row variant of Bareiss's
   method); over F_p each combined row is reduced mod p instead.  Neither a
   field object nor a fraction enters, and no inverse is taken.
-* ``column_echelon``: Gauss-Jordan elimination of the columns of a matrix
-  over a field object, taken in increasing column order.  Each reduced image
-  vector carries its sparse preimage, so one echelon answers the rank, the
-  kernel, membership in the image with a witness, and independence modulo
-  the image (``independent_mod_image``).
+* ``column_echelon``: a triangular column echelon over a field object.
+  Each column in turn is reduced against the earlier pivots in the order
+  they were made, and what remains becomes a pivot on its row with the
+  fewest nonzeros in the matrix (a Markowitz-style choice); no pivot is
+  changed once made.  Each image carries its sparse preimage, so the one
+  reduction answers the rank, the kernel, membership in the image with a
+  witness, and independence modulo the image (``independent_mod_image``).
 
 Sparse vectors are mappings ``index -> value`` or sequences of
 ``(index, value)`` pairs.  An echelon stores its vectors as tuples of pairs
 sorted by index and is never changed after construction.
 """
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import NamedTuple
 
@@ -79,8 +84,8 @@ def rank_bareiss(rows, ncols, p=0):
 
 
 class Pivot(NamedTuple):
-    """One pivot column of a column echelon: M preimage = image, where
-    image is 1 at ``row`` and 0 at the pivot row of every other pivot."""
+    """One pivot of a column echelon: M preimage = image, where image is 1
+    at ``row`` and 0 at the row of every earlier pivot."""
 
     column: int
     row: int
@@ -99,19 +104,49 @@ def _add_multiple(target, coeff, pairs, field):
             target[i] = new
 
 
-def _pairs(vec):
-    return tuple(sorted(vec.items()))
+def _reduce(field, pivots, by_row, vec, pre=None, solve=False):
+    """vec minus the multiple of each pivot's image that clears its row, as
+    a dict.  The pivots come in creation order from a heap of those whose
+    rows are present; as each is zero on the rows of the earlier ones, it
+    can only bring in rows of later ones.  The same multiples of the
+    preimages are subtracted from ``pre`` if given, or added if ``solve``."""
+    vec = {i: v for i, v in dict(vec).items() if v != field.zero}
+    heap = [by_row[r] for r in vec if r in by_row]
+    heapify(heap)
+    while heap:
+        pivot = pivots[heappop(heap)]
+        coeff = vec.get(pivot.row)
+        if coeff is None:       # queued twice, already cleared
+            continue
+        for r, _ in pivot.image:
+            if r not in vec and r in by_row:
+                heappush(heap, by_row[r])
+        neg = field.neg(coeff)
+        _add_multiple(vec, neg, pivot.image, field)
+        if pre is not None:
+            _add_multiple(pre, coeff if solve else neg, pivot.preimage, field)
+    return vec
+
+
+def _insert(field, pivots, by_row, column, image, pre, row):
+    """Append the reduced image and its preimage as a pivot on ``row``."""
+    inv = field.inv(image[row])
+    by_row[row] = len(pivots)
+    pivots.append(Pivot(column, row, *(
+        tuple((i, field.mul(inv, v)) for i, v in sorted(vec.items()))
+        for vec in (image, pre))))
 
 
 @dataclass(frozen=True)
 class ColumnEchelon:
-    """Gauss-Jordan column echelon of a matrix M over ``field``.
+    """Triangular column echelon of a matrix M over ``field``.
 
-    ``basis`` holds one ``Pivot`` per pivot column, in column order; the
-    pivot columns are the greedy set (a column is a pivot exactly when it is
-    independent of the columns before it).  ``kernel`` holds one vector per
-    free column f, in column order: the unique kernel vector that is 1 at f
-    and otherwise supported on pivot columns before f.
+    ``basis`` holds one ``Pivot`` per pivot column, in column order: the
+    greedy set of columns independent of the columns before them.  A
+    pivot's image is zero on the rows of the earlier pivots only.
+    ``kernel`` holds one vector per free column f, in column order: the
+    unique kernel vector that is 1 at f and otherwise supported on pivot
+    columns before f.
     """
 
     field: object
@@ -122,93 +157,54 @@ class ColumnEchelon:
     def rank(self):
         return len(self.basis)
 
-    def _reduce(self, vec, with_preimage):
-        field = self.field
-        residual = {i: v for i, v in dict(vec).items() if v != field.zero}
-        x = {}
-        # the images are zero on each other's pivot rows, so the coefficient
-        # of each can be read off the residual in any order
-        for pivot in self.basis:
-            coeff = residual.get(pivot.row)
-            if coeff is not None:
-                _add_multiple(residual, field.neg(coeff), pivot.image, field)
-                if with_preimage:
-                    _add_multiple(x, coeff, pivot.preimage, field)
-        return residual, x
+    @cached_property
+    def _by_row(self):
+        return {p.row: k for k, p in enumerate(self.basis)}
 
     def residual(self, vec):
         """vec minus its part in the image: zero on every pivot row, and
         empty exactly when vec lies in the image."""
-        return self._reduce(vec, False)[0]
+        return _reduce(self.field, self.basis, self._by_row, vec)
 
     def preimage(self, vec):
         """Some x (a dict) with M x = vec, or None if vec is not an image."""
-        residual, x = self._reduce(vec, True)
+        x = {}
+        residual = _reduce(self.field, self.basis, self._by_row, vec, x, True)
         return None if residual else x
 
 
 def column_echelon(columns, field):
-    """Column echelon of the matrix with the given sparse columns.
+    """Column echelon of the matrix given by a sequence of sparse columns.
 
-    Column j is reduced against the images of the pivots before it; if
-    nothing remains, its preimage is the kernel vector of j, otherwise the
-    remainder becomes a new pivot and is cleared from the earlier images.
+    Column j is reduced against the pivots before it.  If nothing remains,
+    its preimage is the kernel vector of j; otherwise the remainder becomes
+    a pivot on its row with the fewest nonzeros in the matrix, the lowest
+    such row on ties.  Earlier pivots are never changed.
     """
-    basis = []
-    kernel = []
-    by_row = {}
+    counts = Counter(r for column in columns
+                     for r, v in dict(column).items() if v != field.zero)
+    basis, kernel, by_row = [], [], {}
     for j, column in enumerate(columns):
-        image = {r: v for r, v in dict(column).items() if v != field.zero}
         pre = {j: field.one}
-        for r, coeff in list(image.items()):
-            k = by_row.get(r)
-            if k is not None:
-                neg = field.neg(coeff)
-                _add_multiple(image, neg, basis[k].image.items(), field)
-                _add_multiple(pre, neg, basis[k].preimage.items(), field)
-        if not image:
-            kernel.append(_pairs(pre))
-            continue
-        row = min(image)
-        inv = field.inv(image[row])
-        image = {r: field.mul(inv, v) for r, v in image.items()}
-        pre = {c: field.mul(inv, v) for c, v in pre.items()}
-        for other in basis:
-            coeff = other.image.get(row)
-            if coeff is not None:
-                neg = field.neg(coeff)
-                _add_multiple(other.image, neg, image.items(), field)
-                _add_multiple(other.preimage, neg, pre.items(), field)
-        by_row[row] = len(basis)
-        basis.append(Pivot(j, row, image, pre))
-    return ColumnEchelon(
-        field,
-        tuple(p._replace(image=_pairs(p.image), preimage=_pairs(p.preimage))
-              for p in basis),
-        tuple(kernel))
+        image = _reduce(field, basis, by_row, column, pre)
+        if image:
+            row = min(image, key=lambda r: (counts[r], r))
+            _insert(field, basis, by_row, j, image, pre, row)
+        else:
+            kernel.append(tuple(sorted(pre.items())))
+    return ColumnEchelon(field, tuple(basis), tuple(kernel))
 
 
 def independent_mod_image(echelon, vectors):
     """Indices of the vectors outside the span of the echelon's image and
-    of the vectors before them (the greedy choice, in order).
-
-    The extension is kept in a local list; the echelon is not changed.
-    """
-    field = echelon.field
-    added = []
+    of the vectors before them (the greedy choice, in order), found by
+    inserting them into a copy of the echelon's pivot list."""
+    pivots, by_row = list(echelon.basis), dict(echelon._by_row)
     keep = []
     for idx, vec in enumerate(vectors):
-        residual = echelon.residual(vec)
-        # each added vector is zero on the pivots before it, so reducing in
-        # order never brings back an entry already cleared
-        for row, other in added:
-            coeff = residual.get(row)
-            if coeff is not None:
-                _add_multiple(residual, field.neg(coeff), other, field)
+        residual = _reduce(echelon.field, pivots, by_row, vec)
         if residual:
-            row = min(residual)
-            inv = field.inv(residual[row])
-            added.append((row, [(r, field.mul(inv, v))
-                                for r, v in residual.items()]))
+            _insert(echelon.field, pivots, by_row, idx, residual, {},
+                    min(residual))
             keep.append(idx)
     return keep

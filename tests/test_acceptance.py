@@ -37,9 +37,11 @@ CORPUS = [
     ("zero_didend_dim1", "didend", 1),
 ]
 
-# filed after the fraction-free and RREF engines first agreed (criterion 8);
-# the F_101 column matched on the same run.  trias_dim2 is checked through
-# degree 4: rank d^3 = 155 and rank d^4 = 1,284 from every engine
+# filed after the fraction-free and echelon engines first agreed (criterion
+# 8); the F_101 column matched on the same run.  trias_dim2 is checked
+# through degree 4 here: rank d^3 = 155 and rank d^4 = 1,284 from every
+# engine; H^5 = 1 is checked through the F_101 echelon alone in
+# tests/test_cohomology.py (test_trias_dim2_degree_5_mod_101)
 GOLDEN_DIMS = {
     "dias_dim1": [(1, 0), (2, 0), (3, 0)],
     "didend_dim1": [(1, 0), (2, 1), (3, 0)],
@@ -235,7 +237,8 @@ def test_criterion_8_dual_oracle_dimensions(fixture_dir):
         ctx_p = MultContext(_corpus_algebra(fixture_dir, name,
                                             field=PrimeField(101)))
         found = [cohomology_dims(c, top, engine=engine)
-                 for c in (ctx, ctx_p) for engine in ("bareiss", "rref")]
+                 for c in (ctx, ctx_p)
+                 for engine in ("bareiss", "echelon")]
         ok = ok and all(dims == GOLDEN_DIMS[name] for dims in found)
     _report(8, "dual-oracle cohomology dimensions, golden-filed, Q and F_101", ok)
 

@@ -181,21 +181,30 @@ def _digest(stdout):
 
 
 def test_trias_dim2_representatives_pinned(fixture_dir, tmp_path):
-    # sha256 of the report minus its '# command:' line, recorded before the
-    # elimination layer was rewritten: the H and REP lines must not move
+    # sha256 of the report minus its '# command:' line, by field and top
+    # degree; the degree-3 digests were recorded before the elimination
+    # layer was rewritten, the degree-4 ones before the echelon was made
+    # triangular: the H and REP lines must not move
+    pinned = {
+        ("Q", "3"): "72b818249affc5215c6d00cd6c9179e7"
+                    "b4bfa5dc5cf00560496567ec05c3d3c7",
+        ("Q", "4"): "e97d1f801b40ad6f93938d3b34563c85"
+                    "5b55a34a7e54e3b68ee879049393cbe8",
+        ("Fp:101", "3"): "a5064e6ae5d0b54473b345c60d152bca"
+                         "980993d714b8e434f1dbbde8a29d41e8",
+        ("Fp:101", "4"): "b8610f2df4fcb8b3767174545ec3b42f"
+                         "ca22ee1f2b8ecf9bc9a4b69da2d3446d",
+    }
     path = fx(fixture_dir, "trias_dim2")
-    code, out, _ = run_cli("cohomology", path, "--max-degree", "3")
-    assert code == 0
-    assert _digest(out) == ("72b818249affc5215c6d00cd6c9179e7"
-                            "b4bfa5dc5cf00560496567ec05c3d3c7")
     text = open(path, encoding="utf-8").read()
     assert "field = Q\n" in text
     fp = tmp_path / "trias_dim2_fp101.alg"
     fp.write_text(text.replace("field = Q\n", "field = Fp:101\n"))
-    code, out, _ = run_cli("cohomology", str(fp), "--max-degree", "3")
-    assert code == 0
-    assert _digest(out) == ("a5064e6ae5d0b54473b345c60d152bca"
-                            "980993d714b8e434f1dbbde8a29d41e8")
+    for (field, degree), digest in pinned.items():
+        source = path if field == "Q" else str(fp)
+        code, out, _ = run_cli("cohomology", source, "--max-degree", degree)
+        assert code == 0
+        assert _digest(out) == digest, (field, degree)
 
 
 def test_scaled_trias_dim2_matrix_dump_pinned(fixture_dir, tmp_path):

@@ -16,8 +16,9 @@ from lodayops.cohomology import (DifferentialMatrix, check_g_algebra,
 from lodayops.fields import PrimeField
 
 # dimensions established by the dual-elimination protocol: the fraction-free
-# and RREF engines agreed on these values over Q, and the F_101 run matched;
-# frozen here so regressions surface as golden-file diffs
+# and echelon engines agreed on these values over Q, and the F_101 run
+# matched; frozen here so regressions surface as golden-file diffs.  Degree 5
+# of trias_dim2 is checked by test_trias_dim2_degree_5_mod_101 below
 GOLDEN_DIMS = {
     ("dias", 1): [(1, 0), (2, 0), (3, 0)],
     ("didend", 1): [(1, 0), (2, 1), (3, 0)],
@@ -185,8 +186,8 @@ def test_golden_dims_dual_engines(key):
     type_tag, dim = key
     ctx = MultContext(product_fixture(type_tag, dim))
     via_bareiss = cohomology_dims(ctx, 3, engine="bareiss")
-    via_rref = cohomology_dims(ctx, 3, engine="rref")
-    assert via_bareiss == via_rref == GOLDEN_DIMS[key]
+    via_echelon = cohomology_dims(ctx, 3, engine="echelon")
+    assert via_bareiss == via_echelon == GOLDEN_DIMS[key]
 
 
 @pytest.mark.parametrize("key", sorted(GOLDEN_DIMS))
@@ -276,7 +277,7 @@ def test_rank_nullity_consistency():
         for n in (1, 2, 3):
             m = matrix_of_d(ctx, n)
             ech = m.echelon(field)
-            r = matrix_rank(m, field, "rref")
+            r = matrix_rank(m, field, "echelon")
             assert r == ech.rank == matrix_rank(m, field, "bareiss")
             assert r + len(ech.kernel) == m.ncols
             for vec in ech.kernel:
@@ -310,8 +311,19 @@ def test_each_matrix_eliminated_once_per_engine(monkeypatch):
                         counting("fraction-free", linalg.rank_bareiss))
     ctx = MultContext(product_fixture("didend", 1))
     cohomology_report(ctx, 3)
-    cohomology_dims(ctx, 3, engine="rref")
+    cohomology_dims(ctx, 3, engine="echelon")
     report = check_g_algebra(ctx, 4)
     assert report.passed and report.checks
     # one echelon per degree 1..3; is_coboundary reuses them
     assert calls == {"field": 3, "fraction-free": 3}
+
+
+def test_trias_dim2_degree_5_mod_101():
+    # filed after both engines agreed on H^5 = 1 over Q and over F_101
+    # (rank d^5 = 11,323); the row engine and the Q echelon take 10-20 s
+    # each at this size, so only the F_101 echelon runs here
+    field = PrimeField(101)
+    ctx = MultContext(product_fixture("trias", 2, field=field))
+    assert cohomology_dims(ctx, 5, engine="echelon")[-1] == (5, 1)
+    ech = matrix_of_d(ctx, 5).echelon(field)
+    assert (ech.rank, len(ech.kernel)) == (11323, 1285)

@@ -117,8 +117,9 @@ def test_rank_nullity():
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.lists(st.integers(-2, 2), min_size=5, max_size=5),
                 min_size=1, max_size=5),
-       st.sampled_from([QQ, F101]))
-def test_kernel_is_canonical_on_generated_matrices(m, field):
+       st.sampled_from([QQ, F101]),
+       st.lists(st.integers(-2, 2), min_size=5, max_size=5))
+def test_kernel_is_canonical_on_generated_matrices(m, field, x):
     m = [[Fraction(v) for v in row] for row in m]
     ech = echelon(m, field)
     assert ech.rank + len(ech.kernel) == 5
@@ -136,6 +137,13 @@ def test_kernel_is_canonical_on_generated_matrices(m, field):
         assert all(c == f or c in pivots for c, _ in vec)
         assert all(v == field.zero for v in times(m, dense(vec, 5, field),
                                                   field))
+    x = [field.from_fraction(v) for v in x]
+    image = times(m, x, field)
+    pre = ech.preimage(enumerate(image))
+    assert pre is not None and times(m, dense(pre, 5, field), field) == image
+    rows = {p.row for p in ech.basis}
+    for r in range(len(m)):
+        assert not rows & ech.residual({r: field.one}).keys()
 
 
 def test_solve_consistent_and_inconsistent():
@@ -172,6 +180,19 @@ def test_prime_field_elimination():
     ech = column_echelon([{0: 2, 1: 1}, {0: 4, 1: 3}], f)
     assert [p.column for p in ech.basis] == [0, 1]
     assert ech.kernel == ()
+
+
+def test_reduction_follows_pivot_order():
+    # row 1 is the sparser row of column 0, so pivot 0 sits on row 1; its
+    # image is nonzero on row 0, the row of pivot 1, which reducing by
+    # pivot 0 brings in and pivot 1 must then clear
+    for field in (QQ, F101):
+        ech = column_echelon([{0: 1, 1: 1}, {0: 1}], field)
+        assert tuple(p.row for p in ech.basis) == (1, 0)
+        x = ech.preimage({1: 1})
+        assert times([[1, 1], [1, 0]], dense(x, 2, field), field) == [0, 1]
+        assert ech.residual({1: 1}) == {}
+        assert independent_mod_image(ech, [{1: 1}, {2: 1}]) == [1]
 
 
 def test_echelon_is_not_changed_by_use():
