@@ -55,7 +55,8 @@ class Rationals:
         return self.from_fraction(1 / Fraction(a))
 
     def from_fraction(self, q):
-        q = Fraction(q)
+        if type(q) is not Fraction:
+            q = Fraction(q)
         return q.numerator if q.denominator == 1 else q
 
     def to_text(self, a):

@@ -8,7 +8,7 @@ at small degrees; see SIGN_NOTES.md.
 
 from dataclasses import dataclass
 
-from .cochains import brace, diff_d, dot, zero_cochain
+from .cochains import Cochain, brace, diff_d, dot
 
 
 @dataclass(frozen=True)
@@ -16,6 +16,15 @@ class IdentityResult:
     check: str
     pattern: tuple
     passed: bool
+
+
+def _add_into(cells, term, negative):
+    """Add term, or subtract it if ``negative``, into the cell dict of a
+    sum; the sum drops its zeros once, when it becomes a cochain."""
+    field = term.alg.field
+    combine = field.sub if negative else field.add
+    for i, c in term.cells.items():
+        cells[i] = combine(cells.get(i, field.zero), c)
 
 
 def brace_identity_sides(x, xs, ys):
@@ -27,10 +36,9 @@ def brace_identity_sides(x, xs, ys):
     m, n = len(xs), len(ys)
     lhs = brace(brace(x, xs), ys)
     sy = [y.shifted for y in ys]
-    rhs = zero_cochain(x.alg, lhs.degree)
+    rhs = {}
 
     def rec(p, start, chosen):
-        nonlocal rhs
         if p == m:
             args = []
             eps = 0
@@ -41,15 +49,14 @@ def brace_identity_sides(x, xs, ys):
                 eps += xs[q].shifted * sum(sy[:i_q])
                 pos = j_q
             args.extend(ys[pos:n])
-            term = brace(x, args)
-            rhs = rhs + term if eps % 2 == 0 else rhs - term
+            _add_into(rhs, brace(x, args), eps % 2 == 1)
             return
         for i_p in range(start, n + 1):
             for j_p in range(i_p, n + 1):
                 rec(p + 1, j_p, chosen + [(i_p, j_p)])
 
     rec(0, 0, [])
-    return lhs, rhs
+    return lhs, Cochain(x.alg, lhs.degree, rhs)
 
 
 def dot_brace_sides(ctx, x1, x2, ys):
@@ -58,12 +65,12 @@ def dot_brace_sides(ctx, x1, x2, ys):
     n = len(ys)
     sy = [y.shifted for y in ys]
     lhs = brace(dot(ctx, x1, x2), ys)
-    rhs = zero_cochain(x1.alg, lhs.degree)
+    rhs = {}
     for k in range(n + 1):
         eps = x2.degree * sum(sy[:k])
-        term = dot(ctx, brace(x1, ys[:k]), brace(x2, ys[k:]))
-        rhs = rhs + term if eps % 2 == 0 else rhs - term
-    return lhs, rhs
+        _add_into(rhs, dot(ctx, brace(x1, ys[:k]), brace(x2, ys[k:])),
+                  eps % 2 == 1)
+    return lhs, Cochain(x1.alg, lhs.degree, rhs)
 
 
 def hg_differential_sides(ctx, x, args):
@@ -76,22 +83,24 @@ def hg_differential_sides(ctx, x, args):
         + (-1)^(|x|+|x_1|+..+|x_n|) x{x_1..x_n} . x_{n+1}
     """
     sx = x.shifted
-    lhs = diff_d(ctx, brace(x, args)) - brace(diff_d(ctx, x), args)
+    lhs, rhs = {}, {}
+    _add_into(lhs, diff_d(ctx, brace(x, args)), False)
+    _add_into(lhs, brace(diff_d(ctx, x), args), True)
     for i in range(len(args)):
         pre = sum(a.shifted for a in args[:i])
         term = brace(x, args[:i] + [diff_d(ctx, args[i])] + args[i + 1:])
-        lhs = lhs - term if (sx + pre) % 2 == 0 else lhs + term
-    rhs = zero_cochain(x.alg, lhs.degree)
-    term = dot(ctx, args[0], brace(x, args[1:]))
-    rhs = rhs + term if (args[0].shifted * x.degree) % 2 == 0 else rhs - term
+        _add_into(lhs, term, (sx + pre) % 2 == 0)
+    _add_into(rhs, dot(ctx, args[0], brace(x, args[1:])),
+              (args[0].shifted * x.degree) % 2 == 1)
     for i in range(1, len(args)):
         pre = sum(a.shifted for a in args[:i])
         term = brace(x, args[:i - 1] + [dot(ctx, args[i - 1], args[i])] + args[i + 1:])
-        rhs = rhs - term if (sx + pre) % 2 == 0 else rhs + term
+        _add_into(rhs, term, (sx + pre) % 2 == 0)
     term = dot(ctx, brace(x, args[:-1]), args[-1])
     pre = sum(a.shifted for a in args[:-1])
-    rhs = rhs + term if (sx + pre) % 2 == 0 else rhs - term
-    return lhs, rhs
+    _add_into(rhs, term, (sx + pre) % 2 == 1)
+    degree = x.degree + sum(a.shifted for a in args) + 1  # of d(x{args})
+    return Cochain(x.alg, degree, lhs), Cochain(x.alg, degree, rhs)
 
 
 def dg_algebra_sides(ctx, x, y, z):
@@ -99,10 +108,10 @@ def dg_algebra_sides(ctx, x, y, z):
     assoc_l = dot(ctx, dot(ctx, x, y), z)
     assoc_r = dot(ctx, x, dot(ctx, y, z))
     leib_l = diff_d(ctx, dot(ctx, x, y))
-    leib_r = dot(ctx, diff_d(ctx, x), y)
-    term = dot(ctx, x, diff_d(ctx, y))
-    leib_r = leib_r + term if x.degree % 2 == 0 else leib_r - term
-    return (assoc_l, assoc_r), (leib_l, leib_r)
+    leib_r = {}
+    _add_into(leib_r, dot(ctx, diff_d(ctx, x), y), False)
+    _add_into(leib_r, dot(ctx, x, diff_d(ctx, y)), x.degree % 2 == 1)
+    return (assoc_l, assoc_r), (leib_l, Cochain(x.alg, leib_l.degree, leib_r))
 
 
 # patterns (deg x; degrees of xs; degrees of ys), total degree <= 4

@@ -94,14 +94,16 @@ class Pivot(NamedTuple):
 
 
 def _add_multiple(target, coeff, pairs, field):
-    """target += coeff * pairs, in place, dropping entries that cancel."""
+    """target += coeff * pairs, in place, dropping entries that cancel.  A
+    value that is not an int goes through ``field.from_fraction``, so over
+    Q an integral sum is stored as an int."""
     zero = field.zero
     for i, v in pairs:
         new = field.add(target.get(i, zero), field.mul(coeff, v))
         if new == zero:
             target.pop(i, None)
         else:
-            target[i] = new
+            target[i] = new if type(new) is int else field.from_fraction(new)
 
 
 def _reduce(field, pivots, by_row, vec, pre=None, solve=False):
@@ -129,12 +131,14 @@ def _reduce(field, pivots, by_row, vec, pre=None, solve=False):
 
 
 def _insert(field, pivots, by_row, column, image, pre, row):
-    """Append the reduced image and its preimage as a pivot on ``row``."""
+    """Append the reduced image and its preimage, scaled to 1 at ``row``, as
+    a pivot on ``row``."""
     inv = field.inv(image[row])
     by_row[row] = len(pivots)
-    pivots.append(Pivot(column, row, *(
-        tuple((i, field.mul(inv, v)) for i, v in sorted(vec.items()))
-        for vec in (image, pre))))
+    scaled = [{}, {}]
+    for out, vec in zip(scaled, (image, pre)):
+        _add_multiple(out, inv, sorted(vec.items()), field)
+    pivots.append(Pivot(column, row, *(tuple(out.items()) for out in scaled)))
 
 
 @dataclass(frozen=True)

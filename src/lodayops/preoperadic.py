@@ -2,14 +2,17 @@
 exhaustive verifier for the four conditions (identity, idempotency,
 commutativity, closure) that make them a pre-operadic system.
 
-On the tree families (binary, planar) R_0 and R_j restrict a tree to a set
-of its leaves: the leaves N_0, N_1, ..., N_k for R_0, and the interval
-N_{j-1}..N_j for R_j.  Both read one index table per (kind, N, kept
-leaves), built once from ``trees.restrict`` over all of U_N, and return
-the canonical element of ``enumerate_params``; the R_j table of a leaf
-interval is shared by every profile with that interval.  The linear,
-subset and sign families compute their maps arithmetically on payloads, in
-private helpers that the public R_0, R_j and the index tables all call.
+R_0 and R_j restrict an element to a set of labels: the partial sums
+N_0, ..., N_k for R_0, and the interval N_{j-1}..N_j for R_j; on the tree
+families (binary, planar), to the tree spanned by those leaves.  Off the
+linear family both maps read one index table per (kind, N, labels), built
+once over all of U_N, and the R_j table of an interval serves every
+profile with that interval.  The children of a family's tree are the
+family's own tree objects, so a tree table puts each restriction together
+from its children's and finds it by its tuple of children: no tree is
+built.  The subset and sign tables are integer arithmetic on the canonical
+index.  The linear maps stay on payloads, which may lie outside the
+family, and its index tables call them.
 
 ``verify_system`` checks the laws on index tables of its own, built per
 scan from whatever r0/rj it is given, default or overridden, by one path:
@@ -23,11 +26,11 @@ pure and returning hashable elements.
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
-from itertools import accumulate
+from itertools import accumulate, product
 from math import prod
 
 from .params import ParamElement, _family, family_size, param_text
-from .trees import _compositions, restrict
+from .trees import LEAF, _compositions
 
 TREE_KINDS = ("binary", "planar")
 
@@ -65,18 +68,84 @@ def _check_arity(p, elem):
 
 
 @lru_cache(maxsize=None)
+def _by_children(kind, n):
+    """The trees of U_n keyed by their tuple of children."""
+    return {e.payload.children: e.payload for e in _family(kind, n)[0]}
+
+
+def _spanned(kind, memo, node, keep):
+    """The tree spanned by the leaves ``keep`` of node: two or more, sorted,
+    labelled from its first leaf.  ``memo`` holds restricted subtrees."""
+    live = []
+    lo = offset = 0
+    for c in node.children:
+        end = offset + c.weight + 1
+        mid = bisect_left(keep, end, lo)
+        if mid - lo == end - offset:
+            live.append(c)
+        elif mid - lo == 1:
+            live.append(LEAF)
+        elif mid > lo:
+            sub = keep[lo:mid]
+            if offset:
+                sub = tuple(x - offset for x in sub)
+            out = memo.get((c, sub))
+            if out is None:
+                out = memo[c, sub] = _spanned(kind, memo, c, sub)
+            live.append(out)
+        lo, offset = mid, end
+    if len(live) == 1:
+        return live[0]
+    return _by_children(kind, len(keep) - 1)[tuple(live)]
+
+
+def _digit_table(pieces):
+    """The index table of a map that reads an index block of digits by
+    block: ``pieces`` lists, most significant block first, (radix, values)
+    where values[d] is the output digit of the block with digits d."""
+    table = [0]
+    for radix, values in pieces:
+        table = [h * radix + v for h in table for v in values]
+    return table
+
+
+@lru_cache(maxsize=None)
 def _restriction_table(kind, n, labels):
-    """For each tree of U_n, by index: the index in U_k of the tree spanned
-    by its leaves ``labels`` (k + 1 sorted labels)."""
-    trees = _family(kind, n)[0]
-    targets, index = _family(kind, len(labels) - 1)
-    if len(targets) == 1:       # U_1: every tree spans its one element
-        return (0,) * len(trees)
-    return tuple(index[restrict(e.payload, labels)] for e in trees)
+    """For each element of U_n, by index: the index in U_k of its
+    restriction to the k + 1 sorted ``labels`` l_0 < ... < l_k in 0..n.
+    On trees it spans the leaves ``labels``; on subsets, bit b is set if
+    the subset meets (l_{b-1}, l_b], the first interval widened down to 1
+    and the last up to n; on signs, digit b is the product of the signs in
+    (l_{b-1}, l_b].  Element i of P_n is the bitmask i + 1 of its members,
+    and element i of Q_n has the base-3 digits s + 1 of its signs.
+    """
+    k = len(labels) - 1
+    if kind in TREE_KINDS:
+        if family_size(kind, k) == 1:   # U_1: every tree spans its one element
+            return (0,) * family_size(kind, n)
+        index, memo = _family(kind, k)[1], {}   # one memo per table
+        return tuple(index[_spanned(kind, memo, e.payload, labels)]
+                     for e in _family(kind, n)[0])
+    if kind == "subsets":
+        # one output bit per interval, read from its mask of member bits
+        widths = [hi - lo for lo, hi in
+                  zip((0,) + labels[1:-1], labels[1:-1] + (n,))]
+        masks = _digit_table([(2, [0] + [1] * ((1 << w) - 1))
+                              for w in reversed(widths)])
+        return tuple(m - 1 for m in masks[1:])
+    if kind == "signs":
+        # the signs outside l_0..l_k are dropped, and each interval gives
+        # one digit, read from the digits of its signs
+        return tuple(_digit_table(
+            [(1, (0,) * 3 ** labels[0])]
+            + [(3, [prod(x) + 1 for x in product((-1, 0, 1), repeat=hi - lo)])
+               for lo, hi in zip(labels, labels[1:])]
+            + [(1, (0,) * 3 ** (n - labels[-1]))]))
+    raise ValueError("unknown parameter kind %r" % kind)
 
 
 def _restricted(kind, elem, labels):
-    """The element of U_k spanned by the leaves ``labels`` of elem's tree."""
+    """The element of U_k that is elem restricted to the k + 1 ``labels``."""
     i = _family(kind, elem.n)[1].get(elem.payload)
     if i is None:
         raise ValueError("%s is not an element of the %s family"
@@ -85,68 +154,22 @@ def _restricted(kind, elem, labels):
     return _family(kind, len(labels) - 1)[0][table[i]]
 
 
-def _r_zero_payload(kind, p, x):
-    """The payload of R_0(u) for the payload x of u, on the linear, subset
-    and sign families."""
-    parts = p.parts
-    if kind == "linear":
-        return bisect_left(p.partials, x)
-    if kind == "subsets":
-        out = set()
-        lo = 0
-        for i, n_i in enumerate(parts, start=1):
-            hi = lo + n_i
-            if any(lo + 1 <= r <= hi for r in x):
-                out.add(i)
-            lo = hi
-        return frozenset(out)
-    if kind == "signs":
-        out = []
-        lo = 0
-        for n_i in parts:
-            out.append(prod(x[lo:lo + n_i]))
-            lo += n_i
-        return tuple(out)
-    raise ValueError("unknown parameter kind %r" % kind)
+def _linear_r_zero(p, x):
+    """R_0 on a linear payload x, in the family or not."""
+    return bisect_left(p.partials, x)
 
 
-def _r_part_payload(kind, p, j, x):
-    """The payload of R_j(u) for the payload x of u, on the linear, subset
-    and sign families."""
-    n_j = p.parts[j - 1]
-    lo = p.partial(j - 1)          # N_{j-1}
-    hi = lo + n_j                  # N_j
-    if kind == "linear":
-        if x <= lo:
-            return 1
-        if x <= hi:
-            return x - lo
-        return n_j
-    if kind == "subsets":
-        n = p.total
-        out = set()
-        for i in range(1, n_j + 1):
-            hit = False
-            if i == 1:
-                hit = any(1 <= r <= lo + 1 for r in x)
-            if not hit and 2 <= i <= n_j - 1:
-                hit = (i + lo) in x
-            if not hit and i == n_j:
-                hit = any(hi <= r <= n for r in x)
-            if hit:
-                out.add(i)
-        return frozenset(out)
-    if kind == "signs":
-        return x[lo:hi]
-    raise ValueError("unknown parameter kind %r" % kind)
+def _linear_r_part(p, j, x):
+    """R_j on a linear payload x: x - N_{j-1}, clamped to 1..n_j."""
+    return min(max(x - p.partial(j - 1), 1), p.parts[j - 1])
 
 
 def r_zero(kind, p, elem):
     """R_0(k; n_1,...,n_k): U_N -> U_k."""
     _check_arity(p, elem)
-    if kind in TREE_KINDS:
-        return _restricted(kind, elem, p.partials)
-    return ParamElement(kind, p.k, _r_zero_payload(kind, p, elem.payload))
+    if kind == "linear":
+        return ParamElement(kind, p.k, _linear_r_zero(p, elem.payload))
+    return _restricted(kind, elem, p.partials)
 
 
 def r_part(kind, p, j, elem):
@@ -154,11 +177,11 @@ def r_part(kind, p, j, elem):
     _check_arity(p, elem)
     if not 1 <= j <= p.k:
         raise ValueError("part index %d out of range 1..%d" % (j, p.k))
-    if kind in TREE_KINDS:
-        lo = p.partial(j - 1)
-        return _restricted(kind, elem, tuple(range(lo, p.partial(j) + 1)))
-    return ParamElement(kind, p.parts[j - 1],
-                        _r_part_payload(kind, p, j, elem.payload))
+    if kind == "linear":
+        return ParamElement(kind, p.parts[j - 1],
+                            _linear_r_part(p, j, elem.payload))
+    return _restricted(kind, elem,
+                       tuple(range(p.partial(j - 1), p.partial(j) + 1)))
 
 
 @lru_cache(maxsize=None)
@@ -169,23 +192,18 @@ def r_index_tables(kind, parts):
 
     These index maps drive operadic composition; they are cached per
     (kind, profile) since the same profiles recur for every cochain degree.
-    On the tree families they are the shared restriction tables themselves;
-    on the others they look up the payloads that R_0 and R_j compute.
+    Off the linear family they are the shared restriction tables.
     """
     p = Profile(parts)
-    n = p.total
-    if kind in TREE_KINDS:
-        cuts = p.partials
-        return (_restriction_table(kind, n, cuts),
-                tuple(_restriction_table(kind, n, tuple(range(lo, hi + 1)))
-                      for lo, hi in zip(cuts, cuts[1:])))
-    payloads = [elem.payload for elem in _family(kind, n)[0]]
-    index_k = _family(kind, p.k)[1]
-    part_indices = [_family(kind, n_j)[1] for n_j in parts]
-    return (tuple(index_k[_r_zero_payload(kind, p, x)] for x in payloads),
-            tuple(tuple(index[_r_part_payload(kind, p, j, x)]
-                        for x in payloads)
-                  for j, index in enumerate(part_indices, start=1)))
+    cuts, n = p.partials, p.total
+    if kind == "linear":
+        xs = range(1, n + 1)
+        return (tuple(_linear_r_zero(p, x) - 1 for x in xs),
+                tuple(tuple(_linear_r_part(p, j, x) - 1 for x in xs)
+                      for j in range(1, p.k + 1)))
+    return (_restriction_table(kind, n, cuts),
+            tuple(_restriction_table(kind, n, tuple(range(lo, hi + 1)))
+                  for lo, hi in zip(cuts, cuts[1:])))
 
 
 # -- exhaustive verification ------------------------------------------------

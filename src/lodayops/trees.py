@@ -6,8 +6,9 @@ produces it) but is not a member of any parameter family.
 
 Two leaf-removal maps are kept apart on purpose.  ``delete_leaf`` removes
 one leaf and is the face map of the explicit trialgebra differential.
-``restrict`` keeps a set of leaves in one pass; it backs ``delete_leaves``
-and the index tables of the structure maps R_0, R_j, so the two sides of
+``restrict`` keeps a set of leaves in one pass and backs only
+``delete_leaves``.  The index tables of the structure maps R_0, R_j
+restrict without building trees, in ``preoperadic``, so the two sides of
 the comparison d = +/- delta share no leaf-removal code.
 """
 

@@ -416,7 +416,7 @@ def test_multilinearity_of_gamma_and_brace(rng):
     assert brace(f + x2, [g]) == brace(f, [g]) + brace(x2, [g])
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32), st.sampled_from([QQ, PrimeField(101)]),
        st.sampled_from([1, 2]))
 def test_results_store_no_zero_coefficient(seed, field, dim):
@@ -456,17 +456,25 @@ def _as_fractions(x):
                    {i: Fraction(c) for i, c in x.cells.items()})
 
 
-@settings(max_examples=30, deadline=None)
+def _nowhere_zero_cochain(alg, n, rng):
+    """A random cochain whose every cell is a nonzero integer."""
+    return Cochain(alg, n, {i: rng.choice((-3, -2, -1, 1, 2, 3))
+                            for i in range(cochain_dim(alg, n))})
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(st.integers(0, 2 ** 32),
        st.sampled_from([("trias", 1), ("trias", 2), ("tricub", 1)]))
 def test_integral_cells_stay_int_and_match_fraction_cells(seed, key):
     # over Q an integral scalar is an int; the same cochains with every
-    # cell cast to Fraction must give equal results
+    # cell cast to Fraction must give equal results.  No input cell is
+    # zero: on the dim-1 algebras each cell of gamma(x2; x1, y1) is then a
+    # product of nonzero cells, so the results cannot all vanish there.
     rng = random.Random(seed)
     alg = product_fixture(*key)
     ctx = MultContext(alg)
-    x1, y1 = (random_cochain(alg, 1, rng) for _ in range(2))
-    x2 = random_cochain(alg, 2, rng)
+    x1, y1 = (_nowhere_zero_cochain(alg, 1, rng) for _ in range(2))
+    x2 = _nowhere_zero_cochain(alg, 2, rng)
 
     def results(x1, y1, x2):
         out = [gamma(x2, [x1, y1]), gamma(x1, [x2]), brace(x2, [x1]),

@@ -285,6 +285,21 @@ def test_rank_nullity_consistency():
                 assert diff_d(ctx, Cochain(ctx.alg, n, dict(vec))).is_zero()
 
 
+def test_q_echelon_stores_integral_values_as_int(fixture_dir):
+    # the kernels of d^1..d^4 of trias_dim2 over Q, and every pivot's image
+    # and preimage: an integral value is an int, never an integral Fraction
+    ctx = MultContext(load_algebra(fixture_dir / "trias_dim2.alg"))
+    kernel, pivots = [], []
+    for n in range(1, 5):
+        ech = matrix_of_d(ctx, n).echelon(ctx.alg.field)
+        kernel += [v for vec in ech.kernel for _, v in vec]
+        pivots += [v for p in ech.basis for vec in (p.image, p.preimage)
+                   for _, v in vec]
+    assert len(kernel) == 3244
+    assert [v for v in kernel + pivots
+            if v.denominator == 1 and type(v) is not int] == []
+
+
 def test_coboundary_preimage_round_trip_trias_dim2(rng):
     ctx = MultContext(product_fixture("trias", 2))
     for _ in range(3):

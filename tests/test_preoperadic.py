@@ -1,9 +1,12 @@
 from collections import Counter
 from itertools import combinations
+from math import prod
 
 import pytest
 
-from lodayops import preoperadic
+from lodayops import cohomology, preoperadic, trees
+from lodayops.algfile import load_algebra
+from lodayops.cochains import MultContext
 from lodayops.params import (KINDS, ParamElement, _family, encode,
                              enumerate_params, param_text)
 from lodayops.preoperadic import (Counterexample, Profile, SystemReport,
@@ -79,6 +82,22 @@ def test_arity_mismatch_is_an_error():
         r_zero("linear", p, lin(3, 1))
     with pytest.raises(ValueError):
         r_part("linear", p, 3, lin(4, 1))
+
+
+@pytest.mark.parametrize("elem", [
+    ParamElement("subsets", 4, frozenset({2, 7})),
+    ParamElement("subsets", 4, frozenset()),
+    ParamElement("signs", 4, (1, 0, 2, -1)),
+    ParamElement("planar", 4, planar_trees(3)[0]),
+], ids=["subset-out-of-range", "empty-subset", "sign-2", "tree-weight-3"])
+def test_off_family_payloads_are_errors(elem):
+    # off the linear family the maps read index tables, so a payload that
+    # is not in the family has no index
+    p = Profile((2, 2))
+    with pytest.raises(ValueError, match="not an element"):
+        r_zero(elem.kind, p, elem)
+    with pytest.raises(ValueError, match="not an element"):
+        r_part(elem.kind, p, 1, elem)
 
 
 def _keep_leaves_direct(t, keep):
@@ -230,6 +249,101 @@ def test_index_tables_consistent_with_functions():
                 assert r0[i] == encode(kind, r_zero(kind, p, u))
                 for j, table in enumerate(part_tables, start=1):
                     assert table[i] == encode(kind, r_part(kind, p, j, u))
+
+
+# The subset and sign maps on payloads, as the library computed them before
+# its tables read the canonical index: the oracle for those tables.
+
+def _oracle_r_zero(kind, p, payloads):
+    """R_0 on each of the payloads, one block at a time."""
+    columns = []
+    for lo, hi in zip(p.partials, p.partials[1:]):
+        if kind == "subsets":
+            columns.append([any(lo + 1 <= r <= hi for r in x)
+                            for x in payloads])
+        else:
+            columns.append([prod(x[lo:hi]) for x in payloads])
+    if kind == "subsets":
+        return [frozenset(i for i, hit in enumerate(bits, start=1) if hit)
+                for bits in zip(*columns)]
+    return list(zip(*columns))
+
+
+def _oracle_r_part(kind, p, j, x):
+    n_j = p.parts[j - 1]
+    lo = p.partial(j - 1)          # N_{j-1}
+    hi = lo + n_j                  # N_j
+    if kind == "signs":
+        return x[lo:hi]
+    out = set()
+    for i in range(1, n_j + 1):
+        hit = False
+        if i == 1:
+            hit = any(1 <= r <= lo + 1 for r in x)
+        if not hit and 2 <= i <= n_j - 1:
+            hit = (i + lo) in x
+        if not hit and i == n_j:
+            hit = any(hi <= r <= p.total for r in x)
+        if hit:
+            out.add(i)
+    return frozenset(out)
+
+
+@pytest.mark.parametrize("kind", ["subsets", "signs"])
+def test_arithmetic_index_tables_match_payload_oracle(kind):
+    # every profile of total <= 8; an R_j table depends only on N and the
+    # interval N_{j-1}..N_j, so its oracle is computed once per interval
+    part_oracles = {}
+    for parts in _all_compositions(8):
+        p = Profile(parts)
+        payloads = [u.payload for u in enumerate_params(kind, p.total)]
+        r0, part_tables = r_index_tables(kind, parts)
+        index_k = _family(kind, p.k)[1]
+        assert r0 == tuple(map(index_k.__getitem__,
+                               _oracle_r_zero(kind, p, payloads)))
+        for j, table in enumerate(part_tables, start=1):
+            key = (p.total, p.partial(j - 1), p.partial(j))
+            if key not in part_oracles:
+                index = _family(kind, parts[j - 1])[1]
+                part_oracles[key] = tuple(
+                    index[_oracle_r_part(kind, p, j, x)] for x in payloads)
+            assert table == part_oracles[key]
+
+
+def test_matrix_of_d_tables_build_no_tree(fixture_dir, monkeypatch):
+    # with the families enumerated, every index table that d^1..d^5 of
+    # trias_dim1 (planar) and dias_dim1 (binary) read is built without
+    # constructing a tree or calling trees.restrict
+    contexts = [MultContext(load_algebra(fixture_dir / name))
+                for name in ("trias_dim1.alg", "dias_dim1.alg")]
+    for ctx in contexts:
+        for n in range(1, 7):
+            enumerate_params(ctx.alg.kind, n)
+    built = Counter()
+    init = PlanarTree.__init__
+
+    def counted_init(self, children=()):
+        built["PlanarTree"] += 1
+        init(self, children)
+
+    def refuse(*args):
+        raise AssertionError("trees.restrict called by an index table")
+
+    monkeypatch.setattr(PlanarTree, "__init__", counted_init)
+    monkeypatch.setattr(trees, "restrict", refuse)
+    monkeypatch.setattr(trees, "_restrict", refuse)
+    r_index_tables.cache_clear()
+    preoperadic._restriction_table.cache_clear()
+    try:
+        for ctx in contexts:
+            for n in range(1, 6):
+                cohomology.matrix_of_d(ctx, n)
+        assert r_index_tables.cache_info().misses > 0
+        assert preoperadic._restriction_table.cache_info().misses > 0
+    finally:
+        r_index_tables.cache_clear()
+        preoperadic._restriction_table.cache_clear()
+    assert built["PlanarTree"] == 0
 
 
 def test_tree_index_tables_are_the_restriction_tables():
