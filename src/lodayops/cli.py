@@ -18,10 +18,9 @@ from .algfile import AlgebraFileError, load_algebra
 from .cochains import (Cochain, MultContext, canonical_multiplication,
                        circ, delta_trias, random_cochain)
 from .identities import run_identity_suite
-from .params import enumerate_params, param_text
+from .params import KINDS, enumerate_params, param_text
 from .preoperadic import AXIOM_IDS, scan_instances, verify_system
 
-KIND_NAMES = ("linear", "binary", "planar", "subsets", "signs")
 # options that change how work is scheduled, never what is reported
 SCHEDULING_ONLY = ("workers",)
 # the largest law scan verify-system runs; a larger one is refused (exit 2)
@@ -270,7 +269,7 @@ def build_parser():
 
     p = sub.add_parser("verify-system",
                        help="exhaustively check the structure-function laws")
-    p.add_argument("--kind", choices=KIND_NAMES, required=True)
+    p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--max-total", type=_int_at_least(1), default=5)
     p.add_argument("--workers", type=_int_at_least(1), default=1)
     p.set_defaults(run=cmd_verify_system, parser=p)

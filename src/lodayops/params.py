@@ -27,9 +27,6 @@ class ParamElement:
     n: int
     payload: object
 
-    def text(self):
-        return param_text(self)
-
 
 def param_text(e):
     if e.kind in ("binary", "planar"):

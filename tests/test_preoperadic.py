@@ -1,3 +1,4 @@
+from bisect import bisect_left
 from collections import Counter
 from itertools import combinations
 from math import prod
@@ -34,6 +35,15 @@ def test_linear_r_part_clamps():
     assert r_part("linear", p, 1, lin(5, 1)) == lin(2, 1)
     assert r_part("linear", p, 2, lin(5, 1)) == lin(3, 1)   # r <= N_1: clamp to 1
     assert r_part("linear", p, 2, lin(5, 4)) == lin(3, 2)
+
+
+def test_profile_parts_given_as_a_list():
+    # the maps read tables cached by the profile's parts, stored as a tuple
+    p = Profile([2, 2])
+    assert p.parts == (2, 2)
+    assert r_zero("linear", p, lin(4, 3)) == lin(2, 2)
+    assert r_part("planar", p, 2, enumerate_params("planar", 4)[0]) \
+        == enumerate_params("planar", 2)[0]
 
 
 def test_identity_profile_is_identity():
@@ -89,10 +99,13 @@ def test_arity_mismatch_is_an_error():
     ParamElement("subsets", 4, frozenset()),
     ParamElement("signs", 4, (1, 0, 2, -1)),
     ParamElement("planar", 4, planar_trees(3)[0]),
-], ids=["subset-out-of-range", "empty-subset", "sign-2", "tree-weight-3"])
+    lin(4, 0),
+    lin(4, 5),
+], ids=["subset-out-of-range", "empty-subset", "sign-2", "tree-weight-3",
+        "linear-0", "linear-n-plus-1"])
 def test_off_family_payloads_are_errors(elem):
-    # off the linear family the maps read index tables, so a payload that
-    # is not in the family has no index
+    # the maps read index tables, so a payload that is not in the family
+    # has no index
     p = Profile((2, 2))
     with pytest.raises(ValueError, match="not an element"):
         r_zero(elem.kind, p, elem)
@@ -199,23 +212,6 @@ def test_verify_system_worker_partition_agrees():
     assert a.checked == b.checked
 
 
-def test_unclamped_linear_system_caught_by_commutativity():
-    # dropping the clamp cases entirely shifts both closure sides by the
-    # same offset, so closure survives; the exhaustive scan pins the damage
-    # on commutativity instead, and idempotency (R_0 only) stays clean
-    def bad_r_part(kind, p, j, elem):
-        if kind == "linear":
-            return ParamElement("linear", p.parts[j - 1],
-                                elem.payload - p.partial(j - 1))
-        return r_part(kind, p, j, elem)
-
-    report = verify_system("linear", 4, rj=bad_r_part)
-    assert not report.passed
-    axioms = {c.axiom for c in report.counterexamples}
-    assert "idempotency" not in axioms
-    assert "commutativity" in axioms
-
-
 def test_profile_dependent_corruption_caught_by_closure():
     # a corruption keyed on the profile length hits the two closure sides
     # asymmetrically (the inner composite sees different profile shapes), so
@@ -225,7 +221,7 @@ def test_profile_dependent_corruption_caught_by_closure():
             return ParamElement("linear", p.parts[j - 1], 1)
         return r_part(kind, p, j, elem)
 
-    report = verify_system("linear", 4, rj=bad_r_part)
+    report = verify_system("linear", 4, tables=_tabulated(rj=bad_r_part))
     assert not report.passed
     axioms = {c.axiom for c in report.counterexamples}
     assert "idempotency" not in axioms
@@ -251,11 +247,15 @@ def test_index_tables_consistent_with_functions():
                     assert table[i] == encode(kind, r_part(kind, p, j, u))
 
 
-# The subset and sign maps on payloads, as the library computed them before
-# its tables read the canonical index: the oracle for those tables.
+# The linear, subset and sign maps on payloads, as the library computed them
+# before its tables read the canonical index: the oracle for those tables,
+# and so for the public R_0 / R_j, which read them.
 
 def _oracle_r_zero(kind, p, payloads):
     """R_0 on each of the payloads, one block at a time."""
+    if kind == "linear":
+        # the block that holds x
+        return [bisect_left(p.partials, x) for x in payloads]
     columns = []
     for lo, hi in zip(p.partials, p.partials[1:]):
         if kind == "subsets":
@@ -273,6 +273,8 @@ def _oracle_r_part(kind, p, j, x):
     n_j = p.parts[j - 1]
     lo = p.partial(j - 1)          # N_{j-1}
     hi = lo + n_j                  # N_j
+    if kind == "linear":
+        return min(max(x - lo, 1), n_j)
     if kind == "signs":
         return x[lo:hi]
     out = set()
@@ -289,7 +291,7 @@ def _oracle_r_part(kind, p, j, x):
     return frozenset(out)
 
 
-@pytest.mark.parametrize("kind", ["subsets", "signs"])
+@pytest.mark.parametrize("kind", ["linear", "subsets", "signs"])
 def test_arithmetic_index_tables_match_payload_oracle(kind):
     # every profile of total <= 8; an R_j table depends only on N and the
     # interval N_{j-1}..N_j, so its oracle is computed once per interval
@@ -455,6 +457,18 @@ def _assert_same_report(got, want):
     assert got.counterexamples == want.counterexamples
 
 
+def _tabulated(r0=r_zero, rj=r_part):
+    """A ``tables`` argument for verify_system: the element maps r0/rj,
+    tabulated over each family by index through encode."""
+    def tables(kind, parts):
+        p = Profile(parts)
+        family = enumerate_params(kind, p.total)
+        return (tuple(encode(kind, r0(kind, p, u)) for u in family),
+                tuple(tuple(encode(kind, rj(kind, p, j, u)) for u in family)
+                      for j in range(1, p.k + 1)))
+    return tables
+
+
 def _next_in_family(kind, elem):
     """The element after elem in its family, cyclically."""
     family = enumerate_params(kind, elem.n)
@@ -471,11 +485,12 @@ def _corrupt_rj(kind, p, j, elem):
     return _next_in_family(kind, out) if j == p.k > 1 else out
 
 
-def _unclamped_linear_rj(kind, p, j, elem):
-    # leaves the family: payloads below 1 and above n_j
+def _wrapped_linear_rj(kind, p, j, elem):
+    # (x - N_{j-1} - 1) mod n_j + 1: in the family, but not clamped
     if kind == "linear":
         return ParamElement("linear", p.parts[j - 1],
-                            elem.payload - p.partial(j - 1))
+                            (elem.payload - p.partial(j - 1) - 1)
+                            % p.parts[j - 1] + 1)
     return r_part(kind, p, j, elem)
 
 
@@ -490,34 +505,54 @@ def test_scan_matches_reference_on_corrupted_maps(kind, corrupted):
     maps = ({"r0": _corrupt_r0} if corrupted == "r0"
             else {"rj": _corrupt_rj})
     want = _reference_scan(kind, 4, **maps)
-    _assert_same_report(verify_system(kind, 4, **maps), want)
+    _assert_same_report(verify_system(kind, 4, tables=_tabulated(**maps)),
+                        want)
     assert want.counterexamples
 
 
-def test_scan_matches_reference_on_off_family_values():
-    want = _reference_scan("linear", 4, rj=_unclamped_linear_rj)
-    _assert_same_report(verify_system("linear", 4, rj=_unclamped_linear_rj),
-                        want)
-    # the off-family values reach the counterexample texts
-    assert any(int(c.actual) < 1 for c in want.counterexamples)
+def test_unclamped_linear_system_caught_by_commutativity():
+    # wrapping R_j round 1..n_j instead of clamping it: the exhaustive scan
+    # pins the damage on commutativity and closure, and idempotency (R_0
+    # only) stays clean
+    want = _reference_scan("linear", 4, rj=_wrapped_linear_rj)
+    _assert_same_report(
+        verify_system("linear", 4, tables=_tabulated(rj=_wrapped_linear_rj)),
+        want)
+    axioms = Counter(c.axiom for c in want.counterexamples)
+    assert axioms == {"commutativity": 2, "closure": 4}
 
 
-def test_each_structure_map_argument_evaluated_once():
+@pytest.mark.parametrize("fault", ["short", "too-large", "negative"])
+def test_malformed_override_table_is_an_error(fault):
+    # a table must map every index of U_N into its target family
+    def tables(kind, parts):
+        r0, part_tables = r_index_tables(kind, parts)
+        if parts != (2, 1):
+            return r0, part_tables
+        bad = list(part_tables[0])
+        if fault == "short":
+            bad.pop()
+        else:
+            bad[-1] = 3 if fault == "too-large" else -1   # |U_2| = 3
+        return r0, (tuple(bad),) + part_tables[1:]
+
+    with pytest.raises(ValueError,
+                       match=r"^planar R_1 table of profile \(2, 1\) "):
+        verify_system("planar", 3, tables=tables)
+
+
+def test_each_profile_tables_requested_once():
     calls = Counter()
 
-    def counted_r0(kind, p, elem):
-        calls[kind, p.parts, 0, elem] += 1
-        return r_zero(kind, p, elem)
-
-    def counted_rj(kind, p, j, elem):
-        calls[kind, p.parts, j, elem] += 1
-        return r_part(kind, p, j, elem)
+    def counted(kind, parts):
+        calls[kind, parts] += 1
+        return r_index_tables(kind, parts)
 
     for kind in KINDS:
-        _assert_same_report(
-            verify_system(kind, 4, r0=counted_r0, rj=counted_rj),
-            verify_system(kind, 4))
-    assert calls
+        _assert_same_report(verify_system(kind, 4, tables=counted),
+                            verify_system(kind, 4))
+    # every composition of every total <= 4, for each kind
+    assert len(calls) == len(KINDS) * 15
     assert set(calls.values()) == {1}
 
 
