@@ -485,6 +485,14 @@ def _corrupt_rj(kind, p, j, elem):
     return _next_in_family(kind, out) if j == p.k > 1 else out
 
 
+def _unclamped_linear_rj(kind, p, j, elem):
+    # leaves the family: payloads below 1 and above n_j
+    if kind == "linear":
+        return ParamElement("linear", p.parts[j - 1],
+                            elem.payload - p.partial(j - 1))
+    return r_part(kind, p, j, elem)
+
+
 def _wrapped_linear_rj(kind, p, j, elem):
     # (x - N_{j-1} - 1) mod n_j + 1: in the family, but not clamped
     if kind == "linear":
@@ -520,6 +528,18 @@ def test_unclamped_linear_system_caught_by_commutativity():
         want)
     axioms = Counter(c.axiom for c in want.counterexamples)
     assert axioms == {"commutativity": 2, "closure": 4}
+
+
+def test_scan_matches_reference_on_off_family_values():
+    # an unclamped R_j leaves the family; neither scan may report on such a
+    # map: the reference scan refuses the off-family value when it feeds it
+    # to R_0, and the table scan refuses it when it is tabulated
+    with pytest.raises(ValueError,
+                       match=r"^0 is not an element of the linear family$"):
+        _reference_scan("linear", 4, rj=_unclamped_linear_rj)
+    with pytest.raises(ValueError,
+                       match=r"^linear payload \d+ not in 1\.\.\d+$"):
+        verify_system("linear", 4, tables=_tabulated(rj=_unclamped_linear_rj))
 
 
 @pytest.mark.parametrize("fault", ["short", "too-large", "negative"])
