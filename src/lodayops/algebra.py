@@ -15,8 +15,8 @@ is the one product on such elements.  Axioms are evaluated on basis triples
 only, which suffices by multilinearity.
 """
 
-from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .fields import QQ
 
@@ -195,8 +195,7 @@ def star(alg, x, y):
     return _sparse_sum(alg.field, [multiply(alg, op, x, y) for op in alg.ops])
 
 
-@dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(NamedTuple):
     index: int
     label: str
     triple: tuple

@@ -20,9 +20,9 @@ argument of ``matrix_rank`` and ``cohomology_dims`` picks ``"bareiss"`` or
 CLI's ``rank-engines-agree`` check compares them on both fields.
 """
 
-from dataclasses import dataclass, field as dataclass_field
 from itertools import groupby, product
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import linalg
 from .cochains import Cochain, cochain_dim, diff_d, dot, bracket, zero_cochain
@@ -32,17 +32,20 @@ from .preoperadic import r_index_tables
 ENGINES = ("bareiss", "echelon")
 
 
-@dataclass(frozen=True)
 class DifferentialMatrix:
     """Sparse matrix of d: C^n -> C^(n+1), stored by columns: ``columns[c]``
-    maps each row to its nonzero value in column c."""
+    maps each row to its nonzero value in column c; == ignores the memo."""
 
-    degree: int
-    nrows: int
-    ncols: int
-    columns: tuple
-    _echelons: dict = dataclass_field(default_factory=dict, init=False,
-                                      repr=False, compare=False)
+    __slots__ = ("degree", "nrows", "ncols", "columns", "_echelons")
+
+    def __init__(self, degree, nrows, ncols, columns):
+        self.degree, self.nrows, self.ncols = degree, nrows, ncols
+        self.columns, self._echelons = columns, {}
+
+    def __eq__(self, other):
+        return (type(other) is DifferentialMatrix
+                and (self.degree, self.nrows, self.ncols, self.columns)
+                == (other.degree, other.nrows, other.ncols, other.columns))
 
     @property
     def entries(self):
@@ -222,8 +225,7 @@ def cohomology_dims(ctx, max_degree, engine="bareiss"):
     return out
 
 
-@dataclass(frozen=True)
-class CohomologyClass:
+class CohomologyClass(NamedTuple):
     degree: int
     representative: Cochain
 
@@ -284,8 +286,7 @@ def induced_bracket(ctx, a, b):
                        bracket(a.representative, b.representative))
 
 
-@dataclass
-class CohomologyReport:
+class CohomologyReport(NamedTuple):
     """Per-degree dimensions and representatives; H^1 = ker d^1."""
 
     max_degree: int
@@ -299,15 +300,13 @@ def cohomology_report(ctx, max_degree):
     return CohomologyReport(max_degree, dims, reps)
 
 
-@dataclass(frozen=True)
-class GCheck:
+class GCheck(NamedTuple):
     law: str
     degrees: tuple
     passed: bool
 
 
-@dataclass
-class GAlgebraReport:
+class GAlgebraReport(NamedTuple):
     max_degree: int
     checks: list
     reps_per_degree: dict

@@ -6,13 +6,12 @@ conventions are implemented in the form verified by exhaustive sign fitting
 at small degrees; see SIGN_NOTES.md.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .cochains import Cochain, brace, diff_d, dot
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(NamedTuple):
     check: str
     pattern: tuple
     passed: bool

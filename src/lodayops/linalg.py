@@ -25,8 +25,6 @@ sorted by index and is never changed after construction.
 """
 
 from collections import Counter
-from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import NamedTuple
@@ -141,8 +139,7 @@ def _insert(field, pivots, by_row, column, image, pre, row):
     pivots.append(Pivot(column, row, *(tuple(out.items()) for out in scaled)))
 
 
-@dataclass(frozen=True)
-class ColumnEchelon:
+class ColumnEchelon(NamedTuple):
     """Triangular column echelon of a matrix M over ``field``.
 
     ``basis`` holds one ``Pivot`` per pivot column, in column order: the
@@ -150,30 +147,27 @@ class ColumnEchelon:
     pivot's image is zero on the rows of the earlier pivots only.
     ``kernel`` holds one vector per free column f, in column order: the
     unique kernel vector that is 1 at f and otherwise supported on pivot
-    columns before f.
+    columns before f.  ``by_row`` maps each pivot row to its index in basis.
     """
 
     field: object
     basis: tuple
     kernel: tuple
+    by_row: dict
 
     @property
     def rank(self):
         return len(self.basis)
 
-    @cached_property
-    def _by_row(self):
-        return {p.row: k for k, p in enumerate(self.basis)}
-
     def residual(self, vec):
         """vec minus its part in the image: zero on every pivot row, and
         empty exactly when vec lies in the image."""
-        return _reduce(self.field, self.basis, self._by_row, vec)
+        return _reduce(self.field, self.basis, self.by_row, vec)
 
     def preimage(self, vec):
         """Some x (a dict) with M x = vec, or None if vec is not an image."""
         x = {}
-        residual = _reduce(self.field, self.basis, self._by_row, vec, x, True)
+        residual = _reduce(self.field, self.basis, self.by_row, vec, x, True)
         return None if residual else x
 
 
@@ -196,14 +190,14 @@ def column_echelon(columns, field):
             _insert(field, basis, by_row, j, image, pre, row)
         else:
             kernel.append(tuple(sorted(pre.items())))
-    return ColumnEchelon(field, tuple(basis), tuple(kernel))
+    return ColumnEchelon(field, tuple(basis), tuple(kernel), by_row)
 
 
 def independent_mod_image(echelon, vectors):
     """Indices of the vectors outside the span of the echelon's image and
     of the vectors before them (the greedy choice, in order), found by
     inserting them into a copy of the echelon's pivot list."""
-    pivots, by_row = list(echelon.basis), dict(echelon._by_row)
+    pivots, by_row = list(echelon.basis), dict(echelon.by_row)
     keep = []
     for idx, vec in enumerate(vectors):
         residual = _reduce(echelon.field, pivots, by_row, vec)

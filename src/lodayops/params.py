@@ -12,17 +12,16 @@ Every family is finite, non-empty and carries a canonical total order so
 that elements can serve as deterministic tensor indices.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .trees import PlanarTree, binary_trees, is_binary, planar_trees, tree_text
 
 KINDS = ("linear", "binary", "planar", "subsets", "signs")
 
 
-@dataclass(frozen=True)
-class ParamElement:
+class ParamElement(NamedTuple):
     kind: str
     n: int
     payload: object

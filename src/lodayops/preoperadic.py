@@ -21,10 +21,10 @@ thread.
 """
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate, product
 from math import prod
+from typing import NamedTuple
 
 from .params import _family, family_size, param_text
 from .trees import LEAF, _compositions
@@ -32,19 +32,27 @@ from .trees import LEAF, _compositions
 TREE_KINDS = ("binary", "planar")
 
 
-@dataclass(frozen=True)
 class Profile:
-    """Composition data (k; n_1,...,n_k) with partial sums N_i."""
+    """Composition data (k; n_1,...,n_k) with partial sums N_i, equal and
+    hashed by its parts."""
 
-    parts: tuple
-    # (N_0, N_1, ..., N_k), also the leaves that R_0 keeps on a tree
-    partials: tuple = field(init=False, repr=False, compare=False)
+    # partials is (N_0, N_1, ..., N_k), also the leaves R_0 keeps on a tree
+    __slots__ = ("parts", "partials")
 
-    def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(self.parts))
-        if not self.parts or any(p < 1 for p in self.parts):
-            raise ValueError("profile parts must be positive: %r" % (self.parts,))
-        object.__setattr__(self, "partials", (0,) + tuple(accumulate(self.parts)))
+    def __init__(self, parts):
+        self.parts = parts = tuple(parts)
+        if not parts or any(p < 1 for p in parts):
+            raise ValueError("profile parts must be positive: %r" % (parts,))
+        self.partials = (0,) + tuple(accumulate(parts))
+
+    def __eq__(self, other):
+        return type(other) is Profile and self.parts == other.parts
+
+    def __hash__(self):
+        return hash(self.parts)
+
+    def __repr__(self):
+        return "Profile(%r)" % (self.parts,)
 
     @property
     def k(self):
@@ -190,8 +198,7 @@ def r_part(kind, p, j, elem):
 AXIOM_IDS = ("identity", "idempotency", "commutativity", "closure")
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     axiom: str
     outer: tuple
     inner: tuple
@@ -203,12 +210,13 @@ class Counterexample:
         return (self.axiom, self.outer, self.inner, self.element)
 
 
-@dataclass
-class SystemReport:
+class SystemReport(NamedTuple):
+    """The instances checked and the counterexamples, in ``sort_key`` order."""
+
     kind: str
     max_total: int
-    checked: int = 0
-    counterexamples: list = field(default_factory=list)
+    checked: int
+    counterexamples: tuple
 
     @property
     def passed(self):
@@ -282,7 +290,7 @@ def verify_system(kind, max_total, workers=1, tables=r_index_tables):
     """
     if max_total < 1:
         raise ValueError("max_total must be >= 1")
-    report = SystemReport(kind, max_total)
+    checked, counterexamples = 0, []
     family = [()] + [_family(kind, m)[0] for m in range(1, max_total + 1)]
     sizes = [len(f) for f in family]
     fetched = {}
@@ -303,14 +311,14 @@ def verify_system(kind, max_total, workers=1, tables=r_index_tables):
             return
         for u, e, a in zip(family[m], expected, actual):
             if e != a:
-                report.counterexamples.append(Counterexample(
+                counterexamples.append(Counterexample(
                     axiom, outer, inner, param_text(u),
                     param_text(family[k][e]), param_text(family[k][a])))
 
     # (1) identity: R_0(k; 1,...,1) = id on U_k
     for k in range(1, max_total + 1):
         ones = (1,) * k
-        report.checked += sizes[k]
+        checked += sizes[k]
         check("identity", ones, (), k, k, tuple(range(sizes[k])),
               maps(ones)[0])
 
@@ -320,7 +328,7 @@ def verify_system(kind, max_total, workers=1, tables=r_index_tables):
             r_outer = maps(outer)
             for m_total in range(n_total, max_total + 1):
                 for inner in _compositions(m_total, n_total):
-                    report.checked += sizes[m_total]
+                    checked += sizes[m_total]
                     m_cuts = Profile(inner).partials
                     r_inner = maps(inner)
                     r_t = maps(tuple(m_cuts[hi] - m_cuts[lo]
@@ -342,5 +350,5 @@ def verify_system(kind, max_total, workers=1, tables=r_index_tables):
                                   inner[lo + j - 1],
                                   _compose(r_block[j], via_i),
                                   r_inner[lo + j])
-    report.counterexamples.sort(key=Counterexample.sort_key)
-    return report
+    counterexamples.sort(key=Counterexample.sort_key)
+    return SystemReport(kind, max_total, checked, tuple(counterexamples))

@@ -13,7 +13,7 @@ from lodayops.cohomology import (DifferentialMatrix, check_g_algebra,
                                  cohomology_report, induced_bracket,
                                  induced_dot, matrix_of_d,
                                  matrix_product_is_zero, matrix_rank)
-from lodayops.fields import PrimeField
+from lodayops.fields import QQ, PrimeField
 
 # dimensions established by the dual-elimination protocol: the fraction-free
 # and echelon engines agreed on these values over Q, and the F_101 run
@@ -124,6 +124,14 @@ def test_matrix_of_d_builds_no_cochain_per_column(fixture_dir, monkeypatch):
     for n, old in enumerate(expected, start=1):
         m = matrix_of_d(ctx, n)
         assert m is not old and m == old
+
+
+def test_echelon_memo_kept_out_of_equality():
+    m = matrix_of_d(MultContext(product_fixture("trias", 1)), 2)
+    ech = m.echelon(QQ)
+    assert m.echelon(QQ) is ech
+    assert m == DifferentialMatrix(m.degree, m.nrows, m.ncols, m.columns)
+    assert m != DifferentialMatrix(m.degree + 1, m.nrows, m.ncols, m.columns)
 
 
 def _perturbed(m, row, col, field):

@@ -199,10 +199,10 @@ def test_echelon_is_not_changed_by_use():
     ech = echelon([[Fraction(1), Fraction(1), Fraction(0)],
                    [Fraction(0), Fraction(1), Fraction(1)],
                    [Fraction(0), Fraction(0), Fraction(0)]])
-    snapshot = copy.deepcopy((ech.basis, ech.kernel))
+    snapshot = copy.deepcopy((ech.basis, ech.kernel, ech.by_row))
     ech.preimage({0: Fraction(2), 1: Fraction(5)})
     independent_mod_image(ech, [{2: Fraction(1)}, {0: Fraction(1)}])
-    assert (ech.basis, ech.kernel) == snapshot
+    assert (ech.basis, ech.kernel, ech.by_row) == snapshot
 
 
 def test_extend_independent():

@@ -66,3 +66,11 @@ def test_param_text():
     assert param_text(ParamElement("subsets", 3, frozenset({3, 1}))) == "{1,3}"
     assert param_text(ParamElement("signs", 3, (1, -1, 0))) == "(+1,-1,0)"
     assert param_text(enumerate_params("planar", 2)[0]) == "(|,|,|)"
+
+
+def test_param_element_equality_and_hash():
+    a = ParamElement("subsets", 3, frozenset({1, 3}))
+    b = ParamElement("subsets", 3, frozenset({3, 1}))
+    assert a == b and hash(a) == hash(b)
+    assert a != ParamElement("subsets", 4, frozenset({1, 3}))
+    assert len({a, b, *enumerate_params("subsets", 3)}) == 7

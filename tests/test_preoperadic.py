@@ -46,6 +46,16 @@ def test_profile_parts_given_as_a_list():
         == enumerate_params("planar", 2)[0]
 
 
+def test_profile_equality_hash_and_validation():
+    assert Profile((2, 3)) == Profile([2, 3])
+    assert hash(Profile((2, 3))) == hash(Profile([2, 3]))
+    assert Profile((2, 3)) != Profile((3, 2))
+    assert Profile((2, 3)).partials == (0, 2, 5)
+    for parts in ((), [], (2, 0), (1, -1)):
+        with pytest.raises(ValueError):
+            Profile(parts)
+
+
 def test_identity_profile_is_identity():
     for kind in ("linear", "binary", "planar", "subsets", "signs"):
         for k in (1, 2, 3):
@@ -433,28 +443,30 @@ def _scan_outer(kind, outer, max_total, r0, rj):
 
 
 def _reference_scan(kind, max_total, r0=r_zero, rj=r_part):
-    report = SystemReport(kind, max_total)
+    checked, counterexamples = 0, []
     for k in range(1, max_total + 1):
         p = Profile((1,) * k)
         for u in _family(kind, k)[0]:
-            report.checked += 1
+            checked += 1
             got = r0(kind, p, u)
             if got != u:
-                report.counterexamples.append(Counterexample(
+                counterexamples.append(Counterexample(
                     "identity", p.parts, (), param_text(u),
                     param_text(u), param_text(got)))
     for n in range(1, max_total + 1):
         for outer in _compositions_of(n):
-            checked, failures = _scan_outer(kind, outer, max_total, r0, rj)
-            report.checked += checked
-            report.counterexamples.extend(failures)
-    report.counterexamples.sort(key=Counterexample.sort_key)
-    return report
+            n_checked, failures = _scan_outer(kind, outer, max_total, r0, rj)
+            checked += n_checked
+            counterexamples.extend(failures)
+    counterexamples.sort(key=Counterexample.sort_key)
+    return SystemReport(kind, max_total, checked, tuple(counterexamples))
 
 
 def _assert_same_report(got, want):
     assert got.checked == want.checked
     assert got.counterexamples == want.counterexamples
+    assert got.counterexamples == tuple(
+        sorted(got.counterexamples, key=Counterexample.sort_key))
 
 
 def _tabulated(r0=r_zero, rj=r_part):
