@@ -24,10 +24,19 @@ conventions
     d x     = [m, x],
 
 for a multiplication m (a degree-2 cochain with m o m = 0).
+
+Each result of gamma, brace, bracket and dot (so also of circ and d) builds
+up in one flat list of length cochain_dim, indexed by the result's flat
+cell index, and drops its zeros once, when the list becomes the result
+cochain.  Each operand is grouped once per operation: the left factor into
+rows by (parameter, inputs), each right factor into options by (parameter,
+output), which every slot choice of a brace then reads.  So a result costs
+O(cochain_dim) on top of the work on its nonzero terms, however sparse it
+is.
 """
 
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import combinations, compress, product
 
 from .algebra import STAR_TYPES, multiply, star
 from .params import enumerate_params, family_size
@@ -121,7 +130,13 @@ def _same_complex(a, b):
 
 def cochain_dim(alg, n):
     """Number of coefficients of a degree-n cochain: |U_n| * d^(n+1)."""
-    return family_size(alg.kind, n) * alg.dim ** (n + 1)
+    return _cochain_dim(alg.kind, alg.dim, n)
+
+
+@lru_cache(maxsize=None)
+def _cochain_dim(kind, d, n):
+    # cached, so that sizing a result calls no public function once warm
+    return family_size(kind, n) * d ** (n + 1)
 
 
 def zero_cochain(alg, n):
@@ -191,6 +206,70 @@ def _composition_data(kind, parts):
     return groups, part_tables
 
 
+def _accumulator(alg, n):
+    """A zero for every flat cell index of a degree-n cochain."""
+    return [alg.field.zero] * _cochain_dim(alg.kind, alg.dim, n)
+
+
+def _collected(alg, n, acc):
+    """The degree-n cochain whose cells are the nonzero entries of ``acc``."""
+    keys = list(compress(_indices(len(acc)), acc))
+    x = Cochain(alg, n, {})
+    x.cells = dict(zip(keys, map(acc.__getitem__, keys)))
+    return x
+
+
+@lru_cache(maxsize=None)
+def _indices(size):
+    # the flat indices as stored ints, so that finding the nonzero entries
+    # of an accumulator creates no int per zero entry
+    return tuple(range(size))
+
+
+def _rows(f):
+    """The nonzero cells of f as rows (u_idx, input tuple, [(out, coeff)])."""
+    d = f.alg.dim
+    rows = {}
+    for i, a in f.cells.items():
+        rest, out = divmod(i, d)
+        rows.setdefault(rest, []).append((out, a))
+    width = d ** f.degree
+    inputs = _input_tuples(d, f.degree)
+    return [(rest // width, inputs[rest % width], vec)
+            for rest, vec in rows.items()]
+
+
+def _options(g):
+    """The nonzero cells of g grouped by (parameter, output):
+    {u_idx * d + out: [(flat input index, coeff)]}."""
+    d = g.alg.dim
+    width = d ** g.degree
+    options = {}
+    for i, coeff in g.cells.items():
+        rest, out = divmod(i, d)
+        u_idx, flat = divmod(rest, width)
+        options.setdefault(u_idx * d + out, []).append((flat, coeff))
+    return options
+
+
+def _placed(options, place):
+    """The options with their input block moved to ``place``: each flat
+    input index becomes its offset in the composite's flat cell index."""
+    return {key: [(flat * place, coeff) for flat, coeff in pairs]
+            for key, pairs in options.items()}
+
+
+def _places(d, parts):
+    """The flat-index weight of each slot's input block in a composite
+    whose slots have degrees ``parts``; the output index is the last digit."""
+    place = d ** (sum(parts) + 1)
+    places = []
+    for n in parts:
+        place //= d ** n
+        places.append(place)
+    return places
+
+
 def gamma(f, gs):
     """Operadic composition gamma(f; g_1,...,g_k) of degree sum(deg g_i).
 
@@ -204,65 +283,40 @@ def gamma(f, gs):
     for g in gs:
         if g.alg != f.alg:
             raise ValueError("cochains over different algebras")
-    cells = {}
-    _gamma_into(f, gs, cells, False)
-    return Cochain(f.alg, sum(g.degree for g in gs), cells)
+    parts = tuple(g.degree for g in gs)
+    places = _places(f.alg.dim, parts)
+    acc = _accumulator(f.alg, sum(parts))
+    _gamma_into(acc, f.alg, _rows(f), parts,
+                [_placed(_options(g), place) for g, place in zip(gs, places)],
+                places, False)
+    return _collected(f.alg, sum(parts), acc)
 
 
-def _gamma_into(f, gs, cells, negate):
-    """Accumulate (+/-) gamma(f; gs) into the cell dict ``cells``.
+def _gamma_into(acc, alg, rows, parts, slots, places, negate):
+    """Accumulate (+/-) gamma(f; g_1..g_k) into the flat list ``acc``.
 
-    A slot of ``gs`` holding ``None`` stands for the operad unit.  The unit
-    has the value e_c at (u; c) for every u in U_1, so such a slot moves f's
+    ``rows`` are f's rows (``_rows``); slot t has degree ``parts[t]``, its
+    input block sits at ``places[t]``, and ``slots[t]`` holds g_t's options
+    placed there (``_placed``), or ``None`` for the operad unit.  The unit
+    has the value e_c at (u; c) for every u in U_1, so a unit slot moves f's
     input c in that slot to the same place of the output's inputs: a fixed
     offset ``c * place`` per row of f, with no lookup and no factor.  At
-    least one slot must hold a cochain.
+    least one slot must hold options.
     """
-    alg = f.alg
     d = alg.dim
-    z = alg.field.zero
     fmul = alg.field.mul
     faccum = alg.field.sub if negate else alg.field.add
-    parts = tuple(1 if g is None else g.degree for g in gs)
     groups, part_tables = _composition_data(alg.kind, parts)
     stride = d ** (sum(parts) + 1)     # flat-index width of one parameter
-
-    # units: (slot, place) of each unit slot; slots: (by_key, R_t table,
-    # slot) of each cochain slot, with by_key[u * d + out] the
-    # [(flat index contribution, coeff)] over the nonzero cells of g_t at
-    # parameter u with output out
-    units = []
-    slots = []
-    place = stride
-    for t, (g, n) in enumerate(zip(gs, parts)):
-        width = d ** n
-        place //= width
-        if g is None:
-            units.append((t, place))
-            continue
-        by_key = {}
-        for i, coeff in g.cells.items():
-            rest, out = divmod(i, d)
-            u_idx, flat = divmod(rest, width)
-            by_key.setdefault(u_idx * d + out, []).append((flat * place, coeff))
-        slots.append((by_key, part_tables[t], t))
-    by_key, table, t0 = slots[0]
-    more = slots[1:]
-
-    # the nonzero cells of f, grouped by (parameter, inputs)
-    f_rows = {}
-    for i, a in f.cells.items():
-        rest, out = divmod(i, d)
-        f_rows.setdefault(rest, []).append((out, a))
-
-    width = d ** f.degree
-    inputs = _input_tuples(d, f.degree)
-    for rest, vec in f_rows.items():
-        u_idx, flat = divmod(rest, width)
+    units = [(t, places[t]) for t, opts in enumerate(slots) if opts is None]
+    factors = [(opts, part_tables[t], t) for t, opts in enumerate(slots)
+               if opts is not None]
+    by_key, table, t0 = factors[0]
+    more = factors[1:]
+    for u_idx, ctuple, vec in rows:
         members = groups.get(u_idx)
         if not members:
             continue
-        ctuple = inputs[flat]
         shift = 0
         for t, place in units:
             shift += ctuple[t] * place
@@ -280,11 +334,11 @@ def _gamma_into(f, gs, cells, negate):
                           for p, a in combos for q, b in opts]
             else:
                 base = out_u * stride + shift
-                for contrib, coeff in combos:
-                    pos = base + contrib
-                    for o, a in vec:
-                        key = pos + o
-                        cells[key] = faccum(cells.get(key, z), fmul(coeff, a))
+                for o, a in vec:
+                    pos = base + o
+                    for contrib, coeff in combos:
+                        i = pos + contrib
+                        acc[i] = faccum(acc[i], fmul(coeff, a))
 
 
 @lru_cache(maxsize=None)
@@ -295,25 +349,29 @@ def _input_tuples(d, n):
 
 # -- braces and derived operations -------------------------------------------
 
-def _brace_into(x, xs, cells, negate):
-    """Accumulate (+/-) x{x_1,...,x_n} into the cell dict ``cells``; the
-    slots left free hold the operad unit, passed to gamma as ``None``."""
-    n = len(xs)
+def _brace_into(acc, x, xs, negate):
+    """Accumulate (+/-) x{x_1,...,x_n} into the flat list ``acc``, for
+    1 <= n <= deg x.  x is grouped into rows and each x_p into options once;
+    each slot choice places the options at its input blocks and leaves the
+    operad unit, ``None``, in the free slots."""
     k = x.degree
-    if n > k:
-        return
-    shifts = [g.shifted for g in xs]
-    degrees = [g.degree for g in xs]
-    for slots in combinations(range(k), n):
-        gs = [None] * k
+    rows = _rows(x)
+    options = [_options(g) for g in xs]
+    for chosen in combinations(range(k), len(xs)):
+        parts = [1] * k
+        for p, s in enumerate(chosen):
+            parts[s] = xs[p].degree
+        places = _places(x.alg.dim, parts)
+        slots = [None] * k
         eps = 0
         consumed = 0
-        for p, s in enumerate(slots):
-            gs[s] = xs[p]
+        for p, s in enumerate(chosen):
+            slots[s] = _placed(options[p], places[s])
             inputs_before = (s - p) + consumed
-            eps += shifts[p] * inputs_before
-            consumed += degrees[p]
-        _gamma_into(x, gs, cells, negate if eps % 2 == 0 else not negate)
+            eps += xs[p].shifted * inputs_before
+            consumed += xs[p].degree
+        _gamma_into(acc, x.alg, rows, tuple(parts), slots, places,
+                    negate != (eps % 2 == 1))
 
 
 def brace(x, xs):
@@ -325,10 +383,12 @@ def brace(x, xs):
     xs = list(xs)
     if not xs:
         return x
-    cells = {}
-    _brace_into(x, xs, cells, False)
-    return Cochain(x.alg, sum(g.degree for g in xs) + x.degree - len(xs),
-                   cells)
+    n = sum(g.degree for g in xs) + x.degree - len(xs)
+    if len(xs) > x.degree:
+        return Cochain(x.alg, n, {})
+    acc = _accumulator(x.alg, n)
+    _brace_into(acc, x, xs, False)
+    return _collected(x.alg, n, acc)
 
 
 def circ(x, y):
@@ -339,10 +399,16 @@ def circ(x, y):
 def bracket(x, y):
     """[x, y] = x o y - (-1)^(|x||y|) y o x, of degree deg x + deg y - 1."""
     _same_algebra(x, y)
-    cells = {}
-    _brace_into(x, [y], cells, False)
-    _brace_into(y, [x], cells, (x.shifted * y.shifted) % 2 == 0)
-    return Cochain(x.alg, x.degree + y.degree - 1, cells)
+    return _bracket(x, y)
+
+
+def _bracket(x, y):
+    """[x, y] in one accumulator; bracket and diff_d both call it."""
+    n = x.degree + y.degree - 1
+    acc = _accumulator(x.alg, n)
+    _brace_into(acc, x, [y], False)
+    _brace_into(acc, y, [x], (x.shifted * y.shifted) % 2 == 0)
+    return _collected(x.alg, n, acc)
 
 
 class MultContext:
@@ -363,18 +429,21 @@ class MultContext:
 
 
 def dot(ctx, x, y):
-    """x . y = (-1)^(deg x) m{x, y}, of degree deg x + deg y."""
+    """x . y = (-1)^(deg x) m{x, y}, of degree deg x + deg y; the sign is
+    the sign of the brace's accumulation."""
     if x.alg != ctx.alg or y.alg != ctx.alg:
         raise ValueError("cochains do not belong to this context")
-    term = brace(ctx.pi, [x, y])
-    return term if x.degree % 2 == 0 else -term
+    n = x.degree + y.degree
+    acc = _accumulator(ctx.alg, n)
+    _brace_into(acc, ctx.pi, [x, y], x.degree % 2 == 1)
+    return _collected(ctx.alg, n, acc)
 
 
 def diff_d(ctx, x):
     """d x = [m, x] = m o x - (-1)^(|x|) x o m, raising degree by one."""
     if x.alg != ctx.alg:
         raise ValueError("cochain does not belong to this context")
-    return bracket(ctx.pi, x)
+    return _bracket(ctx.pi, x)
 
 
 # -- the explicit differential for associative trialgebras --------------------

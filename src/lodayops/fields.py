@@ -55,6 +55,8 @@ class Rationals:
         return self.from_fraction(1 / Fraction(a))
 
     def from_fraction(self, q):
+        if type(q) is int:
+            return q
         if type(q) is not Fraction:
             q = Fraction(q)
         return q.numerator if q.denominator == 1 else q
@@ -107,6 +109,8 @@ class PrimeField:
         return pow(a, self.p - 2, self.p)
 
     def from_fraction(self, q):
+        if type(q) is int:
+            return q % self.p
         q = Fraction(q)
         den = q.denominator % self.p
         if den == 0:

@@ -69,3 +69,64 @@ def test_traced_job_runs(label):
     if label == "verify-system:planar":
         assert not names & {"params.encode", "params.validate_element"}
         assert len(report["spans"]) < 1000
+
+
+
+def test_warm_operations_call_no_traced_function(monkeypatch):
+    # the traced run records a span per call of a public function of
+    # params, preoperadic and cochains; once the caches are warm, brace,
+    # bracket, dot and d must do all their work in private helpers, so each
+    # call is one span.  This is the span budget above, checked in-process.
+    import inspect
+    import random
+
+    from lodayops import cochains, params, preoperadic
+    from lodayops.algfile import load_algebra
+
+    contexts = [cochains.MultContext(load_algebra(
+        ROOT / "fixtures" / ("%s.alg" % name), warn=lambda m: None))
+        for name in ("trias_dim2", "tricub_dim1")]
+    calls = []
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # the functions perfbench/tracing.py wraps: public functions and public
+    # lru_caches, replaced wherever a lodayops module holds them
+    wrapped = {}
+    for module in (params, preoperadic, cochains):
+        short = module.__name__.rpartition(".")[2]
+        for name, obj in vars(module).items():
+            if (not name.startswith("_")
+                    and getattr(obj, "__module__", None) == module.__name__
+                    and (inspect.isfunction(obj)
+                         or hasattr(obj, "cache_info"))):
+                wrapped[id(obj)] = (obj, counting(short + "." + name, obj))
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name == "lodayops" or mod_name.startswith("lodayops."):
+            for attr, value in list(vars(module).items()):
+                hit = wrapped.get(id(value))
+                if hit is not None and hit[0] is value:
+                    monkeypatch.setattr(module, attr, hit[1])
+
+    for ctx in contexts:
+        rng = random.Random(7)
+        x1, y1 = (cochains.random_cochain(ctx.alg, 1, rng) for _ in range(2))
+        x2 = cochains.random_cochain(ctx.alg, 2, rng)
+        operations = {
+            "brace": lambda: cochains.brace(x2, [x1]),
+            "brace-two": lambda: cochains.brace(x2, [x1, y1]),
+            "brace-too-many": lambda: cochains.brace(x1, [x1, y1]),
+            "bracket": lambda: cochains.bracket(x2, x1),
+            "dot": lambda: cochains.dot(ctx, x1, x2),
+            "diff_d": lambda: cochains.diff_d(ctx, x2),
+        }
+        for label, operation in operations.items():
+            operation()                                 # warm the caches
+            calls.clear()
+            operation()
+            assert calls == ["cochains." + label.partition("-")[0]], \
+                (ctx.alg.type_tag, label, calls)

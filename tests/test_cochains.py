@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,8 +12,8 @@ from lodayops.cochains import (Cochain, MultContext, bracket, brace,
                                delta_trias, diff_d, dot, gamma,
                                identity_cochain, random_cochain, zero_cochain)
 from lodayops.fields import QQ, PrimeField
-from lodayops.params import enumerate_params
-from lodayops.preoperadic import r_index_tables
+from lodayops.params import encode, enumerate_params
+from lodayops.preoperadic import Profile, r_index_tables, r_part, r_zero
 
 
 def test_table_shape(rng):
@@ -223,11 +223,12 @@ def test_unit_cochain_built_at_most_once_per_call(rng, monkeypatch):
         monkeypatch.setattr(cochains, "identity_cochain", counting)
 
 
-def _brace_by_gamma(x, xs):
+def _brace_by_gamma(x, xs, compose=gamma):
     """x{x_1..x_n} written out: the sum over order-preserving slot choices
-    s_1 < .. < s_n of gamma(x; ..) with x_p in slot s_p and the unit
+    s_1 < .. < s_n of compose(x; ..) with x_p in slot s_p and the unit
     cochain in every other slot, signed by (-1)^(sum_p |x_p| i_p), where
-    i_p = deg g_1 + .. + deg g_(s_p - 1) counts the inputs in front of x_p."""
+    i_p = deg g_1 + .. + deg g_(s_p - 1) counts the inputs in front of x_p;
+    ``compose`` is gamma or its oracle."""
     alg = x.alg
     ident = identity_cochain(alg)
     total = zero_cochain(alg, x.degree + sum(g.degree for g in xs) - len(xs))
@@ -237,17 +238,17 @@ def _brace_by_gamma(x, xs):
             gs[s] = xs[p]
         eps = sum(xs[p].shifted * sum(g.degree for g in gs[:s])
                   for p, s in enumerate(chosen))
-        term = gamma(x, gs)
+        term = compose(x, gs)
         total = total - term if eps % 2 else total + term
     return total
 
 
-def _bracket_by_gamma(x, y):
+def _bracket_by_gamma(x, y, compose=gamma):
     """[x, y] = x{y} - (-1)^(|x||y|) y{x}, on the written-out braces."""
-    flip = _brace_by_gamma(y, [x])
+    flip = _brace_by_gamma(y, [x], compose)
     if (x.shifted * y.shifted) % 2:
-        return _brace_by_gamma(x, [y]) + flip
-    return _brace_by_gamma(x, [y]) - flip
+        return _brace_by_gamma(x, [y], compose) + flip
+    return _brace_by_gamma(x, [y], compose) - flip
 
 
 def _shapes(top):
@@ -311,6 +312,120 @@ def test_unit_slots_match_explicit_unit_cochain(case, top, case_algebra,
     assert all(type(c) is int for fast, _ in pairs[:2]
                for c in fast.cells.values())
     assert fractions == case.startswith("scaled:")
+
+
+def _gamma_by_definition(f, gs):
+    """gamma(f; g_1..g_k) cell by cell from its definition, without the
+    composition kernel: the value at (r; x_1..x_N) is f at R_0(r) applied
+    to the values of the g_t at (R_t(r), t-th input block), with R_0 and R_t
+    read element by element through ``r_zero`` and ``r_part``.  Since f is
+    multilinear, only the cells where every g_t is nonzero on its block are
+    visited; every other cell is zero."""
+    alg = f.alg
+    d, kind, field = alg.dim, alg.kind, alg.field
+    parts = tuple(g.degree for g in gs)
+    profile = Profile(parts)
+    total = sum(parts)
+
+    def cell(n, u_idx, inputs, out):
+        return (u_idx * d ** n + _flat(inputs, d)) * d + out
+
+    memo = {}
+
+    def values(t, u_idx):
+        """(input block, {output: nonzero value}) of g_t at u_idx."""
+        if (t, u_idx) not in memo:
+            g = gs[t]
+            memo[t, u_idx] = out = []
+            for block in product(range(d), repeat=g.degree):
+                vals = {c: g.cells[i] for c in range(d)
+                        for i in (cell(g.degree, u_idx, block, c),)
+                        if i in g.cells}
+                if vals:
+                    out.append((block, vals))
+        return memo[t, u_idx]
+
+    cells = {}
+    for r_idx, r in enumerate(enumerate_params(kind, total)):
+        f_idx = encode(kind, r_zero(kind, profile, r))
+        per_slot = [values(t, encode(kind, r_part(kind, profile, t + 1, r)))
+                    for t in range(len(gs))]
+        for choice in product(*per_slot):
+            inputs = sum((block for block, _ in choice), ())
+            value = {}
+            for args in product(*(vals.items() for _, vals in choice)):
+                coeff = field.one
+                for _, v in args:
+                    coeff = field.mul(coeff, v)
+                f_inputs = tuple(c for c, _ in args)
+                for out in range(d):
+                    a = f.cells.get(cell(f.degree, f_idx, f_inputs, out))
+                    if a is not None:
+                        value[out] = field.add(value.get(out, field.zero),
+                                               field.mul(coeff, a))
+            for out, v in value.items():
+                cells[cell(total, r_idx, inputs, out)] = v
+    return Cochain(alg, total, cells)
+
+
+def _sample(alg, n, density, rng):
+    """A degree-n cochain with one cell, three cells or every cell set to a
+    nonzero integer in -3..3."""
+    size = cochain_dim(alg, n)
+    keys = (range(size) if density == "dense"
+            else rng.sample(range(size), 1 if density == "single" else 3))
+    return Cochain(alg, n, {i: alg.field.from_fraction(
+        rng.choice((-3, -2, -1, 1, 2, 3))) for i in keys})
+
+
+ORACLE_CASES = [(source, t, name) for source in ("product", "suspension")
+                for t in TYPES for name in ("Q", "F101")]
+
+
+@pytest.mark.parametrize("source,type_tag,field_name", ORACLE_CASES,
+                         ids=["%s:%s:%s" % case for case in ORACLE_CASES])
+def test_operations_match_the_gamma_oracle(source, type_tag, field_name):
+    # gamma, brace, bracket, dot and d against sums of the cell-by-cell
+    # oracle, with the unit cochain in the free slots
+    field = QQ if field_name == "Q" else PrimeField(101)
+    if source == "product":
+        alg = product_fixture(type_tag, 2, field=field)
+    else:
+        alg = suspension_fixture(type_tag, field=field)
+    ctx = MultContext(alg)
+    rng = random.Random("%s:%s:%s" % (source, type_tag, field_name))
+    oracle = _gamma_by_definition
+    for density in ("single", "few", "dense"):
+        # a suspension has dimension 9 to 11: a dense operand there has
+        # degree 1, and its degree-2 operand stays few-celled
+        b_density = ("few" if source == "suspension" and density == "dense"
+                     else density)
+        a, a2 = (_sample(alg, 1, density, rng) for _ in range(2))
+        b = _sample(alg, 2, b_density, rng)
+        pairs = [
+            ("gamma", gamma(b, [a, b]), oracle(b, [a, b])),
+            ("b{a}", brace(b, [a]), _brace_by_gamma(b, [a], oracle)),
+            ("b{a,a2}", brace(b, [a, a2]),
+             _brace_by_gamma(b, [a, a2], oracle)),
+            ("[a,b]", bracket(a, b), _bracket_by_gamma(a, b, oracle)),
+            ("[a,a]", bracket(a, a), _bracket_by_gamma(a, a, oracle)),
+            ("[b,b]", bracket(b, b), _bracket_by_gamma(b, b, oracle)),
+            # dot folds (-1)^(deg x) into its accumulation: odd, then even
+            ("a.b", dot(ctx, a, b),
+             -_brace_by_gamma(ctx.pi, [a, b], oracle)),
+            ("b.a", dot(ctx, b, a), _brace_by_gamma(ctx.pi, [b, a], oracle)),
+            ("da", diff_d(ctx, a), _bracket_by_gamma(ctx.pi, a, oracle)),
+            ("db", diff_d(ctx, b), _bracket_by_gamma(ctx.pi, b, oracle)),
+        ]
+        for label, fast, slow in pairs:
+            assert fast == slow, (density, label)
+            assert all(type(c) is int for c in fast.cells.values())
+            # [a, a] = a{a} - a{a} vanishes since |a| = 0; with b
+            # few-celled, so may gamma(b; a, b), [b, b] and b . a
+            if density == "dense" and label != "[a,a]" and (
+                    source == "product" or label not in ("gamma", "[b,b]",
+                                                         "b.a")):
+                assert not slow.is_zero(), label
 
 
 def test_multiplication_square_zero_on_fixtures():

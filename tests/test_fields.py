@@ -96,3 +96,23 @@ def test_rational_text_is_unchanged_by_the_scalar_type():
         assert QQ.to_text(value) == text
         assert QQ.to_text(QQ.from_fraction(value)) == text
         assert QQ.to_text(parse_scalar(QQ, text)) == text
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
+def test_from_fraction_takes_an_int_without_a_fraction(field, monkeypatch):
+    # a plain int gives the value and type of the Fraction route ...
+    values = (-10 ** 30, -205, -101, -3, -1, 0, 1, 7, 100, 101, 10 ** 30,
+              True, False)
+    expected = [field.from_fraction(Fraction(q)) for q in values]
+    assert [field.from_fraction(q) for q in values] == expected
+    assert [type(field.from_fraction(q)) for q in values] == \
+        [type(v) for v in expected] == [int] * len(values)
+    # ... and builds no Fraction on the way
+    from lodayops import fields
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built for an int")
+
+    monkeypatch.setattr(fields, "Fraction", no_fraction)
+    ints = values[:-2]
+    assert [field.from_fraction(q) for q in ints] == expected[:-2]
