@@ -16,13 +16,11 @@ from . import cohomology
 from .algebra import verify_axioms
 from .algfile import AlgebraFileError, load_algebra
 from .cochains import (Cochain, MultContext, canonical_multiplication,
-                       circ, delta_trias, random_cochain)
+                       circ, delta_trias)
 from .identities import run_identity_suite
 from .params import KINDS, enumerate_params, param_text
 from .preoperadic import AXIOM_IDS, scan_instances, verify_system
 
-# options that change how work is scheduled, never what is reported
-SCHEDULING_ONLY = ("workers",)
 # the largest law scan verify-system runs; a larger one is refused (exit 2)
 MAX_SCAN_INSTANCES = 5_000_000
 
@@ -71,11 +69,12 @@ def _context(alg, report):
 def _command_text(ns):
     """The parsed command in one canonical spelling: the subcommand, then
     each argument in declaration order, options as '--name value' (flags
-    only when set).  Options that affect scheduling only are left out, so
-    every accepted spelling of a command echoes the same line."""
+    only when set).  Options with a suppressed default, such as
+    ``--workers``, which affects scheduling only, are left out, so every
+    accepted spelling of a command echoes the same line."""
     words = [ns.command]
     for action in ns.parser._actions:
-        if action.dest in SCHEDULING_ONLY or action.default == argparse.SUPPRESS:
+        if action.default == argparse.SUPPRESS:
             continue
         value = getattr(ns, action.dest)
         if not action.option_strings:
@@ -104,7 +103,7 @@ def cmd_verify_system(ns, report):
               file=sys.stderr)
         return 2
     _describe(report, ns)
-    sysrep = verify_system(ns.kind, ns.max_total, workers=ns.workers)
+    sysrep = verify_system(ns.kind, ns.max_total)
     report.meta("kind=%s max-total=%d checked=%d" %
                 (ns.kind, ns.max_total, sysrep.checked))
     failed_axioms = {c.axiom for c in sysrep.counterexamples}
@@ -231,7 +230,7 @@ def cmd_identities(ns, report):
     if ctx is None:
         return None
     rng = random.Random(ns.seed)
-    results = run_identity_suite(ctx, rng, ns.samples, random_cochain)
+    results = run_identity_suite(ctx, rng, ns.samples)
     by_check = {}
     for r in results:
         by_check.setdefault(r.check, []).append(r)
@@ -271,7 +270,9 @@ def build_parser():
                        help="exhaustively check the structure-function laws")
     p.add_argument("--kind", choices=KINDS, required=True)
     p.add_argument("--max-total", type=_int_at_least(1), default=5)
-    p.add_argument("--workers", type=_int_at_least(1), default=1)
+    # accepted and validated for compatibility; the scan runs in one thread
+    p.add_argument("--workers", type=_int_at_least(1),
+                   default=argparse.SUPPRESS)
     p.set_defaults(run=cmd_verify_system, parser=p)
 
     p = sub.add_parser("verify-algebra",

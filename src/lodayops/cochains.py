@@ -39,7 +39,7 @@ from functools import lru_cache
 from itertools import combinations, compress, product
 
 from .algebra import STAR_TYPES, multiply, star
-from .params import enumerate_params, family_size
+from .params import _family, enumerate_params, family_size
 from .preoperadic import r_index_tables
 from .trees import boundary_symbol, delete_leaf
 
@@ -451,15 +451,13 @@ def diff_d(ctx, x):
 @lru_cache(maxsize=None)
 def _delta_data(n):
     """For each tree of weight n+1: ((face index in T_n, op symbol) per position)."""
-    from .params import encode, ParamElement
+    index = _family("planar", n)[1]
     faces = []
     for e in enumerate_params("planar", n + 1):
         t = e.payload
         row = []
         for i in range(n + 2):
-            face = delete_leaf(t, i)
-            face_idx = encode("planar", ParamElement("planar", n, face))
-            row.append((face_idx, boundary_symbol(t, i)))
+            row.append((index[delete_leaf(t, i)], boundary_symbol(t, i)))
         faces.append(tuple(row))
     return tuple(faces)
 

@@ -108,25 +108,20 @@ def matrix_of_d(ctx, n):
     alg = ctx.alg
     kind = alg.kind
     d = alg.dim
-    add, neg, zero = alg.field.add, alg.field.neg, alg.field.zero
+    add, sub, zero = alg.field.add, alg.field.sub, alg.field.zero
     width = d ** n                  # input tuples b of a degree-n cochain
     col_stride = width * d          # columns (b, o) per parameter u
     row_stride = col_stride * d     # rows per output parameter r
     nparams = family_size(kind, n)
 
     # the cells of pi at each parameter as (first input, second input,
-    # output, coefficient), and by output as (input pair, coefficient);
-    # the entries under True hold the negated coefficients
-    cells = {False: {}, True: {}}
-    preimages = {False: {}, True: {}}
+    # output, coefficient), and by output as (input pair, coefficient)
+    cells, preimages = {}, {}
     for key, a in ctx.pi.cells.items():
         rest, out = divmod(key, d)
         p, pair = divmod(rest, d * d)
-        for negative, c in ((False, a), (True, neg(a))):
-            cells[negative].setdefault(p, []).append(
-                (pair // d, pair % d, out, c))
-            preimages[negative].setdefault(p, {}).setdefault(
-                out, []).append((pair, c))
+        cells.setdefault(p, []).append((pair // d, pair % d, out, a))
+        preimages.setdefault(p, {}).setdefault(out, []).append((pair, a))
 
     def filed(u_of, at):
         """Each output parameter r, as (r, at[r]), under the column
@@ -148,13 +143,14 @@ def matrix_of_d(ctx, n):
             kind, (1,) * s + (2,) + (1,) * (n - 1 - s))
         inner.append(filed(r0, part_tables[s]))
 
-    right_cells = cells[(n - 1) % 2 == 1]
+    # each walk adds its cells of pi, or subtracts them where its sign is -1
+    right_op = sub if (n - 1) % 2 else add
     columns = []
     for u in range(nparams):
         cols = [{} for _ in range(col_stride)]  # column (u, b, o) at b * d + o
         # gamma(pi; e, Id): (r; b, y) -> pi(R_0 r; e_o, e_y)
         for r, i0 in left[u]:
-            for o, y, out, a in cells[False].get(i0, ()):
+            for o, y, out, a in cells.get(i0, ()):
                 row = r * row_stride + y * d + out
                 for b in range(width):
                     acc = cols[b * d + o]
@@ -162,19 +158,19 @@ def matrix_of_d(ctx, n):
                     acc[key] = add(acc.get(key, zero), a)
         # (-1)^|e| gamma(pi; Id, e): (r; y, b) -> pi(R_0 r; e_y, e_o)
         for r, i0 in right[u]:
-            for y, o, out, a in right_cells.get(i0, ()):
+            for y, o, out, a in cells.get(i0, ()):
                 row = r * row_stride + y * col_stride + out
                 for b in range(width):
                     acc = cols[b * d + o]
                     key = row + b * d
-                    acc[key] = add(acc.get(key, zero), a)
+                    acc[key] = right_op(acc.get(key, zero), a)
         # -(-1)^|e| (-1)^s gamma(e; Id,...,pi at s,...,Id): the input b_s is
         # replaced by each pair (x, y) with pi(R_s r; e_x, e_y) = a e_(b_s)
         for s, by_u in enumerate(inner):
             place = d ** (n - 1 - s)    # weight of b_s in b
-            inverses = preimages[(n + s) % 2 == 1]
+            op = sub if (n + s) % 2 else add
             for r, p in by_u[u]:
-                for k, pairs in inverses.get(p, {}).items():
+                for k, pairs in preimages.get(p, {}).items():
                     for rest in range(width // d):
                         high, low = divmod(rest, place)
                         col = ((high * d + k) * place + low) * d
@@ -184,7 +180,7 @@ def matrix_of_d(ctx, n):
                             for o in range(d):
                                 acc = cols[col + o]
                                 key = row + o
-                                acc[key] = add(acc.get(key, zero), a)
+                                acc[key] = op(acc.get(key, zero), a)
         columns.extend({row: v for row, v in acc.items() if v}
                        for acc in cols)
     matrix = DifferentialMatrix(n, cochain_dim(alg, n + 1),
@@ -269,8 +265,6 @@ def coboundary_preimage(ctx, c):
 
 
 def is_coboundary(ctx, c):
-    if c.degree < 2:
-        return c.is_zero()
     return coboundary_preimage(ctx, c) is not None
 
 

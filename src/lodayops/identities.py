@@ -8,7 +8,7 @@ at small degrees; see SIGN_NOTES.md.
 
 from typing import NamedTuple
 
-from .cochains import Cochain, brace, diff_d, dot
+from .cochains import Cochain, brace, diff_d, dot, random_cochain
 
 
 class IdentityResult(NamedTuple):
@@ -148,7 +148,7 @@ HG_DIFF_PATTERNS = (
 DG_PATTERNS = ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1))
 
 
-def run_identity_suite(ctx, rng, samples, random_cochain):
+def run_identity_suite(ctx, rng, samples):
     """Spread `samples` random instances across all identity families."""
     results = []
     families = []

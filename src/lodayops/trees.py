@@ -5,14 +5,13 @@ bare leaf (weight 0) is representable (leaf deletion on the two-leaf tree
 produces it) but is not a member of any parameter family.
 
 Two leaf-removal maps are kept apart on purpose.  ``delete_leaf`` removes
-one leaf and is the face map of the explicit trialgebra differential.
-``restrict`` keeps a set of leaves in one pass and backs only
-``delete_leaves``.  The index tables of the structure maps R_0, R_j
-restrict without building trees, in ``preoperadic``, so the two sides of
-the comparison d = +/- delta share no leaf-removal code.
+one leaf and is the face map of ``delta_trias``, the explicit trialgebra
+differential.  The index tables of the structure maps R_0, R_j in
+``preoperadic`` restrict a tree to any set of its leaves without building
+a tree.  The two share no code, so the two sides of the comparison
+d = +/- delta remove leaves independently.
 """
 
-from bisect import bisect_left
 from functools import lru_cache
 from itertools import product
 
@@ -146,57 +145,6 @@ def _delete(node, i):
             return PlanarTree(children[:pos] + (replaced,) + children[pos + 1:])
         offset += span
     raise AssertionError("unreachable: leaf index inside range")
-
-
-def delete_leaves(t, labels):
-    """Remove every leaf whose original label is in ``labels``.
-
-    The labels are a set: a repeated label removes its leaf once.  This is
-    the restriction to the leaves not named.
-    """
-    doomed = set(labels)
-    _check_labels(t, doomed)
-    return restrict(t, set(range(t.weight + 1)) - doomed)
-
-
-def restrict(t, keep):
-    """The tree spanned by the leaves whose labels are in ``keep``.
-
-    One pass from the root: a subtree with no kept leaf is dropped, a
-    subtree whose leaves are all kept is returned as it is, and a vertex
-    left with a single child is spliced out.  Keeping one leaf gives the
-    bare leaf.
-    """
-    labels = sorted(set(keep))
-    if not labels:
-        raise ValueError("a restriction must keep at least one leaf")
-    _check_labels(t, labels)
-    if len(labels) == t.weight + 1:
-        return t
-    return _restrict(t, 0, labels, 0, len(labels))
-
-
-def _check_labels(t, labels):
-    for i in labels:
-        if not 0 <= i <= t.weight:
-            raise ValueError("leaf index %d out of range for weight %d"
-                             % (i, t.weight))
-
-
-def _restrict(node, offset, labels, lo, hi):
-    """Restriction of the subtree whose leftmost leaf has label ``offset``
-    to ``labels[lo:hi]``, the sorted kept labels inside it: some of its
-    leaves, but not all."""
-    live = []
-    for c in node.children:
-        end = offset + c.weight + 1
-        mid = bisect_left(labels, end, lo, hi)
-        if mid - lo == end - offset:
-            live.append(c)
-        elif mid > lo:
-            live.append(_restrict(c, offset, labels, lo, mid))
-        lo, offset = mid, end
-    return live[0] if len(live) == 1 else PlanarTree(live)
 
 
 def leaf_orientation(t, i):

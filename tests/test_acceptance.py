@@ -202,7 +202,7 @@ def test_criterion_6_brace_and_homotopy_identities():
     results = []
     for t in ("didend", "trias"):
         ctx = MultContext(product_fixture(t, 1))
-        results.extend(run_identity_suite(ctx, rng, 120, random_cochain))
+        results.extend(run_identity_suite(ctx, rng, 120))
     ok = len(results) >= 200 and all(r.passed for r in results)
     _report(6, "brace + homotopy identities on %d random instances"
             % len(results), ok)

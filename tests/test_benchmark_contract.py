@@ -2,10 +2,12 @@
 
 ``perfbench/job.py --trace`` wraps the library's public functions and reads
 some of their arguments and results (the dense ``table`` view of the
-cochain given to ``diff_d``, ``MultContext.matrix_cache``, the ``workers``
-argument of ``verify_system``).  Its ``d_squared`` job, traced or not,
-reads ``DifferentialMatrix.entries``, ``degree``, ``nrows`` and ``ncols``
-and calls ``matrix_product_is_zero(upper, lower, field)``.  Each job here
+cochain given to ``diff_d``, the ``ctx`` and ``n`` of ``matrix_of_d`` and
+``MultContext.matrix_cache``, the ``rows`` and ``ncols`` of
+``rank_bareiss``, the ``workers`` argument of ``verify_system``).  Its
+``d_squared`` job, traced or not, reads ``DifferentialMatrix.entries``,
+``degree``, ``nrows`` and ``ncols`` and calls
+``matrix_product_is_zero(upper, lower, field)``.  Each job here
 runs the way the benchmark runs it and must finish with exit 0 and a
 nonempty span list.
 
@@ -28,9 +30,16 @@ JOB = ROOT / "perfbench" / "job.py"
 REPORT_PREFIX = "PERFBENCH "
 
 JOBS = {
+    "cohomology:trias_dim2:3": {
+        "kind": "cli", "algebra": "fixtures/trias_dim2.alg",
+        "argv": ["cohomology", "fixtures/trias_dim2.alg", "--max-degree", "3"]},
     "d-squared:trias_dim1:3": {
         "kind": "d_squared", "algebra": "fixtures/trias_dim1.alg",
         "max_degree": 3},
+    "gerstenhaber:trias_dim2:4": {
+        "kind": "cli", "algebra": "fixtures/trias_dim2.alg",
+        "argv": ["gerstenhaber", "fixtures/trias_dim2.alg", "--max-degree",
+                 "4"]},
     "identities:tricub_dim1": {
         "kind": "cli", "algebra": "fixtures/tricub_dim1.alg",
         "argv": ["identities", "fixtures/tricub_dim1.alg", "--samples", "26"]},
@@ -57,8 +66,22 @@ def test_traced_job_runs(label):
     assert last.startswith(REPORT_PREFIX), proc.stderr
     report = json.loads(last[len(REPORT_PREFIX):])
     assert report["status"] == 0
-    names = {span[2] for span in report["spans"]}
+    attrs = {}
+    for span in report["spans"]:
+        attrs.setdefault(span[2], []).append(span[5])
+    names = set(attrs)
     assert "job" in names and len(names) > 1
+    if label.startswith(("cohomology", "gerstenhaber")):
+        # the counters read matrix_of_d's ctx and n, rank_bareiss's rows and
+        # ncols, and the G-algebra report
+        assert any(a["built"] and a["nnz"]
+                   for a in attrs["cohomology.matrix_of_d"])
+        assert "linalg.column_echelon" in names
+    if label.startswith("cohomology"):
+        assert all(a["rows"] and a["cols"]
+                   for a in attrs["linalg.rank_bareiss"])
+    if label.startswith("gerstenhaber"):
+        assert attrs["cohomology.check_g_algebra"][0]["instances"] > 0
     if label.startswith("identities"):
         assert "cochains.diff_d" in names
     if label == "identities:tricub_dim1":

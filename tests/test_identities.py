@@ -59,8 +59,8 @@ def test_dg_algebra_laws(ctx, rng):
 
 def test_suite_runner_deterministic():
     ctx = MultContext(product_fixture("didend", 1))
-    a = run_identity_suite(ctx, random.Random(5), 40, random_cochain)
-    b = run_identity_suite(ctx, random.Random(5), 40, random_cochain)
+    a = run_identity_suite(ctx, random.Random(5), 40)
+    b = run_identity_suite(ctx, random.Random(5), 40)
     assert a == b
     assert len(a) == 40
     assert all(r.passed for r in a)

@@ -5,17 +5,17 @@ from math import prod
 
 import pytest
 
-from lodayops import cohomology, preoperadic, trees
+from lodayops import cohomology, preoperadic
 from lodayops.algfile import load_algebra
 from lodayops.cochains import MultContext
 from lodayops.params import (KINDS, ParamElement, _family, encode,
                              enumerate_params, param_text)
-from lodayops.preoperadic import (Counterexample, Profile, SystemReport,
-                                  _compositions_of, r_part, r_zero,
-                                  r_index_tables, scan_instances,
+from lodayops.preoperadic import (TREE_KINDS, Counterexample, Profile,
+                                  SystemReport, _compositions_of, r_part,
+                                  r_zero, r_index_tables, scan_instances,
                                   verify_system)
-from lodayops.trees import (PlanarTree, _compositions, binary_trees,
-                            delete_leaf, is_binary, planar_trees, restrict)
+from lodayops.trees import (PlanarTree, _compositions, delete_leaf,
+                            planar_trees)
 
 
 def lin(n, r):
@@ -172,23 +172,31 @@ def _sequential_deletions(t):
 
 
 def test_restrict_matches_sequential_deletion_and_direct_construction():
-    # every tree of weight <= 6 and every set of >= 2 kept leaves:
-    # sum over n of |T_n| (2^(n+1) - n - 2) cases
-    cases = 0
+    # the restriction tables that R_0 and R_j read, for every tree of
+    # weight <= 6 and every set of >= 2 kept leaves: sum over n of
+    # |T_n| (2^(n+1) - n - 2) planar cases, and the same over the binary
+    # trees, whose restrictions must all be found in the binary family
+    cases = Counter()
     for n in range(1, 7):
-        binary = set(binary_trees(n))
-        for t in planar_trees(n):
+        keeps = [keep for size in range(2, n + 2)
+                 for keep in combinations(range(n + 1), size)]
+        tables = {kind: [(preoperadic._restriction_table(kind, n, keep),
+                          _family(kind, len(keep) - 1)[0]) for keep in keeps]
+                  for kind in TREE_KINDS}
+        binary_index = _family("binary", n)[1]
+        for i, t in enumerate(planar_trees(n)):
             sequential = _sequential_deletions(t)
-            for size in range(2, n + 2):
-                for keep in combinations(range(n + 1), size):
-                    got = restrict(t, keep)
-                    assert got == sequential[keep]
-                    assert got == _keep_leaves_direct(t, set(keep))
-                    assert got.weight == size - 1
-                    if t in binary:
-                        assert is_binary(got)
-                    cases += 1
-    assert cases == 120893
+            b = binary_index.get(t)
+            for keep, (table, targets), (b_table, b_targets) in zip(
+                    keeps, tables["planar"], tables["binary"]):
+                got = targets[table[i]].payload
+                assert got == sequential[keep]
+                assert got == _keep_leaves_direct(t, set(keep))
+                cases["planar"] += 1
+                if b is not None:
+                    assert b_targets[b_table[b]].payload == got
+                    cases["binary"] += 1
+    assert cases == {"planar": 120893, "binary": 18662}
 
 
 def test_tree_r_functions_match_direct_construction():
@@ -325,7 +333,7 @@ def test_arithmetic_index_tables_match_payload_oracle(kind):
 def test_matrix_of_d_tables_build_no_tree(fixture_dir, monkeypatch):
     # with the families enumerated, every index table that d^1..d^5 of
     # trias_dim1 (planar) and dias_dim1 (binary) read is built without
-    # constructing a tree or calling trees.restrict
+    # constructing a tree
     contexts = [MultContext(load_algebra(fixture_dir / name))
                 for name in ("trias_dim1.alg", "dias_dim1.alg")]
     for ctx in contexts:
@@ -338,12 +346,7 @@ def test_matrix_of_d_tables_build_no_tree(fixture_dir, monkeypatch):
         built["PlanarTree"] += 1
         init(self, children)
 
-    def refuse(*args):
-        raise AssertionError("trees.restrict called by an index table")
-
     monkeypatch.setattr(PlanarTree, "__init__", counted_init)
-    monkeypatch.setattr(trees, "restrict", refuse)
-    monkeypatch.setattr(trees, "_restrict", refuse)
     r_index_tables.cache_clear()
     preoperadic._restriction_table.cache_clear()
     try:

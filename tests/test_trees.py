@@ -4,9 +4,8 @@ import pytest
 
 from lodayops.trees import (LEAF, LEFT, MIDDLE, RIGHT, PlanarTree,
                             binary_trees, boundary_symbol, decompose,
-                            delete_leaf, delete_leaves, graft, is_binary,
-                            leaf_orientation, parse_tree, planar_trees,
-                            tree_text)
+                            delete_leaf, graft, is_binary, leaf_orientation,
+                            parse_tree, planar_trees, tree_text)
 
 CORolla3 = graft([LEAF, LEAF, LEAF])
 T1 = graft([LEAF, LEAF])
@@ -92,21 +91,6 @@ def test_binary_closed_under_deletion():
         for t in binary_trees(n):
             for i in range(n + 1):
                 assert is_binary(delete_leaf(t, i))
-
-
-def test_delete_leaves_right_to_left():
-    # deleting {1, 2} from the 4-corolla one at a time, descending labels
-    c4 = graft([LEAF] * 4)
-    assert delete_leaves(c4, [1, 2]) == T1
-    t = graft([T1, T1])   # leaves 0,1 | 2,3
-    assert delete_leaves(t, [0, 3]) == T1
-    # the labels are a set of original labels: a repeated one deletes once
-    assert delete_leaves(c4, [1, 1]) == delete_leaves(c4, {1}) == CORolla3
-    assert delete_leaves(c4, []) == c4
-    with pytest.raises(ValueError):
-        delete_leaves(c4, [4])
-    with pytest.raises(ValueError):
-        delete_leaves(c4, range(4))
 
 
 def test_orientations_on_reference_tree():
