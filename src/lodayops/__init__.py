@@ -7,8 +7,7 @@ from .cochains import (Cochain, MultContext, bracket, brace, circ,
                        gamma, identity_cochain)
 from .cohomology import (check_g_algebra, coboundary_preimage,
                          cohomology_dims, cohomology_report,
-                         cocycle_representatives, induced_bracket,
-                         induced_dot, matrix_of_d)
+                         cocycle_representatives, matrix_of_d)
 from .fields import PrimeField, QQ
 from .params import ParamElement, encode, enumerate_params
 from .preoperadic import Profile, r_part, r_zero, verify_system

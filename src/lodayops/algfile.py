@@ -144,5 +144,11 @@ def serialize_algebra(alg):
 
 
 def load_algebra(path, warn=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_algebra(fh.read(), warn=warn)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise AlgebraFileError(data.count(b"\n", 0, exc.start) + 1,
+                               "not valid UTF-8") from None
+    return parse_algebra(text, warn=warn)

@@ -150,9 +150,9 @@ def cmd_cohomology(ns, report):
     for n, dim in summary.dims:
         report.data("H", n, dim)
     for n, _ in summary.dims:
-        for idx, cls in enumerate(summary.representatives[n], 1):
+        for idx, rep in enumerate(summary.representatives[n], 1):
             entries = []
-            for u_idx, tup, out, c in cls.representative.entries():
+            for u_idx, tup, out, c in rep.entries():
                 e = enumerate_params(alg.kind, n)[u_idx]
                 entries.append("(%s;%s->%s)=%s" % (
                     param_text(e), ",".join(alg.basis[b] for b in tup),
@@ -196,6 +196,18 @@ def cmd_compare_differentials(ns, report):
     return None
 
 
+def _law_lines(report, laws, checks, label):
+    """Per law: its number of LawChecks, its CHECK line, and a FAILED-AT
+    line per failed instance, giving its pattern as ``label=``."""
+    for law in laws:
+        instances = [c for c in checks if c.law == law]
+        report.meta("%s: %d instances" % (law, len(instances)))
+        report.check(law, all(c.passed for c in instances))
+        for c in instances:
+            if not c.passed:
+                report.data("FAILED-AT", law, "%s=%s" % (label, c.pattern))
+
+
 def cmd_gerstenhaber(ns, report):
     alg = _load(ns.file)
     if alg is None:
@@ -207,16 +219,8 @@ def cmd_gerstenhaber(ns, report):
     g = cohomology.check_g_algebra(ctx, ns.max_degree)
     for n in sorted(g.reps_per_degree):
         report.data("CLASSES", n, g.reps_per_degree[n])
-    by_law = {}
-    for c in g.checks:
-        by_law.setdefault(c.law, []).append(c)
-    for law in ("graded-commutativity", "bracket-derivation", "graded-jacobi"):
-        checks = by_law.get(law, [])
-        report.meta("%s: %d instances" % (law, len(checks)))
-        report.check(law, all(c.passed for c in checks))
-        for c in checks:
-            if not c.passed:
-                report.data("FAILED-AT", law, "degrees=%s" % (c.degrees,))
+    _law_lines(report, ("graded-commutativity", "bracket-derivation",
+                        "graded-jacobi"), g.checks, "degrees")
     return None
 
 
@@ -229,18 +233,8 @@ def cmd_identities(ns, report):
     ctx = _context(alg, report)
     if ctx is None:
         return None
-    rng = random.Random(ns.seed)
-    results = run_identity_suite(ctx, rng, ns.samples)
-    by_check = {}
-    for r in results:
-        by_check.setdefault(r.check, []).append(r)
-    for check in sorted(by_check):
-        rs = by_check[check]
-        report.meta("%s: %d instances" % (check, len(rs)))
-        report.check(check, all(r.passed for r in rs))
-        for r in rs:
-            if not r.passed:
-                report.data("FAILED-AT", check, "pattern=%s" % (r.pattern,))
+    checks = run_identity_suite(ctx, random.Random(ns.seed), ns.samples)
+    _law_lines(report, sorted({c.law for c in checks}), checks, "pattern")
     return None
 
 

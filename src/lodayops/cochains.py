@@ -80,19 +80,13 @@ class Cochain:
         return (isinstance(other, Cochain) and self.alg == other.alg
                 and self.degree == other.degree and self.cells == other.cells)
 
-    def _merged(self, other, combine):
-        _same_complex(self, other)
-        z = self.alg.field.zero
-        cells = dict(self.cells)
-        for i, b in other.cells.items():
-            cells[i] = combine(cells.get(i, z), b)
-        return Cochain(self.alg, self.degree, cells)
-
     def __add__(self, other):
-        return self._merged(other, self.alg.field.add)
+        return _signed_sum(self.alg, self.degree,
+                           ((False, self), (False, other)))
 
     def __sub__(self, other):
-        return self._merged(other, self.alg.field.sub)
+        return _signed_sum(self.alg, self.degree,
+                           ((False, self), (True, other)))
 
     def scaled(self, c):
         mul = self.alg.field.mul
@@ -117,15 +111,21 @@ class Cochain:
         return "Cochain(%s, degree=%d)" % (self.alg, self.degree)
 
 
-def _same_algebra(a, b):
-    if a.alg != b.alg:
-        raise ValueError("cochains over different algebras")
-
-
-def _same_complex(a, b):
-    _same_algebra(a, b)
-    if a.degree != b.degree:
-        raise ValueError("cochains of different degrees")
+def _signed_sum(alg, n, terms):
+    """The degree-n cochain summing ``terms``, pairs (negative, cochain),
+    with zeros dropped once, at the end.  A term over another algebra or of
+    another degree raises ValueError."""
+    f = alg.field
+    cells = {}
+    for negative, x in terms:
+        if x.alg != alg:
+            raise ValueError("cochains over different algebras")
+        if x.degree != n:
+            raise ValueError("cochains of different degrees")
+        combine = f.sub if negative else f.add
+        for i, c in x.cells.items():
+            cells[i] = combine(cells.get(i, f.zero), c)
+    return Cochain(alg, n, cells)
 
 
 def cochain_dim(alg, n):
@@ -398,7 +398,8 @@ def circ(x, y):
 
 def bracket(x, y):
     """[x, y] = x o y - (-1)^(|x||y|) y o x, of degree deg x + deg y - 1."""
-    _same_algebra(x, y)
+    if x.alg != y.alg:
+        raise ValueError("cochains over different algebras")
     return _bracket(x, y)
 
 

@@ -18,6 +18,11 @@ rows reduced mod p, and shares no code with the echelon.  The ``engine``
 argument of ``matrix_rank`` and ``cohomology_dims`` picks ``"bareiss"`` or
 ``"echelon"``, and a dimension is trusted only once the two agree; the
 CLI's ``rank-engines-agree`` check compares them on both fields.
+
+A class of H^n is given by its representative, a cocycle ``Cochain``.
+``check_g_algebra`` builds each law instance on representatives as one
+signed sum and asks the cached echelon whether it is a coboundary; each
+instance gives one ``identities.LawCheck``.
 """
 
 from itertools import groupby, product
@@ -25,7 +30,9 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import linalg
-from .cochains import Cochain, cochain_dim, diff_d, dot, bracket, zero_cochain
+from .cochains import (Cochain, _signed_sum, bracket, cochain_dim, diff_d,
+                       dot, zero_cochain)
+from .identities import LawCheck
 from .params import family_size
 from .preoperadic import r_index_tables
 
@@ -221,28 +228,21 @@ def cohomology_dims(ctx, max_degree, engine="bareiss"):
     return out
 
 
-class CohomologyClass(NamedTuple):
-    degree: int
-    representative: Cochain
-
-
-def _make_class(ctx, n, rep):
-    if not diff_d(ctx, rep).is_zero():
-        raise ValueError("representative is not a cocycle")
-    return CohomologyClass(n, rep)
-
-
 def cocycle_representatives(ctx, n):
     """Deterministic cocycle representatives of a basis of H^n: the kernel
     vectors of d^n that are independent modulo im d^(n-1) and the ones
-    before them."""
+    before them, as cochains; each is checked to be a cocycle."""
     alg = ctx.alg
     field = alg.field
     ker = matrix_of_d(ctx, n).echelon(field).kernel
     if n > 1:
         below = matrix_of_d(ctx, n - 1).echelon(field)
         ker = [ker[i] for i in linalg.independent_mod_image(below, ker)]
-    return [_make_class(ctx, n, Cochain(alg, n, dict(vec))) for vec in ker]
+    reps = [Cochain(alg, n, dict(vec)) for vec in ker]
+    for rep in reps:
+        if not diff_d(ctx, rep).is_zero():
+            raise ValueError("representative is not a cocycle")
+    return reps
 
 
 def coboundary_preimage(ctx, c):
@@ -268,18 +268,6 @@ def is_coboundary(ctx, c):
     return coboundary_preimage(ctx, c) is not None
 
 
-def induced_dot(ctx, a, b):
-    """Dot product on cohomology classes: H^m x H^n -> H^(m+n)."""
-    return _make_class(ctx, a.degree + b.degree,
-                       dot(ctx, a.representative, b.representative))
-
-
-def induced_bracket(ctx, a, b):
-    """Bracket on cohomology classes: H^m x H^n -> H^(m+n-1)."""
-    return _make_class(ctx, a.degree + b.degree - 1,
-                       bracket(a.representative, b.representative))
-
-
 class CohomologyReport(NamedTuple):
     """Per-degree dimensions and representatives; H^1 = ker d^1."""
 
@@ -292,12 +280,6 @@ def cohomology_report(ctx, max_degree):
     dims = cohomology_dims(ctx, max_degree)
     reps = {n: cocycle_representatives(ctx, n) for n, _ in dims}
     return CohomologyReport(max_degree, dims, reps)
-
-
-class GCheck(NamedTuple):
-    law: str
-    degrees: tuple
-    passed: bool
 
 
 class GAlgebraReport(NamedTuple):
@@ -321,9 +303,7 @@ def check_g_algebra(ctx, max_degree):
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
-    reps = {}
-    for n in range(1, max_degree):
-        reps[n] = cocycle_representatives(ctx, n)
+    reps = {n: cocycle_representatives(ctx, n) for n in range(1, max_degree)}
     degs = [n for n in reps if reps[n]]
 
     def classes(count):
@@ -334,39 +314,28 @@ def check_g_algebra(ctx, max_degree):
                 yield from product(*(reps[n] for n in ns))
 
     checks = []
-    for a, b in classes(2):
-        x, y = a.representative, b.representative
-        comm = dot(ctx, x, y)
-        swapped = dot(ctx, y, x)
-        if (x.degree * y.degree) % 2 == 0:
-            comm = comm - swapped
-        else:
-            comm = comm + swapped
-        checks.append(GCheck("graded-commutativity", (a.degree, b.degree),
-                             is_coboundary(ctx, comm)))
+    for x, y in classes(2):
+        comm = _signed_sum(ctx.alg, x.degree + y.degree, (
+            (False, dot(ctx, x, y)),
+            ((x.degree * y.degree) % 2 == 0, dot(ctx, y, x))))
+        checks.append(LawCheck("graded-commutativity", (x.degree, y.degree),
+                               is_coboundary(ctx, comm)))
 
-    for a, b, c in classes(3):
-        x, y, z = a.representative, b.representative, c.representative
-        lhs = bracket(x, dot(ctx, y, z))
-        lhs = lhs - dot(ctx, bracket(x, y), z)
-        term = dot(ctx, y, bracket(x, z))
-        if (x.shifted * y.degree) % 2 == 0:
-            lhs = lhs - term
-        else:
-            lhs = lhs + term
-        checks.append(GCheck("bracket-derivation",
-                             (a.degree, b.degree, c.degree),
-                             is_coboundary(ctx, lhs)))
+    for x, y, z in classes(3):
+        degrees = (x.degree, y.degree, z.degree)
+        derivation = _signed_sum(ctx.alg, sum(degrees) - 1, (
+            (False, bracket(x, dot(ctx, y, z))),
+            (True, dot(ctx, bracket(x, y), z)),
+            ((x.shifted * y.degree) % 2 == 0, dot(ctx, y, bracket(x, z)))))
+        checks.append(LawCheck("bracket-derivation", degrees,
+                               is_coboundary(ctx, derivation)))
 
-        jac = bracket(x, bracket(y, z)) - bracket(bracket(x, y), z)
-        term = bracket(y, bracket(x, z))
-        if (x.shifted * y.shifted) % 2 == 0:
-            jac = jac - term
-        else:
-            jac = jac + term
-        checks.append(GCheck("graded-jacobi",
-                             (a.degree, b.degree, c.degree),
-                             is_coboundary(ctx, jac)))
+        jacobi = _signed_sum(ctx.alg, sum(degrees) - 2, (
+            (False, bracket(x, bracket(y, z))),
+            (True, bracket(bracket(x, y), z)),
+            ((x.shifted * y.shifted) % 2 == 0, bracket(y, bracket(x, z)))))
+        checks.append(LawCheck("graded-jacobi", degrees,
+                               is_coboundary(ctx, jacobi)))
 
     return GAlgebraReport(max_degree, checks,
                           {n: len(v) for n, v in reps.items()})

@@ -1,29 +1,26 @@
 """Randomised verification suites for the brace and homotopy-G identities.
 
-Every check is an exact entrywise cochain equality on seeded random inputs.
-The two identities whose displayed forms circulate with varying sign
-conventions are implemented in the form verified by exhaustive sign fitting
-at small degrees; see SIGN_NOTES.md.
+Every check is an exact entrywise cochain equality on seeded random inputs,
+each side one signed sum of cochains (``cochains._signed_sum``), and gives
+one ``LawCheck``, the record ``check_g_algebra`` uses too.  The two
+identities whose displayed forms circulate with varying sign conventions
+are implemented in the form verified by exhaustive sign fitting at small
+degrees; see SIGN_NOTES.md.
 """
 
+from itertools import accumulate
 from typing import NamedTuple
 
-from .cochains import Cochain, brace, diff_d, dot, random_cochain
+from .cochains import _signed_sum, brace, diff_d, dot, random_cochain
 
 
-class IdentityResult(NamedTuple):
-    check: str
+class LawCheck(NamedTuple):
+    """One checked instance of a law: its degrees (for the identities, the
+    pattern of degrees the cochains were drawn with) and the verdict."""
+
+    law: str
     pattern: tuple
     passed: bool
-
-
-def _add_into(cells, term, negative):
-    """Add term, or subtract it if ``negative``, into the cell dict of a
-    sum; the sum drops its zeros once, when it becomes a cochain."""
-    field = term.alg.field
-    combine = field.sub if negative else field.add
-    for i, c in term.cells.items():
-        cells[i] = combine(cells.get(i, field.zero), c)
 
 
 def brace_identity_sides(x, xs, ys):
@@ -35,9 +32,8 @@ def brace_identity_sides(x, xs, ys):
     m, n = len(xs), len(ys)
     lhs = brace(brace(x, xs), ys)
     sy = [y.shifted for y in ys]
-    rhs = {}
 
-    def rec(p, start, chosen):
+    def terms(p, start, chosen):
         if p == m:
             args = []
             eps = 0
@@ -48,28 +44,24 @@ def brace_identity_sides(x, xs, ys):
                 eps += xs[q].shifted * sum(sy[:i_q])
                 pos = j_q
             args.extend(ys[pos:n])
-            _add_into(rhs, brace(x, args), eps % 2 == 1)
+            yield eps % 2 == 1, brace(x, args)
             return
         for i_p in range(start, n + 1):
             for j_p in range(i_p, n + 1):
-                rec(p + 1, j_p, chosen + [(i_p, j_p)])
+                yield from terms(p + 1, j_p, chosen + [(i_p, j_p)])
 
-    rec(0, 0, [])
-    return lhs, Cochain(x.alg, lhs.degree, rhs)
+    return lhs, _signed_sum(x.alg, lhs.degree, terms(0, 0, []))
 
 
 def dot_brace_sides(ctx, x1, x2, ys):
     """(x_1 . x_2){y_1..y_n} = sum_k (-1)^(deg x_2 (|y_1|+...+|y_k|))
     x_1{y_1..y_k} . x_2{y_{k+1}..y_n}."""
-    n = len(ys)
     sy = [y.shifted for y in ys]
     lhs = brace(dot(ctx, x1, x2), ys)
-    rhs = {}
-    for k in range(n + 1):
-        eps = x2.degree * sum(sy[:k])
-        _add_into(rhs, dot(ctx, brace(x1, ys[:k]), brace(x2, ys[k:])),
-                  eps % 2 == 1)
-    return lhs, Cochain(x1.alg, lhs.degree, rhs)
+    return lhs, _signed_sum(x1.alg, lhs.degree, (
+        ((x2.degree * sum(sy[:k])) % 2 == 1,
+         dot(ctx, brace(x1, ys[:k]), brace(x2, ys[k:])))
+        for k in range(len(ys) + 1)))
 
 
 def hg_differential_sides(ctx, x, args):
@@ -82,24 +74,30 @@ def hg_differential_sides(ctx, x, args):
         + (-1)^(|x|+|x_1|+..+|x_n|) x{x_1..x_n} . x_{n+1}
     """
     sx = x.shifted
-    lhs, rhs = {}, {}
-    _add_into(lhs, diff_d(ctx, brace(x, args)), False)
-    _add_into(lhs, brace(diff_d(ctx, x), args), True)
-    for i in range(len(args)):
-        pre = sum(a.shifted for a in args[:i])
-        term = brace(x, args[:i] + [diff_d(ctx, args[i])] + args[i + 1:])
-        _add_into(lhs, term, (sx + pre) % 2 == 0)
-    _add_into(rhs, dot(ctx, args[0], brace(x, args[1:])),
-              (args[0].shifted * x.degree) % 2 == 1)
-    for i in range(1, len(args)):
-        pre = sum(a.shifted for a in args[:i])
-        term = brace(x, args[:i - 1] + [dot(ctx, args[i - 1], args[i])] + args[i + 1:])
-        _add_into(rhs, term, (sx + pre) % 2 == 0)
-    term = dot(ctx, brace(x, args[:-1]), args[-1])
-    pre = sum(a.shifted for a in args[:-1])
-    _add_into(rhs, term, (sx + pre) % 2 == 1)
-    degree = x.degree + sum(a.shifted for a in args) + 1  # of d(x{args})
-    return Cochain(x.alg, degree, lhs), Cochain(x.alg, degree, rhs)
+    k = len(args)
+    # pre[i] = |x_1| + ... + |x_i|
+    pre = list(accumulate((a.shifted for a in args), initial=0))
+
+    def lhs():
+        yield False, diff_d(ctx, brace(x, args))
+        yield True, brace(diff_d(ctx, x), args)
+        for i in range(k):
+            term = brace(x, args[:i] + [diff_d(ctx, args[i])] + args[i + 1:])
+            yield (sx + pre[i]) % 2 == 0, term
+
+    def rhs():
+        yield ((args[0].shifted * x.degree) % 2 == 1,
+               dot(ctx, args[0], brace(x, args[1:])))
+        for i in range(1, k):
+            term = brace(x, args[:i - 1] + [dot(ctx, args[i - 1], args[i])]
+                         + args[i + 1:])
+            yield (sx + pre[i]) % 2 == 0, term
+        yield ((sx + pre[k - 1]) % 2 == 1,
+               dot(ctx, brace(x, args[:-1]), args[-1]))
+
+    degree = x.degree + pre[k] + 1  # of d(x{args})
+    return (_signed_sum(x.alg, degree, lhs()),
+            _signed_sum(x.alg, degree, rhs()))
 
 
 def dg_algebra_sides(ctx, x, y, z):
@@ -107,10 +105,10 @@ def dg_algebra_sides(ctx, x, y, z):
     assoc_l = dot(ctx, dot(ctx, x, y), z)
     assoc_r = dot(ctx, x, dot(ctx, y, z))
     leib_l = diff_d(ctx, dot(ctx, x, y))
-    leib_r = {}
-    _add_into(leib_r, dot(ctx, diff_d(ctx, x), y), False)
-    _add_into(leib_r, dot(ctx, x, diff_d(ctx, y)), x.degree % 2 == 1)
-    return (assoc_l, assoc_r), (leib_l, Cochain(x.alg, leib_l.degree, leib_r))
+    leib_r = _signed_sum(x.alg, leib_l.degree, (
+        (False, dot(ctx, diff_d(ctx, x), y)),
+        (x.degree % 2 == 1, dot(ctx, x, diff_d(ctx, y)))))
+    return (assoc_l, assoc_r), (leib_l, leib_r)
 
 
 # patterns (deg x; degrees of xs; degrees of ys), total degree <= 4
@@ -148,46 +146,32 @@ HG_DIFF_PATTERNS = (
 DG_PATTERNS = ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1))
 
 
+def _draw(alg, rng, pattern):
+    """Random cochains of the degrees in ``pattern``, nested as it is and
+    drawn from left to right."""
+    if isinstance(pattern, int):
+        return random_cochain(alg, pattern, rng)
+    return [_draw(alg, rng, p) for p in pattern]
+
+
 def run_identity_suite(ctx, rng, samples):
-    """Spread `samples` random instances across all identity families."""
+    """Spread ``samples`` random instances across all identity families,
+    round robin, from one table of (law, patterns, sides)."""
+    laws = (
+        ("brace-identity", BRACE_PATTERNS,
+         lambda *xs: [brace_identity_sides(*xs)]),
+        ("hg-dot-brace", DOT_BRACE_PATTERNS,
+         lambda *xs: [dot_brace_sides(ctx, *xs)]),
+        ("hg-differential", HG_DIFF_PATTERNS,
+         lambda *xs: [hg_differential_sides(ctx, *xs)]),
+        ("dg-algebra", DG_PATTERNS, lambda *xs: dg_algebra_sides(ctx, *xs)),
+    )
+    families = [(law, pattern, sides) for law, patterns, sides in laws
+                for pattern in patterns]
     results = []
-    families = []
-    for pat in BRACE_PATTERNS:
-        families.append(("brace-identity", pat))
-    for pat in DOT_BRACE_PATTERNS:
-        families.append(("hg-dot-brace", pat))
-    for pat in HG_DIFF_PATTERNS:
-        families.append(("hg-differential", pat))
-    for pat in DG_PATTERNS:
-        families.append(("dg-algebra", pat))
-    alg = ctx.alg
-    i = 0
-    while i < samples:
-        check, pat = families[i % len(families)]
-        if check == "brace-identity":
-            dx, dxs, dys = pat
-            lhs, rhs = brace_identity_sides(
-                random_cochain(alg, dx, rng),
-                [random_cochain(alg, k, rng) for k in dxs],
-                [random_cochain(alg, k, rng) for k in dys])
-            results.append(IdentityResult(check, pat, lhs == rhs))
-        elif check == "hg-dot-brace":
-            d1, d2, dys = pat
-            lhs, rhs = dot_brace_sides(
-                ctx, random_cochain(alg, d1, rng), random_cochain(alg, d2, rng),
-                [random_cochain(alg, k, rng) for k in dys])
-            results.append(IdentityResult(check, pat, lhs == rhs))
-        elif check == "hg-differential":
-            dx, dargs = pat
-            lhs, rhs = hg_differential_sides(
-                ctx, random_cochain(alg, dx, rng),
-                [random_cochain(alg, k, rng) for k in dargs])
-            results.append(IdentityResult(check, pat, lhs == rhs))
-        else:
-            p, q, r = pat
-            (al, ar), (ll, lr) = dg_algebra_sides(
-                ctx, random_cochain(alg, p, rng), random_cochain(alg, q, rng),
-                random_cochain(alg, r, rng))
-            results.append(IdentityResult(check, pat, al == ar and ll == lr))
-        i += 1
+    for i in range(samples):
+        law, pattern, sides = families[i % len(families)]
+        pairs = sides(*_draw(ctx.alg, rng, pattern))
+        results.append(LawCheck(law, pattern,
+                                all(lhs == rhs for lhs, rhs in pairs)))
     return results

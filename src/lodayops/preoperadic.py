@@ -222,9 +222,6 @@ class SystemReport(NamedTuple):
     def passed(self):
         return not self.counterexamples
 
-    def first_failure(self):
-        return self.counterexamples[0] if self.counterexamples else None
-
 
 def _compositions_of(total):
     """All ordered compositions of total, lexicographically."""

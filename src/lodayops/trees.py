@@ -52,9 +52,6 @@ class PlanarTree:
     def is_leaf(self):
         return not self.children
 
-    def leaf_count(self):
-        return self.weight + 1
-
     def __eq__(self, other):
         return isinstance(other, PlanarTree) and self._key == other._key
 

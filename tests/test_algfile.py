@@ -99,6 +99,18 @@ def test_error_carries_line_number():
     assert err.value.line_no == 5
 
 
+def test_file_not_utf8_names_its_line(tmp_path):
+    # a Latin-1 comment on the first line; the CLI test puts the bad bytes
+    # on a later line
+    path = tmp_path / "latin1.alg"
+    path.write_bytes("# caf\u00e9\ntype = didend\nfield = Q\ndim = 1\n"
+                     .encode("latin-1"))
+    with pytest.raises(AlgebraFileError) as err:
+        load_algebra(path, **QUIET)
+    assert err.value.line_no == 1
+    assert "not valid UTF-8" in str(err.value)
+
+
 def test_prime_field_file():
     alg = parse_algebra(
         "type = didend\nfield = Fp:101\ndim = 1\nop left\n1 1 1 1/2\n", **QUIET)

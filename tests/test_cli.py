@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from lodayops import linalg
+from lodayops import cohomology, identities, linalg
 from lodayops.cli import MAX_SCAN_INSTANCES, main
+from lodayops.cochains import zero_cochain
 from lodayops.preoperadic import scan_instances
 
 
@@ -87,6 +88,60 @@ def test_identities_seeded(fixture_dir):
     assert "CHECK hg-differential PASS" in out
 
 
+def _fail_first_call(monkeypatch, module, name, failed):
+    """Patch module.name so that its first call returns ``failed(...)``
+    and every later call the real result."""
+    real = getattr(module, name)
+    calls = []
+
+    def patched(*args):
+        calls.append(args)
+        return failed(*args) if len(calls) == 1 else real(*args)
+    monkeypatch.setattr(module, name, patched)
+
+
+def test_gerstenhaber_failed_instance_lines(fixture_dir, monkeypatch):
+    # the first coboundary test, graded commutativity at degrees (1, 1),
+    # is made to fail: the law fails on that one instance only
+    _fail_first_call(monkeypatch, cohomology, "is_coboundary",
+                     lambda ctx, c: False)
+    code, out, _ = run_cli("gerstenhaber", fx(fixture_dir, "trias_dim2"),
+                           "--max-degree", "4")
+    assert code == 1
+    assert out.splitlines()[5:] == [
+        "# graded-commutativity: 6 instances",
+        "CHECK graded-commutativity FAIL",
+        "FAILED-AT graded-commutativity degrees=(1, 1)",
+        "# bracket-derivation: 4 instances",
+        "CHECK bracket-derivation PASS",
+        "# graded-jacobi: 4 instances",
+        "CHECK graded-jacobi PASS",
+    ]
+
+
+def test_identities_failed_instance_lines(fixture_dir, monkeypatch):
+    # the first dg-algebra instance, pattern (1, 1, 1), gets sides of
+    # different degrees, which are never equal
+    def unequal(ctx, x, y, z):
+        return ((x, zero_cochain(ctx.alg, x.degree + 1)),
+                (x, zero_cochain(ctx.alg, x.degree + 1)))
+    _fail_first_call(monkeypatch, identities, "dg_algebra_sides", unequal)
+    code, out, _ = run_cli("identities", fx(fixture_dir, "trias_dim1"),
+                           "--samples", "26", "--seed", "0")
+    assert code == 1
+    assert out.splitlines()[3:] == [
+        "# brace-identity: 8 instances",
+        "CHECK brace-identity PASS",
+        "# dg-algebra: 4 instances",
+        "CHECK dg-algebra FAIL",
+        "FAILED-AT dg-algebra pattern=(1, 1, 1)",
+        "# hg-differential: 9 instances",
+        "CHECK hg-differential PASS",
+        "# hg-dot-brace: 5 instances",
+        "CHECK hg-dot-brace PASS",
+    ]
+
+
 def test_exit_codes_for_bad_input(fixture_dir, tmp_path):
     code, _, err = run_cli("cohomology", str(tmp_path / "missing.alg"))
     assert code == 2
@@ -97,6 +152,20 @@ def test_exit_codes_for_bad_input(fixture_dir, tmp_path):
     assert "not prime" in err
     code, _, _ = run_cli("no-such-command")
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["verify-algebra", "cohomology",
+                                     "compare-differentials", "gerstenhaber",
+                                     "identities"])
+def test_file_not_utf8_exits_2(tmp_path, command):
+    bad = tmp_path / "bad.alg"
+    bad.write_bytes(b"type = trias\nfield = Q\ndim = 1\n\xff\xfe\n")
+    code, out, err = run_cli(command, str(bad))
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines()
+            if not line.startswith("# elapsed")] == [
+        "error: %s: line 4: not valid UTF-8" % bad]
 
 
 @pytest.mark.parametrize("argv", [

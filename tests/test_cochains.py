@@ -519,6 +519,28 @@ def test_delta_requires_trias():
         delta_trias(alg, zero_cochain(alg, 1))
 
 
+def test_operations_refuse_cochains_of_another_complex(rng):
+    ctx = MultContext(product_fixture("didend", 1))
+    alg = ctx.alg
+    x1, x2 = random_cochain(alg, 1, rng), random_cochain(alg, 2, rng)
+    for other_alg in (product_fixture("trias", 1),
+                      product_fixture("didend", 1, field=PrimeField(101))):
+        other = MultContext(other_alg)
+        y1 = random_cochain(other_alg, 1, rng)
+        refused = [lambda: x1 + y1, lambda: x1 - y1,
+                   lambda: bracket(x1, y1), lambda: bracket(y1, x1),
+                   lambda: dot(ctx, x1, y1), lambda: dot(ctx, y1, x1),
+                   lambda: dot(other, x1, y1), lambda: diff_d(ctx, y1),
+                   lambda: diff_d(other, x1)]
+        for op in refused:
+            with pytest.raises(ValueError):
+                op()
+    for op in (lambda: x1 + x2, lambda: x1 - x2, lambda: x2 - x1):
+        with pytest.raises(ValueError):
+            op()
+    assert (x1 - x1).is_zero() and (x2 + x2).degree == 2
+
+
 def test_multilinearity_of_gamma_and_brace(rng):
     alg = product_fixture("trias", 1)
     f = random_cochain(alg, 2, rng)

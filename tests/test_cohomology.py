@@ -10,8 +10,7 @@ from lodayops.cochains import Cochain, MultContext, diff_d, dot, random_cochain
 from lodayops.cohomology import (DifferentialMatrix, check_g_algebra,
                                  coboundary_preimage, cochain_dim,
                                  cocycle_representatives, cohomology_dims,
-                                 cohomology_report, induced_bracket,
-                                 induced_dot, matrix_of_d,
+                                 cohomology_report, matrix_of_d,
                                  matrix_product_is_zero, matrix_rank)
 from lodayops.fields import QQ, PrimeField
 
@@ -220,8 +219,9 @@ def test_representatives_are_cocycles_and_count():
         for n in (1, 2, 3):
             reps = cocycle_representatives(ctx, n)
             assert len(reps) == dims[n]
-            for cls in reps:
-                assert diff_d(ctx, cls.representative).is_zero()
+            for rep in reps:
+                assert rep.degree == n
+                assert diff_d(ctx, rep).is_zero()
 
 
 def test_coboundary_preimage_round_trip(rng):
@@ -237,8 +237,8 @@ def test_coboundary_preimage_round_trip(rng):
 
 def test_nonzero_class_is_not_a_coboundary():
     ctx = MultContext(product_fixture("didend", 1))
-    (cls,) = cocycle_representatives(ctx, 2)
-    assert coboundary_preimage(ctx, cls.representative) is None
+    (rep,) = cocycle_representatives(ctx, 2)
+    assert coboundary_preimage(ctx, rep) is None
 
 
 def test_degree_one_preimage_convention(rng):
@@ -250,20 +250,23 @@ def test_degree_one_preimage_convention(rng):
     assert coboundary_preimage(ctx, zero) is not None
 
 
-def test_induced_operations_degrees_and_wellposedness(rng):
-    ctx = MultContext(zero_fixture("didend", 1))
-    a = cocycle_representatives(ctx, 1)[0]
-    b = cocycle_representatives(ctx, 2)[0]
-    assert induced_dot(ctx, a, b).degree == 3
-    assert induced_bracket(ctx, a, b).degree == 2
+def test_product_of_classes_is_well_posed(rng):
     # changing a representative by a coboundary moves the product by one
-    ctx2 = MultContext(product_fixture("didend", 1))
-    (cls2,) = cocycle_representatives(ctx2, 2)
-    c = random_cochain(ctx2.alg, 1, rng)
-    shifted = cls2.representative + diff_d(ctx2, c)
-    diff = dot(ctx2, cls2.representative, cls2.representative) - \
-        dot(ctx2, cls2.representative, shifted)
-    assert coboundary_preimage(ctx2, diff) is not None
+    ctx = MultContext(product_fixture("didend", 1))
+    (rep,) = cocycle_representatives(ctx, 2)
+    c = random_cochain(ctx.alg, 1, rng)
+    shifted = rep + diff_d(ctx, c)
+    assert shifted != rep
+    diff = dot(ctx, rep, rep) - dot(ctx, rep, shifted)
+    assert coboundary_preimage(ctx, diff) is not None
+
+
+def test_representative_that_is_no_cocycle_raises(monkeypatch):
+    ctx = MultContext(product_fixture("didend", 1))
+    monkeypatch.setattr(cohomology, "diff_d",
+                        lambda ctx, x: cochains.identity_cochain(ctx.alg))
+    with pytest.raises(ValueError, match="not a cocycle"):
+        cocycle_representatives(ctx, 2)
 
 
 def test_check_g_algebra_passes():

@@ -244,7 +244,7 @@ def test_profile_dependent_corruption_caught_by_closure():
     axioms = {c.axiom for c in report.counterexamples}
     assert "idempotency" not in axioms
     assert "closure" in axioms
-    first = report.first_failure()
+    first = report.counterexamples[0]
     assert first.outer and first.element
 
 

@@ -7,12 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from lodayops.algebra import AxiomViolation, product_fixture
-from lodayops.cochains import zero_cochain
-from lodayops.cohomology import (CohomologyClass, CohomologyReport, GCheck,
-                                 GAlgebraReport)
+from lodayops.algebra import AxiomViolation
+from lodayops.cohomology import CohomologyReport, GAlgebraReport
 from lodayops.fields import QQ
-from lodayops.identities import IdentityResult
+from lodayops.identities import LawCheck
 from lodayops.linalg import column_echelon
 from lodayops.params import ParamElement
 from lodayops.preoperadic import Counterexample, SystemReport
@@ -33,7 +31,7 @@ def test_cli_import_loads_no_dataclasses():
     assert done.stdout.split() == []
 
 
-JACOBI = GCheck("graded-jacobi", (1, 1, 1), True)
+JACOBI = LawCheck("graded-jacobi", (1, 1, 1), True)
 CLOSURE = Counterexample("closure", (1, 1), (1, 2), "1", "1", "2")
 
 RECORDS = [
@@ -41,8 +39,6 @@ RECORDS = [
     ParamElement("linear", 2, 1),
     CLOSURE,
     SystemReport("linear", 3, 10, (CLOSURE,)),
-    IdentityResult("brace", (1, 2), True),
-    CohomologyClass(1, zero_cochain(product_fixture("trias", 1), 1)),
     CohomologyReport(1, [(1, 0)], {1: []}),
     JACOBI,
     GAlgebraReport(3, [JACOBI], {1: 1, 2: 0}),
@@ -60,9 +56,9 @@ def test_record_fields_are_read_only(record):
 
 def test_report_verdicts():
     clean = SystemReport("linear", 3, 10, ())
-    assert clean.passed and clean.first_failure() is None
+    assert clean.passed
     failed = SystemReport("linear", 3, 10, (CLOSURE,))
-    assert not failed.passed and failed.first_failure() is CLOSURE
+    assert not failed.passed and failed.counterexamples[0] is CLOSURE
     assert GAlgebraReport(3, [JACOBI], {1: 1}).passed
     assert not GAlgebraReport(3, [JACOBI, JACOBI._replace(passed=False)],
                               {1: 1}).passed
