@@ -10,6 +10,6 @@ from .cohomology import (check_g_algebra, coboundary_preimage,
                          cocycle_representatives, matrix_of_d)
 from .fields import PrimeField, QQ
 from .params import ParamElement, encode, enumerate_params
-from .preoperadic import Profile, r_part, r_zero, verify_system
+from .preoperadic import r_part, r_zero, verify_system
 
 __version__ = "0.1.0"

@@ -42,6 +42,7 @@ def parse_algebra(text, warn=None):
     blocks = {}
     current_op = None
     header_lines = {}
+    block_lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -53,6 +54,7 @@ def parse_algebra(text, warn=None):
             if name in blocks:
                 raise AlgebraFileError(line_no, "duplicate operation block %r" % name)
             blocks[name] = []
+            block_lines[name] = line_no
             current_op = name
             continue
         if "=" in line:
@@ -81,10 +83,11 @@ def parse_algebra(text, warn=None):
         field = field_from_name(header["field"])
     except ValueError as exc:
         raise AlgebraFileError(header_lines["field"], str(exc)) from None
-    if not header["dim"].isdigit() or int(header["dim"]) < 1:
+    dim_text = header["dim"]
+    if not (dim_text.isascii() and dim_text.isdigit()) or int(dim_text) < 1:
         raise AlgebraFileError(header_lines["dim"],
                                "dim must be a positive integer")
-    dim = int(header["dim"])
+    dim = int(dim_text)
     basis = None
     if "basis" in header:
         basis = tuple(header["basis"].split())
@@ -96,7 +99,8 @@ def parse_algebra(text, warn=None):
     ops = OPS[type_tag]
     for name in blocks:
         if name not in ops:
-            raise AlgebraFileError(0, "operation %r does not belong to type %s"
+            raise AlgebraFileError(block_lines[name],
+                                   "operation %r does not belong to type %s"
                                    % (name, type_tag))
     for op in ops:
         if op not in blocks:

@@ -140,7 +140,7 @@ def field_from_name(name):
         return QQ
     if name.startswith("Fp:"):
         body = name[3:]
-        if not body.isdigit():
+        if not (body.isascii() and body.isdigit()):
             raise ValueError("malformed field descriptor: %r" % name)
         return PrimeField(int(body))
     raise ValueError("unknown field descriptor: %r" % name)

@@ -76,11 +76,10 @@ def enumerate_params(kind, n):
     elif kind == "planar":
         payloads = planar_trees(n)
     elif kind == "subsets":
-        universe = list(range(1, n + 1))
-        payloads = sorted(
-            (frozenset(i for i in universe if mask >> (i - 1) & 1)
-             for mask in range(1, 1 << n)),
-            key=lambda s: sum(1 << (i - 1) for i in s))
+        # element i is the subset whose bitmask is i + 1
+        universe = range(1, n + 1)
+        payloads = (frozenset(i for i in universe if mask >> (i - 1) & 1)
+                    for mask in range(1, 1 << n))
     else:
         payloads = product((-1, 0, 1), repeat=n)
     return tuple(ParamElement(kind, n, p) for p in payloads)

@@ -32,41 +32,6 @@ from .trees import LEAF, _compositions
 TREE_KINDS = ("binary", "planar")
 
 
-class Profile:
-    """Composition data (k; n_1,...,n_k) with partial sums N_i, equal and
-    hashed by its parts."""
-
-    # partials is (N_0, N_1, ..., N_k), also the leaves R_0 keeps on a tree
-    __slots__ = ("parts", "partials")
-
-    def __init__(self, parts):
-        self.parts = parts = tuple(parts)
-        if not parts or any(p < 1 for p in parts):
-            raise ValueError("profile parts must be positive: %r" % (parts,))
-        self.partials = (0,) + tuple(accumulate(parts))
-
-    def __eq__(self, other):
-        return type(other) is Profile and self.parts == other.parts
-
-    def __hash__(self):
-        return hash(self.parts)
-
-    def __repr__(self):
-        return "Profile(%r)" % (self.parts,)
-
-    @property
-    def k(self):
-        return len(self.parts)
-
-    @property
-    def total(self):
-        return self.partials[-1]
-
-    def partial(self, i):
-        """N_i = n_1 + ... + n_i, with N_0 = 0."""
-        return self.partials[i]
-
-
 @lru_cache(maxsize=None)
 def _by_children(kind, n):
     """The trees of U_n keyed by their tuple of children."""
@@ -160,37 +125,43 @@ def r_index_tables(kind, parts):
     degree, and each is a shared restriction table, so the R_j table of an
     interval serves every profile with that interval.
     """
-    cuts = Profile(parts).partials
+    if not parts or min(parts) < 1:
+        raise ValueError("profile parts must be positive: %r" % (parts,))
+    cuts = (0, *accumulate(parts))
     n = cuts[-1]
     return (_restriction_table(kind, n, cuts),
             tuple(_restriction_table(kind, n, tuple(range(lo, hi + 1)))
                   for lo, hi in zip(cuts, cuts[1:])))
 
 
-def _apply(kind, p, j, elem):
-    """R_0(p) of elem for j = 0, else R_j(p), read from the index tables."""
-    if elem.n != p.total:
+def _apply(kind, parts, j, elem):
+    """R_0 of elem for j = 0, else R_j, read from the index tables of the
+    profile ``parts``, a tuple."""
+    r0, part_tables = r_index_tables(kind, parts)
+    total = sum(parts)
+    if elem.n != total:
         raise ValueError(
-            "element arity %d does not match profile total %d" % (elem.n, p.total))
+            "element arity %d does not match profile total %d" % (elem.n, total))
     i = _family(kind, elem.n)[1].get(elem.payload)
     if i is None:
         raise ValueError("%s is not an element of the %s family"
                          % (param_text(elem), kind))
-    r0, part_tables = r_index_tables(kind, p.parts)
-    table, k = (r0, p.k) if j == 0 else (part_tables[j - 1], p.parts[j - 1])
+    table, k = (r0, len(parts)) if j == 0 else (part_tables[j - 1], parts[j - 1])
     return _family(kind, k)[0][table[i]]
 
 
-def r_zero(kind, p, elem):
-    """R_0(k; n_1,...,n_k): U_N -> U_k."""
-    return _apply(kind, p, 0, elem)
+def r_zero(kind, parts, elem):
+    """R_0(k; n_1,...,n_k): U_N -> U_k, for the parts (n_1,...,n_k) given
+    as any sequence."""
+    return _apply(kind, tuple(parts), 0, elem)
 
 
-def r_part(kind, p, j, elem):
+def r_part(kind, parts, j, elem):
     """R_j(k; n_1,...,n_k): U_N -> U_{n_j} for 1 <= j <= k."""
-    if not 1 <= j <= p.k:
-        raise ValueError("part index %d out of range 1..%d" % (j, p.k))
-    return _apply(kind, p, j, elem)
+    parts = tuple(parts)
+    if not 1 <= j <= len(parts):
+        raise ValueError("part index %d out of range 1..%d" % (j, len(parts)))
+    return _apply(kind, parts, j, elem)
 
 
 # -- exhaustive verification ------------------------------------------------
@@ -321,12 +292,12 @@ def verify_system(kind, max_total, workers=1, tables=r_index_tables):
 
     for n_total in range(1, max_total + 1):
         for outer in _compositions_of(n_total):
-            cuts = Profile(outer).partials
+            cuts = (0, *accumulate(outer))
             r_outer = maps(outer)
             for m_total in range(n_total, max_total + 1):
                 for inner in _compositions(m_total, n_total):
                     checked += sizes[m_total]
-                    m_cuts = Profile(inner).partials
+                    m_cuts = (0, *accumulate(inner))
                     r_inner = maps(inner)
                     r_t = maps(tuple(m_cuts[hi] - m_cuts[lo]
                                      for lo, hi in zip(cuts, cuts[1:])))

@@ -103,21 +103,6 @@ def parse_tree(text):
     return t
 
 
-def graft(parts):
-    """Join k+1 >= 2 trees left to right under a new root vertex."""
-    parts = tuple(parts)
-    if len(parts) < 2:
-        raise ValueError("grafting needs at least 2 trees")
-    return PlanarTree(parts)
-
-
-def decompose(t):
-    """Inverse of graft: the unique list of subtrees under the lowest vertex."""
-    if t.is_leaf:
-        raise ValueError("a bare leaf does not decompose")
-    return list(t.children)
-
-
 def delete_leaf(t, i):
     """Remove leaf i (0 <= i <= weight); a vertex left with one child is spliced out."""
     if t.is_leaf:

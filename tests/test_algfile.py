@@ -76,6 +76,11 @@ def _expect_error(text, fragment):
 def test_distinct_diagnostics():
     _expect_error("type = frobnicator\nfield = Q\ndim = 1\n", "unknown algebra type")
     _expect_error("type = didend\nfield = Fp:6\ndim = 1\n", "not prime")
+    # digits that str.isdigit accepts but the grammar does not
+    _expect_error("type = didend\nfield = Fp:\u00b2\ndim = 1\n",
+                  "malformed field descriptor")
+    _expect_error("type = didend\nfield = Q\ndim = \u00b2\n",
+                  "dim must be a positive integer")
     _expect_error("type = didend\nfield = Q\ndim = 1\nop left\n1 1 2 1\n",
                   "out of range")
     _expect_error("type = didend\nfield = Q\ndim = 1\nop left\n1 1 1 1/0\n",
@@ -97,6 +102,15 @@ def test_error_carries_line_number():
         parse_algebra("type = didend\nfield = Q\ndim = 1\nop left\nbroken\n",
                       **QUIET)
     assert err.value.line_no == 5
+
+
+def test_foreign_operation_block_names_its_line():
+    with pytest.raises(AlgebraFileError) as err:
+        parse_algebra("type = dias\nfield = Q\ndim = 1\nop left\n1 1 1 1\n"
+                      "\nop middle\n", **QUIET)
+    assert err.value.line_no == 7
+    assert str(err.value) == \
+        "line 7: operation 'middle' does not belong to type dias"
 
 
 def test_file_not_utf8_names_its_line(tmp_path):

@@ -168,6 +168,22 @@ def test_file_not_utf8_exits_2(tmp_path, command):
         "error: %s: line 4: not valid UTF-8" % bad]
 
 
+@pytest.mark.parametrize("command", ["verify-algebra", "cohomology",
+                                     "compare-differentials", "gerstenhaber",
+                                     "identities"])
+def test_non_ascii_dim_exits_2(tmp_path, command):
+    # "\u00b2".isdigit() holds, but int() refuses it
+    bad = tmp_path / "bad.alg"
+    bad.write_text("type = trias\nfield = Q\ndim = \u00b2\n",
+                   encoding="utf-8")
+    code, out, err = run_cli(command, str(bad))
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines()
+            if not line.startswith("# elapsed")] == [
+        "error: %s: line 3: dim must be a positive integer" % bad]
+
+
 @pytest.mark.parametrize("argv", [
     ["cohomology", "FIXTURE", "--max-degree", "0"],
     ["gerstenhaber", "FIXTURE", "--max-degree", "1"],

@@ -7,13 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from lodayops.algebra import (AXIOMS, TYPES, axiom_mutation, product_fixture,
                               suspension_fixture, zero_fixture)
+from lodayops.algfile import load_algebra
 from lodayops.cochains import (Cochain, MultContext, bracket, brace,
                                canonical_multiplication, circ, cochain_dim,
                                delta_trias, diff_d, dot, gamma,
                                identity_cochain, random_cochain, zero_cochain)
 from lodayops.fields import QQ, PrimeField
 from lodayops.params import encode, enumerate_params
-from lodayops.preoperadic import Profile, r_index_tables, r_part, r_zero
+from lodayops.preoperadic import r_index_tables, r_part, r_zero
 
 
 def test_table_shape(rng):
@@ -324,7 +325,6 @@ def _gamma_by_definition(f, gs):
     alg = f.alg
     d, kind, field = alg.dim, alg.kind, alg.field
     parts = tuple(g.degree for g in gs)
-    profile = Profile(parts)
     total = sum(parts)
 
     def cell(n, u_idx, inputs, out):
@@ -347,8 +347,8 @@ def _gamma_by_definition(f, gs):
 
     cells = {}
     for r_idx, r in enumerate(enumerate_params(kind, total)):
-        f_idx = encode(kind, r_zero(kind, profile, r))
-        per_slot = [values(t, encode(kind, r_part(kind, profile, t + 1, r)))
+        f_idx = encode(kind, r_zero(kind, parts, r))
+        per_slot = [values(t, encode(kind, r_part(kind, parts, t + 1, r)))
                     for t in range(len(gs))]
         for choice in product(*per_slot):
             inputs = sum((block for block, _ in choice), ())
@@ -511,6 +511,52 @@ def test_delta_square_zero(rng):
         f = random_cochain(alg, n, rng)
         assert delta_trias(alg, delta_trias(alg, f)).is_zero()
         assert delta_trias(alg, f).degree == n + 1
+
+
+def _cofaces(ctx, x):
+    """delta^0 x, ..., delta^(n+1) x for x of degree n, the cofaces that pi
+    makes on the cochains (SIGN_NOTES.md): delta^0 x = gamma(pi; Id, x),
+    delta^i x = gamma(x; Id,...,pi at slot i-1,...,Id) for 1 <= i <= n, and
+    delta^(n+1) x = gamma(pi; x, Id)."""
+    ident = identity_cochain(ctx.alg)
+    n = x.degree
+    return ([gamma(ctx.pi, [ident, x])]
+            + [gamma(x, [ctx.pi if s == i - 1 else ident for s in range(n)])
+               for i in range(1, n + 1)]
+            + [gamma(ctx.pi, [x, ident])])
+
+
+def test_cofaces_are_cosimplicial_and_sum_to_d(fixture_dir):
+    # pi{pi} = 0 makes the cochains a cosimplicial object (McClure-Smith):
+    # delta^j delta^i = delta^i delta^(j-1) for i < j <= n + 2, and
+    # sum_i (-1)^i delta^i x = (-1)^(n+1) d x.  Three seeded dense cochains
+    # per case: C(n+3, 2) instances each, 162 in all
+    cases = [(load_algebra(fixture_dir / "trias_dim2.alg"), (1, 2)),
+             (product_fixture("dias", 2), (1, 2)),
+             (product_fixture("tridend", 2), (1, 2)),
+             (suspension_fixture("tricub"), (1,))]
+    checked = 0
+    for alg, degrees in cases:
+        ctx = MultContext(alg)
+        rng = random.Random(7)
+        for n in degrees:
+            for _ in range(3):
+                x = random_cochain(alg, n, rng)
+                faces = _cofaces(ctx, x)
+                twice = [_cofaces(ctx, face) for face in faces]
+                for j in range(1, n + 3):
+                    for i in range(j):
+                        assert twice[i][j] == twice[j - 1][i], (n, i, j)
+                        assert not twice[i][j].is_zero()
+                        checked += 1
+                alternating = faces[0]
+                for i, face in enumerate(faces[1:], start=1):
+                    alternating = (alternating - face if i % 2
+                                   else alternating + face)
+                d = diff_d(ctx, x)
+                assert not d.is_zero()
+                assert alternating == (-d if (n + 1) % 2 else d)
+    assert checked == 162
 
 
 def test_delta_requires_trias():

@@ -2,7 +2,7 @@ import pytest
 
 from lodayops.params import (KINDS, ParamElement, encode, enumerate_params,
                              family_size, param_text, validate_element)
-from lodayops.trees import LEAF, graft
+from lodayops.trees import LEAF, PlanarTree
 
 
 def test_family_sizes():
@@ -26,6 +26,13 @@ def test_enumeration_deterministic_and_nonempty():
             again = enumerate_params(kind, n)
             assert first == again
             assert len(first) > 0
+
+
+def test_subsets_in_bitmask_order():
+    # the subset S has bitmask sum of 2^(i-1) over i in S
+    masks = [sum(1 << (i - 1) for i in e.payload)
+             for e in enumerate_params("subsets", 4)]
+    assert masks == list(range(1, 16))
 
 
 def test_invalid_arity():
@@ -59,7 +66,7 @@ def test_validate_rejects_bad_payloads():
     with pytest.raises(ValueError):
         validate_element(ParamElement("planar", 2, LEAF))       # weight 0
     with pytest.raises(ValueError):
-        validate_element(ParamElement("binary", 2, graft([LEAF] * 3)))
+        validate_element(ParamElement("binary", 2, PlanarTree([LEAF] * 3)))
 
 
 def test_param_text():

@@ -1,6 +1,6 @@
 from bisect import bisect_left
 from collections import Counter
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import prod
 
 import pytest
@@ -10,9 +10,9 @@ from lodayops.algfile import load_algebra
 from lodayops.cochains import MultContext
 from lodayops.params import (KINDS, ParamElement, _family, encode,
                              enumerate_params, param_text)
-from lodayops.preoperadic import (TREE_KINDS, Counterexample, Profile,
-                                  SystemReport, _compositions_of, r_part,
-                                  r_zero, r_index_tables, scan_instances,
+from lodayops.preoperadic import (TREE_KINDS, Counterexample, SystemReport,
+                                  _compositions_of, r_part, r_zero,
+                                  r_index_tables, scan_instances,
                                   verify_system)
 from lodayops.trees import (PlanarTree, _compositions, delete_leaf,
                             planar_trees)
@@ -23,14 +23,14 @@ def lin(n, r):
 
 
 def test_linear_r_zero_block_index():
-    p = Profile((2, 3))
+    p = (2, 3)
     assert r_zero("linear", p, lin(5, 4)) == lin(2, 2)
     assert r_zero("linear", p, lin(5, 2)) == lin(2, 1)
     assert r_zero("linear", p, lin(5, 3)) == lin(2, 2)
 
 
 def test_linear_r_part_clamps():
-    p = Profile((2, 3))
+    p = (2, 3)
     assert r_part("linear", p, 1, lin(5, 5)) == lin(2, 2)   # r > N_1: clamp to n_1
     assert r_part("linear", p, 1, lin(5, 1)) == lin(2, 1)
     assert r_part("linear", p, 2, lin(5, 1)) == lin(3, 1)   # r <= N_1: clamp to 1
@@ -38,34 +38,38 @@ def test_linear_r_part_clamps():
 
 
 def test_profile_parts_given_as_a_list():
-    # the maps read tables cached by the profile's parts, stored as a tuple
-    p = Profile([2, 2])
-    assert p.parts == (2, 2)
+    # the maps read tables cached by the profile's parts, taken as a tuple
+    p = [2, 2]
     assert r_zero("linear", p, lin(4, 3)) == lin(2, 2)
     assert r_part("planar", p, 2, enumerate_params("planar", 4)[0]) \
         == enumerate_params("planar", 2)[0]
+    assert r_zero("planar", p, enumerate_params("planar", 4)[5]) \
+        == r_zero("planar", (2, 2), enumerate_params("planar", 4)[5])
 
 
-def test_profile_equality_hash_and_validation():
-    assert Profile((2, 3)) == Profile([2, 3])
-    assert hash(Profile((2, 3))) == hash(Profile([2, 3]))
-    assert Profile((2, 3)) != Profile((3, 2))
-    assert Profile((2, 3)).partials == (0, 2, 5)
-    for parts in ((), [], (2, 0), (1, -1)):
-        with pytest.raises(ValueError):
-            Profile(parts)
+def test_nonpositive_profile_parts_are_errors():
+    message = "profile parts must be positive"
+    u = enumerate_params("linear", 2)[0]
+    for parts in ((), (2, 0), (1, -1), (3, -1)):
+        with pytest.raises(ValueError, match=message):
+            r_index_tables("linear", parts)
+    for parts in ((), [], (2, 0), [3, -1]):
+        with pytest.raises(ValueError, match=message):
+            r_zero("linear", parts, u)
+    with pytest.raises(ValueError, match=message):
+        r_part("linear", (3, -1), 1, u)
 
 
 def test_identity_profile_is_identity():
     for kind in ("linear", "binary", "planar", "subsets", "signs"):
         for k in (1, 2, 3):
-            p = Profile((1,) * k)
+            p = (1,) * k
             for u in enumerate_params(kind, k):
                 assert r_zero(kind, p, u) == u
 
 
 def test_sign_block_products_and_extraction():
-    p = Profile((2, 1))
+    p = (2, 1)
     x = ParamElement("signs", 3, (1, -1, 0))
     assert r_zero("signs", p, x) == ParamElement("signs", 2, (-1, 0))
     assert r_part("signs", p, 2, x) == ParamElement("signs", 1, (0,))
@@ -73,12 +77,12 @@ def test_sign_block_products_and_extraction():
 
 
 def test_subset_membership_cases():
-    p = Profile((2, 2))
+    p = (2, 2)
     x = ParamElement("subsets", 4, frozenset({3}))
     assert r_part("subsets", p, 1, x) == ParamElement("subsets", 2, frozenset({2}))
     assert r_zero("subsets", p, x) == ParamElement("subsets", 2, frozenset({2}))
     # the one-slot part always collapses to {1}
-    p = Profile((1, 3))
+    p = (1, 3)
     for payload in ({1}, {4}, {2, 3}):
         got = r_part("subsets", p, 1,
                      ParamElement("subsets", 4, frozenset(payload)))
@@ -89,18 +93,18 @@ def test_results_always_valid_members():
     from lodayops.params import validate_element
     for kind in ("linear", "binary", "planar", "subsets", "signs"):
         for parts in ((2, 1), (1, 2), (2, 2), (1, 1, 2)):
-            p = Profile(parts)
             for u in enumerate_params(kind, sum(parts)):
-                validate_element(r_zero(kind, p, u))
+                validate_element(r_zero(kind, parts, u))
                 for j in range(1, len(parts) + 1):
-                    validate_element(r_part(kind, p, j, u))
+                    validate_element(r_part(kind, parts, j, u))
 
 
 def test_arity_mismatch_is_an_error():
-    p = Profile((2, 2))
-    with pytest.raises(ValueError):
+    p = (2, 2)
+    with pytest.raises(ValueError, match=r"^element arity 3 does not match "
+                                         r"profile total 4$"):
         r_zero("linear", p, lin(3, 1))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^part index 3 out of range 1\.\.2$"):
         r_part("linear", p, 3, lin(4, 1))
 
 
@@ -116,7 +120,7 @@ def test_arity_mismatch_is_an_error():
 def test_off_family_payloads_are_errors(elem):
     # the maps read index tables, so a payload that is not in the family
     # has no index
-    p = Profile((2, 2))
+    p = (2, 2)
     with pytest.raises(ValueError, match="not an element"):
         r_zero(elem.kind, p, elem)
     with pytest.raises(ValueError, match="not an element"):
@@ -203,17 +207,15 @@ def test_tree_r_functions_match_direct_construction():
     # R_0 and R_j on trees versus direct extraction, every profile of total <= 6
     for kind in ("binary", "planar"):
         for parts in _all_compositions(6):
-            p = Profile(parts)
-            total = sum(parts)
-            partials = [p.partial(i) for i in range(len(parts) + 1)]
-            for u in enumerate_params(kind, total):
+            partials = [0, *accumulate(parts)]
+            for u in enumerate_params(kind, partials[-1]):
                 keep0 = set(partials)
                 direct = _keep_leaves_direct(u.payload, keep0)
-                assert r_zero(kind, p, u).payload == direct
+                assert r_zero(kind, parts, u).payload == direct
                 for j in range(1, len(parts) + 1):
                     keep = set(range(partials[j - 1], partials[j] + 1))
                     direct = _keep_leaves_direct(u.payload, keep)
-                    assert r_part(kind, p, j, u).payload == direct
+                    assert r_part(kind, parts, j, u).payload == direct
 
 
 @pytest.mark.parametrize("kind", ["linear", "binary", "planar", "subsets", "signs"])
@@ -235,8 +237,8 @@ def test_profile_dependent_corruption_caught_by_closure():
     # asymmetrically (the inner composite sees different profile shapes), so
     # the scan must produce a concrete (profile, element) counterexample
     def bad_r_part(kind, p, j, elem):
-        if kind == "linear" and len(p.parts) == 2:
-            return ParamElement("linear", p.parts[j - 1], 1)
+        if kind == "linear" and len(p) == 2:
+            return ParamElement("linear", p[j - 1], 1)
         return r_part(kind, p, j, elem)
 
     report = verify_system("linear", 4, tables=_tabulated(rj=bad_r_part))
@@ -254,15 +256,14 @@ def test_index_tables_consistent_with_functions():
         max_total = 6 if kind in ("binary", "planar") else 5
         for parts in _all_compositions(max_total):
             r0, part_tables = r_index_tables(kind, parts)
-            p = Profile(parts)
-            family = enumerate_params(kind, p.total)
-            assert len(part_tables) == p.k
+            family = enumerate_params(kind, sum(parts))
+            assert len(part_tables) == len(parts)
             for table in (r0,) + part_tables:
                 assert len(table) == len(family)
             for i, u in enumerate(family):
-                assert r0[i] == encode(kind, r_zero(kind, p, u))
+                assert r0[i] == encode(kind, r_zero(kind, parts, u))
                 for j, table in enumerate(part_tables, start=1):
-                    assert table[i] == encode(kind, r_part(kind, p, j, u))
+                    assert table[i] == encode(kind, r_part(kind, parts, j, u))
 
 
 # The linear, subset and sign maps on payloads, as the library computed them
@@ -271,11 +272,12 @@ def test_index_tables_consistent_with_functions():
 
 def _oracle_r_zero(kind, p, payloads):
     """R_0 on each of the payloads, one block at a time."""
+    cuts = (0, *accumulate(p))
     if kind == "linear":
         # the block that holds x
-        return [bisect_left(p.partials, x) for x in payloads]
+        return [bisect_left(cuts, x) for x in payloads]
     columns = []
-    for lo, hi in zip(p.partials, p.partials[1:]):
+    for lo, hi in zip(cuts, cuts[1:]):
         if kind == "subsets":
             columns.append([any(lo + 1 <= r <= hi for r in x)
                             for x in payloads])
@@ -288,8 +290,8 @@ def _oracle_r_zero(kind, p, payloads):
 
 
 def _oracle_r_part(kind, p, j, x):
-    n_j = p.parts[j - 1]
-    lo = p.partial(j - 1)          # N_{j-1}
+    n_j = p[j - 1]
+    lo = sum(p[:j - 1])            # N_{j-1}
     hi = lo + n_j                  # N_j
     if kind == "linear":
         return min(max(x - lo, 1), n_j)
@@ -303,7 +305,7 @@ def _oracle_r_part(kind, p, j, x):
         if not hit and 2 <= i <= n_j - 1:
             hit = (i + lo) in x
         if not hit and i == n_j:
-            hit = any(hi <= r <= p.total for r in x)
+            hit = any(hi <= r <= sum(p) for r in x)
         if hit:
             out.add(i)
     return frozenset(out)
@@ -315,18 +317,19 @@ def test_arithmetic_index_tables_match_payload_oracle(kind):
     # interval N_{j-1}..N_j, so its oracle is computed once per interval
     part_oracles = {}
     for parts in _all_compositions(8):
-        p = Profile(parts)
-        payloads = [u.payload for u in enumerate_params(kind, p.total)]
+        cuts = (0, *accumulate(parts))
+        payloads = [u.payload for u in enumerate_params(kind, cuts[-1])]
         r0, part_tables = r_index_tables(kind, parts)
-        index_k = _family(kind, p.k)[1]
+        index_k = _family(kind, len(parts))[1]
         assert r0 == tuple(map(index_k.__getitem__,
-                               _oracle_r_zero(kind, p, payloads)))
+                               _oracle_r_zero(kind, parts, payloads)))
         for j, table in enumerate(part_tables, start=1):
-            key = (p.total, p.partial(j - 1), p.partial(j))
+            key = (cuts[-1], cuts[j - 1], cuts[j])
             if key not in part_oracles:
                 index = _family(kind, parts[j - 1])[1]
                 part_oracles[key] = tuple(
-                    index[_oracle_r_part(kind, p, j, x)] for x in payloads)
+                    index[_oracle_r_part(kind, parts, j, x)]
+                    for x in payloads)
             assert table == part_oracles[key]
 
 
@@ -365,7 +368,7 @@ def test_tree_index_tables_are_the_restriction_tables():
     # no copy per profile: R_0 and each R_j are the shared cached tables
     for kind in ("binary", "planar"):
         for parts in _all_compositions(5):
-            cuts = Profile(parts).partials
+            cuts = (0, *accumulate(parts))
             r0, part_tables = r_index_tables(kind, parts)
             n = cuts[-1]
             assert r0 is preoperadic._restriction_table(kind, n, cuts)
@@ -402,9 +405,9 @@ def _scan_outer(kind, outer, max_total, r0, rj):
     """All axiom instances for one outer profile; returns (checked, failures)."""
     checked = 0
     failures = []
-    p_outer = Profile(outer)
     k = len(outer)
-    n_total = p_outer.total
+    cuts = (0, *accumulate(outer))
+    n_total = cuts[-1]
 
     def record(axiom, inner, elem, expected, actual):
         failures.append(Counterexample(
@@ -413,32 +416,28 @@ def _scan_outer(kind, outer, max_total, r0, rj):
 
     for m_total in range(n_total, max_total + 1):
         for inner in _compositions(m_total, n_total):
-            p_inner = Profile(inner)
-            m_partial = [p_inner.partial(i) for i in range(n_total + 1)]
-            t_parts = tuple(
-                m_partial[p_outer.partial(i)] - m_partial[p_outer.partial(i - 1)]
-                for i in range(1, k + 1))
-            p_t = Profile(t_parts)
-            blocks = [Profile(inner[p_outer.partial(i - 1):p_outer.partial(i)])
-                      for i in range(1, k + 1)]
+            m_partial = (0, *accumulate(inner))
+            t_parts = tuple(m_partial[hi] - m_partial[lo]
+                            for lo, hi in zip(cuts, cuts[1:]))
+            blocks = [inner[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
             for u in _family(kind, m_total)[0]:
                 checked += 1
-                via0 = r0(kind, p_inner, u)
+                via0 = r0(kind, inner, u)
                 # (2) idempotency
-                lhs = r0(kind, p_outer, via0)
-                rhs = r0(kind, p_t, u)
+                lhs = r0(kind, outer, via0)
+                rhs = r0(kind, t_parts, u)
                 if lhs != rhs:
                     record("idempotency", inner, u, rhs, lhs)
                 for i in range(1, k + 1):
-                    via_i = rj(kind, p_t, i, u)
+                    via_i = rj(kind, t_parts, i, u)
                     # (3) commutativity
-                    lhs = rj(kind, p_outer, i, via0)
+                    lhs = rj(kind, outer, i, via0)
                     rhs = r0(kind, blocks[i - 1], via_i)
                     if lhs != rhs:
                         record("commutativity", inner, u, rhs, lhs)
                     # (4) closure
                     for j in range(1, outer[i - 1] + 1):
-                        lhs = rj(kind, p_inner, p_outer.partial(i - 1) + j, u)
+                        lhs = rj(kind, inner, cuts[i - 1] + j, u)
                         rhs = rj(kind, blocks[i - 1], j, via_i)
                         if lhs != rhs:
                             record("closure", inner, u, rhs, lhs)
@@ -448,13 +447,13 @@ def _scan_outer(kind, outer, max_total, r0, rj):
 def _reference_scan(kind, max_total, r0=r_zero, rj=r_part):
     checked, counterexamples = 0, []
     for k in range(1, max_total + 1):
-        p = Profile((1,) * k)
+        p = (1,) * k
         for u in _family(kind, k)[0]:
             checked += 1
             got = r0(kind, p, u)
             if got != u:
                 counterexamples.append(Counterexample(
-                    "identity", p.parts, (), param_text(u),
+                    "identity", p, (), param_text(u),
                     param_text(u), param_text(got)))
     for n in range(1, max_total + 1):
         for outer in _compositions_of(n):
@@ -476,11 +475,11 @@ def _tabulated(r0=r_zero, rj=r_part):
     """A ``tables`` argument for verify_system: the element maps r0/rj,
     tabulated over each family by index through encode."""
     def tables(kind, parts):
-        p = Profile(parts)
-        family = enumerate_params(kind, p.total)
-        return (tuple(encode(kind, r0(kind, p, u)) for u in family),
-                tuple(tuple(encode(kind, rj(kind, p, j, u)) for u in family)
-                      for j in range(1, p.k + 1)))
+        family = enumerate_params(kind, sum(parts))
+        return (tuple(encode(kind, r0(kind, parts, u)) for u in family),
+                tuple(tuple(encode(kind, rj(kind, parts, j, u))
+                            for u in family)
+                      for j in range(1, len(parts) + 1)))
     return tables
 
 
@@ -492,28 +491,26 @@ def _next_in_family(kind, elem):
 
 def _corrupt_r0(kind, p, elem):
     out = r_zero(kind, p, elem)
-    return _next_in_family(kind, out) if p.parts[-1] == 2 else out
+    return _next_in_family(kind, out) if p[-1] == 2 else out
 
 
 def _corrupt_rj(kind, p, j, elem):
     out = r_part(kind, p, j, elem)
-    return _next_in_family(kind, out) if j == p.k > 1 else out
+    return _next_in_family(kind, out) if j == len(p) > 1 else out
 
 
 def _unclamped_linear_rj(kind, p, j, elem):
     # leaves the family: payloads below 1 and above n_j
     if kind == "linear":
-        return ParamElement("linear", p.parts[j - 1],
-                            elem.payload - p.partial(j - 1))
+        return ParamElement("linear", p[j - 1], elem.payload - sum(p[:j - 1]))
     return r_part(kind, p, j, elem)
 
 
 def _wrapped_linear_rj(kind, p, j, elem):
     # (x - N_{j-1} - 1) mod n_j + 1: in the family, but not clamped
     if kind == "linear":
-        return ParamElement("linear", p.parts[j - 1],
-                            (elem.payload - p.partial(j - 1) - 1)
-                            % p.parts[j - 1] + 1)
+        return ParamElement("linear", p[j - 1],
+                            (elem.payload - sum(p[:j - 1]) - 1) % p[j - 1] + 1)
     return r_part(kind, p, j, elem)
 
 

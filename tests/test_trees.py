@@ -3,12 +3,12 @@ from itertools import combinations
 import pytest
 
 from lodayops.trees import (LEAF, LEFT, MIDDLE, RIGHT, PlanarTree,
-                            binary_trees, boundary_symbol, decompose,
-                            delete_leaf, graft, is_binary, leaf_orientation,
-                            parse_tree, planar_trees, tree_text)
+                            binary_trees, boundary_symbol, delete_leaf,
+                            is_binary, leaf_orientation, parse_tree,
+                            planar_trees, tree_text)
 
-CORolla3 = graft([LEAF, LEAF, LEAF])
-T1 = graft([LEAF, LEAF])
+CORolla3 = PlanarTree([LEAF, LEAF, LEAF])
+T1 = PlanarTree([LEAF, LEAF])
 
 
 def test_counts_small():
@@ -51,28 +51,29 @@ def test_weights_and_leaf_labels():
 
 
 def test_graft_decompose_inverse():
-    assert graft([LEAF, LEAF]) == T1
-    assert decompose(CORolla3) == [LEAF, LEAF, LEAF]
-    assert decompose(T1) == [LEAF, LEAF]
+    # grafting is the constructor and decomposition its children
+    assert PlanarTree([LEAF, LEAF]) == T1
+    assert CORolla3.children == (LEAF, LEAF, LEAF)
+    assert T1.children == (LEAF, LEAF)
     for n in range(1, 6):
         for t in planar_trees(n):
-            assert graft(decompose(t)) == t
+            assert PlanarTree(t.children) == t
     with pytest.raises(ValueError):
-        graft([LEAF])
-    with pytest.raises(ValueError):
-        decompose(LEAF)
+        PlanarTree([LEAF])
+    assert LEAF.children == ()
 
 
 def test_graft_weight_formula():
-    a = graft([T1, LEAF])
+    a = PlanarTree([T1, LEAF])
     assert a.weight == 2
     parts = [T1, CORolla3, LEAF]
-    assert graft(parts).weight == sum(p.weight for p in parts) + len(parts) - 1
+    assert PlanarTree(parts).weight == \
+        sum(p.weight for p in parts) + len(parts) - 1
 
 
 def test_delete_leaf_examples():
     assert delete_leaf(CORolla3, 1) == T1
-    assert delete_leaf(graft([T1, LEAF]), 0) == T1
+    assert delete_leaf(PlanarTree([T1, LEAF]), 0) == T1
     # deleting from the two-leaf tree leaves the degenerate bare leaf
     assert delete_leaf(T1, 0) == LEAF
     with pytest.raises(ValueError):
@@ -99,7 +100,7 @@ def test_binary_closed_under_deletion():
 
 
 def test_orientations_on_reference_tree():
-    psi = graft([LEAF, LEAF, T1])
+    psi = PlanarTree([LEAF, LEAF, T1])
     assert leaf_orientation(psi, 0) == LEFT
     assert leaf_orientation(psi, 1) == MIDDLE
     assert leaf_orientation(psi, 2) == LEFT
@@ -107,12 +108,12 @@ def test_orientations_on_reference_tree():
 
 
 def test_boundary_symbols_on_reference_tree():
-    psi = graft([LEAF, LEAF, T1])     # psi_0 = psi_1 = leaf, psi_2 = T1, k = 2
+    psi = PlanarTree([LEAF, LEAF, T1])  # psi_0 = psi_1 = leaf, psi_2 = T1, k = 2
     assert boundary_symbol(psi, 0) == MIDDLE       # |psi_0| = 0, k > 1
     assert boundary_symbol(psi, 1) == MIDDLE       # orientation of leaf 1
     assert boundary_symbol(psi, 2) == LEFT         # orientation of leaf 2
     assert boundary_symbol(psi, 3) == LEFT         # terminal: |psi_k| = 1 > 0
-    comb = graft([T1, LEAF])
+    comb = PlanarTree([T1, LEAF])
     assert boundary_symbol(comb, 0) == RIGHT       # |psi_0| = 1 > 0
     assert boundary_symbol(comb, 2) == RIGHT       # terminal: k = 1, |psi_1| = 0
     assert boundary_symbol(T1, 0) == LEFT          # |psi_0| = 0, k = 1
@@ -130,7 +131,7 @@ def test_boundary_symbol_total():
 
 def test_text_round_trip():
     assert tree_text(CORolla3) == "(|,|,|)"
-    assert tree_text(graft([LEAF, T1])) == "(|,(|,|))"
+    assert tree_text(PlanarTree([LEAF, T1])) == "(|,(|,|))"
     for n in range(1, 5):
         for t in planar_trees(n):
             assert parse_tree(tree_text(t)) == t
