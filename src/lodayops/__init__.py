@@ -9,7 +9,7 @@ from .cohomology import (check_g_algebra, coboundary_preimage,
                          cohomology_dims, cohomology_report,
                          cocycle_representatives, matrix_of_d)
 from .fields import PrimeField, QQ
-from .params import ParamElement, encode, enumerate_params
+from .params import enumerate_params
 from .preoperadic import r_part, r_zero, verify_system
 
 __version__ = "0.1.0"

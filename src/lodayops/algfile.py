@@ -22,8 +22,12 @@ from .fields import field_from_name, parse_scalar
 
 
 class AlgebraFileError(ValueError):
+    """An error at line ``line_no``, or in the whole file if it is None."""
+
     def __init__(self, line_no, message):
-        super().__init__("line %d: %s" % (line_no, message))
+        if line_no is not None:
+            message = "line %d: %s" % (line_no, message)
+        super().__init__(message)
         self.line_no = line_no
 
 
@@ -74,7 +78,7 @@ def parse_algebra(text, warn=None):
 
     for key in ("type", "field", "dim"):
         if key not in header:
-            raise AlgebraFileError(0, "missing key %r" % key)
+            raise AlgebraFileError(None, "missing key %r" % key)
     type_tag = header["type"]
     if type_tag not in TYPES:
         raise AlgebraFileError(header_lines["type"],
@@ -129,7 +133,7 @@ def parse_algebra(text, warn=None):
     try:
         return AlgebraSpec(type_tag, field, dim, basis, tables)
     except ValueError as exc:
-        raise AlgebraFileError(0, str(exc)) from None
+        raise AlgebraFileError(None, str(exc)) from None
 
 
 def serialize_algebra(alg):

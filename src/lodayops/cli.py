@@ -131,7 +131,8 @@ def cmd_verify_algebra(ns, report):
     if not pipi.is_zero():
         bad = sorted({u for u, _, _, _ in pipi.entries()})
         elems = enumerate_params(alg.kind, 3)
-        report.data("NONZERO-AT", " ".join(param_text(elems[u]) for u in bad))
+        report.data("NONZERO-AT",
+                    " ".join(param_text(alg.kind, elems[u]) for u in bad))
     return None
 
 
@@ -150,12 +151,13 @@ def cmd_cohomology(ns, report):
     for n, dim in summary.dims:
         report.data("H", n, dim)
     for n, _ in summary.dims:
+        elems = enumerate_params(alg.kind, n)
         for idx, rep in enumerate(summary.representatives[n], 1):
             entries = []
             for u_idx, tup, out, c in rep.entries():
-                e = enumerate_params(alg.kind, n)[u_idx]
                 entries.append("(%s;%s->%s)=%s" % (
-                    param_text(e), ",".join(alg.basis[b] for b in tup),
+                    param_text(alg.kind, elems[u_idx]),
+                    ",".join(alg.basis[b] for b in tup),
                     alg.basis[out], alg.field.to_text(c)))
             report.data("REP", n, idx, " ".join(entries) if entries else "0")
     if ns.dump_matrices:

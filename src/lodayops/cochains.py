@@ -173,11 +173,10 @@ def canonical_multiplication(alg):
         ops = [None] * family_size(alg.kind, 2)
     else:
         ops = []
-        for e in enumerate_params(alg.kind, 2):
-            parts = e.payload.children
-            if len(parts) == 3:
+        for t in enumerate_params(alg.kind, 2):
+            if len(t) == 3:
                 ops.append("middle")
-            elif parts[0].is_leaf:
+            elif t[0].is_leaf:
                 ops.append("left")
             else:
                 ops.append("right")
@@ -454,8 +453,7 @@ def _delta_data(n):
     """For each tree of weight n+1: ((face index in T_n, op symbol) per position)."""
     index = _family("planar", n)[1]
     faces = []
-    for e in enumerate_params("planar", n + 1):
-        t = e.payload
+    for t in enumerate_params("planar", n + 1):
         row = []
         for i in range(n + 2):
             row.append((index[delete_leaf(t, i)], boundary_symbol(t, i)))

@@ -7,12 +7,14 @@ N_0, ..., N_k for R_0, and the interval N_{j-1}..N_j for R_j; on the tree
 families (binary, planar), to the tree spanned by those leaves.  Both maps
 have one form, the index tables of ``r_index_tables``: one table per
 (kind, N, labels), built once over all of U_N, and the R_j table of an
-interval serves every profile with that interval.  The children of a
-family's tree are the family's own tree objects, so a tree table puts each
-restriction together from its children's and finds it by its tuple of
-children: no tree is built.  The linear, subset and sign tables are
-integer arithmetic on the canonical index.  Composition, the matrices of
-d, the public ``r_zero``/``r_part`` and the law scan all read these tables.
+interval serves every profile with that interval.  A tree is its tuple
+of children, so a tree table puts each restriction together from its
+children's as a plain tuple, which equals the restricted tree and finds
+its index in U_k: no tree is built.  The linear, subset and sign tables
+are integer arithmetic on the canonical index.  Composition, the
+matrices of d, the public ``r_zero``/``r_part`` and the law scan all
+read these tables; ``r_zero``/``r_part`` take and return elements
+themselves, and refuse a value outside U_N.
 
 ``verify_system`` checks the laws on canonical indices: U_m is
 range(|U_m|), each map R_0(p), R_j(p) is a table fetched once per profile
@@ -32,18 +34,13 @@ from .trees import LEAF, _compositions
 TREE_KINDS = ("binary", "planar")
 
 
-@lru_cache(maxsize=None)
-def _by_children(kind, n):
-    """The trees of U_n keyed by their tuple of children."""
-    return {e.payload.children: e.payload for e in _family(kind, n)[0]}
-
-
-def _spanned(kind, memo, node, keep):
-    """The tree spanned by the leaves ``keep`` of node: two or more, sorted,
-    labelled from its first leaf.  ``memo`` holds restricted subtrees."""
+def _spanned(memo, node, keep):
+    """The tree spanned by the leaves ``keep`` of node, two or more, sorted
+    and labelled from its first leaf, as its tuple of children: a tree, or
+    a plain tuple equal to one.  ``memo`` holds restricted subtrees."""
     live = []
     lo = offset = 0
-    for c in node.children:
+    for c in node:
         end = offset + c.weight + 1
         mid = bisect_left(keep, end, lo)
         if mid - lo == end - offset:
@@ -56,12 +53,10 @@ def _spanned(kind, memo, node, keep):
                 sub = tuple(x - offset for x in sub)
             out = memo.get((c, sub))
             if out is None:
-                out = memo[c, sub] = _spanned(kind, memo, c, sub)
+                out = memo[c, sub] = _spanned(memo, c, sub)
             live.append(out)
         lo, offset = mid, end
-    if len(live) == 1:
-        return live[0]
-    return _by_children(kind, len(keep) - 1)[tuple(live)]
+    return live[0] if len(live) == 1 else tuple(live)
 
 
 def _digit_table(pieces):
@@ -91,8 +86,8 @@ def _restriction_table(kind, n, labels):
         if family_size(kind, k) == 1:   # U_1: every tree spans its one element
             return (0,) * family_size(kind, n)
         index, memo = _family(kind, k)[1], {}   # one memo per table
-        return tuple(index[_spanned(kind, memo, e.payload, labels)]
-                     for e in _family(kind, n)[0])
+        return tuple(index[_spanned(memo, t, labels)]
+                     for t in _family(kind, n)[0])
     if kind == "linear":
         return tuple(min(max(bisect_left(labels, x), 1), k) - 1
                      for x in range(1, n + 1))
@@ -115,16 +110,8 @@ def _restriction_table(kind, n, labels):
 
 
 @lru_cache(maxsize=None)
-def r_index_tables(kind, parts):
-    """(R_0 table, (R_1 table, ..., R_k table)): the R_j table holds, for
-    each element of U_N by index, the index of R_j(u) in U_{n_j}, and the
-    R_0 table the index of R_0(u) in U_k.
-
-    These tables are the one form of the structure maps; they are cached
-    per (kind, profile) since the same profiles recur for every cochain
-    degree, and each is a shared restriction table, so the R_j table of an
-    interval serves every profile with that interval.
-    """
+def _index_tables(kind, parts):
+    """``r_index_tables`` of the parts given as a tuple."""
     if not parts or min(parts) < 1:
         raise ValueError("profile parts must be positive: %r" % (parts,))
     cuts = (0, *accumulate(parts))
@@ -134,18 +121,33 @@ def r_index_tables(kind, parts):
                   for lo, hi in zip(cuts, cuts[1:])))
 
 
+def r_index_tables(kind, parts):
+    """(R_0 table, (R_1 table, ..., R_k table)): the R_j table holds, for
+    each element of U_N by index, the index of R_j(u) in U_{n_j}, and the
+    R_0 table the index of R_0(u) in U_k.
+
+    These tables are the one form of the structure maps; they are cached
+    per (kind, profile) since the same profiles recur for every cochain
+    degree, and each is a shared restriction table, so the R_j table of an
+    interval serves every profile with that interval.  The parts may be
+    any sequence.
+    """
+    return _index_tables(kind, tuple(parts))
+
+
+# the public name shows its cache as an lru_cache does
+r_index_tables.cache_info = _index_tables.cache_info
+r_index_tables.cache_clear = _index_tables.cache_clear
+
+
 def _apply(kind, parts, j, elem):
-    """R_0 of elem for j = 0, else R_j, read from the index tables of the
-    profile ``parts``, a tuple."""
+    """R_0 of elem, an element of U_N, for j = 0, else R_j, read from the
+    index tables of the profile ``parts``, a tuple."""
     r0, part_tables = r_index_tables(kind, parts)
-    total = sum(parts)
-    if elem.n != total:
-        raise ValueError(
-            "element arity %d does not match profile total %d" % (elem.n, total))
-    i = _family(kind, elem.n)[1].get(elem.payload)
+    i = _family(kind, sum(parts))[1].get(elem)
     if i is None:
         raise ValueError("%s is not an element of the %s family"
-                         % (param_text(elem), kind))
+                         % (param_text(kind, elem), kind))
     table, k = (r0, len(parts)) if j == 0 else (part_tables[j - 1], parts[j - 1])
     return _family(kind, k)[0][table[i]]
 
@@ -280,8 +282,9 @@ def verify_system(kind, max_total, workers=1, tables=r_index_tables):
         for u, e, a in zip(family[m], expected, actual):
             if e != a:
                 counterexamples.append(Counterexample(
-                    axiom, outer, inner, param_text(u),
-                    param_text(family[k][e]), param_text(family[k][a])))
+                    axiom, outer, inner, param_text(kind, u),
+                    param_text(kind, family[k][e]),
+                    param_text(kind, family[k][a])))
 
     # (1) identity: R_0(k; 1,...,1) = id on U_k
     for k in range(1, max_total + 1):

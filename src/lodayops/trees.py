@@ -4,6 +4,11 @@ A tree of weight n has n+1 leaves, labelled 0..n from left to right.  The
 bare leaf (weight 0) is representable (leaf deletion on the two-leaf tree
 produces it) but is not a member of any parameter family.
 
+A tree is the tuple of its children, the leaf being the empty one, so a
+tree equals the plain tuple of its children, and equality, hashing and
+the canonical order of the tree families are tuple's: the leaf comes
+first, and two trees compare child by child.
+
 Two leaf-removal maps are kept apart on purpose.  ``delete_leaf`` removes
 one leaf and is the face map of ``delta_trias``, the explicit trialgebra
 differential.  The index tables of the structure maps R_0, R_j in
@@ -20,46 +25,32 @@ RIGHT = "right"
 MIDDLE = "middle"
 
 
-class PlanarTree:
-    """Immutable planar tree; ``children == ()`` means a leaf."""
+class PlanarTree(tuple):
+    """Immutable planar tree: the tuple of its children, so ``()`` is the
+    leaf.  Equality, hashing and order are tuple's; a tree equals the
+    plain tuple of its children."""
 
-    __slots__ = ("children", "weight", "_key", "_hash")
-
-    def __init__(self, children=()):
-        children = tuple(children)
-        if len(children) == 1:
+    def __new__(cls, children=()):
+        self = super().__new__(cls, children)
+        if len(self) == 1:
             raise ValueError("internal vertex with a single child")
-        for c in children:
+        for c in self:
             if not isinstance(c, PlanarTree):
                 raise TypeError("children must be PlanarTree instances")
-        object.__setattr__(self, "children", children)
-        if children:
-            w = len(children) - 1 + sum(c.weight for c in children)
-        else:
-            w = 0
+        w = len(self) - 1 + sum(c.weight for c in self) if self else 0
         object.__setattr__(self, "weight", w)
-        if children:
-            key = (1,) + tuple(c._key for c in children)
-        else:
-            key = (0,)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("PlanarTree is immutable")
 
     @property
+    def children(self):
+        return tuple(self)
+
+    @property
     def is_leaf(self):
-        return not self.children
-
-    def __eq__(self, other):
-        return isinstance(other, PlanarTree) and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
-
-    def __lt__(self, other):
-        return self._key < other._key
+        return not self
 
     def __repr__(self):
         return "PlanarTree(%s)" % tree_text(self)
@@ -72,7 +63,7 @@ def tree_text(t):
     """Nested-parentheses form: the 3-corolla is ``(|,|,|)``."""
     if t.is_leaf:
         return "|"
-    return "(" + ",".join(tree_text(c) for c in t.children) + ")"
+    return "(" + ",".join(tree_text(c) for c in t) + ")"
 
 
 def parse_tree(text):
@@ -114,17 +105,16 @@ def delete_leaf(t, i):
 
 def _delete(node, i):
     offset = 0
-    children = node.children
-    for pos, c in enumerate(children):
+    for pos, c in enumerate(node):
         span = c.weight + 1
         if i < offset + span:
             if c.is_leaf:
-                rest = children[:pos] + children[pos + 1:]
+                rest = node[:pos] + node[pos + 1:]
                 if len(rest) == 1:
                     return rest[0]
                 return PlanarTree(rest)
             replaced = _delete(c, i - offset)
-            return PlanarTree(children[:pos] + (replaced,) + children[pos + 1:])
+            return PlanarTree(node[:pos] + (replaced,) + node[pos + 1:])
         offset += span
     raise AssertionError("unreachable: leaf index inside range")
 
@@ -138,13 +128,13 @@ def leaf_orientation(t, i):
     node = t
     while True:
         offset = 0
-        for pos, c in enumerate(node.children):
+        for pos, c in enumerate(node):
             span = c.weight + 1
             if i < offset + span:
                 if c.is_leaf:
                     if pos == 0:
                         return LEFT
-                    if pos == len(node.children) - 1:
+                    if pos == len(node) - 1:
                         return RIGHT
                     return MIDDLE
                 node, i = c, i - offset
@@ -161,15 +151,14 @@ def boundary_symbol(t, i):
     n1 = t.weight
     if not 0 <= i <= n1:
         raise ValueError("position %d out of range for weight %d" % (i, n1))
-    parts = t.children
-    k = len(parts) - 1
+    k = len(t) - 1
     if i == 0:
-        w0 = parts[0].weight
+        w0 = t[0].weight
         if w0 > 0:
             return RIGHT
         return LEFT if k == 1 else MIDDLE
     if i == n1:
-        wk = parts[k].weight
+        wk = t[k].weight
         if wk > 0:
             return LEFT
         return RIGHT if k == 1 else MIDDLE
@@ -179,7 +168,7 @@ def boundary_symbol(t, i):
 def is_binary(t):
     if t.is_leaf:
         return True
-    return len(t.children) == 2 and all(is_binary(c) for c in t.children)
+    return len(t) == 2 and all(is_binary(c) for c in t)
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +182,7 @@ def _trees_with_leaves(leaves, binary):
             pools = [_trees_with_leaves(c, binary) for c in comp]
             for combo in product(*pools):
                 out.append(PlanarTree(combo))
-    out.sort(key=lambda t: t._key)
+    out.sort()
     return tuple(out)
 
 

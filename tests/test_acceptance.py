@@ -131,10 +131,10 @@ def test_criterion_2_operad_laws(fixture_dir):
 
 
 def _t2_op(alg, u_idx):
-    parts = enumerate_params(alg.kind, 2)[u_idx].payload.children
-    if len(parts) == 3:
+    t = enumerate_params(alg.kind, 2)[u_idx]
+    if len(t) == 3:
         return "middle"
-    return "left" if parts[0].is_leaf else "right"
+    return "left" if t[0].is_leaf else "right"
 
 
 def test_criterion_3_multiplication_matches_axioms(fixture_dir):

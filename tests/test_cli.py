@@ -184,6 +184,18 @@ def test_non_ascii_dim_exits_2(tmp_path, command):
         "error: %s: line 3: dim must be a positive integer" % bad]
 
 
+def test_missing_key_names_no_line(tmp_path):
+    # a key missing from the whole file has no line to name
+    bad = tmp_path / "bad.alg"
+    bad.write_text("type = trias\nfield = Q\n", encoding="utf-8")
+    code, out, err = run_cli("verify-algebra", str(bad))
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines()
+            if not line.startswith("# elapsed")] == [
+        "error: %s: missing key 'dim'" % bad]
+
+
 @pytest.mark.parametrize("argv", [
     ["cohomology", "FIXTURE", "--max-degree", "0"],
     ["gerstenhaber", "FIXTURE", "--max-degree", "1"],

@@ -13,7 +13,7 @@ from lodayops.cochains import (Cochain, MultContext, bracket, brace,
                                delta_trias, diff_d, dot, gamma,
                                identity_cochain, random_cochain, zero_cochain)
 from lodayops.fields import QQ, PrimeField
-from lodayops.params import encode, enumerate_params
+from lodayops.params import _family, enumerate_params
 from lodayops.preoperadic import r_index_tables, r_part, r_zero
 
 
@@ -346,10 +346,11 @@ def _gamma_by_definition(f, gs):
         return memo[t, u_idx]
 
     cells = {}
+    slot_index = [_family(kind, n_t)[1] for n_t in parts]
     for r_idx, r in enumerate(enumerate_params(kind, total)):
-        f_idx = encode(kind, r_zero(kind, parts, r))
-        per_slot = [values(t, encode(kind, r_part(kind, parts, t + 1, r)))
-                    for t in range(len(gs))]
+        f_idx = _family(kind, len(parts))[1][r_zero(kind, parts, r)]
+        per_slot = [values(t, index[r_part(kind, parts, t + 1, r)])
+                    for t, index in enumerate(slot_index)]
         for choice in product(*per_slot):
             inputs = sum((block for block, _ in choice), ())
             value = {}
@@ -451,11 +452,10 @@ def test_mutants_have_nonzero_pi_square():
 
 def _t2_op(alg, u_idx):
     """Operation selected by a weight-2 tree under the canonical assignment."""
-    e = enumerate_params(alg.kind, 2)[u_idx]
-    parts = e.payload.children
-    if len(parts) == 3:
+    t = enumerate_params(alg.kind, 2)[u_idx]
+    if len(t) == 3:
         return "middle"
-    return "left" if parts[0].is_leaf else "right"
+    return "left" if t[0].is_leaf else "right"
 
 
 def _tree_axiom_map(alg):

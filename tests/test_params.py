@@ -1,8 +1,7 @@
 import pytest
 
-from lodayops.params import (KINDS, ParamElement, encode, enumerate_params,
-                             family_size, param_text, validate_element)
-from lodayops.trees import LEAF, PlanarTree
+from lodayops.params import (KINDS, _family, enumerate_params, family_size,
+                             param_text)
 
 
 def test_family_sizes():
@@ -16,7 +15,7 @@ def test_family_sizes():
 
 
 def test_linear_enumeration():
-    assert [e.payload for e in enumerate_params("linear", 4)] == [1, 2, 3, 4]
+    assert enumerate_params("linear", 4) == (1, 2, 3, 4)
 
 
 def test_enumeration_deterministic_and_nonempty():
@@ -30,8 +29,8 @@ def test_enumeration_deterministic_and_nonempty():
 
 def test_subsets_in_bitmask_order():
     # the subset S has bitmask sum of 2^(i-1) over i in S
-    masks = [sum(1 << (i - 1) for i in e.payload)
-             for e in enumerate_params("subsets", 4)]
+    masks = [sum(1 << (i - 1) for i in s)
+             for s in enumerate_params("subsets", 4)]
     assert masks == list(range(1, 16))
 
 
@@ -43,41 +42,20 @@ def test_invalid_arity():
         enumerate_params("nosuch", 2)
 
 
-def test_encode_round_trip():
+def test_family_index_round_trip():
+    # the canonical index of each element is its position: no element of
+    # a family equals another
     for kind in KINDS:
         for n in range(1, 5):
-            for j, e in enumerate(enumerate_params(kind, n)):
-                assert encode(kind, e) == j
-
-
-def test_encode_rejects_wrong_kind():
-    e = enumerate_params("linear", 2)[0]
-    with pytest.raises(ValueError):
-        encode("signs", e)
-
-
-def test_validate_rejects_bad_payloads():
-    with pytest.raises(ValueError):
-        validate_element(ParamElement("linear", 3, 4))
-    with pytest.raises(ValueError):
-        validate_element(ParamElement("subsets", 2, frozenset()))
-    with pytest.raises(ValueError):
-        validate_element(ParamElement("signs", 2, (0, 2)))
-    with pytest.raises(ValueError):
-        validate_element(ParamElement("planar", 2, LEAF))       # weight 0
-    with pytest.raises(ValueError):
-        validate_element(ParamElement("binary", 2, PlanarTree([LEAF] * 3)))
+            elems, index = _family(kind, n)
+            assert elems is enumerate_params(kind, n)
+            for j, e in enumerate(elems):
+                assert index[e] == j
+            assert len(index) == len(elems)
 
 
 def test_param_text():
-    assert param_text(ParamElement("subsets", 3, frozenset({3, 1}))) == "{1,3}"
-    assert param_text(ParamElement("signs", 3, (1, -1, 0))) == "(+1,-1,0)"
-    assert param_text(enumerate_params("planar", 2)[0]) == "(|,|,|)"
-
-
-def test_param_element_equality_and_hash():
-    a = ParamElement("subsets", 3, frozenset({1, 3}))
-    b = ParamElement("subsets", 3, frozenset({3, 1}))
-    assert a == b and hash(a) == hash(b)
-    assert a != ParamElement("subsets", 4, frozenset({1, 3}))
-    assert len({a, b, *enumerate_params("subsets", 3)}) == 7
+    assert param_text("subsets", frozenset({3, 1})) == "{1,3}"
+    assert param_text("signs", (1, -1, 0)) == "(+1,-1,0)"
+    assert param_text("planar", enumerate_params("planar", 2)[0]) == "(|,|,|)"
+    assert param_text("linear", 2) == "2"

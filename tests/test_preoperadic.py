@@ -8,39 +8,35 @@ import pytest
 from lodayops import cohomology, preoperadic
 from lodayops.algfile import load_algebra
 from lodayops.cochains import MultContext
-from lodayops.params import (KINDS, ParamElement, _family, encode,
-                             enumerate_params, param_text)
+from lodayops.params import KINDS, _family, enumerate_params, param_text
 from lodayops.preoperadic import (TREE_KINDS, Counterexample, SystemReport,
                                   _compositions_of, r_part, r_zero,
                                   r_index_tables, scan_instances,
                                   verify_system)
-from lodayops.trees import (PlanarTree, _compositions, delete_leaf,
+from lodayops.trees import (LEAF, PlanarTree, _compositions, delete_leaf,
                             planar_trees)
-
-
-def lin(n, r):
-    return ParamElement("linear", n, r)
 
 
 def test_linear_r_zero_block_index():
     p = (2, 3)
-    assert r_zero("linear", p, lin(5, 4)) == lin(2, 2)
-    assert r_zero("linear", p, lin(5, 2)) == lin(2, 1)
-    assert r_zero("linear", p, lin(5, 3)) == lin(2, 2)
+    assert r_zero("linear", p, 4) == 2
+    assert r_zero("linear", p, 2) == 1
+    assert r_zero("linear", p, 3) == 2
 
 
 def test_linear_r_part_clamps():
     p = (2, 3)
-    assert r_part("linear", p, 1, lin(5, 5)) == lin(2, 2)   # r > N_1: clamp to n_1
-    assert r_part("linear", p, 1, lin(5, 1)) == lin(2, 1)
-    assert r_part("linear", p, 2, lin(5, 1)) == lin(3, 1)   # r <= N_1: clamp to 1
-    assert r_part("linear", p, 2, lin(5, 4)) == lin(3, 2)
+    assert r_part("linear", p, 1, 5) == 2   # r > N_1: clamp to n_1
+    assert r_part("linear", p, 1, 1) == 1
+    assert r_part("linear", p, 2, 1) == 1   # r <= N_1: clamp to 1
+    assert r_part("linear", p, 2, 4) == 2
 
 
 def test_profile_parts_given_as_a_list():
     # the maps read tables cached by the profile's parts, taken as a tuple
     p = [2, 2]
-    assert r_zero("linear", p, lin(4, 3)) == lin(2, 2)
+    assert r_index_tables("linear", p) is r_index_tables("linear", (2, 2))
+    assert r_zero("linear", p, 3) == 2
     assert r_part("planar", p, 2, enumerate_params("planar", 4)[0]) \
         == enumerate_params("planar", 2)[0]
     assert r_zero("planar", p, enumerate_params("planar", 4)[5]) \
@@ -50,7 +46,7 @@ def test_profile_parts_given_as_a_list():
 def test_nonpositive_profile_parts_are_errors():
     message = "profile parts must be positive"
     u = enumerate_params("linear", 2)[0]
-    for parts in ((), (2, 0), (1, -1), (3, -1)):
+    for parts in ((), (2, 0), (1, -1), (3, -1), [2, 0]):
         with pytest.raises(ValueError, match=message):
             r_index_tables("linear", parts)
     for parts in ((), [], (2, 0), [3, -1]):
@@ -70,61 +66,60 @@ def test_identity_profile_is_identity():
 
 def test_sign_block_products_and_extraction():
     p = (2, 1)
-    x = ParamElement("signs", 3, (1, -1, 0))
-    assert r_zero("signs", p, x) == ParamElement("signs", 2, (-1, 0))
-    assert r_part("signs", p, 2, x) == ParamElement("signs", 1, (0,))
-    assert r_part("signs", p, 1, x) == ParamElement("signs", 2, (1, -1))
+    x = (1, -1, 0)
+    assert r_zero("signs", p, x) == (-1, 0)
+    assert r_part("signs", p, 2, x) == (0,)
+    assert r_part("signs", p, 1, x) == (1, -1)
 
 
 def test_subset_membership_cases():
     p = (2, 2)
-    x = ParamElement("subsets", 4, frozenset({3}))
-    assert r_part("subsets", p, 1, x) == ParamElement("subsets", 2, frozenset({2}))
-    assert r_zero("subsets", p, x) == ParamElement("subsets", 2, frozenset({2}))
+    x = frozenset({3})
+    assert r_part("subsets", p, 1, x) == frozenset({2})
+    assert r_zero("subsets", p, x) == frozenset({2})
     # the one-slot part always collapses to {1}
     p = (1, 3)
     for payload in ({1}, {4}, {2, 3}):
-        got = r_part("subsets", p, 1,
-                     ParamElement("subsets", 4, frozenset(payload)))
-        assert got == ParamElement("subsets", 1, frozenset({1}))
+        assert r_part("subsets", p, 1, frozenset(payload)) == frozenset({1})
 
 
 def test_results_always_valid_members():
-    from lodayops.params import validate_element
     for kind in ("linear", "binary", "planar", "subsets", "signs"):
         for parts in ((2, 1), (1, 2), (2, 2), (1, 1, 2)):
             for u in enumerate_params(kind, sum(parts)):
-                validate_element(r_zero(kind, parts, u))
+                assert r_zero(kind, parts, u) in enumerate_params(
+                    kind, len(parts))
                 for j in range(1, len(parts) + 1):
-                    validate_element(r_part(kind, parts, j, u))
+                    assert r_part(kind, parts, j, u) in enumerate_params(
+                        kind, parts[j - 1])
 
 
 def test_arity_mismatch_is_an_error():
-    p = (2, 2)
-    with pytest.raises(ValueError, match=r"^element arity 3 does not match "
-                                         r"profile total 4$"):
-        r_zero("linear", p, lin(3, 1))
     with pytest.raises(ValueError, match=r"^part index 3 out of range 1\.\.2$"):
-        r_part("linear", p, 3, lin(4, 1))
+        r_part("linear", (2, 2), 3, 1)
 
 
-@pytest.mark.parametrize("elem", [
-    ParamElement("subsets", 4, frozenset({2, 7})),
-    ParamElement("subsets", 4, frozenset()),
-    ParamElement("signs", 4, (1, 0, 2, -1)),
-    ParamElement("planar", 4, planar_trees(3)[0]),
-    lin(4, 0),
-    lin(4, 5),
-], ids=["subset-out-of-range", "empty-subset", "sign-2", "tree-weight-3",
-        "linear-0", "linear-n-plus-1"])
-def test_off_family_payloads_are_errors(elem):
-    # the maps read index tables, so a payload that is not in the family
+@pytest.mark.parametrize("kind, elem", [
+    ("subsets", frozenset({2, 7})),
+    ("subsets", frozenset()),
+    ("signs", (1, 0, 2, -1)),
+    ("signs", (1, 0, -1)),
+    ("planar", planar_trees(3)[0]),
+    ("planar", LEAF),
+    ("binary", PlanarTree([LEAF] * 5)),
+    ("linear", 0),
+    ("linear", 5),
+], ids=["subset-out-of-range", "empty-subset", "sign-2", "sign-length-3",
+        "tree-weight-3", "bare-leaf", "binary-corolla", "linear-0",
+        "linear-n-plus-1"])
+def test_off_family_payloads_are_errors(kind, elem):
+    # the maps read index tables, so a payload that is not in U_N, N = 4,
     # has no index
     p = (2, 2)
     with pytest.raises(ValueError, match="not an element"):
-        r_zero(elem.kind, p, elem)
+        r_zero(kind, p, elem)
     with pytest.raises(ValueError, match="not an element"):
-        r_part(elem.kind, p, 1, elem)
+        r_part(kind, p, 1, elem)
 
 
 def _keep_leaves_direct(t, keep):
@@ -193,12 +188,12 @@ def test_restrict_matches_sequential_deletion_and_direct_construction():
             b = binary_index.get(t)
             for keep, (table, targets), (b_table, b_targets) in zip(
                     keeps, tables["planar"], tables["binary"]):
-                got = targets[table[i]].payload
+                got = targets[table[i]]
                 assert got == sequential[keep]
                 assert got == _keep_leaves_direct(t, set(keep))
                 cases["planar"] += 1
                 if b is not None:
-                    assert b_targets[b_table[b]].payload == got
+                    assert b_targets[b_table[b]] == got
                     cases["binary"] += 1
     assert cases == {"planar": 120893, "binary": 18662}
 
@@ -210,12 +205,12 @@ def test_tree_r_functions_match_direct_construction():
             partials = [0, *accumulate(parts)]
             for u in enumerate_params(kind, partials[-1]):
                 keep0 = set(partials)
-                direct = _keep_leaves_direct(u.payload, keep0)
-                assert r_zero(kind, parts, u).payload == direct
+                direct = _keep_leaves_direct(u, keep0)
+                assert r_zero(kind, parts, u) == direct
                 for j in range(1, len(parts) + 1):
                     keep = set(range(partials[j - 1], partials[j] + 1))
-                    direct = _keep_leaves_direct(u.payload, keep)
-                    assert r_part(kind, parts, j, u).payload == direct
+                    direct = _keep_leaves_direct(u, keep)
+                    assert r_part(kind, parts, j, u) == direct
 
 
 @pytest.mark.parametrize("kind", ["linear", "binary", "planar", "subsets", "signs"])
@@ -238,7 +233,7 @@ def test_profile_dependent_corruption_caught_by_closure():
     # the scan must produce a concrete (profile, element) counterexample
     def bad_r_part(kind, p, j, elem):
         if kind == "linear" and len(p) == 2:
-            return ParamElement("linear", p[j - 1], 1)
+            return 1
         return r_part(kind, p, j, elem)
 
     report = verify_system("linear", 4, tables=_tabulated(rj=bad_r_part))
@@ -260,10 +255,12 @@ def test_index_tables_consistent_with_functions():
             assert len(part_tables) == len(parts)
             for table in (r0,) + part_tables:
                 assert len(table) == len(family)
+            index0 = _family(kind, len(parts))[1]
             for i, u in enumerate(family):
-                assert r0[i] == encode(kind, r_zero(kind, parts, u))
+                assert r0[i] == index0[r_zero(kind, parts, u)]
                 for j, table in enumerate(part_tables, start=1):
-                    assert table[i] == encode(kind, r_part(kind, parts, j, u))
+                    index = _family(kind, parts[j - 1])[1]
+                    assert table[i] == index[r_part(kind, parts, j, u)]
 
 
 # The linear, subset and sign maps on payloads, as the library computed them
@@ -318,7 +315,7 @@ def test_arithmetic_index_tables_match_payload_oracle(kind):
     part_oracles = {}
     for parts in _all_compositions(8):
         cuts = (0, *accumulate(parts))
-        payloads = [u.payload for u in enumerate_params(kind, cuts[-1])]
+        payloads = enumerate_params(kind, cuts[-1])
         r0, part_tables = r_index_tables(kind, parts)
         index_k = _family(kind, len(parts))[1]
         assert r0 == tuple(map(index_k.__getitem__,
@@ -343,13 +340,13 @@ def test_matrix_of_d_tables_build_no_tree(fixture_dir, monkeypatch):
         for n in range(1, 7):
             enumerate_params(ctx.alg.kind, n)
     built = Counter()
-    init = PlanarTree.__init__
+    new = PlanarTree.__new__
 
-    def counted_init(self, children=()):
+    def counted_new(cls, children=()):
         built["PlanarTree"] += 1
-        init(self, children)
+        return new(cls, children)
 
-    monkeypatch.setattr(PlanarTree, "__init__", counted_init)
+    monkeypatch.setattr(PlanarTree, "__new__", counted_new)
     r_index_tables.cache_clear()
     preoperadic._restriction_table.cache_clear()
     try:
@@ -378,8 +375,8 @@ def test_tree_index_tables_are_the_restriction_tables():
 
 
 def test_index_tables_built_without_public_r_functions(monkeypatch):
-    # the tables compute on payloads; they never build a ParamElement
-    # through the public R_0 / R_j
+    # the tables compute on canonical indices, never through the public
+    # R_0 / R_j
     keys = [(kind, parts) for kind in KINDS for parts in _all_compositions(5)]
     r_index_tables.cache_clear()
     expected = {key: r_index_tables(*key) for key in keys}
@@ -411,8 +408,8 @@ def _scan_outer(kind, outer, max_total, r0, rj):
 
     def record(axiom, inner, elem, expected, actual):
         failures.append(Counterexample(
-            axiom, outer, inner, param_text(elem),
-            param_text(expected), param_text(actual)))
+            axiom, outer, inner, param_text(kind, elem),
+            param_text(kind, expected), param_text(kind, actual)))
 
     for m_total in range(n_total, max_total + 1):
         for inner in _compositions(m_total, n_total):
@@ -453,8 +450,8 @@ def _reference_scan(kind, max_total, r0=r_zero, rj=r_part):
             got = r0(kind, p, u)
             if got != u:
                 counterexamples.append(Counterexample(
-                    "identity", p, (), param_text(u),
-                    param_text(u), param_text(got)))
+                    "identity", p, (), param_text(kind, u),
+                    param_text(kind, u), param_text(kind, got)))
     for n in range(1, max_total + 1):
         for outer in _compositions_of(n):
             n_checked, failures = _scan_outer(kind, outer, max_total, r0, rj)
@@ -473,44 +470,47 @@ def _assert_same_report(got, want):
 
 def _tabulated(r0=r_zero, rj=r_part):
     """A ``tables`` argument for verify_system: the element maps r0/rj,
-    tabulated over each family by index through encode."""
+    tabulated over each family by canonical index, with -1 for a value
+    outside its target family."""
     def tables(kind, parts):
         family = enumerate_params(kind, sum(parts))
-        return (tuple(encode(kind, r0(kind, parts, u)) for u in family),
-                tuple(tuple(encode(kind, rj(kind, parts, j, u))
-                            for u in family)
-                      for j in range(1, len(parts) + 1)))
+
+        def column(k, values):
+            index = _family(kind, k)[1]
+            return tuple(index.get(x, -1) for x in values)
+        return (column(len(parts), (r0(kind, parts, u) for u in family)),
+                tuple(column(n_j, (rj(kind, parts, j, u) for u in family))
+                      for j, n_j in enumerate(parts, start=1)))
     return tables
 
 
-def _next_in_family(kind, elem):
-    """The element after elem in its family, cyclically."""
-    family = enumerate_params(kind, elem.n)
+def _next_in_family(kind, k, elem):
+    """The element after elem in U_k, cyclically."""
+    family = enumerate_params(kind, k)
     return family[(family.index(elem) + 1) % len(family)]
 
 
 def _corrupt_r0(kind, p, elem):
     out = r_zero(kind, p, elem)
-    return _next_in_family(kind, out) if p[-1] == 2 else out
+    return _next_in_family(kind, len(p), out) if p[-1] == 2 else out
 
 
 def _corrupt_rj(kind, p, j, elem):
     out = r_part(kind, p, j, elem)
-    return _next_in_family(kind, out) if j == len(p) > 1 else out
+    return _next_in_family(kind, p[j - 1], out) if j == len(p) > 1 else out
 
 
 def _unclamped_linear_rj(kind, p, j, elem):
     # leaves the family: payloads below 1 and above n_j
     if kind == "linear":
-        return ParamElement("linear", p[j - 1], elem.payload - sum(p[:j - 1]))
+        return elem - sum(p[:j - 1])
     return r_part(kind, p, j, elem)
 
 
 def _wrapped_linear_rj(kind, p, j, elem):
     # (x - N_{j-1} - 1) mod n_j + 1: in the family, but not clamped
     if kind == "linear":
-        return ParamElement("linear", p[j - 1],
-                            (elem.payload - sum(p[:j - 1]) - 1) % p[j - 1] + 1)
+        return (elem - sum(p[:j - 1]) - 1) % p[j - 1] + 1
     return r_part(kind, p, j, elem)
 
 
@@ -545,12 +545,13 @@ def test_unclamped_linear_system_caught_by_commutativity():
 def test_scan_matches_reference_on_off_family_values():
     # an unclamped R_j leaves the family; neither scan may report on such a
     # map: the reference scan refuses the off-family value when it feeds it
-    # to R_0, and the table scan refuses it when it is tabulated
+    # to R_0, and the table scan refuses the table that holds it
     with pytest.raises(ValueError,
                        match=r"^0 is not an element of the linear family$"):
         _reference_scan("linear", 4, rj=_unclamped_linear_rj)
     with pytest.raises(ValueError,
-                       match=r"^linear payload \d+ not in 1\.\.\d+$"):
+                       match=r"^linear R_1 table of profile \(1, 1\) holds an "
+                             r"index outside 0\.\.0, the indices of U_1$"):
         verify_system("linear", 4, tables=_tabulated(rj=_unclamped_linear_rj))
 
 

@@ -12,7 +12,6 @@ from lodayops.cohomology import CohomologyReport, GAlgebraReport
 from lodayops.fields import QQ
 from lodayops.identities import LawCheck
 from lodayops.linalg import column_echelon
-from lodayops.params import ParamElement
 from lodayops.preoperadic import Counterexample, SystemReport
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -36,7 +35,6 @@ CLOSURE = Counterexample("closure", (1, 1), (1, 2), "1", "1", "2")
 
 RECORDS = [
     AxiomViolation(1, "(1)", (0, 0, 0), (1,), (0,)),
-    ParamElement("linear", 2, 1),
     CLOSURE,
     SystemReport("linear", 3, 10, (CLOSURE,)),
     CohomologyReport(1, [(1, 0)], {1: []}),

@@ -1,3 +1,4 @@
+import hashlib
 from itertools import combinations
 
 import pytest
@@ -140,3 +141,21 @@ def test_text_round_trip():
 def test_unary_vertex_rejected():
     with pytest.raises(ValueError):
         PlanarTree((LEAF,))
+
+
+def test_tree_is_its_tuple_of_children():
+    # equality, hashing and order are tuple's, implemented in C
+    assert PlanarTree.__hash__ is tuple.__hash__
+    assert PlanarTree((LEAF, LEAF)) == (LEAF, LEAF)
+    assert hash(T1) == hash((LEAF, LEAF)) and LEAF == ()
+    with pytest.raises(AttributeError):
+        T1.weight = 5
+    assert T1.weight == 1
+
+
+def test_canonical_tree_order_is_pinned():
+    # the order of the tree families, which fixes every canonical index
+    text = "".join(tree_text(t) + "\n" for n in range(1, 8)
+                   for t in planar_trees(n) + binary_trees(n))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "fc6bfa9b3eb8dc48cc7d7c40082d4643f07337723d7a846be5b55857405f4b6c")
