@@ -6,8 +6,8 @@ from .cochains import (Cochain, MultContext, bracket, brace, circ,
                        canonical_multiplication, delta_trias, diff_d, dot,
                        gamma, identity_cochain)
 from .cohomology import (check_g_algebra, coboundary_preimage,
-                         cohomology_dims, cohomology_report,
-                         cocycle_representatives, matrix_of_d)
+                         cohomology_dims, cocycle_representatives,
+                         matrix_of_d)
 from .fields import PrimeField, QQ
 from .params import enumerate_params
 from .preoperadic import r_part, r_zero, verify_system

@@ -145,14 +145,15 @@ def cmd_cohomology(ns, report):
     ctx = _context(alg, report)
     if ctx is None:
         return None
-    summary = cohomology.cohomology_report(ctx, ns.max_degree)
+    dims = cohomology.cohomology_dims(ctx, ns.max_degree)
     cross = cohomology.cohomology_dims(ctx, ns.max_degree, engine="echelon")
-    report.check("rank-engines-agree", summary.dims == cross)
-    for n, dim in summary.dims:
+    report.check("rank-engines-agree", dims == cross)
+    for n, dim in dims:
         report.data("H", n, dim)
-    for n, _ in summary.dims:
+    for n, _ in dims:
         elems = enumerate_params(alg.kind, n)
-        for idx, rep in enumerate(summary.representatives[n], 1):
+        reps = cohomology.cocycle_representatives(ctx, n)
+        for idx, rep in enumerate(reps, 1):
             entries = []
             for u_idx, tup, out, c in rep.entries():
                 entries.append("(%s;%s->%s)=%s" % (

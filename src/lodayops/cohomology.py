@@ -6,18 +6,20 @@ vector of length |U_n| * d^(n+1) and the differential a sparse matrix per
 degree in the same coordinates.  There are no cochains below degree 1,
 so H^1 = ker d^1; every report states this convention.
 
-Each matrix of d is stored once, as its sparse columns in column order:
-the layout in which it is assembled, applied, multiplied and eliminated.
-The (row, col) triples and the rows are derived from the columns on
-demand.  Each matrix carries the field engine's triangular column echelon
-(each pivot on the sparsest row of its reduced column, and never changed),
-eliminated on first use; kernels, representatives and coboundary witnesses
-are all read from it.  Ranks come by default from the fraction-free row
-engine, which runs over Q on primitive integer rows and over F_p on integer
-rows reduced mod p, and shares no code with the echelon.  The ``engine``
-argument of ``matrix_rank`` and ``cohomology_dims`` picks ``"bareiss"`` or
-``"echelon"``, and a dimension is trusted only once the two agree; the
-CLI's ``rank-engines-agree`` check compares them on both fields.
+Each matrix of d is stored once, over the field of its algebra, as its
+sparse columns in column order: the layout in which it is assembled,
+applied, multiplied and eliminated.  The (row, col) triples are derived
+from the columns on demand.  Each matrix carries the field engine's
+triangular column echelon (each pivot on the sparsest row of its reduced
+column, and never changed), eliminated on first use; kernels,
+representatives and coboundary witnesses are all read from it.  Ranks come
+by default from the fraction-free row engine, which reads the columns as
+the rows of the transpose, runs over Q on primitive integer rows and over
+F_p on integer rows reduced mod p, and shares no code with the echelon.
+The ``engine`` argument of ``matrix_rank`` and ``cohomology_dims`` picks
+``"bareiss"`` or ``"echelon"``, and a dimension is trusted only once the
+two agree; the CLI's ``rank-engines-agree`` check compares them on both
+fields.
 
 A class of H^n is given by its representative, a cocycle ``Cochain``.
 ``check_g_algebra`` builds each law instance on representatives as one
@@ -25,7 +27,7 @@ signed sum and asks the cached echelon whether it is a coboundary; each
 instance gives one ``identities.LawCheck``.
 """
 
-from itertools import groupby, product
+from itertools import product
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -40,19 +42,14 @@ ENGINES = ("bareiss", "echelon")
 
 
 class DifferentialMatrix:
-    """Sparse matrix of d: C^n -> C^(n+1), stored by columns: ``columns[c]``
-    maps each row to its nonzero value in column c; == ignores the memo."""
+    """Sparse matrix of d: C^n -> C^(n+1) over ``field``, stored by columns:
+    ``columns[c]`` maps each row to its nonzero value in column c."""
 
-    __slots__ = ("degree", "nrows", "ncols", "columns", "_echelons")
+    __slots__ = ("degree", "nrows", "ncols", "columns", "field", "_echelon")
 
-    def __init__(self, degree, nrows, ncols, columns):
+    def __init__(self, degree, nrows, ncols, columns, field):
         self.degree, self.nrows, self.ncols = degree, nrows, ncols
-        self.columns, self._echelons = columns, {}
-
-    def __eq__(self, other):
-        return (type(other) is DifferentialMatrix
-                and (self.degree, self.nrows, self.ncols, self.columns)
-                == (other.degree, other.nrows, other.ncols, other.columns))
+        self.columns, self.field, self._echelon = columns, field, None
 
     @property
     def entries(self):
@@ -65,22 +62,16 @@ class DifferentialMatrix:
         entries.sort(key=itemgetter(0))
         return tuple(entries)
 
-    def sparse_rows(self):
-        """The nonzero rows, each a tuple of (column, value) pairs."""
-        return [tuple((c, v) for _, c, v in row)
-                for _, row in groupby(self.entries, key=itemgetter(0))]
-
-    def echelon(self, field):
+    def echelon(self):
         """The field engine's column echelon, eliminated on first use."""
-        ech = self._echelons.get(field)
-        if ech is None:
-            ech = linalg.column_echelon(self.columns, field)
-            self._echelons[field] = ech
-        return ech
+        if self._echelon is None:
+            self._echelon = linalg.column_echelon(self.columns, self.field)
+        return self._echelon
 
-    def apply(self, cells, field):
+    def apply(self, cells):
         """M x for a sparse vector x ({column: value}), as {row: value}
         without zeros."""
+        field = self.field
         add, mul, zero = field.add, field.mul, field.zero
         out = {}
         for c, x in cells.items():
@@ -191,35 +182,40 @@ def matrix_of_d(ctx, n):
         columns.extend({row: v for row, v in acc.items() if v}
                        for acc in cols)
     matrix = DifferentialMatrix(n, cochain_dim(alg, n + 1),
-                                cochain_dim(alg, n), tuple(columns))
+                                cochain_dim(alg, n), tuple(columns),
+                                alg.field)
     ctx.matrix_cache[n] = matrix
     return matrix
 
 
 def matrix_product_is_zero(a, b, field):
-    """Whether the sparse product a*b vanishes (b maps into a's source)."""
+    """Whether the sparse product a*b vanishes (b maps into a's source);
+    both matrices must be over ``field``."""
+    if not a.field == b.field == field:
+        raise ValueError("matrices over %s and %s used over %s"
+                         % (a.field.name, b.field.name, field.name))
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch")
-    return not any(a.apply(col, field) for col in b.columns)
+    return not any(a.apply(col) for col in b.columns)
 
 
-def matrix_rank(matrix, field, engine="bareiss"):
+def matrix_rank(matrix, engine="bareiss"):
     if engine not in ENGINES:
         raise ValueError("unknown engine %r" % engine)
     if engine == "bareiss":
-        return linalg.rank_bareiss(matrix.sparse_rows(), matrix.ncols,
-                                   field.characteristic)
-    return matrix.echelon(field).rank
+        # rank M = rank M^T: the columns are the rows of the transpose
+        return linalg.rank_bareiss([c.items() for c in matrix.columns],
+                                   matrix.nrows, matrix.field.characteristic)
+    return matrix.echelon().rank
 
 
 def cohomology_dims(ctx, max_degree, engine="bareiss"):
     """[(n, dim H^n)] for 1 <= n <= max_degree; H^1 = ker d^1."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    field = ctx.alg.field
     ranks = {}
     for n in range(1, max_degree + 1):
-        ranks[n] = matrix_rank(matrix_of_d(ctx, n), field, engine)
+        ranks[n] = matrix_rank(matrix_of_d(ctx, n), engine)
     out = []
     for n in range(1, max_degree + 1):
         nullity = cochain_dim(ctx.alg, n) - ranks[n]
@@ -233,12 +229,11 @@ def cocycle_representatives(ctx, n):
     vectors of d^n that are independent modulo im d^(n-1) and the ones
     before them, as cochains; each is checked to be a cocycle."""
     alg = ctx.alg
-    field = alg.field
-    ker = matrix_of_d(ctx, n).echelon(field).kernel
+    ker = matrix_of_d(ctx, n).echelon().kernel
     if n > 1:
-        below = matrix_of_d(ctx, n - 1).echelon(field)
+        below = matrix_of_d(ctx, n - 1).echelon()
         ker = [ker[i] for i in linalg.independent_mod_image(below, ker)]
-    reps = [Cochain(alg, n, dict(vec)) for vec in ker]
+    reps = [Cochain(alg, n, vec) for vec in ker]
     for rep in reps:
         if not diff_d(ctx, rep).is_zero():
             raise ValueError("representative is not a cocycle")
@@ -252,13 +247,12 @@ def coboundary_preimage(ctx, c):
     the witness returned in that case is the degree-1 zero cochain, standing
     in for the nonexistent degree-0 module.
     """
-    field = ctx.alg.field
     n = c.degree
     if n < 2:
         if c.is_zero():
             return zero_cochain(ctx.alg, 1)
         return None
-    sol = matrix_of_d(ctx, n - 1).echelon(field).preimage(c.cells)
+    sol = matrix_of_d(ctx, n - 1).echelon().preimage(c.cells)
     if sol is None:
         return None
     return Cochain(ctx.alg, n - 1, sol)
@@ -266,20 +260,6 @@ def coboundary_preimage(ctx, c):
 
 def is_coboundary(ctx, c):
     return coboundary_preimage(ctx, c) is not None
-
-
-class CohomologyReport(NamedTuple):
-    """Per-degree dimensions and representatives; H^1 = ker d^1."""
-
-    max_degree: int
-    dims: list
-    representatives: dict
-
-
-def cohomology_report(ctx, max_degree):
-    dims = cohomology_dims(ctx, max_degree)
-    reps = {n: cocycle_representatives(ctx, n) for n, _ in dims}
-    return CohomologyReport(max_degree, dims, reps)
 
 
 class GAlgebraReport(NamedTuple):

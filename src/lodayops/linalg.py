@@ -20,8 +20,9 @@ elimination code:
   witness, and independence modulo the image (``independent_mod_image``).
 
 Sparse vectors are mappings ``index -> value`` or sequences of
-``(index, value)`` pairs.  An echelon stores its vectors as tuples of pairs
-sorted by index and is never changed after construction.
+``(index, value)`` pairs.  An echelon stores its vectors as dicts without
+zeros, like the cochains and the matrix columns, and never changes them
+after construction.
 """
 
 from collections import Counter
@@ -53,7 +54,8 @@ def rank_bareiss(rows, ncols, p=0):
     """Rank of a matrix given by its sparse rows, over Q (``p == 0``) or
     over F_p (``p`` prime).
 
-    Each row is a sequence of ``(column, value)`` pairs with columns in
+    Each row is a collection of ``(column, value)`` pairs that can be
+    iterated twice, such as a list or a dict's ``items()``, with columns in
     ``range(ncols)``: int or Fraction values over Q, int values over F_p.
     Rows are inserted one at a time: while the row's leading column already
     has a stored row, the two are combined to cancel that entry; otherwise
@@ -87,16 +89,16 @@ class Pivot(NamedTuple):
 
     column: int
     row: int
-    image: tuple
-    preimage: tuple
+    image: dict
+    preimage: dict
 
 
-def _add_multiple(target, coeff, pairs, field):
-    """target += coeff * pairs, in place, dropping entries that cancel.  A
+def _add_multiple(target, coeff, vec, field):
+    """target += coeff * vec, in place, dropping entries that cancel.  A
     value that is not an int goes through ``field.from_fraction``, so over
     Q an integral sum is stored as an int."""
     zero = field.zero
-    for i, v in pairs:
+    for i, v in vec.items():
         new = field.add(target.get(i, zero), field.mul(coeff, v))
         if new == zero:
             target.pop(i, None)
@@ -118,7 +120,7 @@ def _reduce(field, pivots, by_row, vec, pre=None, solve=False):
         coeff = vec.get(pivot.row)
         if coeff is None:       # queued twice, already cleared
             continue
-        for r, _ in pivot.image:
+        for r in pivot.image:
             if r not in vec and r in by_row:
                 heappush(heap, by_row[r])
         neg = field.neg(coeff)
@@ -135,8 +137,8 @@ def _insert(field, pivots, by_row, column, image, pre, row):
     by_row[row] = len(pivots)
     scaled = [{}, {}]
     for out, vec in zip(scaled, (image, pre)):
-        _add_multiple(out, inv, sorted(vec.items()), field)
-    pivots.append(Pivot(column, row, *(tuple(out.items()) for out in scaled)))
+        _add_multiple(out, inv, vec, field)
+    pivots.append(Pivot(column, row, *scaled))
 
 
 class ColumnEchelon(NamedTuple):
@@ -158,11 +160,6 @@ class ColumnEchelon(NamedTuple):
     @property
     def rank(self):
         return len(self.basis)
-
-    def residual(self, vec):
-        """vec minus its part in the image: zero on every pivot row, and
-        empty exactly when vec lies in the image."""
-        return _reduce(self.field, self.basis, self.by_row, vec)
 
     def preimage(self, vec):
         """Some x (a dict) with M x = vec, or None if vec is not an image."""
@@ -189,7 +186,7 @@ def column_echelon(columns, field):
             row = min(image, key=lambda r: (counts[r], r))
             _insert(field, basis, by_row, j, image, pre, row)
         else:
-            kernel.append(tuple(sorted(pre.items())))
+            kernel.append(pre)
     return ColumnEchelon(field, tuple(basis), tuple(kernel), by_row)
 
 

@@ -66,34 +66,6 @@ def tree_text(t):
     return "(" + ",".join(tree_text(c) for c in t) + ")"
 
 
-def parse_tree(text):
-    pos = 0
-
-    def parse():
-        nonlocal pos
-        if pos >= len(text):
-            raise ValueError("truncated tree text")
-        if text[pos] == "|":
-            pos += 1
-            return LEAF
-        if text[pos] != "(":
-            raise ValueError("unexpected character %r in tree text" % text[pos])
-        pos += 1
-        children = [parse()]
-        while pos < len(text) and text[pos] == ",":
-            pos += 1
-            children.append(parse())
-        if pos >= len(text) or text[pos] != ")":
-            raise ValueError("unbalanced tree text")
-        pos += 1
-        return PlanarTree(children)
-
-    t = parse()
-    if pos != len(text):
-        raise ValueError("trailing characters in tree text")
-    return t
-
-
 def delete_leaf(t, i):
     """Remove leaf i (0 <= i <= weight); a vertex left with one child is spliced out."""
     if t.is_leaf:
@@ -163,12 +135,6 @@ def boundary_symbol(t, i):
             return LEFT
         return RIGHT if k == 1 else MIDDLE
     return leaf_orientation(t, i)
-
-
-def is_binary(t):
-    if t.is_leaf:
-        return True
-    return len(t) == 2 and all(is_binary(c) for c in t)
 
 
 @lru_cache(maxsize=None)

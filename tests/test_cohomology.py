@@ -1,3 +1,4 @@
+import copy
 import hashlib
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ from lodayops.cochains import Cochain, MultContext, diff_d, dot, random_cochain
 from lodayops.cohomology import (DifferentialMatrix, check_g_algebra,
                                  coboundary_preimage, cochain_dim,
                                  cocycle_representatives, cohomology_dims,
-                                 cohomology_report, matrix_of_d,
-                                 matrix_product_is_zero, matrix_rank)
+                                 matrix_of_d, matrix_product_is_zero,
+                                 matrix_rank)
 from lodayops.fields import QQ, PrimeField
 
 # dimensions established by the dual-elimination protocol: the fraction-free
@@ -42,14 +43,14 @@ def test_matrix_agrees_with_differential(rng):
         for n in (1, 2):
             m = matrix_of_d(ctx, n)
             f = random_cochain(ctx.alg, n, rng)
-            assert m.apply(f.cells, ctx.alg.field) == diff_d(ctx, f).cells
+            assert m.apply(f.cells) == diff_d(ctx, f).cells
 
 
 def test_matrix_kills_multiplication():
     ctx = MultContext(product_fixture("trias", 1))
     m = matrix_of_d(ctx, 2)
     assert not ctx.pi.is_zero()
-    assert m.apply(ctx.pi.cells, ctx.alg.field) == {}
+    assert m.apply(ctx.pi.cells) == {}
 
 
 def test_d_squared_zero_as_matrices():
@@ -98,10 +99,13 @@ def test_matrix_of_d_equals_per_column_route(case, max_degree, case_algebra):
                                       cochain_dim(ctx.alg, n))
         assert m.columns == columns
         assert m.entries == expected
+        # the row engine reads the columns as the rows of the transpose:
+        # its rank must be the rank of the rows of the expected matrix
         rows = {}
         for row, col, v in expected:
             rows.setdefault(row, []).append((col, v))
-        assert m.sparse_rows() == [tuple(rows[row]) for row in sorted(rows)]
+        assert matrix_rank(m, "bareiss") == linalg.rank_bareiss(
+            list(rows.values()), m.ncols, ctx.alg.field.characteristic)
         # equal values are not enough: an int must stay an int
         assert [type(v) for _, _, v in m.entries] == \
             [type(v) for _, _, v in expected]
@@ -122,15 +126,15 @@ def test_matrix_of_d_builds_no_cochain_per_column(fixture_dir, monkeypatch):
     monkeypatch.setattr(cochains, "_gamma_into", refuse)
     for n, old in enumerate(expected, start=1):
         m = matrix_of_d(ctx, n)
-        assert m is not old and m == old
+        assert m is not old
+        assert ((m.degree, m.nrows, m.ncols, m.columns, m.field)
+                == (old.degree, old.nrows, old.ncols, old.columns, old.field))
 
 
-def test_echelon_memo_kept_out_of_equality():
+def test_echelon_is_memoised():
     m = matrix_of_d(MultContext(product_fixture("trias", 1)), 2)
-    ech = m.echelon(QQ)
-    assert m.echelon(QQ) is ech
-    assert m == DifferentialMatrix(m.degree, m.nrows, m.ncols, m.columns)
-    assert m != DifferentialMatrix(m.degree + 1, m.nrows, m.ncols, m.columns)
+    ech = m.echelon()
+    assert m.echelon() is ech and ech.field == m.field == QQ
 
 
 def _perturbed(m, row, col, field):
@@ -138,7 +142,8 @@ def _perturbed(m, row, col, field):
     columns = list(m.columns)
     cells = columns[col] = dict(columns[col])
     cells[row] = field.add(cells.get(row, field.zero), field.one)
-    return DifferentialMatrix(m.degree, m.nrows, m.ncols, tuple(columns))
+    return DifferentialMatrix(m.degree, m.nrows, m.ncols, tuple(columns),
+                              m.field)
 
 
 @pytest.mark.parametrize("case", ["file:trias_dim2", "fp101:trias_dim2"])
@@ -161,6 +166,19 @@ def test_matrix_product_is_zero_can_fail(case, case_algebra):
     for a, b in ((lower, upper), (upper, upper), (lower, lower)):
         with pytest.raises(ValueError):
             matrix_product_is_zero(a, b, field)
+
+
+def test_matrix_product_refuses_mixed_fields(fixture_dir):
+    # a matrix over Q read over F_101 is not the matrix of d over F_101
+    ctx = MultContext(load_algebra(fixture_dir / "trias_dim2.alg"))
+    ctx_p = MultContext(product_fixture("trias", 2, field=PrimeField(101)))
+    d2, d3 = matrix_of_d(ctx, 2), matrix_of_d(ctx, 3)
+    d2_p = matrix_of_d(ctx_p, 2)
+    for a, b, field in ((d3, d2, PrimeField(101)), (d3, d2_p, QQ),
+                        (d3, d2_p, PrimeField(101))):
+        with pytest.raises(ValueError, match="used over"):
+            matrix_product_is_zero(a, b, field)
+    assert matrix_product_is_zero(d3, d2, QQ)
 
 
 def test_trias_dim2_degree_5_matrix_pinned(fixture_dir):
@@ -287,13 +305,13 @@ def test_rank_nullity_consistency():
         field = ctx.alg.field
         for n in (1, 2, 3):
             m = matrix_of_d(ctx, n)
-            ech = m.echelon(field)
-            r = matrix_rank(m, field, "echelon")
-            assert r == ech.rank == matrix_rank(m, field, "bareiss")
+            ech = m.echelon()
+            r = matrix_rank(m, "echelon")
+            assert r == ech.rank == matrix_rank(m, "bareiss")
             assert r + len(ech.kernel) == m.ncols
             for vec in ech.kernel:
-                assert m.apply(dict(vec), field) == {}
-                assert diff_d(ctx, Cochain(ctx.alg, n, dict(vec))).is_zero()
+                assert m.apply(vec) == {}
+                assert diff_d(ctx, Cochain(ctx.alg, n, vec)).is_zero()
 
 
 def test_q_echelon_stores_integral_values_as_int(fixture_dir):
@@ -302,10 +320,10 @@ def test_q_echelon_stores_integral_values_as_int(fixture_dir):
     ctx = MultContext(load_algebra(fixture_dir / "trias_dim2.alg"))
     kernel, pivots = [], []
     for n in range(1, 5):
-        ech = matrix_of_d(ctx, n).echelon(ctx.alg.field)
-        kernel += [v for vec in ech.kernel for _, v in vec]
+        ech = matrix_of_d(ctx, n).echelon()
+        kernel += [v for vec in ech.kernel for v in vec.values()]
         pivots += [v for p in ech.basis for vec in (p.image, p.preimage)
-                   for _, v in vec]
+                   for v in vec.values()]
     assert len(kernel) == 3244
     assert [v for v in kernel + pivots
             if v.denominator == 1 and type(v) is not int] == []
@@ -336,7 +354,9 @@ def test_each_matrix_eliminated_once_per_engine(monkeypatch):
     monkeypatch.setattr(linalg, "rank_bareiss",
                         counting("fraction-free", linalg.rank_bareiss))
     ctx = MultContext(product_fixture("didend", 1))
-    cohomology_report(ctx, 3)
+    cohomology_dims(ctx, 3)
+    for n in (1, 2, 3):
+        cocycle_representatives(ctx, n)
     cohomology_dims(ctx, 3, engine="echelon")
     report = check_g_algebra(ctx, 4)
     assert report.passed and report.checks
@@ -351,5 +371,30 @@ def test_trias_dim2_degree_5_mod_101():
     field = PrimeField(101)
     ctx = MultContext(product_fixture("trias", 2, field=field))
     assert cohomology_dims(ctx, 5, engine="echelon")[-1] == (5, 1)
-    ech = matrix_of_d(ctx, 5).echelon(field)
+    ech = matrix_of_d(ctx, 5).echelon()
     assert (ech.rank, len(ech.kernel)) == (11323, 1285)
+
+
+def test_cached_echelons_not_changed_by_use(rng):
+    # representatives are built from the echelon's own kernel dicts and
+    # witnesses read its pivots: using them must leave the echelon as it was
+    ctx = MultContext(product_fixture("trias", 2))
+    echelons = [matrix_of_d(ctx, n).echelon() for n in (1, 2, 3)]
+
+    def snapshot():
+        return copy.deepcopy([(e.basis, e.kernel, e.by_row)
+                              for e in echelons])
+
+    before = snapshot()
+    reps = [rep for n in (1, 2, 3)
+            for rep in cocycle_representatives(ctx, n)]
+    assert len(reps) == 3
+    witness = coboundary_preimage(ctx, diff_d(ctx, random_cochain(
+        ctx.alg, 2, rng)))
+    assert witness is not None and witness.cells
+    assert check_g_algebra(ctx, 4).passed
+    assert snapshot() == before
+    # the returned cochains own their cells
+    for c in reps + [witness]:
+        c.cells.clear()
+    assert snapshot() == before

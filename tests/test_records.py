@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from lodayops.algebra import AxiomViolation
-from lodayops.cohomology import CohomologyReport, GAlgebraReport
+from lodayops.cohomology import GAlgebraReport
 from lodayops.fields import QQ
 from lodayops.identities import LawCheck
 from lodayops.linalg import column_echelon
@@ -37,7 +37,6 @@ RECORDS = [
     AxiomViolation(1, "(1)", (0, 0, 0), (1,), (0,)),
     CLOSURE,
     SystemReport("linear", 3, 10, (CLOSURE,)),
-    CohomologyReport(1, [(1, 0)], {1: []}),
     JACOBI,
     GAlgebraReport(3, [JACOBI], {1: 1, 2: 0}),
     column_echelon([{0: 1}, {0: 2}], QQ),

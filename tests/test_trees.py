@@ -5,11 +5,14 @@ import pytest
 
 from lodayops.trees import (LEAF, LEFT, MIDDLE, RIGHT, PlanarTree,
                             binary_trees, boundary_symbol, delete_leaf,
-                            is_binary, leaf_orientation, parse_tree,
-                            planar_trees, tree_text)
+                            leaf_orientation, planar_trees, tree_text)
 
 CORolla3 = PlanarTree([LEAF, LEAF, LEAF])
 T1 = PlanarTree([LEAF, LEAF])
+
+
+def is_binary(t):
+    return t.is_leaf or (len(t) == 2 and all(is_binary(c) for c in t))
 
 
 def test_counts_small():
@@ -130,12 +133,12 @@ def test_boundary_symbol_total():
                 boundary_symbol(t, n + 1)
 
 
-def test_text_round_trip():
+def test_tree_text_is_injective():
     assert tree_text(CORolla3) == "(|,|,|)"
     assert tree_text(PlanarTree([LEAF, T1])) == "(|,(|,|))"
-    for n in range(1, 5):
-        for t in planar_trees(n):
-            assert parse_tree(tree_text(t)) == t
+    for n in range(1, 8):
+        for trees in (planar_trees(n), binary_trees(n)):
+            assert len({tree_text(t) for t in trees}) == len(trees)
 
 
 def test_unary_vertex_rejected():
