@@ -25,18 +25,20 @@ conventions
 
 for a multiplication m (a degree-2 cochain with m o m = 0).
 
-Each result of gamma, brace, bracket and dot (so also of circ and d) builds
-up in one flat list of length cochain_dim, indexed by the result's flat
-cell index, and drops its zeros once, when the list becomes the result
-cochain.  Each operand is grouped once per operation: the left factor into
-rows by (parameter, inputs), each right factor into options by (parameter,
-output), which every slot choice of a brace then reads.  So a result costs
-O(cochain_dim) on top of the work on its nonzero terms, however sparse it
-is.
+Each result of gamma, brace, bracket and dot (so also of circ and d), and
+each sum of cochains, builds up in one dict keyed by the result's flat cell
+index, the form of ``Cochain.cells``: its keys are the cells some term
+touched, so the dict is a sparse accumulator and nothing walks the cells no
+term reaches.  Terms are added and multiplied with the plain operators, and
+one collect step per result reduces each touched cell mod p over F_p and
+drops the zeros.  Each operand is grouped once per operation: the left
+factor into rows by (parameter, inputs), each right factor into options by
+(parameter, output), which every slot choice of a brace then reads.  So a
+result costs O(terms + touched cells), however large cochain_dim is.
 """
 
 from functools import lru_cache
-from itertools import combinations, compress, product
+from itertools import combinations, product
 
 from .algebra import STAR_TYPES, multiply, star
 from .params import _family, enumerate_params, family_size
@@ -113,30 +115,33 @@ class Cochain:
 
 def _signed_sum(alg, n, terms):
     """The degree-n cochain summing ``terms``, pairs (negative, cochain),
-    with zeros dropped once, at the end.  A term over another algebra or of
+    through one collect step at the end.  A term over another algebra or of
     another degree raises ValueError."""
-    f = alg.field
     cells = {}
+    get = cells.get
     for negative, x in terms:
         if x.alg != alg:
             raise ValueError("cochains over different algebras")
         if x.degree != n:
             raise ValueError("cochains of different degrees")
-        combine = f.sub if negative else f.add
         for i, c in x.cells.items():
-            cells[i] = combine(cells.get(i, f.zero), c)
+            cells[i] = get(i, 0) - c if negative else get(i, 0) + c
+    return _collected(alg, n, cells)
+
+
+def _collected(alg, n, cells):
+    """The degree-n cochain of accumulated ``cells``, a dict from flat index
+    to a sum built with the plain operators: over F_p each value is reduced
+    mod p, and the zeros are dropped."""
+    p = alg.field.characteristic
+    if p:
+        cells = {i: c % p for i, c in cells.items()}
     return Cochain(alg, n, cells)
 
 
 def cochain_dim(alg, n):
     """Number of coefficients of a degree-n cochain: |U_n| * d^(n+1)."""
-    return _cochain_dim(alg.kind, alg.dim, n)
-
-
-@lru_cache(maxsize=None)
-def _cochain_dim(kind, d, n):
-    # cached, so that sizing a result calls no public function once warm
-    return family_size(kind, n) * d ** (n + 1)
+    return family_size(alg.kind, n) * alg.dim ** (n + 1)
 
 
 def zero_cochain(alg, n):
@@ -205,26 +210,6 @@ def _composition_data(kind, parts):
     return groups, part_tables
 
 
-def _accumulator(alg, n):
-    """A zero for every flat cell index of a degree-n cochain."""
-    return [alg.field.zero] * _cochain_dim(alg.kind, alg.dim, n)
-
-
-def _collected(alg, n, acc):
-    """The degree-n cochain whose cells are the nonzero entries of ``acc``."""
-    keys = list(compress(_indices(len(acc)), acc))
-    x = Cochain(alg, n, {})
-    x.cells = dict(zip(keys, map(acc.__getitem__, keys)))
-    return x
-
-
-@lru_cache(maxsize=None)
-def _indices(size):
-    # the flat indices as stored ints, so that finding the nonzero entries
-    # of an accumulator creates no int per zero entry
-    return tuple(range(size))
-
-
 def _rows(f):
     """The nonzero cells of f as rows (u_idx, input tuple, [(out, coeff)])."""
     d = f.alg.dim
@@ -274,7 +259,8 @@ def gamma(f, gs):
 
     The value at (r; x_1..x_N) is f at R_0(r) applied to the g_i evaluated
     at (R_i(r), i-th input block).  Assembly iterates the nonzero cells of f
-    and of the g_i, so sparse factors compose cheaply.
+    and of the g_i and touches only the cells their products reach, so
+    sparse factors compose cheaply.
     """
     gs = list(gs)
     if len(gs) != f.degree:
@@ -284,15 +270,16 @@ def gamma(f, gs):
             raise ValueError("cochains over different algebras")
     parts = tuple(g.degree for g in gs)
     places = _places(f.alg.dim, parts)
-    acc = _accumulator(f.alg, sum(parts))
-    _gamma_into(acc, f.alg, _rows(f), parts,
+    cells = {}
+    _gamma_into(cells, f.alg, _rows(f), parts,
                 [_placed(_options(g), place) for g, place in zip(gs, places)],
                 places, False)
-    return _collected(f.alg, sum(parts), acc)
+    return _collected(f.alg, sum(parts), cells)
 
 
-def _gamma_into(acc, alg, rows, parts, slots, places, negate):
-    """Accumulate (+/-) gamma(f; g_1..g_k) into the flat list ``acc``.
+def _gamma_into(cells, alg, rows, parts, slots, places, negate):
+    """Accumulate (+/-) gamma(f; g_1..g_k) into ``cells`` with the plain
+    operators, for ``_collected`` to reduce.
 
     ``rows`` are f's rows (``_rows``); slot t has degree ``parts[t]``, its
     input block sits at ``places[t]``, and ``slots[t]`` holds g_t's options
@@ -303,8 +290,7 @@ def _gamma_into(acc, alg, rows, parts, slots, places, negate):
     least one slot must hold options.
     """
     d = alg.dim
-    fmul = alg.field.mul
-    faccum = alg.field.sub if negate else alg.field.add
+    get = cells.get
     groups, part_tables = _composition_data(alg.kind, parts)
     stride = d ** (sum(parts) + 1)     # flat-index width of one parameter
     units = [(t, places[t]) for t, opts in enumerate(slots) if opts is None]
@@ -316,6 +302,8 @@ def _gamma_into(acc, alg, rows, parts, slots, places, negate):
         members = groups.get(u_idx)
         if not members:
             continue
+        if negate:
+            vec = [(o, -a) for o, a in vec]
         shift = 0
         for t, place in units:
             shift += ctuple[t] * place
@@ -329,15 +317,14 @@ def _gamma_into(acc, alg, rows, parts, slots, places, negate):
                 opts = by_key2.get(table2[out_u] * d + ctuple[t2])
                 if not opts:
                     break
-                combos = [(p + q, fmul(a, b))
-                          for p, a in combos for q, b in opts]
+                combos = [(p + q, a * b) for p, a in combos for q, b in opts]
             else:
                 base = out_u * stride + shift
                 for o, a in vec:
                     pos = base + o
                     for contrib, coeff in combos:
                         i = pos + contrib
-                        acc[i] = faccum(acc[i], fmul(coeff, a))
+                        cells[i] = get(i, 0) + coeff * a
 
 
 @lru_cache(maxsize=None)
@@ -348,11 +335,11 @@ def _input_tuples(d, n):
 
 # -- braces and derived operations -------------------------------------------
 
-def _brace_into(acc, x, xs, negate):
-    """Accumulate (+/-) x{x_1,...,x_n} into the flat list ``acc``, for
-    1 <= n <= deg x.  x is grouped into rows and each x_p into options once;
-    each slot choice places the options at its input blocks and leaves the
-    operad unit, ``None``, in the free slots."""
+def _brace_into(cells, x, xs, negate):
+    """Accumulate (+/-) x{x_1,...,x_n} into ``cells``, for 1 <= n <= deg x.
+    x is grouped into rows and each x_p into options once; each slot choice
+    places the options at its input blocks and leaves the operad unit,
+    ``None``, in the free slots."""
     k = x.degree
     rows = _rows(x)
     options = [_options(g) for g in xs]
@@ -369,7 +356,7 @@ def _brace_into(acc, x, xs, negate):
             inputs_before = (s - p) + consumed
             eps += xs[p].shifted * inputs_before
             consumed += xs[p].degree
-        _gamma_into(acc, x.alg, rows, tuple(parts), slots, places,
+        _gamma_into(cells, x.alg, rows, tuple(parts), slots, places,
                     negate != (eps % 2 == 1))
 
 
@@ -382,12 +369,15 @@ def brace(x, xs):
     xs = list(xs)
     if not xs:
         return x
+    for g in xs:
+        if g.alg != x.alg:
+            raise ValueError("cochains over different algebras")
     n = sum(g.degree for g in xs) + x.degree - len(xs)
     if len(xs) > x.degree:
         return Cochain(x.alg, n, {})
-    acc = _accumulator(x.alg, n)
-    _brace_into(acc, x, xs, False)
-    return _collected(x.alg, n, acc)
+    cells = {}
+    _brace_into(cells, x, xs, False)
+    return _collected(x.alg, n, cells)
 
 
 def circ(x, y):
@@ -403,12 +393,12 @@ def bracket(x, y):
 
 
 def _bracket(x, y):
-    """[x, y] in one accumulator; bracket and diff_d both call it."""
+    """[x, y] in one dict of cells; bracket and diff_d both call it."""
     n = x.degree + y.degree - 1
-    acc = _accumulator(x.alg, n)
-    _brace_into(acc, x, [y], False)
-    _brace_into(acc, y, [x], (x.shifted * y.shifted) % 2 == 0)
-    return _collected(x.alg, n, acc)
+    cells = {}
+    _brace_into(cells, x, [y], False)
+    _brace_into(cells, y, [x], (x.shifted * y.shifted) % 2 == 0)
+    return _collected(x.alg, n, cells)
 
 
 class MultContext:
@@ -434,9 +424,9 @@ def dot(ctx, x, y):
     if x.alg != ctx.alg or y.alg != ctx.alg:
         raise ValueError("cochains do not belong to this context")
     n = x.degree + y.degree
-    acc = _accumulator(ctx.alg, n)
-    _brace_into(acc, ctx.pi, [x, y], x.degree % 2 == 1)
-    return _collected(ctx.alg, n, acc)
+    cells = {}
+    _brace_into(cells, ctx.pi, [x, y], x.degree % 2 == 1)
+    return _collected(ctx.alg, n, cells)
 
 
 def diff_d(ctx, x):

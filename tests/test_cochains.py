@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -570,10 +571,15 @@ def test_operations_refuse_cochains_of_another_complex(rng):
     alg = ctx.alg
     x1, x2 = random_cochain(alg, 1, rng), random_cochain(alg, 2, rng)
     for other_alg in (product_fixture("trias", 1),
+                      product_fixture("didend", 2),
                       product_fixture("didend", 1, field=PrimeField(101))):
         other = MultContext(other_alg)
         y1 = random_cochain(other_alg, 1, rng)
         refused = [lambda: x1 + y1, lambda: x1 - y1,
+                   lambda: gamma(x2, [x1, y1]), lambda: gamma(y1, [x1]),
+                   lambda: brace(x2, [y1]), lambda: brace(x2, [x1, y1]),
+                   lambda: brace(y1, [x1]), lambda: circ(x2, y1),
+                   lambda: circ(y1, x1),
                    lambda: bracket(x1, y1), lambda: bracket(y1, x1),
                    lambda: dot(ctx, x1, y1), lambda: dot(ctx, y1, x1),
                    lambda: dot(other, x1, y1), lambda: diff_d(ctx, y1),
@@ -585,6 +591,27 @@ def test_operations_refuse_cochains_of_another_complex(rng):
         with pytest.raises(ValueError):
             op()
     assert (x1 - x1).is_zero() and (x2 + x2).degree == 2
+
+
+def test_sparse_results_allocate_only_their_cells():
+    # a result is built in a dict of the cells its terms touch: one basis
+    # cochain of the 11-dim trias suspension must not cost a slot for each
+    # of the 161,051 cells of a degree-3 cochain
+    alg = suspension_fixture("trias")
+    ctx = MultContext(alg)
+    e = Cochain(alg, 2, {11: alg.field.one})
+    bound = 8 * cochain_dim(alg, 3) // 10
+    for label, op in (("diff_d", lambda: diff_d(ctx, e)),
+                      ("bracket", lambda: bracket(e, e)),
+                      ("brace", lambda: brace(e, [e]))):
+        assert not op().is_zero(), label            # warm the caches
+        tracemalloc.start()
+        try:
+            op()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (label, peak)
 
 
 def test_multilinearity_of_gamma_and_brace(rng):
@@ -612,11 +639,15 @@ def test_results_store_no_zero_coefficient(seed, field, dim):
     results = [x2 + y2, x2 - y2, x2.scaled(field.zero),
                x2.scaled(field.from_fraction(3)), -x2,
                gamma(x2, [x1, y1]), gamma(x1, [y2]), brace(x2, [x1]),
-               brace(x2, [x1, y1]), bracket(x1, y2), bracket(x2, y2),
+               brace(x2, [x1, y1]), circ(x2, y2), bracket(x1, y2),
+               bracket(x2, y2), dot(ctx, x1, y2), dot(ctx, x2, y1),
                diff_d(ctx, x1), diff_d(ctx, y2), delta_trias(alg, x2),
                delta_trias(alg, delta_trias(alg, x1))]
     for x in results:
         assert all(c != field.zero for c in x.cells.values())
+        if field.characteristic:
+            assert all(type(c) is int and 0 < c < field.characteristic
+                       for c in x.cells.values())
         keys = [((u_idx * dim ** x.degree + _flat(tup, dim)) * dim + out)
                 for u_idx, tup, out, _ in x.entries()]
         assert keys == sorted(x.cells)
