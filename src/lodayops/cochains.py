@@ -49,11 +49,18 @@ from .trees import boundary_symbol, delete_leaf
 class Cochain:
     """A degree-n cochain: ``cells`` maps each flat index to its nonzero
     coefficient.  Zero coefficients given to the constructor are dropped;
-    the cell dict is the cochain's own copy."""
+    the cell dict is the cochain's own copy.  A key that is not an int in
+    ``range(cochain_dim(alg, degree))`` raises ValueError."""
 
     __slots__ = ("alg", "degree", "cells")
 
     def __init__(self, alg, degree, cells):
+        # cochain_dim through the private cache of U_n, which is not traced
+        size = len(_family(alg.kind, degree)[0]) * alg.dim ** (degree + 1)
+        for i in cells:
+            if type(i) is not int or not 0 <= i < size:
+                raise ValueError("cochain key %r is not a flat index in "
+                                 "range(%d)" % (i, size))
         self.alg = alg
         self.degree = degree
         self.cells = {i: c for i, c in cells.items() if c}
@@ -132,11 +139,17 @@ def _signed_sum(alg, n, terms):
 def _collected(alg, n, cells):
     """The degree-n cochain of accumulated ``cells``, a dict from flat index
     to a sum built with the plain operators: over F_p each value is reduced
-    mod p, and the zeros are dropped."""
+    mod p, and the zeros are dropped, in one pass.  The keys of a kernel
+    result are in range by construction, so they are not checked."""
     p = alg.field.characteristic
+    x = Cochain.__new__(Cochain)
+    x.alg = alg
+    x.degree = n
     if p:
-        cells = {i: c % p for i, c in cells.items()}
-    return Cochain(alg, n, cells)
+        x.cells = {i: r for i, c in cells.items() if (r := c % p)}
+    else:
+        x.cells = {i: c for i, c in cells.items() if c}
+    return x
 
 
 def cochain_dim(alg, n):

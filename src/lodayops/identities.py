@@ -8,6 +8,8 @@ are implemented in the form verified by exhaustive sign fitting at small
 degrees; see SIGN_NOTES.md.
 """
 
+import os
+import threading
 from itertools import accumulate
 from typing import NamedTuple
 
@@ -102,9 +104,10 @@ def hg_differential_sides(ctx, x, args):
 
 def dg_algebra_sides(ctx, x, y, z):
     """Dot associativity and the Leibniz rule d(x.y) = dx.y + (-1)^(deg x) x.dy."""
-    assoc_l = dot(ctx, dot(ctx, x, y), z)
+    xy = dot(ctx, x, y)
+    assoc_l = dot(ctx, xy, z)
     assoc_r = dot(ctx, x, dot(ctx, y, z))
-    leib_l = diff_d(ctx, dot(ctx, x, y))
+    leib_l = diff_d(ctx, xy)
     leib_r = _signed_sum(x.alg, leib_l.degree, (
         (False, dot(ctx, diff_d(ctx, x), y)),
         (x.degree % 2 == 1, dot(ctx, x, diff_d(ctx, y)))))
@@ -154,9 +157,97 @@ def _draw(alg, rng, pattern):
     return [_draw(alg, rng, p) for p in pattern]
 
 
+def _blocks(samples, round_size):
+    """Split ``range(samples)`` into contiguous blocks of whole rounds, one
+    per usable CPU and never more blocks than rounds; the last block also
+    takes the unfinished round.  One block when forking is unavailable, or
+    unsafe because another thread is alive."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    rounds = samples // round_size
+    count = min(cpus, rounds)
+    if (count < 2 or not hasattr(os, "fork")
+            or threading.active_count() > 1):
+        return [range(samples)]
+    ends = [rounds * k // count * round_size for k in range(count)]
+    return [range(a, b) for a, b in zip(ends, ends[1:] + [samples])]
+
+
+def _checked(ctx, rng, families, block, draws):
+    """Draw the first ``draws`` samples from ``rng`` in order and check
+    those in ``block``."""
+    results = []
+    for i in range(draws):
+        law, pattern, sides = families[i % len(families)]
+        drawn = _draw(ctx.alg, rng, pattern)
+        if i in block:
+            pairs = sides(*drawn)
+            results.append(LawCheck(law, pattern,
+                                    all(lhs == rhs for lhs, rhs in pairs)))
+    return results
+
+
+def _forked(ctx, rng, families, block):
+    """Check ``block`` in a forked child; return its pid and the read end of
+    its pipe.
+
+    The child writes b"+" and one verdict byte per sample, or b"!" and the
+    text of the exception that stopped it.  It leaves by ``os._exit``, so it
+    runs no exit handler and flushes no buffer it shares with the parent."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    try:
+        os.close(read_fd)
+        try:
+            checks = _checked(ctx, rng, families, block, block.stop)
+            message = b"+" + bytes(c.passed for c in checks)
+        except Exception as exc:        # sent to the parent, which raises
+            message = b"!" + ("%s: %s" % (type(exc).__name__, exc)).encode()
+        with open(write_fd, "wb") as pipe:
+            pipe.write(message)
+    finally:
+        os._exit(0)
+
+
+def _received(read_fd, families, block):
+    """The checks of ``block``, read from a child's pipe to its end."""
+    chunks = []
+    while chunk := os.read(read_fd, 1 << 16):
+        chunks.append(chunk)
+    message = b"".join(chunks)
+    if message[:1] != b"+" or len(message) != len(block) + 1:
+        raise RuntimeError(
+            "identity samples %d-%d failed in a child process: %s"
+            % (block.start, block.stop - 1,
+               message[1:].decode(errors="replace") or "no verdicts"))
+    return [LawCheck(*families[i % len(families)][:2], bool(passed))
+            for i, passed in zip(block, message[1:])]
+
+
 def run_identity_suite(ctx, rng, samples):
     """Spread ``samples`` random instances across all identity families,
-    round robin, from one table of (law, patterns, sides)."""
+    round robin, from one table of (law, patterns, sides).
+
+    The samples are checked in contiguous blocks of whole rounds of the
+    table, one block per usable CPU: the first block in this process, each
+    other one in a forked child.  Every process replays the seeded draws in
+    order and checks only its own block, so no cochain crosses a process
+    boundary, and the results, and the state of ``rng`` afterwards, are the
+    same for every CPU count.  Fewer than two rounds, one usable CPU, no
+    ``os.fork`` or another live thread keep the suite in this process.  A
+    failed child makes the call raise RuntimeError with the child's
+    exception text; every child is reaped before the call returns.
+    """
     laws = (
         ("brace-identity", BRACE_PATTERNS,
          lambda *xs: [brace_identity_sides(*xs)]),
@@ -168,10 +259,23 @@ def run_identity_suite(ctx, rng, samples):
     )
     families = [(law, pattern, sides) for law, patterns, sides in laws
                 for pattern in patterns]
-    results = []
-    for i in range(samples):
-        law, pattern, sides = families[i % len(families)]
-        pairs = sides(*_draw(ctx.alg, rng, pattern))
-        results.append(LawCheck(law, pattern,
-                                all(lhs == rhs for lhs, rhs in pairs)))
-    return results
+    first, *others = _blocks(samples, len(families))
+    children = []
+    try:
+        for block in others:
+            children.append((block, *_forked(ctx, rng, families, block)))
+        results = _checked(ctx, rng, families, first, samples)
+        for block, _, read_fd in children:
+            results.extend(_received(read_fd, families, block))
+        return results
+    except BaseException:
+        # stop the blocks still running; signal is imported only here, as
+        # every command imports this module
+        from signal import SIGKILL
+        for _, pid, _ in children:
+            os.kill(pid, SIGKILL)
+        raise
+    finally:
+        for _, pid, read_fd in children:
+            os.close(read_fd)
+            os.waitpid(pid, 0)

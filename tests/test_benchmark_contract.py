@@ -40,6 +40,9 @@ JOBS = {
         "kind": "cli", "algebra": "fixtures/trias_dim2.alg",
         "argv": ["gerstenhaber", "fixtures/trias_dim2.alg", "--max-degree",
                  "4"]},
+    "identities:trias_dim1": {
+        "kind": "cli", "algebra": "fixtures/trias_dim1.alg",
+        "argv": ["identities", "fixtures/trias_dim1.alg", "--samples", "52"]},
     "identities:tricub_dim1": {
         "kind": "cli", "algebra": "fixtures/tricub_dim1.alg",
         "argv": ["identities", "fixtures/tricub_dim1.alg", "--samples", "26"]},

@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
@@ -591,6 +592,18 @@ def test_operations_refuse_cochains_of_another_complex(rng):
         with pytest.raises(ValueError):
             op()
     assert (x1 - x1).is_zero() and (x2 + x2).degree == 2
+
+
+@pytest.mark.parametrize("key", [12345, -1, 3993, (0, 1)])
+def test_cochain_refuses_keys_outside_its_cells(key):
+    # a key outside range(cochain_dim) used to build a cochain that every
+    # operation treated as zero
+    alg = suspension_fixture("trias")
+    assert cochain_dim(alg, 2) == 3993
+    with pytest.raises(ValueError, match=r"%s.*range\(3993\)"
+                       % re.escape(repr(key))):
+        Cochain(alg, 2, {key: 1})
+    assert Cochain(alg, 2, {3992: 1}).cells == {3992: 1}
 
 
 def test_sparse_results_allocate_only_their_cells():
