@@ -129,7 +129,7 @@ class AlgebraSpec:
             for (i, j), row in tables.get(op, {}).items():
                 if not (0 <= i < dim and 0 <= j < dim):
                     raise ValueError("basis index out of range in %s table" % op)
-                out = {k: c for k, c in row.items() if c != field.zero}
+                out = field.collect(row)
                 for k in out:
                     if not 0 <= k < dim:
                         raise ValueError("basis index out of range in %s table" % op)
@@ -146,12 +146,13 @@ class AlgebraSpec:
         return PARAM_KIND[self.type_tag]
 
     def __eq__(self, other):
-        return (isinstance(other, AlgebraSpec)
-                and self.type_tag == other.type_tag
-                and self.field == other.field
-                and self.dim == other.dim
-                and self.basis == other.basis
-                and self.tables == other.tables)
+        return self is other or (
+            isinstance(other, AlgebraSpec)
+            and self.type_tag == other.type_tag
+            and self.field == other.field
+            and self.dim == other.dim
+            and self.basis == other.basis
+            and self.tables == other.tables)
 
     def __repr__(self):
         return "AlgebraSpec(%s, %s, dim=%d)" % (
@@ -166,7 +167,6 @@ def multiply(alg, op, x, y):
                          % (op, alg.type_tag))
     if any(not 0 <= i < alg.dim for v in (x, y) for i in v):
         raise ValueError("basis index out of range")
-    f = alg.field
     table = alg.tables[op]
     out = {}
     for i, xi in x.items():
@@ -174,18 +174,18 @@ def multiply(alg, op, x, y):
             row = table.get((i, j))
             if not row:
                 continue
-            scale = f.mul(xi, yj)
+            scale = xi * yj
             for k, c in row.items():
-                out[k] = f.add(out.get(k, f.zero), f.mul(scale, c))
-    return {k: c for k, c in out.items() if c}
+                out[k] = out.get(k, 0) + scale * c
+    return alg.field.collect(out)
 
 
 def _sparse_sum(field, rows):
     out = {}
     for row in rows:
         for t, c in row.items():
-            out[t] = field.add(out.get(t, field.zero), c)
-    return {t: c for t, c in out.items() if c}
+            out[t] = out.get(t, 0) + c
+    return field.collect(out)
 
 
 def star(alg, x, y):

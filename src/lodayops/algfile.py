@@ -129,7 +129,7 @@ def parse_algebra(text, warn=None):
             except (ValueError, ZeroDivisionError) as exc:
                 raise AlgebraFileError(line_no, str(exc)) from None
             cell = tables[op].setdefault((i - 1, j - 1), {})
-            cell[k - 1] = field.add(cell.get(k - 1, field.zero), coeff)
+            cell[k - 1] = cell.get(k - 1, 0) + coeff
     try:
         return AlgebraSpec(type_tag, field, dim, basis, tables)
     except ValueError as exc:

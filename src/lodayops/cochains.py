@@ -30,10 +30,11 @@ each sum of cochains, builds up in one dict keyed by the result's flat cell
 index, the form of ``Cochain.cells``: its keys are the cells some term
 touched, so the dict is a sparse accumulator and nothing walks the cells no
 term reaches.  Terms are added and multiplied with the plain operators, and
-one collect step per result reduces each touched cell mod p over F_p and
-drops the zeros.  Each operand is grouped once per operation: the left
-factor into rows by (parameter, inputs), each right factor into options by
-(parameter, output), which every slot choice of a brace then reads.  So a
+one collect step per result, the field's ``collect``, reduces each touched
+cell mod p over F_p and drops the zeros.  Each operand is grouped once per
+operation: the left factor into rows by (parameter, inputs), each right
+factor into options by (parameter, output), which every slot choice of a
+brace then reads.  So a
 result costs O(terms + touched cells), however large cochain_dim is.
 """
 
@@ -48,8 +49,8 @@ from .trees import boundary_symbol, delete_leaf
 
 class Cochain:
     """A degree-n cochain: ``cells`` maps each flat index to its nonzero
-    coefficient.  Zero coefficients given to the constructor are dropped;
-    the cell dict is the cochain's own copy.  A key that is not an int in
+    coefficient.  The constructor keeps its own copy of the cells given,
+    through the field's collect step.  A key that is not an int in
     ``range(cochain_dim(alg, degree))`` raises ValueError."""
 
     __slots__ = ("alg", "degree", "cells")
@@ -63,7 +64,7 @@ class Cochain:
                                  "range(%d)" % (i, size))
         self.alg = alg
         self.degree = degree
-        self.cells = {i: c for i, c in cells.items() if c}
+        self.cells = alg.field.collect(cells)
 
     @property
     def shifted(self):
@@ -98,12 +99,11 @@ class Cochain:
                            ((False, self), (True, other)))
 
     def scaled(self, c):
-        mul = self.alg.field.mul
-        return Cochain(self.alg, self.degree,
-                       {i: mul(c, a) for i, a in self.cells.items()})
+        return _collected(self.alg, self.degree,
+                          {i: c * a for i, a in self.cells.items()})
 
     def __neg__(self):
-        return self.scaled(self.alg.field.neg(self.alg.field.one))
+        return self.scaled(-1)
 
     def entries(self):
         """Yield (u_idx, input_tuple, out_idx, coeff) over nonzero cells,
@@ -138,17 +138,13 @@ def _signed_sum(alg, n, terms):
 
 def _collected(alg, n, cells):
     """The degree-n cochain of accumulated ``cells``, a dict from flat index
-    to a sum built with the plain operators: over F_p each value is reduced
-    mod p, and the zeros are dropped, in one pass.  The keys of a kernel
-    result are in range by construction, so they are not checked."""
-    p = alg.field.characteristic
+    to a sum built with the plain operators, through the field's collect
+    step.  The keys of a kernel result are in range by construction, so
+    they are not checked."""
     x = Cochain.__new__(Cochain)
     x.alg = alg
     x.degree = n
-    if p:
-        x.cells = {i: r for i, c in cells.items() if (r := c % p)}
-    else:
-        x.cells = {i: c for i, c in cells.items() if c}
+    x.cells = alg.field.collect(cells)
     return x
 
 
@@ -495,8 +491,6 @@ def delta_trias(alg, f):
         raise ValueError("the explicit differential is defined for trias only")
     n = f.degree
     d = alg.dim
-    fld = alg.field
-    z = fld.zero
     tables = alg.tables
     # preimages[op][k]: every (x, y, coefficient of e_k in e_x op e_y)
     preimages = {}
@@ -508,17 +502,19 @@ def delta_trias(alg, f):
     pushes = _delta_pushes(n)
     width = d ** n
     cells = {}
+    get = cells.get
     for key, c in f.cells.items():
         rest, o = divmod(key, d)
         u_idx, flat = divmod(rest, width)
         for psi, i, op in pushes.get(u_idx, ()):
             base = psi * width * d
+            signed = -c if i % 2 else c
             if i == 0:
-                terms = [((base + x * width + flat) * d + out, fld.mul(c, c2))
+                terms = [((base + x * width + flat) * d + out, signed * c2)
                          for x in range(d)
                          for out, c2 in tables[op].get((x, o), {}).items()]
             elif i == n + 1:
-                terms = [((base + flat * d + y) * d + out, fld.mul(c, c2))
+                terms = [((base + flat * d + y) * d + out, signed * c2)
                          for y in range(d)
                          for out, c2 in tables[op].get((o, y), {}).items()]
             else:
@@ -526,9 +522,8 @@ def delta_trias(alg, f):
                 high, low = divmod(flat, place)
                 high, mid = divmod(high, d)
                 terms = [((base + ((high * d + x) * d + y) * place + low) * d + o,
-                          fld.mul(c, coeff))
+                          signed * coeff)
                          for x, y, coeff in preimages[op].get(mid, ())]
-            accum = fld.sub if i % 2 else fld.add
             for pos, v in terms:
-                cells[pos] = accum(cells.get(pos, z), v)
-    return Cochain(alg, n + 1, cells)
+                cells[pos] = get(pos, 0) + v
+    return _collected(alg, n + 1, cells)

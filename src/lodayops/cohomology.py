@@ -71,13 +71,12 @@ class DifferentialMatrix:
     def apply(self, cells):
         """M x for a sparse vector x ({column: value}), as {row: value}
         without zeros."""
-        field = self.field
-        add, mul, zero = field.add, field.mul, field.zero
         out = {}
+        get = out.get
         for c, x in cells.items():
             for r, v in self.columns[c].items():
-                out[r] = add(out.get(r, zero), mul(v, x))
-        return {r: v for r, v in out.items() if v != zero}
+                out[r] = get(r, 0) + v * x
+        return self.field.collect(out)
 
 
 def matrix_of_d(ctx, n):
@@ -95,8 +94,8 @@ def matrix_of_d(ctx, n):
     at R_0(r); on the third, R_0(r) gives u and each cell of pi at R_s(r)
     with output b_s puts its pair of inputs in place of b_s.  One walk per
     profile files every r under the u it feeds.  The columns of one u are
-    then summed with the field's addition and stored without zeros, one
-    parameter at a time.  No cochain is built per column.
+    then summed with the plain operators and finished by the field's collect
+    step, one parameter at a time.  No cochain is built per column.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
@@ -106,20 +105,22 @@ def matrix_of_d(ctx, n):
     alg = ctx.alg
     kind = alg.kind
     d = alg.dim
-    add, sub, zero = alg.field.add, alg.field.sub, alg.field.zero
+    collect = alg.field.collect
     width = d ** n                  # input tuples b of a degree-n cochain
     col_stride = width * d          # columns (b, o) per parameter u
     row_stride = col_stride * d     # rows per output parameter r
     nparams = family_size(kind, n)
 
     # the cells of pi at each parameter as (first input, second input,
-    # output, coefficient), and by output as (input pair, coefficient)
-    cells, preimages = {}, {}
+    # output, coefficient), and by output as (input pair, coefficient) with
+    # the coefficient as it is and negated
+    cells, preimages, negated = {}, {}, {}
     for key, a in ctx.pi.cells.items():
         rest, out = divmod(key, d)
         p, pair = divmod(rest, d * d)
         cells.setdefault(p, []).append((pair // d, pair % d, out, a))
         preimages.setdefault(p, {}).setdefault(out, []).append((pair, a))
+        negated.setdefault(p, {}).setdefault(out, []).append((pair, -a))
 
     def filed(u_of, at):
         """Each output parameter r, as (r, at[r]), under the column
@@ -141,8 +142,8 @@ def matrix_of_d(ctx, n):
             kind, (1,) * s + (2,) + (1,) * (n - 1 - s))
         inner.append(filed(r0, part_tables[s]))
 
-    # each walk adds its cells of pi, or subtracts them where its sign is -1
-    right_op = sub if (n - 1) % 2 else add
+    # each walk adds its cells of pi, negated where its sign is -1
+    right_sign = -1 if (n - 1) % 2 else 1
     columns = []
     for u in range(nparams):
         cols = [{} for _ in range(col_stride)]  # column (u, b, o) at b * d + o
@@ -153,22 +154,23 @@ def matrix_of_d(ctx, n):
                 for b in range(width):
                     acc = cols[b * d + o]
                     key = row + b * d * d
-                    acc[key] = add(acc.get(key, zero), a)
+                    acc[key] = acc.get(key, 0) + a
         # (-1)^|e| gamma(pi; Id, e): (r; y, b) -> pi(R_0 r; e_y, e_o)
         for r, i0 in right[u]:
             for y, o, out, a in cells.get(i0, ()):
                 row = r * row_stride + y * col_stride + out
+                a *= right_sign
                 for b in range(width):
                     acc = cols[b * d + o]
                     key = row + b * d
-                    acc[key] = right_op(acc.get(key, zero), a)
+                    acc[key] = acc.get(key, 0) + a
         # -(-1)^|e| (-1)^s gamma(e; Id,...,pi at s,...,Id): the input b_s is
         # replaced by each pair (x, y) with pi(R_s r; e_x, e_y) = a e_(b_s)
         for s, by_u in enumerate(inner):
             place = d ** (n - 1 - s)    # weight of b_s in b
-            op = sub if (n + s) % 2 else add
+            signed = negated if (n + s) % 2 else preimages
             for r, p in by_u[u]:
-                for k, pairs in preimages.get(p, {}).items():
+                for k, pairs in signed.get(p, {}).items():
                     for rest in range(width // d):
                         high, low = divmod(rest, place)
                         col = ((high * d + k) * place + low) * d
@@ -178,9 +180,8 @@ def matrix_of_d(ctx, n):
                             for o in range(d):
                                 acc = cols[col + o]
                                 key = row + o
-                                acc[key] = op(acc.get(key, zero), a)
-        columns.extend({row: v for row, v in acc.items() if v}
-                       for acc in cols)
+                                acc[key] = acc.get(key, 0) + a
+        columns.extend(collect(acc) for acc in cols)
     matrix = DifferentialMatrix(n, cochain_dim(alg, n + 1),
                                 cochain_dim(alg, n), tuple(columns),
                                 alg.field)

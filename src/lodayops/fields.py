@@ -1,7 +1,11 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields.
 
-Scalars are plain Python values and a field object supplies the arithmetic,
-so the rest of the library stays field-generic.
+Scalars are plain Python values and Python's operators are the arithmetic.
+A field object supplies the rest: the collect step that finishes each result
+built with the operators (``collect``: over F_p reduce each value mod p, and
+drop the zeros), the inverse, and the parsing and printing of scalars.  So
+the library stays field-generic, and only this module decides when values
+over F_p are reduced.
 
 * Over Q a scalar is an exact Python rational: an ``int`` when its value is
   an integer and a ``fractions.Fraction`` only when it is not.  Every scalar
@@ -12,13 +16,13 @@ so the rest of the library stays field-generic.
   across the two types.  So integral structure constants and cochains are
   computed on ``int`` throughout, with no per-operation normalisation; a
   ``Fraction`` whose value happens to be integral is a valid scalar too.
-* Over F_p a scalar is an ``int`` in ``range(p)``.
+* Over F_p a scalar is an ``int`` in ``range(p)``; a sum built with the
+  operators may leave that range until it is collected.
 
 In both fields zero is the only scalar that tests false, which lets sparse
 containers drop zeros with a plain truth test.
 """
 
-import operator
 from fractions import Fraction
 
 
@@ -43,11 +47,10 @@ class Rationals:
     zero = 0
     one = 1
 
-    # the plain operators, so that an operation costs no Python call frame
-    add = staticmethod(operator.add)
-    sub = staticmethod(operator.sub)
-    mul = staticmethod(operator.mul)
-    neg = staticmethod(operator.neg)
+    def collect(self, values):
+        """The entries of the mapping ``values`` that are not zero, as a
+        new dict."""
+        return {k: v for k, v in values.items() if v}
 
     def inv(self, a):
         if a == 0:
@@ -90,17 +93,11 @@ class PrimeField:
         self.zero = 0
         self.one = 1 % p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
+    def collect(self, values):
+        """The entries of the mapping ``values`` reduced mod p, without the
+        ones that vanish, as a new dict."""
+        p = self.p
+        return {k: r for k, v in values.items() if (r := v % p)}
 
     def inv(self, a):
         a %= self.p

@@ -20,9 +20,10 @@ elimination code:
   witness, and independence modulo the image (``independent_mod_image``).
 
 Sparse vectors are mappings ``index -> value`` or sequences of
-``(index, value)`` pairs.  An echelon stores its vectors as dicts without
-zeros, like the cochains and the matrix columns, and never changes them
-after construction.
+``(index, value)`` pairs.  An echelon reads each vector given to it through
+the field's collect step, stores its vectors as dicts without zeros, like
+the cochains and the matrix columns, and never changes them after
+construction.
 """
 
 from collections import Counter
@@ -47,7 +48,7 @@ def _primitive(row):
 
 def _mod_row(row, p):
     """The integer row reduced mod p, without the entries that vanish."""
-    return {c: v % p for c, v in row.items() if v % p}
+    return {c: r for c, v in row.items() if (r := v % p)}
 
 
 def rank_bareiss(rows, ncols, p=0):
@@ -94,16 +95,17 @@ class Pivot(NamedTuple):
 
 
 def _add_multiple(target, coeff, vec, field):
-    """target += coeff * vec, in place, dropping entries that cancel.  A
-    value that is not an int goes through ``field.from_fraction``, so over
-    Q an integral sum is stored as an int."""
-    zero = field.zero
+    """target += coeff * vec, in place, dropping entries that cancel.  Each
+    updated entry is normalised by ``field.from_fraction``: over Q an
+    integral sum is stored as an int, over F_p as its residue mod p."""
+    norm = field.from_fraction
+    get = target.get
     for i, v in vec.items():
-        new = field.add(target.get(i, zero), field.mul(coeff, v))
-        if new == zero:
-            target.pop(i, None)
+        new = norm(get(i, 0) + coeff * v)
+        if new:
+            target[i] = new
         else:
-            target[i] = new if type(new) is int else field.from_fraction(new)
+            target.pop(i, None)
 
 
 def _reduce(field, pivots, by_row, vec, pre=None, solve=False):
@@ -112,7 +114,7 @@ def _reduce(field, pivots, by_row, vec, pre=None, solve=False):
     rows are present; as each is zero on the rows of the earlier ones, it
     can only bring in rows of later ones.  The same multiples of the
     preimages are subtracted from ``pre`` if given, or added if ``solve``."""
-    vec = {i: v for i, v in dict(vec).items() if v != field.zero}
+    vec = field.collect(dict(vec))
     heap = [by_row[r] for r in vec if r in by_row]
     heapify(heap)
     while heap:
@@ -123,7 +125,7 @@ def _reduce(field, pivots, by_row, vec, pre=None, solve=False):
         for r in pivot.image:
             if r not in vec and r in by_row:
                 heappush(heap, by_row[r])
-        neg = field.neg(coeff)
+        neg = -coeff
         _add_multiple(vec, neg, pivot.image, field)
         if pre is not None:
             _add_multiple(pre, coeff if solve else neg, pivot.preimage, field)
@@ -177,7 +179,7 @@ def column_echelon(columns, field):
     such row on ties.  Earlier pivots are never changed.
     """
     counts = Counter(r for column in columns
-                     for r, v in dict(column).items() if v != field.zero)
+                     for r in field.collect(dict(column)))
     basis, kernel, by_row = [], [], {}
     for j, column in enumerate(columns):
         pre = {j: field.one}

@@ -65,6 +65,13 @@ def test_duplicate_entries_accumulate():
         "type = didend\nfield = Q\ndim = 1\nop left\n1 1 1 1\n1 1 1 -1\n",
         **QUIET)
     assert alg.tables["left"] == {}
+    # over F_101 the summed entries pass p: 60 + 41 leaves no cell, and
+    # 60 + 42 is stored as its residue 1
+    head = "type = didend\nfield = Fp:101\ndim = 1\nop left\n"
+    alg = parse_algebra(head + "1 1 1 60\n1 1 1 41\n", **QUIET)
+    assert alg.tables["left"] == {}
+    alg = parse_algebra(head + "1 1 1 60\n1 1 1 42\n", **QUIET)
+    assert alg.tables["left"] == {(0, 0): {0: 1}}
 
 
 def _expect_error(text, fragment):

@@ -323,9 +323,10 @@ def _gamma_by_definition(f, gs):
     to the values of the g_t at (R_t(r), t-th input block), with R_0 and R_t
     read element by element through ``r_zero`` and ``r_part``.  Since f is
     multilinear, only the cells where every g_t is nonzero on its block are
-    visited; every other cell is zero."""
+    visited; every other cell is zero.  Values are built with the operators
+    and reduced mod p here over F_p, apart from the library's collect step."""
     alg = f.alg
-    d, kind, field = alg.dim, alg.kind, alg.field
+    d, kind, p = alg.dim, alg.kind, alg.field.characteristic
     parts = tuple(g.degree for g in gs)
     total = sum(parts)
 
@@ -357,17 +358,19 @@ def _gamma_by_definition(f, gs):
             inputs = sum((block for block, _ in choice), ())
             value = {}
             for args in product(*(vals.items() for _, vals in choice)):
-                coeff = field.one
+                coeff = 1
                 for _, v in args:
-                    coeff = field.mul(coeff, v)
+                    coeff *= v
                 f_inputs = tuple(c for c, _ in args)
                 for out in range(d):
                     a = f.cells.get(cell(f.degree, f_idx, f_inputs, out))
                     if a is not None:
-                        value[out] = field.add(value.get(out, field.zero),
-                                               field.mul(coeff, a))
+                        value[out] = value.get(out, 0) + coeff * a
             for out, v in value.items():
-                cells[cell(total, r_idx, inputs, out)] = v
+                if p:
+                    v %= p
+                if v:
+                    cells[cell(total, r_idx, inputs, out)] = v
     return Cochain(alg, total, cells)
 
 

@@ -138,10 +138,13 @@ def test_echelon_is_memoised():
 
 
 def _perturbed(m, row, col, field):
-    """m with field.one added to its entry at (row, col)."""
+    """m with 1 added to its entry at (row, col), reduced mod p here over
+    F_p."""
+    p = field.characteristic
     columns = list(m.columns)
     cells = columns[col] = dict(columns[col])
-    cells[row] = field.add(cells.get(row, field.zero), field.one)
+    value = cells.get(row, 0) + 1
+    cells[row] = value % p if p else value
     return DifferentialMatrix(m.degree, m.nrows, m.ncols, tuple(columns),
                               m.field)
 

@@ -7,21 +7,27 @@ from lodayops.fields import (QQ, PrimeField, field_from_name, is_prime,
 
 
 def test_rationals_basics():
-    assert QQ.add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
     assert QQ.inv(Fraction(2)) == Fraction(1, 2)
-    assert QQ.neg(QQ.one) == Fraction(-1)
     with pytest.raises(ZeroDivisionError):
         QQ.inv(QQ.zero)
 
 
 def test_prime_field_arithmetic():
     f = PrimeField(7)
-    assert f.add(5, 4) == 2
-    assert f.mul(3, 5) == 1
     assert f.inv(3) == 5
     assert f.from_fraction(Fraction(1, 2)) == 4
     with pytest.raises(ZeroDivisionError):
         f.from_fraction(Fraction(1, 7))
+
+
+def test_collect_reduces_over_fp_and_drops_zeros():
+    # the operators leave a sum over F_p out of range(p); collecting is
+    # the one place where it is reduced
+    sums = {0: 7, 1: 8, 2: -1, 3: 0, 4: 14 * 5 - 3 * 2}
+    assert PrimeField(7).collect(sums) == {1: 1, 2: 6, 4: 1}
+    values = {0: 0, 1: Fraction(1, 2) + Fraction(1, 2), 2: -3, 3: 2 - 2}
+    collected = QQ.collect(values)
+    assert collected == {1: 1, 2: -3} and collected is not values
 
 
 def test_prime_field_rejects_bad_moduli():
@@ -85,9 +91,6 @@ def test_rational_scalars_are_int_when_integral():
     assert type(QQ.inv(-1)) is int
     assert type(parse_scalar(QQ, "-3/4")) is Fraction
     assert type(QQ.inv(2)) is Fraction
-    # int op int stays int; mixing with a Fraction is exact
-    assert type(QQ.mul(QQ.add(2, 3), QQ.neg(4))) is int
-    assert QQ.add(Fraction(1, 2), Fraction(1, 2)) == QQ.one
 
 
 def test_rational_text_is_unchanged_by_the_scalar_type():

@@ -45,13 +45,13 @@ def dense(pairs, n, field=QQ):
 
 
 def times(m, x, field=QQ):
-    """M x for a dense matrix of Fractions and a dense vector over field."""
+    """M x for a dense matrix of Fractions and a dense vector over field,
+    reduced mod p here over F_p."""
+    p = field.characteristic
     out = []
     for row in m:
-        acc = field.zero
-        for a, b in zip(row, x):
-            acc = field.add(acc, field.mul(field.from_fraction(a), b))
-        out.append(acc)
+        acc = sum(field.from_fraction(a) * b for a, b in zip(row, x))
+        out.append(acc % p if p else acc)
     return out
 
 
@@ -186,6 +186,12 @@ def test_prime_field_elimination():
     ech = column_echelon([{0: 2, 1: 1}, {0: 4, 1: 3}], f)
     assert [p.column for p in ech.basis] == [0, 1]
     assert ech.kernel == ()
+    # values outside range(p) are read mod p, in the columns and in the
+    # vectors to solve for: 101 and 202 are zero, so the second column is
+    # in the kernel, row 0 ties with row 1 and wins, and 0 is an image
+    ech = column_echelon([{0: 1, 1: 1}, {0: 101}], f)
+    assert [p.row for p in ech.basis] == [0] and ech.kernel == ({1: 1},)
+    assert ech.preimage({0: 101, 2: 202}) == {}
 
 
 def test_reduction_follows_pivot_order():
