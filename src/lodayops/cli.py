@@ -4,7 +4,13 @@ Report grammar (stdout): lines starting with '#' are metadata, result lines
 are 'CHECK <id> PASS|FAIL', data lines are space-separated key tuples
 ('H <n> <dim>', 'REP <degree> <index> <entries>').  Reports are
 byte-identical across runs for fixed inputs and --seed; timing goes to
-stderr.  Exit status: 0 all checks passed, 1 some check failed, 2 bad input.
+stderr.
+
+Exit status, set by ``main`` alone: 0 when every check passes, 1 when a
+check fails, 2 on bad input.  Handlers only write the report.  Bad input is
+refused before the report is printed, so a refused command prints no report,
+only ``error: <message>`` on stderr.  A failed ``pi o pi = 0`` check ends
+the command, with its FAIL line as the report's last.
 """
 
 import argparse
@@ -46,24 +52,21 @@ class Report:
             print(line, file=stream)
 
 
-def _load(path):
-    try:
-        return load_algebra(path)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return None
-    except AlgebraFileError as exc:
-        print("error: %s: %s" % (path, exc), file=sys.stderr)
-        return None
+class _Refused(Exception):
+    """Bad input: the command prints no report and exits 2."""
+
+
+class _Stopped(Exception):
+    """A failed check, already in the report, ends the command."""
 
 
 def _context(alg, report):
-    """MultContext, or None (recorded as a failed check) if pi o pi != 0."""
+    """MultContext; if pi o pi != 0, the failed check ends the command."""
     try:
         return MultContext(alg)
     except ValueError:
         report.check("multiplication-square-zero", False)
-        return None
+        raise _Stopped from None
 
 
 def _command_text(ns):
@@ -87,21 +90,30 @@ def _command_text(ns):
     return " ".join(words)
 
 
-def _describe(report, ns, alg=None):
+def _describe(report, ns):
+    """Write the command line; for a command on an algebra file, load the
+    file, write its algebra line and return the algebra."""
     report.meta("command: %s" % _command_text(ns))
-    if alg is not None:
-        report.meta("algebra: type=%s field=%s dim=%d" %
-                    (alg.type_tag, alg.field.name, alg.dim))
+    path = getattr(ns, "file", None)
+    if path is None:
+        return None
+    try:
+        alg = load_algebra(path)
+    except OSError as exc:
+        raise _Refused(exc) from None
+    except AlgebraFileError as exc:
+        raise _Refused("%s: %s" % (path, exc)) from None
+    report.meta("algebra: type=%s field=%s dim=%d" %
+                (alg.type_tag, alg.field.name, alg.dim))
+    return alg
 
 
 def cmd_verify_system(ns, report):
     size = scan_instances(ns.kind, ns.max_total, MAX_SCAN_INSTANCES)
     if size > MAX_SCAN_INSTANCES:
-        print("error: verify-system --kind %s --max-total %d checks at "
-              "least %d law instances, over the limit of %d"
-              % (ns.kind, ns.max_total, size, MAX_SCAN_INSTANCES),
-              file=sys.stderr)
-        return 2
+        raise _Refused("verify-system --kind %s --max-total %d checks at "
+                       "least %d law instances, over the limit of %d"
+                       % (ns.kind, ns.max_total, size, MAX_SCAN_INSTANCES))
     _describe(report, ns)
     sysrep = verify_system(ns.kind, ns.max_total)
     report.meta("kind=%s max-total=%d checked=%d" %
@@ -116,10 +128,7 @@ def cmd_verify_system(ns, report):
 
 
 def cmd_verify_algebra(ns, report):
-    alg = _load(ns.file)
-    if alg is None:
-        return 2
-    _describe(report, ns, alg)
+    alg = _describe(report, ns)
     violations = verify_axioms(alg)
     report.check("algebra-axioms", not violations)
     for v in violations[:20]:
@@ -133,18 +142,12 @@ def cmd_verify_algebra(ns, report):
         elems = enumerate_params(alg.kind, 3)
         report.data("NONZERO-AT",
                     " ".join(param_text(alg.kind, elems[u]) for u in bad))
-    return None
 
 
 def cmd_cohomology(ns, report):
-    alg = _load(ns.file)
-    if alg is None:
-        return 2
-    _describe(report, ns, alg)
+    alg = _describe(report, ns)
     report.meta("convention: H^1 = ker d^1 (there are no degree-0 cochains)")
     ctx = _context(alg, report)
-    if ctx is None:
-        return None
     dims = cohomology.cohomology_dims(ctx, ns.max_degree)
     cross = cohomology.cohomology_dims(ctx, ns.max_degree, engine="echelon")
     report.check("rank-engines-agree", dims == cross)
@@ -169,21 +172,13 @@ def cmd_cohomology(ns, report):
                         % (n, m.nrows, m.ncols, len(triples)))
             for r, c, v in triples:
                 report.data("MATRIX", n, r, c, alg.field.to_text(v))
-    return None
 
 
 def cmd_compare_differentials(ns, report):
-    alg = _load(ns.file)
-    if alg is None:
-        return 2
+    alg = _describe(report, ns)
     if alg.type_tag != "trias":
-        print("error: compare-differentials requires a trias algebra",
-              file=sys.stderr)
-        return 2
-    _describe(report, ns, alg)
+        raise _Refused("compare-differentials requires a trias algebra")
     ctx = _context(alg, report)
-    if ctx is None:
-        return None
     one = alg.field.one
     for n in range(1, ns.max_degree + 1):
         # the matrix that cohomology eliminates, against delta of each
@@ -196,7 +191,6 @@ def cmd_compare_differentials(ns, report):
             if cells != rhs.cells:
                 ok = False
         report.check("d-matches-delta-degree-%d" % n, ok)
-    return None
 
 
 def _law_lines(report, laws, checks, label):
@@ -212,33 +206,21 @@ def _law_lines(report, laws, checks, label):
 
 
 def cmd_gerstenhaber(ns, report):
-    alg = _load(ns.file)
-    if alg is None:
-        return 2
-    _describe(report, ns, alg)
+    alg = _describe(report, ns)
     ctx = _context(alg, report)
-    if ctx is None:
-        return None
     g = cohomology.check_g_algebra(ctx, ns.max_degree)
     for n in sorted(g.reps_per_degree):
         report.data("CLASSES", n, g.reps_per_degree[n])
     _law_lines(report, ("graded-commutativity", "bracket-derivation",
                         "graded-jacobi"), g.checks, "degrees")
-    return None
 
 
 def cmd_identities(ns, report):
-    alg = _load(ns.file)
-    if alg is None:
-        return 2
-    _describe(report, ns, alg)
+    alg = _describe(report, ns)
     report.meta("samples=%d seed=%d" % (ns.samples, ns.seed))
     ctx = _context(alg, report)
-    if ctx is None:
-        return None
     checks = run_identity_suite(ctx, random.Random(ns.seed), ns.samples)
     _law_lines(report, sorted({c.law for c in checks}), checks, "pattern")
-    return None
 
 
 def _int_at_least(low):
@@ -314,12 +296,19 @@ def main(argv=None):
         return 2 if exc.code else 0
     report = Report()
     started = time.monotonic()
-    status = ns.run(ns, report)
-    report.emit(sys.stdout)
+    try:
+        try:
+            ns.run(ns, report)
+        except _Stopped:
+            pass    # the failed check that ended it is in the report
+    except _Refused as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        status = 2
+    else:
+        report.emit(sys.stdout)
+        status = 1 if report.failed else 0
     print("# elapsed %.2fs" % (time.monotonic() - started), file=sys.stderr)
-    if status is not None:
-        return status
-    return 1 if report.failed else 0
+    return status
 
 
 def console_main():

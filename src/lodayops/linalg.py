@@ -9,8 +9,9 @@ elimination code:
   its leading column by integer multiples that cancel that entry.  Over Q
   rational rows are scaled to integers first and each combined row is
   divided by the gcd of its entries (the primitive-row variant of Bareiss's
-  method); over F_p each combined row is reduced mod p instead.  Neither a
-  field object nor a fraction enters, and no inverse is taken.
+  method); over F_p each entry of a combined row is reduced mod p as it
+  is formed instead.  Neither a field object nor a fraction enters, and no
+  inverse is taken.
 * ``column_echelon``: a triangular column echelon over a field object.
   Each column in turn is reduced against the earlier pivots in the order
   they were made, and what remains becomes a pivot on its row with the
@@ -75,12 +76,14 @@ def rank_bareiss(rows, ncols, p=0):
                 break
             g = gcd(row[lead], stored[lead])
             a, b = stored[lead] // g, row[lead] // g
-            combined = {}
-            for c in row.keys() | stored.keys():
-                v = a * row.get(c, 0) - b * stored.get(c, 0)
-                if v:
-                    combined[c] = v
-            row = _mod_row(combined, p) if p else _primitive(combined)
+            rget, sget = row.get, stored.get
+            columns = row.keys() | stored.keys()
+            if p:
+                row = {c: r for c in columns
+                       if (r := (a * rget(c, 0) - b * sget(c, 0)) % p)}
+            else:
+                row = _primitive({c: v for c in columns
+                                  if (v := a * rget(c, 0) - b * sget(c, 0))})
     return len(pivots)
 
 

@@ -142,16 +142,43 @@ def test_identities_failed_instance_lines(fixture_dir, monkeypatch):
     ]
 
 
+@pytest.mark.parametrize("argv, echo, meta", [
+    (["cohomology"], "--max-degree 3",
+     ["# convention: H^1 = ker d^1 (there are no degree-0 cochains)"]),
+    (["compare-differentials"], "--max-degree 3", []),
+    (["gerstenhaber"], "--max-degree 4", []),
+    (["identities", "--samples", "26"], "--samples 26 --seed 0",
+     ["# samples=26 seed=0"]),
+], ids=["cohomology", "compare-differentials", "gerstenhaber", "identities"])
+def test_failed_square_zero_stops_the_command(fixture_dir, argv, echo, meta):
+    # pi o pi != 0: the report ends at the failed check, and the exit is 1
+    path = fx(fixture_dir, "broken_trias_axiom7")
+    code, out, _ = run_cli(argv[0], path, *argv[1:])
+    assert code == 1
+    assert out.splitlines() == [
+        "# command: %s %s %s" % (argv[0], path, echo),
+        "# algebra: type=trias field=Q dim=11",
+        *meta,
+        "CHECK multiplication-square-zero FAIL",
+    ]
+
+
 def test_exit_codes_for_bad_input(fixture_dir, tmp_path):
-    code, _, err = run_cli("cohomology", str(tmp_path / "missing.alg"))
+    missing = tmp_path / "missing.alg"
+    code, out, err = run_cli("cohomology", str(missing))
     assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == \
+        "error: [Errno 2] No such file or directory: '%s'" % missing
     bad = tmp_path / "bad.alg"
     bad.write_text("type = didend\nfield = Fp:6\ndim = 1\n")
-    code, _, err = run_cli("verify-algebra", str(bad))
+    code, out, err = run_cli("verify-algebra", str(bad))
     assert code == 2
+    assert out == ""
     assert "not prime" in err
-    code, _, _ = run_cli("no-such-command")
+    code, out, _ = run_cli("no-such-command")
     assert code == 2
+    assert out == ""
 
 
 @pytest.mark.parametrize("command", ["verify-algebra", "cohomology",

@@ -225,6 +225,21 @@ def test_golden_dims_stable_mod_101(key):
     assert cohomology_dims(ctx, 3) == GOLDEN_DIMS[key]
 
 
+@pytest.mark.parametrize("type_tag", TYPES)
+def test_cohomology_mod_p_bounds_cohomology_over_q(type_tag):
+    # the structure constants are integers, so d has integer matrices and
+    # rank mod p <= rank over Q: dim H^n over F_p >= dim H^n over Q; the
+    # two rank engines must also agree over each field
+    over_q = None
+    for field in (QQ, PrimeField(5), PrimeField(7), PrimeField(101)):
+        ctx = MultContext(product_fixture(type_tag, 2, field=field))
+        dims = cohomology_dims(ctx, 4)
+        assert cohomology_dims(ctx, 3, engine="echelon") == dims[:3]
+        if over_q is None:
+            over_q = dims
+        assert all(d_p >= d_q for (_, d_p), (_, d_q) in zip(dims, over_q))
+
+
 def test_zero_algebra_full_cohomology():
     # zero multiplication: d = 0, so H^n is all of C^n, of dimension n here
     ctx = MultContext(zero_fixture("didend", 1))

@@ -19,11 +19,14 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 def test_cli_import_loads_no_dataclasses():
     # dataclasses brings in inspect, ast, dis and tokenize: a large share
-    # of the start-up of every CLI call
+    # of the start-up of every CLI call; the process and signal modules
+    # serve the identity suite's worker processes and are imported there
+    banned = ("dataclasses", "inspect", "signal", "subprocess",
+              "multiprocessing", "concurrent.futures")
     code = ("import sys; sys.path.insert(0, %r); "
             "from lodayops import algfile, cli, cochains; "
-            "print(*(m for m in ('dataclasses', 'inspect') "
-            "if m in sys.modules))" % str(SRC))
+            "print(*(m for m in %r if m in sys.modules))"
+            % (str(SRC), banned))
     done = subprocess.run([sys.executable, "-S", "-c", code],
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
