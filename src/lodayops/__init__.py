@@ -1,6 +1,6 @@
 """Operads, braces and exact cohomology for finite-dimensional Loday algebras."""
 
-from .algebra import AlgebraSpec, multiply, star, verify_axioms
+from .algebra import AlgebraSpec, multiply, verify_axioms
 from .algfile import load_algebra, parse_algebra, serialize_algebra
 from .cochains import (Cochain, MultContext, bracket, brace, circ,
                        canonical_multiplication, delta_trias, diff_d, dot,

@@ -12,10 +12,14 @@ An element of the algebra is a sparse dict {basis index: coefficient} that
 stores no zero; the structure constants are rows of the same form,
 tables[op][(i, j)] = {k: c} meaning e_i op e_j = sum_k c e_k.  ``multiply``
 is the one product on such elements.  Axioms are evaluated on basis triples
-only, which suffices by multilinearity.
+only, which suffices by multilinearity, and only on the triples that some
+structure constant reaches.
+
+``PI_OPS`` is the one table that says which operations the canonical
+multiplication pi sums at each element of U_2, the weight-2 parameters of
+the type's cochains.
 """
 
-from itertools import product
 from typing import NamedTuple
 
 from .fields import QQ
@@ -47,8 +51,17 @@ PARAM_KIND = {
     "tricub": "signs",
 }
 
-# Types whose canonical multiplication is the sum of all operations.
-STAR_TYPES = ("didend", "tridend", "tricub")
+# The operations pi sums at each element of U_2, in canonical order.  dias:
+# the binary trees (|,(|,|)) and ((|,|),|) read left and right; trias: the
+# corolla reads middle, then left and right as for dias.  The other types
+# sum every operation at every element.
+PI_OPS = {
+    "dias": (("left",), ("right",)),
+    "didend": (OPS["didend"],) * 2,
+    "trias": (("middle",), ("left",), ("right",)),
+    "tridend": (OPS["tridend"],) * 3,
+    "tricub": (OPS["tricub"],) * 9,
+}
 
 
 def _axioms():
@@ -121,6 +134,8 @@ class AlgebraSpec:
         if len(self.basis) != dim:
             raise ValueError("basis has %d names for dimension %d"
                              % (len(self.basis), dim))
+        if len(set(self.basis)) != dim:
+            raise ValueError("basis repeats a name")
         self.ops = OPS[type_tag]
         self.tables = {}
         tables = tables or {}
@@ -188,13 +203,6 @@ def _sparse_sum(field, rows):
     return field.collect(out)
 
 
-def star(alg, x, y):
-    """Sum of all operations; defined for the types whose multiplication is it."""
-    if alg.type_tag not in STAR_TYPES:
-        raise ValueError("star is not defined for type %s" % alg.type_tag)
-    return _sparse_sum(alg.field, [multiply(alg, op, x, y) for op in alg.ops])
-
-
 class AxiomViolation(NamedTuple):
     index: int
     label: str
@@ -204,13 +212,23 @@ class AxiomViolation(NamedTuple):
 
 
 def verify_axioms(alg):
-    """Evaluate every defining axiom on every basis triple; [] means valid."""
+    """Evaluate every defining axiom on every basis triple; [] means valid.
+
+    A triple (i, j, k) where no operation pairs (i, j) or (j, k) has zero on
+    both sides of every axiom, so only the others are evaluated, in
+    increasing order.
+    """
     f = alg.field
     violations = []
     basis = [{i: f.one} for i in range(alg.dim)]
+    pairs = {ij for table in alg.tables.values() for ij in table}
+    span = range(alg.dim)
+    triples = sorted({(i, j, k) for i, j in pairs for k in span}
+                     | {(i, j, k) for j, k in pairs for i in span})
     for a_idx, (lhs_terms, rhs_terms) in enumerate(AXIOMS[alg.type_tag], start=1):
         label = axiom_label(alg.type_tag, a_idx)
-        for (i, x), (j, y), (k, z) in product(enumerate(basis), repeat=3):
+        for i, j, k in triples:
+            x, y, z = basis[i], basis[j], basis[k]
             lhs = _sparse_sum(f, [multiply(alg, b, multiply(alg, a, x, y), z)
                                   for a, b in lhs_terms])
             rhs = _sparse_sum(f, [multiply(alg, c, x, multiply(alg, d, y, z))

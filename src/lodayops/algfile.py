@@ -4,9 +4,9 @@ Grammar (see README for a complete example):
 
     # comment                      blank lines and '#' lines are ignored
     type = trias                   dias | didend | trias | tridend | tricub
-    field = Q                      Q | Fp:<prime>
+    field = Q                      Q | Fp:<prime below 2^64>
     dim = 2
-    basis = e t                    optional; dim whitespace-separated names
+    basis = e t                    optional; dim distinct names
     op left                        one block per operation, entries below
     1 1 1 1                        i j k coeff:  e_i op e_j += coeff * e_k
     1 2 2 1/2                      indices are 1-based, coeff is int or p/q
@@ -99,6 +99,9 @@ def parse_algebra(text, warn=None):
             raise AlgebraFileError(header_lines["basis"],
                                    "basis lists %d names for dim %d"
                                    % (len(basis), dim))
+        if len(set(basis)) != dim:
+            raise AlgebraFileError(header_lines["basis"],
+                                   "basis repeats a name")
 
     ops = OPS[type_tag]
     for name in blocks:

@@ -41,7 +41,7 @@ result costs O(terms + touched cells), however large cochain_dim is.
 from functools import lru_cache
 from itertools import combinations, product
 
-from .algebra import STAR_TYPES, multiply, star
+from .algebra import PI_OPS
 from .params import _family, enumerate_params, family_size
 from .preoperadic import r_index_tables
 from .trees import boundary_symbol, delete_leaf
@@ -176,34 +176,20 @@ def identity_cochain(alg):
 
 
 def canonical_multiplication(alg):
-    """The type's multiplication cochain pi in degree 2.
-
-    For didend/tridend/tricub the value is x*y for every parameter; for
-    trias/dias the three/two weight-2 trees select the operation: extra leaf
-    on the right edge -> left product, on the left edge -> right product,
-    corolla -> middle product.
-    """
-    if alg.type_tag in STAR_TYPES:
-        ops = [None] * family_size(alg.kind, 2)
-    else:
-        ops = []
-        for t in enumerate_params(alg.kind, 2):
-            if len(t) == 3:
-                ops.append("middle")
-            elif t[0].is_leaf:
-                ops.append("left")
-            else:
-                ops.append("right")
+    """The type's multiplication cochain pi in degree 2: at the u-th element
+    of U_2 its value on (e_i, e_j) is the sum of e_i op e_j over the
+    operations ``PI_OPS[type][u]``, built from the nonzero structure
+    constants only."""
     d = alg.dim
-    one = alg.field.one
     cells = {}
-    for u_idx, op in enumerate(ops):
-        for i, j in product(range(d), repeat=2):
-            x, y = {i: one}, {j: one}
-            value = star(alg, x, y) if op is None else multiply(alg, op, x, y)
-            for k, c in value.items():
-                cells[((u_idx * d + i) * d + j) * d + k] = c
-    return Cochain(alg, 2, cells)
+    get = cells.get
+    for u_idx, ops in enumerate(PI_OPS[alg.type_tag]):
+        for op in ops:
+            for (i, j), row in alg.tables[op].items():
+                base = ((u_idx * d + i) * d + j) * d
+                for k, c in row.items():
+                    cells[base + k] = get(base + k, 0) + c
+    return _collected(alg, 2, cells)
 
 
 # -- composition -------------------------------------------------------------

@@ -26,16 +26,34 @@ containers drop zeros with a plain truth test.
 from fractions import Fraction
 
 
-def is_prime(p):
-    if p < 2:
+# The first twelve primes: as Miller-Rabin bases they decide primality
+# exactly for every n < 2^64, the moduli accepted here.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n):
+    """Deterministic Miller-Rabin; ValueError for n >= 2^64."""
+    if n >= 1 << 64:
+        raise ValueError("modulus %d is not below 2^64" % n)
+    if n < 2:
         return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    r, s = n - 1, 0
+    while r % 2 == 0:
+        r //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, r, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

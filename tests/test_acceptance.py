@@ -9,8 +9,8 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from lodayops.algebra import (AXIOMS, TYPES, axiom_mutation, product_fixture,
-                              suspension_fixture)
+from lodayops.algebra import (AXIOMS, PI_OPS, TYPES, axiom_mutation,
+                              product_fixture, suspension_fixture)
 from lodayops.algfile import load_algebra
 from lodayops.cli import main as cli_main
 from lodayops.cochains import (Cochain, MultContext,
@@ -131,10 +131,9 @@ def test_criterion_2_operad_laws(fixture_dir):
 
 
 def _t2_op(alg, u_idx):
-    t = enumerate_params(alg.kind, 2)[u_idx]
-    if len(t) == 3:
-        return "middle"
-    return "left" if t[0].is_leaf else "right"
+    """The one operation pi reads at a weight-2 parameter, from PI_OPS."""
+    op, = PI_OPS[alg.type_tag][u_idx]
+    return op
 
 
 def test_criterion_3_multiplication_matches_axioms(fixture_dir):

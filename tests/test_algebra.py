@@ -1,10 +1,15 @@
+from itertools import product
+
 import pytest
 
-from lodayops.algebra import (AXIOMS, GLYPHS, OPS, TYPES, AlgebraSpec,
-                              axiom_label, axiom_mutation, multiply,
-                              product_fixture, star, suspension_fixture,
+from lodayops.algebra import (AXIOMS, GLYPHS, OPS, PARAM_KIND, PI_OPS, TYPES,
+                              AlgebraSpec, axiom_label, axiom_mutation,
+                              multiply, product_fixture, suspension_fixture,
                               verify_axioms, zero_fixture)
+from lodayops.algfile import parse_algebra
+from lodayops.cochains import canonical_multiplication
 from lodayops.fields import QQ, PrimeField
+from lodayops.params import family_size
 
 
 def test_axiom_counts():
@@ -50,7 +55,8 @@ def test_fixture_products():
     e = {0: alg.field.one}
     assert multiply(alg, "left", e, e) == e
     assert multiply(alg, "right", e, e) == {}
-    assert star(alg, e, e) == e
+    # pi sums both operations at both linear parameters: e at each
+    assert canonical_multiplication(alg).cells == {0: 1, 1: 1}
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)])
@@ -59,22 +65,64 @@ def test_cancelling_product_stores_no_zero(field):
     alg = product_fixture("trias", 2, field=field)
     assert multiply(alg, "left", _element(field, [1, 1]),
                     _element(field, [1, -1])) == {0: field.one}
-    # e < e = e and e > e = -e cancel in the sum of the operations
+    # e < e = e and e > e = -e cancel in pi, the sum of the operations
     one = field.one
     p = field.characteristic
     alg = AlgebraSpec("tridend", field, 1, None,
                       {"left": {(0, 0): {0: one}},
                        "right": {(0, 0): {0: -one % p if p else -one}}})
-    assert star(alg, {0: one}, {0: one}) == {}
+    assert canonical_multiplication(alg).is_zero()
 
 
-def test_star_restricted_to_sum_types():
-    e = {0: QQ.one}
-    with pytest.raises(ValueError):
-        star(product_fixture("trias", 1), e, e)
-    with pytest.raises(ValueError):
-        star(product_fixture("dias", 1), e, e)
-    assert star(zero_fixture("tridend", 1), e, e) == {}
+@pytest.mark.parametrize("type_tag", TYPES)
+def test_pi_table_has_one_entry_per_weight_2_parameter(type_tag):
+    entries = PI_OPS[type_tag]
+    assert len(entries) == family_size(PARAM_KIND[type_tag], 2)
+    for ops in entries:
+        assert type(ops) is tuple and ops
+        assert len(set(ops)) == len(ops)
+        assert set(ops) <= set(OPS[type_tag])
+
+
+def _pi_oracle(alg):
+    """pi's cells from ``multiply`` on every pair of basis vectors: at the
+    u-th weight-2 parameter, the sum of the products PI_OPS lists there."""
+    d = alg.dim
+    one = alg.field.one
+    cells = {}
+    for u_idx, ops in enumerate(PI_OPS[alg.type_tag]):
+        for i, j in product(range(d), repeat=2):
+            for op in ops:
+                for k, c in multiply(alg, op, {i: one}, {j: one}).items():
+                    key = ((u_idx * d + i) * d + j) * d + k
+                    cells[key] = cells.get(key, 0) + c
+    return alg.field.collect(cells)
+
+
+def _corpus_over(fixture_dir, type_tag, field):
+    """The shipped fixture files of one type, read over ``field``."""
+    out = []
+    for path in sorted(fixture_dir.glob("*.alg")):
+        text = path.read_text(encoding="utf-8")
+        alg = parse_algebra(text.replace("field = Q", "field = " + field.name),
+                            warn=lambda m: None)
+        if alg.type_tag == type_tag:
+            out.append(alg)
+    return out
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)])
+@pytest.mark.parametrize("type_tag", TYPES)
+def test_pi_matches_the_multiply_oracle(type_tag, field, fixture_dir):
+    algebras = [product_fixture(type_tag, dim, field) for dim in (1, 2)]
+    algebras += [zero_fixture(type_tag, 2, field),
+                 suspension_fixture(type_tag, field)]
+    algebras += [axiom_mutation(type_tag, index, field)
+                 for index in range(1, len(AXIOMS[type_tag]) + 1)]
+    algebras += _corpus_over(fixture_dir, type_tag, field)
+    assert all(alg.field == field for alg in algebras)
+    for alg in algebras:
+        assert canonical_multiplication(alg).cells == _pi_oracle(alg), alg
 
 
 def test_valid_fixtures_have_no_violations():
@@ -95,6 +143,48 @@ def test_single_axiom_mutations_break_exactly_one(type_tag):
         assert {v.index for v in violations} == {index}
         assert all(v.triple == (0, 1, 2) for v in violations)
         assert all(v.left != v.right for v in violations)
+
+
+def _dense_violations(alg):
+    """verify_axioms' list, from every basis triple with no skipping."""
+    f = alg.field
+    out = []
+    for a_idx, (lhs_terms, rhs_terms) in enumerate(AXIOMS[alg.type_tag], 1):
+        for i, j, k in product(range(alg.dim), repeat=3):
+            x, y, z = {i: f.one}, {j: f.one}, {k: f.one}
+            lhs, rhs = {}, {}
+            for a, b in lhs_terms:
+                for t, c in multiply(alg, b, multiply(alg, a, x, y), z).items():
+                    lhs[t] = lhs.get(t, 0) + c
+            for c_op, d_op in rhs_terms:
+                for t, c in multiply(alg, c_op, x,
+                                     multiply(alg, d_op, y, z)).items():
+                    rhs[t] = rhs.get(t, 0) + c
+            lhs, rhs = f.collect(lhs), f.collect(rhs)
+            if lhs != rhs:
+                out.append((a_idx, (i, j, k),
+                            tuple(lhs.get(t, 0) for t in range(alg.dim)),
+                            tuple(rhs.get(t, 0) for t in range(alg.dim))))
+    return out
+
+
+@pytest.mark.parametrize("type_tag", TYPES)
+def test_sparse_axiom_check_matches_every_triple(type_tag, rng):
+    algebras = [axiom_mutation(type_tag, 1), product_fixture(type_tag, 2)]
+    for field in (QQ, PrimeField(7)):
+        for _ in range(4):
+            # a few random constants at dim 4, almost never an algebra
+            tables = {op: {} for op in OPS[type_tag]}
+            for _ in range(3):
+                op = rng.choice(OPS[type_tag])
+                i, j, k = (rng.randrange(4) for _ in range(3))
+                tables[op][(i, j)] = {k: field.from_fraction(
+                    rng.choice((-2, -1, 1, 3)))}
+            algebras.append(AlgebraSpec(type_tag, field, 4, None, tables))
+    for alg in algebras:
+        found = [(v.index, v.triple, v.left, v.right)
+                 for v in verify_axioms(alg)]
+        assert found == _dense_violations(alg), alg
 
 
 def test_trias_mutation_cites_label():
@@ -122,6 +212,8 @@ def test_dimension_and_index_validation():
         AlgebraSpec("trias", QQ, 0)
     with pytest.raises(ValueError):
         AlgebraSpec("trias", QQ, 1, basis=("a", "b"))
+    with pytest.raises(ValueError, match="repeats a name"):
+        AlgebraSpec("trias", QQ, 2, basis=("e", "e"))
     with pytest.raises(ValueError):
         AlgebraSpec("trias", QQ, 1, None, {"left": {(0, 1): {0: QQ.one}}})
 

@@ -111,6 +111,21 @@ def test_error_carries_line_number():
     assert err.value.line_no == 5
 
 
+def test_repeated_basis_name_names_its_line():
+    with pytest.raises(AlgebraFileError) as err:
+        parse_algebra("type = trias\nfield = Q\ndim = 2\n\nbasis = e e\n",
+                      **QUIET)
+    assert str(err.value) == "line 5: basis repeats a name"
+
+
+def test_modulus_past_2_64_names_its_line():
+    with pytest.raises(AlgebraFileError) as err:
+        parse_algebra("type = trias\nfield = Fp:%d\ndim = 1\n"
+                      % (2 ** 64 + 13), **QUIET)
+    assert err.value.line_no == 2
+    assert "not below 2^64" in str(err.value)
+
+
 def test_foreign_operation_block_names_its_line():
     with pytest.raises(AlgebraFileError) as err:
         parse_algebra("type = dias\nfield = Q\ndim = 1\nop left\n1 1 1 1\n"

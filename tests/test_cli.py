@@ -211,6 +211,32 @@ def test_non_ascii_dim_exits_2(tmp_path, command):
         "error: %s: line 3: dim must be a positive integer" % bad]
 
 
+@pytest.mark.parametrize("header, message", [
+    ("field = Fp:18446744073709551629\ndim = 1\n",
+     "line 2: modulus 18446744073709551629 is not below 2^64"),
+    ("field = Q\ndim = 2\nbasis = e e\n", "line 4: basis repeats a name"),
+])
+def test_bad_header_values_exit_2(tmp_path, header, message):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("type = trias\n" + header, encoding="utf-8")
+    code, out, err = run_cli("verify-algebra", str(bad))
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines()
+            if not line.startswith("# elapsed")] == [
+        "error: %s: %s" % (bad, message)]
+
+
+def test_modulus_2_61_minus_1_accepted(tmp_path):
+    path = tmp_path / "big_p.alg"
+    path.write_text("type = trias\nfield = Fp:2305843009213693951\ndim = 1\n"
+                    "op left\n1 1 1 1\nop right\n1 1 1 1\n"
+                    "op middle\n1 1 1 1\n", encoding="utf-8")
+    code, out, _ = run_cli("verify-algebra", str(path))
+    assert code == 0
+    assert "CHECK algebra-axioms PASS" in out
+
+
 def test_missing_key_names_no_line(tmp_path):
     # a key missing from the whole file has no line to name
     bad = tmp_path / "bad.alg"

@@ -7,8 +7,9 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lodayops.algebra import (AXIOMS, TYPES, axiom_mutation, product_fixture,
-                              suspension_fixture, zero_fixture)
+from lodayops.algebra import (AXIOMS, PI_OPS, TYPES, axiom_mutation,
+                              product_fixture, suspension_fixture,
+                              zero_fixture)
 from lodayops.algfile import load_algebra
 from lodayops.cochains import (Cochain, MultContext, bracket, brace,
                                canonical_multiplication, circ, cochain_dim,
@@ -456,11 +457,9 @@ def test_mutants_have_nonzero_pi_square():
 
 
 def _t2_op(alg, u_idx):
-    """Operation selected by a weight-2 tree under the canonical assignment."""
-    t = enumerate_params(alg.kind, 2)[u_idx]
-    if len(t) == 3:
-        return "middle"
-    return "left" if t[0].is_leaf else "right"
+    """The one operation pi reads at a weight-2 parameter, from PI_OPS."""
+    op, = PI_OPS[alg.type_tag][u_idx]
+    return op
 
 
 def _tree_axiom_map(alg):

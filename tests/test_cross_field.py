@@ -13,9 +13,10 @@ import random
 
 import pytest
 
-from lodayops.algebra import AlgebraSpec, multiply, star
+from lodayops.algebra import AlgebraSpec, multiply
 from lodayops.algfile import parse_algebra
-from lodayops.cochains import (Cochain, MultContext, cochain_dim,
+from lodayops.cochains import (Cochain, MultContext,
+                               canonical_multiplication, cochain_dim,
                                delta_trias)
 from lodayops.cohomology import matrix_of_d
 from lodayops.fields import QQ, PrimeField
@@ -69,9 +70,9 @@ def test_products_agree(algebras):
                     _mod(multiply(alg_q, op, x, y))
 
 
-def test_star_agrees():
+def test_pi_agrees():
     # a tridend whose three constants sum to 304 = 1 mod 101; over F_101
-    # they are 2, 2 and 98, so their sum passes p
+    # they are 2, 2 and 98, so pi, their sum, passes p
     tables = {op: {(0, 0): {0: c}}
               for op, c in (("left", SCALE), ("middle", SCALE),
                             ("right", 98))}
@@ -79,8 +80,9 @@ def test_star_agrees():
                     for field in (QQ, PrimeField(P)))
     assert alg_p.tables == {op: {(0, 0): _mod(table[(0, 0)])}
                             for op, table in alg_q.tables.items()}
-    for x in ({0: 1}, {0: -1}, {0: SCALE}):
-        assert star(alg_p, _mod(x), _mod(x)) == _mod(star(alg_q, x, x))
+    pi_q, pi_p = (canonical_multiplication(alg) for alg in (alg_q, alg_p))
+    assert pi_q.cells == {0: 304, 1: 304, 2: 304}
+    assert pi_p.cells == _mod(pi_q.cells)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -46,6 +47,30 @@ def test_is_prime_small():
     primes = [p for p in range(60) if is_prime(p)]
     assert primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
                       53, 59]
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_is_prime_matches_trial_division_below_10_5():
+    assert all(is_prime(n) == _trial_division(n) for n in range(10 ** 5))
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # a Carmichael number, and strong pseudoprimes to the bases 2; 2..7;
+    # and 2..23
+    for n in (561, 2047, 3215031751, 3825123056546413051):
+        assert not is_prime(n), n
+
+
+def test_large_prime_moduli():
+    started = time.monotonic()
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert is_prime(2 ** 64 - 59)       # the largest prime below 2^64
+    assert time.monotonic() - started < 1
+    with pytest.raises(ValueError, match="not below 2\\^64"):
+        field_from_name("Fp:%d" % (2 ** 64 + 13))
 
 
 def test_field_from_name():
