@@ -475,6 +475,8 @@ def delta_trias(alg, f):
     """
     if alg.type_tag != "trias":
         raise ValueError("the explicit differential is defined for trias only")
+    if f.alg != alg:
+        raise ValueError("cochain does not belong to this algebra")
     n = f.degree
     d = alg.dim
     tables = alg.tables

@@ -6,20 +6,21 @@ vector of length |U_n| * d^(n+1) and the differential a sparse matrix per
 degree in the same coordinates.  There are no cochains below degree 1,
 so H^1 = ker d^1; every report states this convention.
 
-Each matrix of d is stored once, over the field of its algebra, as its
-sparse columns in column order: the layout in which it is assembled,
-applied, multiplied and eliminated.  The (row, col) triples are derived
-from the columns on demand.  Each matrix carries the field engine's
-triangular column echelon (each pivot on the sparsest row of its reduced
-column, and never changed), eliminated on first use; kernels,
-representatives and coboundary witnesses are all read from it.  Ranks come
-by default from the fraction-free row engine, which reads the columns as
-the rows of the transpose, runs over Q on primitive integer rows and over
-F_p on integer rows reduced mod p, and shares no code with the echelon.
-The ``engine`` argument of ``matrix_rank`` and ``cohomology_dims`` picks
-``"bareiss"`` or ``"echelon"``, and a dimension is trusted only once the
-two agree; the CLI's ``rank-engines-agree`` check compares them on both
-fields.
+Each matrix of d is the signed sum of the n+2 cofaces that pi makes on
+the cochains, assembled from the index tables and stored once, over the
+field of its algebra, as its sparse columns in column order: the layout
+in which it is assembled, applied, multiplied and eliminated.  The (row,
+col) triples are derived from the columns on demand.  Each matrix carries
+the field engine's triangular column echelon (each pivot on the sparsest
+row of its reduced column, and never changed), eliminated on first use;
+kernels, representatives and coboundary witnesses are all read from it.
+Ranks come by default from the fraction-free row engine, which reads the
+columns as the rows of the transpose, runs over Q on primitive integer
+rows and over F_p on integer rows reduced mod p, and shares no code with
+the echelon.  The ``engine`` argument of ``matrix_rank`` and
+``cohomology_dims`` picks ``"bareiss"`` or ``"echelon"``, and a dimension
+is trusted only once the two agree; the CLI's ``rank-engines-agree``
+check compares them on both fields.
 
 A class of H^n is given by its representative, a cocycle ``Cochain``.
 ``check_g_algebra`` builds each law instance on representatives as one
@@ -32,8 +33,8 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from . import linalg
-from .cochains import (Cochain, _signed_sum, bracket, cochain_dim, diff_d,
-                       dot, zero_cochain)
+from .cochains import (Cochain, _options, _rows, _signed_sum, bracket,
+                       cochain_dim, diff_d, dot, zero_cochain)
 from .identities import LawCheck
 from .params import family_size
 from .preoperadic import r_index_tables
@@ -83,110 +84,104 @@ def matrix_of_d(ctx, n):
     """Matrix of d on degree n, assembled by linearity from the index tables.
 
     Column (u, b, o) is d e for the basis cochain e with the single cell
-    e(u; b) = e_o.  By SIGN_NOTES.md
-
-        d e =   gamma(pi; e, Id) + (-1)^|e| gamma(pi; Id, e)
-              - (-1)^|e| sum_s (-1)^s gamma(e; Id,...,pi at s,...,Id),
-
-    so every entry is a signed cell of pi read through ``r_index_tables``
-    on the n+2 profiles (n, 1), (1, n) and (1,...,2 at s,...,1).  On the
-    first two, R_1 or R_2 of the output parameter r gives u and pi is read
-    at R_0(r); on the third, R_0(r) gives u and each cell of pi at R_s(r)
-    with output b_s puts its pair of inputs in place of b_s.  One walk per
-    profile files every r under the u it feeds.  The columns of one u are
-    then summed with the plain operators and finished by the field's collect
-    step, one parameter at a time.  No cochain is built per column.
+    e(u; b) = e_o.  It is the sum of the n+2 signed coface walks of
+    ``_cofaces``, as d = (-1)^(n+1) sum_i (-1)^i delta^i (SIGN_NOTES.md).
+    No cochain is built per column.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    cached = ctx.matrix_cache.get(n)
-    if cached is not None:
-        return cached
+    if n not in ctx.matrix_cache:
+        ctx.matrix_cache[n] = _summed(ctx, n, _cofaces(ctx, n))
+    return ctx.matrix_cache[n]
+
+
+def _summed(ctx, n, walks):
+    """The matrix on degree n of the sum of ``walks``, each parameter's
+    columns summed with the plain operators and then collected."""
     alg = ctx.alg
-    kind = alg.kind
-    d = alg.dim
-    collect = alg.field.collect
+    columns = []
+    for u in range(family_size(alg.kind, n)):
+        cols = [{} for _ in range(alg.dim ** (n + 1))]  # (u, b, o) at b*d + o
+        for walk in walks:
+            walk(cols, u)
+        columns.extend(alg.field.collect(acc) for acc in cols)
+    return DifferentialMatrix(n, cochain_dim(alg, n + 1), cochain_dim(alg, n),
+                              tuple(columns), alg.field)
+
+
+def _cofaces(ctx, n):
+    """The cofaces delta^0..delta^(n+1) on degree n, delta^i signed by
+    (-1)^(n+1+i), as walks: ``walk(cols, u)`` adds its entries in column
+    (u, b, o) to ``cols[b * d + o]``.  delta^0 e = gamma(pi; Id, e) and
+    delta^(n+1) e = gamma(pi; e, Id) read pi at R_0 r on (1, n) and (n, 1);
+    delta^i e = gamma(e; Id,..,pi at s,..,Id), s = i-1, reads pi at R_s r on
+    (1,..,2 at s,..,1).  Each output parameter r is filed under its u."""
+    kind, d = ctx.alg.kind, ctx.alg.dim
     width = d ** n                  # input tuples b of a degree-n cochain
     col_stride = width * d          # columns (b, o) per parameter u
     row_stride = col_stride * d     # rows per output parameter r
-    nparams = family_size(kind, n)
+    rows = _rows(ctx.pi)            # [(p, (x, y), [(out, a)])]
+    options = _options(ctx.pi)      # {p * d + out: [(x * d + y, a)]}
 
-    # the cells of pi at each parameter as (first input, second input,
-    # output, coefficient), and by output as (input pair, coefficient) with
-    # the coefficient as it is and negated
-    cells, preimages, negated = {}, {}, {}
-    for key, a in ctx.pi.cells.items():
-        rest, out = divmod(key, d)
-        p, pair = divmod(rest, d * d)
-        cells.setdefault(p, []).append((pair // d, pair % d, out, a))
-        preimages.setdefault(p, {}).setdefault(out, []).append((pair, a))
-        negated.setdefault(p, {}).setdefault(out, []).append((pair, -a))
+    def outer(sign, slot, by_u):
+        """e in pi's ``slot``: each cell of pi at R_0 r with o in that slot
+        and z in the other gives its output to (r; b, z) or (r; z, b)."""
+        b_weight, z_weight = (d * d, d) if slot == 0 else (d, col_stride)
+        cells = {}
+        for p, pair, vec in rows:
+            cells.setdefault(p, []).extend(
+                (pair[slot], pair[1 - slot] * z_weight + out, sign * a)
+                for out, a in vec)
 
-    def filed(u_of, at):
-        """Each output parameter r, as (r, at[r]), under the column
-        parameter u_of[r] it feeds."""
-        by_u = [[] for _ in range(nparams)]
-        for r, (u, p) in enumerate(zip(u_of, at)):
-            by_u[u].append((r, p))
-        return by_u
+        def walk(cols, u):
+            for r, p in by_u[u]:
+                for o, offset, a in cells.get(p, ()):
+                    row = r * row_stride + offset
+                    for b in range(width):
+                        acc = cols[b * d + o]
+                        key = row + b * b_weight
+                        acc[key] = acc.get(key, 0) + a
+        return walk
 
-    # u is R_1 r on the profile (n, 1), R_2 r on (1, n) and R_0 r on the
-    # profile with 2 at s; pi is read at R_0 r, R_0 r and R_s r
-    r0, (u_of, _) = r_index_tables(kind, (n, 1))
-    left = filed(u_of, r0)
-    r0, (_, u_of) = r_index_tables(kind, (1, n))
-    right = filed(u_of, r0)
-    inner = []
-    for s in range(n):
-        r0, part_tables = r_index_tables(
-            kind, (1,) * s + (2,) + (1,) * (n - 1 - s))
-        inner.append(filed(r0, part_tables[s]))
+    def inner(sign, s, by_u):
+        """pi in e's slot s: the input b_s is replaced by each pair (x, y)
+        with pi(R_s r; e_x, e_y) = a e_(b_s)."""
+        place = d ** (n - 1 - s)        # weight of b_s in b
+        signed = {}                     # by parameter, the outputs pi has
+        for key, pairs in options.items():
+            p, k = divmod(key, d)
+            signed.setdefault(p, {})[k] = [(pair * place * d, sign * a)
+                                           for pair, a in pairs]
 
-    # each walk adds its cells of pi, negated where its sign is -1
-    right_sign = -1 if (n - 1) % 2 else 1
-    columns = []
-    for u in range(nparams):
-        cols = [{} for _ in range(col_stride)]  # column (u, b, o) at b * d + o
-        # gamma(pi; e, Id): (r; b, y) -> pi(R_0 r; e_o, e_y)
-        for r, i0 in left[u]:
-            for o, y, out, a in cells.get(i0, ()):
-                row = r * row_stride + y * d + out
-                for b in range(width):
-                    acc = cols[b * d + o]
-                    key = row + b * d * d
-                    acc[key] = acc.get(key, 0) + a
-        # (-1)^|e| gamma(pi; Id, e): (r; y, b) -> pi(R_0 r; e_y, e_o)
-        for r, i0 in right[u]:
-            for y, o, out, a in cells.get(i0, ()):
-                row = r * row_stride + y * col_stride + out
-                a *= right_sign
-                for b in range(width):
-                    acc = cols[b * d + o]
-                    key = row + b * d
-                    acc[key] = acc.get(key, 0) + a
-        # -(-1)^|e| (-1)^s gamma(e; Id,...,pi at s,...,Id): the input b_s is
-        # replaced by each pair (x, y) with pi(R_s r; e_x, e_y) = a e_(b_s)
-        for s, by_u in enumerate(inner):
-            place = d ** (n - 1 - s)    # weight of b_s in b
-            signed = negated if (n + s) % 2 else preimages
+        def walk(cols, u):
             for r, p in by_u[u]:
                 for k, pairs in signed.get(p, {}).items():
                     for rest in range(width // d):
                         high, low = divmod(rest, place)
                         col = ((high * d + k) * place + low) * d
-                        base = r * width * d + high * d * d * place + low
+                        base = (r * width * d + high * d * d * place + low) * d
                         for pair, a in pairs:
-                            row = (base + pair * place) * d
+                            row = base + pair
                             for o in range(d):
                                 acc = cols[col + o]
                                 key = row + o
                                 acc[key] = acc.get(key, 0) + a
-        columns.extend(collect(acc) for acc in cols)
-    matrix = DifferentialMatrix(n, cochain_dim(alg, n + 1),
-                                cochain_dim(alg, n), tuple(columns),
-                                alg.field)
-    ctx.matrix_cache[n] = matrix
-    return matrix
+        return walk
+
+    walks = []
+    for i in range(n + 2):
+        is_outer = i in (0, n + 1)
+        slot = (0 if i else 1) if is_outer else i - 1
+        parts = [1] * (2 if is_outer else n)
+        parts[slot] = n if is_outer else 2
+        r0, tables = r_index_tables(kind, tuple(parts))
+        u_of, at = (tables[slot], r0) if is_outer else (r0, tables[slot])
+        by_u = [[] for _ in range(family_size(kind, n))]
+        for r, (u, p) in enumerate(zip(u_of, at)):
+            by_u[u].append((r, p))
+        sign = -1 if (n + 1 + i) % 2 else 1
+        walks.append((outer if is_outer else inner)(sign, slot, by_u))
+    return walks
 
 
 def matrix_product_is_zero(a, b, field):
@@ -248,6 +243,8 @@ def coboundary_preimage(ctx, c):
     the witness returned in that case is the degree-1 zero cochain, standing
     in for the nonexistent degree-0 module.
     """
+    if c.alg != ctx.alg:
+        raise ValueError("cochain does not belong to this context")
     n = c.degree
     if n < 2:
         if c.is_zero():

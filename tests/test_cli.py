@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from lodayops import cohomology, identities, linalg
+from lodayops.algebra import PI_OPS, suspension_fixture
+from lodayops.algfile import serialize_algebra
 from lodayops.cli import MAX_SCAN_INSTANCES, main
 from lodayops.cochains import zero_cochain
 from lodayops.preoperadic import scan_instances
@@ -62,6 +64,27 @@ def test_compare_differentials(fixture_dir):
     assert code == 0
     assert "CHECK d-matches-delta-degree-1 PASS" in out
     assert "CHECK d-matches-delta-degree-2 PASS" in out
+
+
+@pytest.mark.parametrize("table", [None, (("middle",), ("right",), ("left",)),
+                                   (("left",), ("middle",), ("right",))],
+                         ids=["shipped", "mirrored", "corolla-left"])
+def test_compare_differentials_sees_the_pi_table(table, tmp_path, monkeypatch):
+    # both wrong tables keep pi o pi = 0, and the shipped fixtures set all
+    # three operations equal; only d against delta on an algebra whose
+    # operations differ tells them from the shipped one
+    path = tmp_path / "trias_suspension.alg"
+    path.write_text(serialize_algebra(suspension_fixture("trias")),
+                    encoding="utf-8")
+    if table is not None:
+        monkeypatch.setitem(PI_OPS, "trias", table)
+    code, out, _ = run_cli("compare-differentials", str(path),
+                           "--max-degree", "2")
+    verdict = "PASS" if table is None else "FAIL"
+    assert code == (0 if table is None else 1)
+    assert [line for line in out.splitlines()
+            if line.startswith("CHECK d-matches-delta")] == [
+        "CHECK d-matches-delta-degree-%d %s" % (n, verdict) for n in (1, 2)]
 
 
 def test_compare_differentials_wrong_type(fixture_dir):

@@ -7,6 +7,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lodayops import cohomology
 from lodayops.algebra import (AXIOMS, PI_OPS, TYPES, axiom_mutation,
                               product_fixture, suspension_fixture,
                               zero_fixture)
@@ -15,6 +16,7 @@ from lodayops.cochains import (Cochain, MultContext, bracket, brace,
                                canonical_multiplication, circ, cochain_dim,
                                delta_trias, diff_d, dot, gamma,
                                identity_cochain, random_cochain, zero_cochain)
+from lodayops.cohomology import DifferentialMatrix, matrix_of_d
 from lodayops.fields import QQ, PrimeField
 from lodayops.params import _family, enumerate_params
 from lodayops.preoperadic import r_index_tables, r_part, r_zero
@@ -563,10 +565,73 @@ def test_cofaces_are_cosimplicial_and_sum_to_d(fixture_dir):
     assert checked == 162
 
 
+def _coface_matrices(ctx, n):
+    """delta^0..delta^(n+1) on degree n as matrices, each assembled alone
+    from the signed coface walks that matrix_of_d sums, with its sign
+    (-1)^(n+1+i) taken off."""
+    out = []
+    for i, walk in enumerate(cohomology._cofaces(ctx, n)):
+        m = cohomology._summed(ctx, n, [walk])
+        if (n + 1 + i) % 2:
+            m = DifferentialMatrix(n, m.nrows, m.ncols, tuple(
+                {r: -v for r, v in col.items()} for col in m.columns),
+                m.field)
+        out.append(m)
+    return out
+
+
+def _product(a, b):
+    """The columns of the sparse product a*b."""
+    return [a.apply(col) for col in b.columns]
+
+
+@pytest.mark.parametrize("case", ["file:trias_dim2"]
+                         + ["product:%s" % t for t in TYPES])
+def test_coface_matrices_are_cosimplicial_and_sum_to_d(case, case_algebra):
+    # the matrix-level form of the test above: delta^j delta^i =
+    # delta^i delta^(j-1) for i < j as sparse products, each nonzero, on
+    # C(n+3, 2) pairs for n = 1, 2, 3: 31 instances per algebra
+    ctx = MultContext(case_algebra(case))
+    one = ctx.alg.field.one
+    faces = {n: _coface_matrices(ctx, n) for n in range(1, 5)}
+    checked = 0
+    for n in range(1, 4):
+        for j in range(1, n + 3):
+            for i in range(j):
+                left = _product(faces[n + 1][j], faces[n][i])
+                assert left == _product(faces[n + 1][i],
+                                        faces[n][j - 1]), (n, i, j)
+                assert any(left)
+                checked += 1
+        # the signed sum is the matrix of d, and each coface is the
+        # gamma route on the basis cochains
+        signed = [{} for _ in range(cochain_dim(ctx.alg, n))]
+        for i, face in enumerate(faces[n]):
+            for acc, col in zip(signed, face.columns):
+                for r, v in col.items():
+                    acc[r] = acc.get(r, 0) + (-v if (n + 1 + i) % 2 else v)
+        assert tuple(map(ctx.alg.field.collect, signed)) == \
+            matrix_of_d(ctx, n).columns
+        if n < 3:
+            for c in range(cochain_dim(ctx.alg, n)):
+                routes = _cofaces(ctx, Cochain(ctx.alg, n, {c: one}))
+                assert [ctx.alg.field.collect(face.columns[c])
+                        for face in faces[n]] == [x.cells for x in routes]
+    assert checked == 31
+
+
 def test_delta_requires_trias():
     alg = product_fixture("didend", 1)
     with pytest.raises(ValueError):
         delta_trias(alg, zero_cochain(alg, 1))
+
+
+def test_delta_refuses_cochains_of_another_algebra(rng):
+    # it used to read the cells against the wrong dimension and return a
+    # 5-cell cochain
+    f = random_cochain(product_fixture("trias", 2), 2, rng)
+    with pytest.raises(ValueError, match="does not belong"):
+        delta_trias(product_fixture("trias", 1), f)
 
 
 def test_operations_refuse_cochains_of_another_complex(rng):

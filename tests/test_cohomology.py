@@ -11,8 +11,8 @@ from lodayops.cochains import Cochain, MultContext, diff_d, dot, random_cochain
 from lodayops.cohomology import (DifferentialMatrix, check_g_algebra,
                                  coboundary_preimage, cochain_dim,
                                  cocycle_representatives, cohomology_dims,
-                                 matrix_of_d, matrix_product_is_zero,
-                                 matrix_rank)
+                                 is_coboundary, matrix_of_d,
+                                 matrix_product_is_zero, matrix_rank)
 from lodayops.fields import QQ, PrimeField
 
 # dimensions established by the dual-elimination protocol: the fraction-free
@@ -269,6 +269,18 @@ def test_coboundary_preimage_round_trip(rng):
     assert diff_d(ctx, pre) == c
     z = c - c
     assert coboundary_preimage(ctx, z) is not None
+
+
+def test_coboundary_preimage_refuses_cochains_of_another_algebra(rng):
+    # the zero algebra of the same type and dimension has the same cell
+    # layout, so this used to answer False instead of refusing
+    alg = product_fixture("trias", 2)
+    g = diff_d(MultContext(alg), random_cochain(alg, 1, rng))
+    assert not g.is_zero()
+    ctx = MultContext(zero_fixture("trias", 2))
+    for query in (coboundary_preimage, is_coboundary):
+        with pytest.raises(ValueError, match="does not belong"):
+            query(ctx, g)
 
 
 def test_nonzero_class_is_not_a_coboundary():
