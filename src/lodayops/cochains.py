@@ -44,7 +44,7 @@ from itertools import combinations, product
 from .algebra import PI_OPS
 from .params import _family, enumerate_params, family_size
 from .preoperadic import r_index_tables
-from .trees import boundary_symbol, delete_leaf
+from .trees import face
 
 
 class Cochain:
@@ -435,25 +435,15 @@ def diff_d(ctx, x):
 
 @lru_cache(maxsize=None)
 def _delta_data(n):
-    """For each tree of weight n+1: ((face index in T_n, op symbol) per position)."""
+    """The face table of the trees psi of weight n+1: for each face
+    i = 0..n+1, {index of d_i psi in T_n: [(psi, o_i)]}."""
     index = _family("planar", n)[1]
-    faces = []
-    for t in enumerate_params("planar", n + 1):
-        row = []
-        for i in range(n + 2):
-            row.append((index[delete_leaf(t, i)], boundary_symbol(t, i)))
-        faces.append(tuple(row))
-    return tuple(faces)
-
-
-@lru_cache(maxsize=None)
-def _delta_pushes(n):
-    """For each tree u of weight n: the (psi, i, op symbol) with d_i psi = u."""
-    pushes = {}
-    for psi, row in enumerate(_delta_data(n)):
-        for i, (face_idx, op) in enumerate(row):
-            pushes.setdefault(face_idx, []).append((psi, i, op))
-    return pushes
+    table = tuple({} for _ in range(n + 2))
+    for psi, t in enumerate(enumerate_params("planar", n + 1)):
+        for i, pushes in enumerate(table):
+            u, op = face(t, i)
+            pushes.setdefault(index[u], []).append((psi, op))
+    return table
 
 
 def delta_trias(alg, f):
@@ -464,14 +454,15 @@ def delta_trias(alg, f):
             + sum_i (-1)^i f(d_i psi; a_1,..., a_i o_i a_{i+1}, ..., a_{n+1})
             + (-1)^(n+1) f(d_{n+1} psi; a_1..a_n) o_{n+1} a_{n+1}
 
-    with the operation symbols o_i read off the tree psi.  Each nonzero
-    cell (u, b, o, c) of f is pushed to every (psi, i) with d_i psi = u:
-    face 0 multiplies e_x o_0 e_o for every x, face n+1 multiplies
-    e_o o_{n+1} e_y for every y, and an interior face i puts every pair
-    (x, y) whose product under o_i has a nonzero coefficient at b_i in
-    place of b_i.  Only the structure constants and the face maps are read,
-    never pi, so the comparison with d = [pi, -] is between independent
-    computations.
+    with the faces d_i psi and operation symbols o_i of ``trees.face``.
+    Face by face, each nonzero cell (u, b, o, c) of f, signed by (-1)^i,
+    is pushed to every psi with d_i psi = u: face 0 multiplies e_x o_0 e_o
+    for every x, face n+1 multiplies e_o o_{n+1} e_y for every y, and an
+    interior face i puts every pair (x, y) whose product under o_i has a
+    nonzero coefficient at b_i in place of b_i.  Face i without its sign
+    is the coface delta^i of SIGN_NOTES.md.  Only the structure constants
+    and the face table are read, never pi, so the comparison with
+    d = [pi, -] is between independent computations.
     """
     if alg.type_tag != "trias":
         raise ValueError("the explicit differential is defined for trias only")
@@ -479,39 +470,41 @@ def delta_trias(alg, f):
         raise ValueError("cochain does not belong to this algebra")
     n = f.degree
     d = alg.dim
-    tables = alg.tables
-    # preimages[op][k]: every (x, y, coefficient of e_k in e_x op e_y)
-    preimages = {}
-    for op, table in tables.items():
-        inverse = preimages[op] = {}
-        for (x, y), row in table.items():
-            for k, coeff in row.items():
-                inverse.setdefault(k, []).append((x, y, coeff))
-    pushes = _delta_pushes(n)
     width = d ** n
+    # by op, {fixed index: [(row offset, coefficient)]}: e_x op e_o by o
+    # for face 0, e_o op e_y by o for face n+1, e_x op e_y by its output k
+    firsts, lasts, preimages = ({op: {} for op in alg.tables}
+                                for _ in range(3))
+    for op, table in alg.tables.items():
+        for (x, y), row in table.items():
+            for k, a in row.items():
+                firsts[op].setdefault(y, []).append((x * width * d + k, a))
+                lasts[op].setdefault(x, []).append((y * d + k, a))
+                preimages[op].setdefault(k, []).append((x * d + y, a))
+    # (u, b, o, c) per nonzero cell of f
+    entries = [(*divmod(key // d, width), key % d, c)
+               for key, c in f.cells.items()]
+    negated = [(u, b, o, -c) for u, b, o, c in entries]
+    stride = width * d * d      # rows per tree psi
     cells = {}
     get = cells.get
-    for key, c in f.cells.items():
-        rest, o = divmod(key, d)
-        u_idx, flat = divmod(rest, width)
-        for psi, i, op in pushes.get(u_idx, ()):
-            base = psi * width * d
-            signed = -c if i % 2 else c
-            if i == 0:
-                terms = [((base + x * width + flat) * d + out, signed * c2)
-                         for x in range(d)
-                         for out, c2 in tables[op].get((x, o), {}).items()]
-            elif i == n + 1:
-                terms = [((base + flat * d + y) * d + out, signed * c2)
-                         for y in range(d)
-                         for out, c2 in tables[op].get((o, y), {}).items()]
-            else:
-                place = d ** (n - i)        # weight of b_i in flat
-                high, low = divmod(flat, place)
-                high, mid = divmod(high, d)
-                terms = [((base + ((high * d + x) * d + y) * place + low) * d + o,
-                          signed * coeff)
-                         for x, y, coeff in preimages[op].get(mid, ())]
-            for pos, v in terms:
-                cells[pos] = get(pos, 0) + v
+    for i, pushes in enumerate(_delta_data(n)):
+        signed = negated if i % 2 else entries
+        # per cell of f: its row offset, the key of its products, and c
+        if i in (0, n + 1):
+            options, scale = (firsts, d) if i == 0 else (lasts, d * d)
+            placed = [(u, b * scale, o, c) for u, b, o, c in signed]
+        else:
+            place = d ** (n - i)        # weight of b_i in b
+            block = place * d           # weight of b_(i-1)
+            options = {op: {k: [(pair * block, a) for pair, a in pairs]
+                            for k, pairs in inverse.items()}
+                       for op, inverse in preimages.items()}
+            placed = [(u, (b // block * block * d + b % place) * d + o,
+                       b // place % d, c) for u, b, o, c in signed]
+        for u, shift, k, c in placed:
+            for psi, op in pushes.get(u, ()):
+                base = psi * stride + shift
+                for offset, a in options[op].get(k, ()):
+                    cells[base + offset] = get(base + offset, 0) + c * a
     return _collected(alg, n + 1, cells)

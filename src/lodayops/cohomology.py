@@ -71,7 +71,12 @@ class DifferentialMatrix:
 
     def apply(self, cells):
         """M x for a sparse vector x ({column: value}), as {row: value}
-        without zeros."""
+        without zeros.  A key outside ``range(ncols)`` raises ValueError."""
+        if cells:
+            low, high = min(cells), max(cells)
+            if low < 0 or high >= self.ncols:
+                raise ValueError("column keys %r..%r are not all in range(%d)"
+                                 % (low, high, self.ncols))
         out = {}
         get = out.get
         for c, x in cells.items():

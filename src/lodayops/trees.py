@@ -9,12 +9,13 @@ tree equals the plain tuple of its children, and equality, hashing and
 the canonical order of the tree families are tuple's: the leaf comes
 first, and two trees compare child by child.
 
-Two leaf-removal maps are kept apart on purpose.  ``delete_leaf`` removes
-one leaf and is the face map of ``delta_trias``, the explicit trialgebra
-differential.  The index tables of the structure maps R_0, R_j in
-``preoperadic`` restrict a tree to any set of its leaves without building
-a tree.  The two share no code, so the two sides of the comparison
-d = +/- delta remove leaves independently.
+Two leaf-removal maps are kept apart on purpose.  ``face`` removes one
+leaf and reads the operation symbol there in the same descent; it gives
+the faces of ``delta_trias``, the explicit trialgebra differential.  The
+restriction tables behind the structure maps R_0, R_j in ``preoperadic``
+restrict a tree to any set of its leaves without building a tree.  The
+two share no code, so the two sides of the comparison d = +/- delta
+remove leaves independently.
 """
 
 from functools import lru_cache
@@ -66,75 +67,41 @@ def tree_text(t):
     return "(" + ",".join(tree_text(c) for c in t) + ")"
 
 
-def delete_leaf(t, i):
-    """Remove leaf i (0 <= i <= weight); a vertex left with one child is spliced out."""
+def face(t, i):
+    """The face d_i t and the operation symbol o_i, for 0 <= i <= weight.
+
+    d_i t removes leaf i and splices out a vertex left with one child.  At
+    an interior position o_i is the orientation of leaf i at its vertex:
+    LEFT for the first child, RIGHT for the last, else MIDDLE.  The two
+    boundary positions take o_i from the grafting decomposition
+    t = t_0 v ... v t_k instead.
+    """
     if t.is_leaf:
         raise ValueError("cannot delete from a bare leaf")
-    if not 0 <= i <= t.weight:
-        raise ValueError("leaf index %d out of range for weight %d" % (i, t.weight))
-    return _delete(t, i)
-
-
-def _delete(node, i):
-    offset = 0
-    for pos, c in enumerate(node):
-        span = c.weight + 1
-        if i < offset + span:
-            if c.is_leaf:
-                rest = node[:pos] + node[pos + 1:]
-                if len(rest) == 1:
-                    return rest[0]
-                return PlanarTree(rest)
-            replaced = _delete(c, i - offset)
-            return PlanarTree(node[:pos] + (replaced,) + node[pos + 1:])
-        offset += span
-    raise AssertionError("unreachable: leaf index inside range")
-
-
-def leaf_orientation(t, i):
-    """LEFT/RIGHT if leaf i is the extreme child of its vertex, else MIDDLE."""
-    if t.is_leaf:
-        raise ValueError("a bare leaf has no oriented leaves")
-    if not 0 <= i <= t.weight:
-        raise ValueError("leaf index %d out of range" % i)
-    node = t
-    while True:
-        offset = 0
-        for pos, c in enumerate(node):
-            span = c.weight + 1
-            if i < offset + span:
-                if c.is_leaf:
-                    if pos == 0:
-                        return LEFT
-                    if pos == len(node) - 1:
-                        return RIGHT
-                    return MIDDLE
-                node, i = c, i - offset
-                break
-            offset += span
-
-
-def boundary_symbol(t, i):
-    """Operation symbol attached to position i of a tree, 0 <= i <= weight.
-
-    The two boundary positions are classified by the grafting decomposition
-    t = t_0 v ... v t_k; interior positions by the orientation of leaf i.
-    """
-    n1 = t.weight
-    if not 0 <= i <= n1:
-        raise ValueError("position %d out of range for weight %d" % (i, n1))
-    k = len(t) - 1
+    n = t.weight
+    if not 0 <= i <= n:
+        raise ValueError("leaf index %d out of range for weight %d" % (i, n))
+    removed, symbol = _face(t, i)
     if i == 0:
-        w0 = t[0].weight
-        if w0 > 0:
-            return RIGHT
-        return LEFT if k == 1 else MIDDLE
-    if i == n1:
-        wk = t[k].weight
-        if wk > 0:
-            return LEFT
-        return RIGHT if k == 1 else MIDDLE
-    return leaf_orientation(t, i)
+        symbol = RIGHT if t[0].weight else LEFT if len(t) == 2 else MIDDLE
+    elif i == n:
+        symbol = LEFT if t[-1].weight else RIGHT if len(t) == 2 else MIDDLE
+    return removed, symbol
+
+
+def _face(node, i):
+    """(node without leaf i, the orientation of leaf i at its vertex)."""
+    for pos, c in enumerate(node):
+        if i > c.weight:
+            i -= c.weight + 1
+        elif c:
+            removed, side = _face(c, i)
+            return PlanarTree(node[:pos] + (removed,) + node[pos + 1:]), side
+        else:
+            rest = node[:pos] + node[pos + 1:]
+            side = (LEFT if pos == 0 else RIGHT if pos == len(node) - 1
+                    else MIDDLE)
+            return (rest[0] if len(rest) == 1 else PlanarTree(rest)), side
 
 
 @lru_cache(maxsize=None)

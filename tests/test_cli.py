@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from lodayops import cohomology, identities, linalg
+from lodayops import cli, cohomology, identities, linalg
 from lodayops.algebra import PI_OPS, suspension_fixture
 from lodayops.algfile import serialize_algebra
 from lodayops.cli import MAX_SCAN_INSTANCES, main
 from lodayops.cochains import zero_cochain
-from lodayops.preoperadic import scan_instances
+from lodayops.preoperadic import r_index_tables, scan_instances, verify_system
 
 
 def run_cli(*argv):
@@ -29,6 +29,31 @@ def test_verify_system_passes():
     assert code == 0
     assert "CHECK pre-operadic-identity PASS" in out
     assert "CHECK pre-operadic-closure PASS" in out
+
+
+def _swapped_r0(kind, parts):
+    """The index tables with the first two R_0 entries of every two-part
+    profile swapped."""
+    r0, part_tables = r_index_tables(kind, parts)
+    if len(parts) == 2:
+        r0 = (r0[1], r0[0]) + r0[2:]
+    return r0, part_tables
+
+
+def test_verify_system_lists_counterexamples(monkeypatch):
+    monkeypatch.setattr(cli, "verify_system", lambda kind, max_total:
+                        verify_system(kind, max_total, tables=_swapped_r0))
+    code, out, _ = run_cli("verify-system", "--kind", "linear",
+                           "--max-total", "4")
+    assert code == 1
+    for axiom, verdict in (("identity", "FAIL"), ("idempotency", "FAIL"),
+                           ("commutativity", "FAIL"), ("closure", "PASS")):
+        assert "CHECK pre-operadic-%s %s" % (axiom, verdict) in out
+    listed = [line for line in out.splitlines()
+              if line.startswith("COUNTEREXAMPLE ")]
+    assert len(listed) == 20        # the cap
+    assert listed[0] == ("COUNTEREXAMPLE commutativity outer=(1, 1, 2) "
+                         "inner=(1, 1, 1, 1) element=1 expected=2 actual=1")
 
 
 def test_verify_algebra_valid(fixture_dir):
@@ -250,6 +275,26 @@ def test_bad_header_values_exit_2(tmp_path, header, message):
         "error: %s: %s" % (bad, message)]
 
 
+@pytest.mark.parametrize("body, message", [
+    ("op\n", "line 4: operation block without a name"),
+    ("op left\n1 1 1 1\nop left\n",
+     "line 6: duplicate operation block 'left'"),
+    ("dim = 2\n", "line 4: duplicate key 'dim'"),
+    ("op left\n1 1 1 1\nop right\n1 1 1 1\nop middle\n1 x 1 1\n",
+     "line 9: malformed basis index"),
+], ids=["op-without-name", "repeated-op", "repeated-dim", "index-not-int"])
+def test_parser_diagnostics_exit_2(tmp_path, body, message):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("type = trias\nfield = Q\ndim = 1\n" + body,
+                   encoding="utf-8")
+    code, out, err = run_cli("verify-algebra", str(bad))
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines()
+            if not line.startswith("# elapsed")] == [
+        "error: %s: %s" % (bad, message)]
+
+
 def test_modulus_2_61_minus_1_accepted(tmp_path):
     path = tmp_path / "big_p.alg"
     path.write_text("type = trias\nfield = Fp:2305843009213693951\ndim = 1\n"
@@ -369,7 +414,8 @@ def test_trias_dim2_representatives_pinned(fixture_dir, tmp_path):
                          "ca22ee1f2b8ecf9bc9a4b69da2d3446d",
     }
     path = fx(fixture_dir, "trias_dim2")
-    text = open(path, encoding="utf-8").read()
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     assert "field = Q\n" in text
     fp = tmp_path / "trias_dim2_fp101.alg"
     fp.write_text(text.replace("field = Q\n", "field = Fp:101\n"))
@@ -385,7 +431,9 @@ def test_scaled_trias_dim2_matrix_dump_pinned(fixture_dir, tmp_path):
     # entries beside integers; sha256 of the report minus '# command:',
     # recorded while every rational scalar was a Fraction
     lines = []
-    for raw in open(fx(fixture_dir, "trias_dim2"), encoding="utf-8"):
+    with open(fx(fixture_dir, "trias_dim2"), encoding="utf-8") as fh:
+        source = fh.readlines()
+    for raw in source:
         tokens = raw.split()
         if len(tokens) == 4 and all(t.isdigit() for t in tokens[:3]):
             scaled = Fraction(tokens[3]) * Fraction(2, 3)
@@ -406,7 +454,8 @@ def test_rank_cross_check_fails_on_a_wrong_echelon(fixture_dir, tmp_path,
                                                    monkeypatch, field):
     # the default ranks come from the row engine on both fields and the
     # cross-check reads the echelon, so a wrong echelon rank must show
-    text = open(fx(fixture_dir, "trias_dim2"), encoding="utf-8").read()
+    with open(fx(fixture_dir, "trias_dim2"), encoding="utf-8") as fh:
+        text = fh.read()
     path = tmp_path / "trias_dim2.alg"
     path.write_text(text.replace("field = Q\n", "field = %s\n" % field))
     monkeypatch.setattr(linalg.ColumnEchelon, "rank",

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lodayops import cohomology
+from lodayops import cochains, cohomology
 from lodayops.algebra import (AXIOMS, PI_OPS, TYPES, axiom_mutation,
                               product_fixture, suspension_fixture,
                               zero_fixture)
@@ -618,6 +618,37 @@ def test_coface_matrices_are_cosimplicial_and_sum_to_d(case, case_algebra):
                 assert [ctx.alg.field.collect(face.columns[c])
                         for face in faces[n]] == [x.cells for x in routes]
     assert checked == 31
+
+
+def _one_face(full, i):
+    """The face table ``full`` with every face but face i emptied."""
+    return lambda n: tuple(pushes if j == i else {}
+                           for j, pushes in enumerate(full(n)))
+
+
+def test_delta_matches_d_face_by_face(fixture_dir, monkeypatch):
+    # delta with its face table cut down to face i is the unsigned coface
+    # delta^i, so (-1)^(n+1) times the i-th signed walk of matrix_of_d, on
+    # every basis cochain: the n+2 faces of trias_dim2 for n <= 3 and of
+    # the trias suspension for n <= 2, 19 faces, each nonzero
+    full = cochains._delta_data
+    checked = 0
+    for alg, top in ((load_algebra(fixture_dir / "trias_dim2.alg"), 3),
+                     (suspension_fixture("trias"), 2)):
+        ctx = MultContext(alg)
+        for n in range(1, top + 1):
+            for i, walk in enumerate(cohomology._cofaces(ctx, n)):
+                monkeypatch.setattr(cochains, "_delta_data",
+                                    _one_face(full, i))
+                columns = cohomology._summed(ctx, n, [walk]).columns
+                assert any(columns), (n, i)
+                for c, col in enumerate(columns):
+                    if (n + 1) % 2:
+                        col = {r: -v for r, v in col.items()}
+                    assert delta_trias(alg, Cochain(alg, n, {c: 1})).cells \
+                        == col, (n, i, c)
+                checked += 1
+    assert checked == 19
 
 
 def test_delta_requires_trias():

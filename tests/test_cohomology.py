@@ -53,6 +53,19 @@ def test_matrix_kills_multiplication():
     assert m.apply(ctx.pi.cells) == {}
 
 
+@pytest.mark.parametrize("cells", [{-1: 1}, {"ncols": 1}, {0: 1, "ncols": 1}])
+def test_apply_refuses_keys_outside_the_columns(fixture_dir, cells):
+    # {-1: 1} used to return the last column and the key ncols to raise a
+    # bare IndexError
+    alg = load_algebra(fixture_dir / "trias_dim2.alg")
+    m = matrix_of_d(MultContext(alg), 1)
+    cells = {m.ncols if k == "ncols" else k: v for k, v in cells.items()}
+    with pytest.raises(ValueError, match=r"not all in range\(%d\)" % m.ncols):
+        m.apply(cells)
+    assert m.apply({}) == {}
+    assert m.apply({m.ncols - 1: 1}) == m.columns[-1]
+
+
 def test_d_squared_zero_as_matrices():
     for t in TYPES:
         ctx = MultContext(product_fixture(t, 1))

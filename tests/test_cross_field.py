@@ -32,7 +32,9 @@ def _mod(values):
 
 def _scaled_text(fixture_dir, field):
     lines = []
-    for raw in open(fixture_dir / "trias_dim2.alg", encoding="utf-8"):
+    with open(fixture_dir / "trias_dim2.alg", encoding="utf-8") as fh:
+        source = fh.readlines()
+    for raw in source:
         tokens = raw.split()
         if tokens[:1] == ["field"]:
             raw = "field = %s\n" % field

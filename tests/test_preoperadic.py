@@ -13,7 +13,7 @@ from lodayops.preoperadic import (TREE_KINDS, Counterexample, SystemReport,
                                   _compositions_of, r_part, r_zero,
                                   r_index_tables, scan_instances,
                                   verify_system)
-from lodayops.trees import (LEAF, PlanarTree, _compositions, delete_leaf,
+from lodayops.trees import (LEAF, PlanarTree, _compositions, face,
                             planar_trees)
 
 
@@ -154,7 +154,7 @@ def _all_compositions(max_total):
 
 
 def _sequential_deletions(t):
-    """{kept labels: t with every other leaf deleted by delete_leaf, from the
+    """{kept labels: t with every other leaf deleted by ``face``, from the
     right}, for every nonempty kept set; shared prefixes are deleted once."""
     out = {}
 
@@ -164,7 +164,7 @@ def _sequential_deletions(t):
             return
         rec(i - 1, tree, (i,) + kept)
         if not tree.is_leaf:
-            rec(i - 1, delete_leaf(tree, i), kept)
+            rec(i - 1, face(tree, i)[0], kept)
 
     rec(t.weight, t, ())
     return out

@@ -4,8 +4,7 @@ from itertools import combinations
 import pytest
 
 from lodayops.trees import (LEAF, LEFT, MIDDLE, RIGHT, PlanarTree,
-                            binary_trees, boundary_symbol, delete_leaf,
-                            leaf_orientation, planar_trees, tree_text)
+                            binary_trees, face, planar_trees, tree_text)
 
 CORolla3 = PlanarTree([LEAF, LEAF, LEAF])
 T1 = PlanarTree([LEAF, LEAF])
@@ -13,6 +12,16 @@ T1 = PlanarTree([LEAF, LEAF])
 
 def is_binary(t):
     return t.is_leaf or (len(t) == 2 and all(is_binary(c) for c in t))
+
+
+def delete_leaf(t, i):
+    """d_i t, the tree half of ``face``."""
+    return face(t, i)[0]
+
+
+def symbol(t, i):
+    """o_i, the operation-symbol half of ``face``."""
+    return face(t, i)[1]
 
 
 def test_counts_small():
@@ -78,12 +87,15 @@ def test_graft_weight_formula():
 def test_delete_leaf_examples():
     assert delete_leaf(CORolla3, 1) == T1
     assert delete_leaf(PlanarTree([T1, LEAF]), 0) == T1
+    assert type(delete_leaf(PlanarTree([T1, LEAF]), 2)) is PlanarTree
     # deleting from the two-leaf tree leaves the degenerate bare leaf
     assert delete_leaf(T1, 0) == LEAF
-    with pytest.raises(ValueError):
-        delete_leaf(LEAF, 0)
-    with pytest.raises(ValueError):
-        delete_leaf(CORolla3, 3)
+    with pytest.raises(ValueError, match="bare leaf"):
+        face(LEAF, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        face(CORolla3, 3)
+    with pytest.raises(ValueError, match="out of range"):
+        face(CORolla3, -1)
 
 
 def test_simplicial_identity():
@@ -104,23 +116,27 @@ def test_binary_closed_under_deletion():
 
 
 def test_orientations_on_reference_tree():
+    # an interior position reads the orientation of its leaf; the two
+    # boundary positions follow the grafting rule, tested below
     psi = PlanarTree([LEAF, LEAF, T1])
-    assert leaf_orientation(psi, 0) == LEFT
-    assert leaf_orientation(psi, 1) == MIDDLE
-    assert leaf_orientation(psi, 2) == LEFT
-    assert leaf_orientation(psi, 3) == RIGHT
+    assert symbol(psi, 1) == MIDDLE
+    assert symbol(psi, 2) == LEFT
+    nested = PlanarTree([LEAF, T1, LEAF])
+    assert symbol(nested, 1) == LEFT
+    assert symbol(nested, 2) == RIGHT
 
 
 def test_boundary_symbols_on_reference_tree():
     psi = PlanarTree([LEAF, LEAF, T1])  # psi_0 = psi_1 = leaf, psi_2 = T1, k = 2
-    assert boundary_symbol(psi, 0) == MIDDLE       # |psi_0| = 0, k > 1
-    assert boundary_symbol(psi, 1) == MIDDLE       # orientation of leaf 1
-    assert boundary_symbol(psi, 2) == LEFT         # orientation of leaf 2
-    assert boundary_symbol(psi, 3) == LEFT         # terminal: |psi_k| = 1 > 0
+    assert symbol(psi, 0) == MIDDLE       # |psi_0| = 0, k > 1
+    assert symbol(psi, 1) == MIDDLE       # orientation of leaf 1
+    assert symbol(psi, 2) == LEFT         # orientation of leaf 2
+    assert symbol(psi, 3) == LEFT         # terminal: |psi_k| = 1 > 0
     comb = PlanarTree([T1, LEAF])
-    assert boundary_symbol(comb, 0) == RIGHT       # |psi_0| = 1 > 0
-    assert boundary_symbol(comb, 2) == RIGHT       # terminal: k = 1, |psi_1| = 0
-    assert boundary_symbol(T1, 0) == LEFT          # |psi_0| = 0, k = 1
+    assert symbol(comb, 0) == RIGHT       # |psi_0| = 1 > 0
+    assert symbol(comb, 2) == RIGHT       # terminal: k = 1, |psi_1| = 0
+    assert symbol(T1, 0) == LEFT          # |psi_0| = 0, k = 1
+    assert symbol(CORolla3, 2) == MIDDLE  # terminal: |psi_k| = 0, k > 1
 
 
 def test_boundary_symbol_total():
@@ -128,9 +144,9 @@ def test_boundary_symbol_total():
     for n in range(1, 5):
         for t in planar_trees(n):
             for i in range(n + 1):
-                assert boundary_symbol(t, i) in (LEFT, RIGHT, MIDDLE)
+                assert symbol(t, i) in (LEFT, RIGHT, MIDDLE)
             with pytest.raises(ValueError):
-                boundary_symbol(t, n + 1)
+                face(t, n + 1)
 
 
 def test_tree_text_is_injective():
