@@ -20,7 +20,7 @@ multiplication pi sums at each element of U_2, the weight-2 parameters of
 the type's cochains.
 """
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .fields import QQ
 
@@ -203,12 +203,9 @@ def _sparse_sum(field, rows):
     return field.collect(out)
 
 
-class AxiomViolation(NamedTuple):
-    index: int
-    label: str
-    triple: tuple
-    left: tuple
-    right: tuple
+class AxiomViolation(namedtuple("AxiomViolation",
+                                 "index label triple left right")):
+    __slots__ = ()
 
 
 def verify_axioms(alg):

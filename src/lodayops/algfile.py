@@ -9,10 +9,12 @@ Grammar (see README for a complete example):
     basis = e t                    optional; dim distinct names
     op left                        one block per operation, entries below
     1 1 1 1                        i j k coeff:  e_i op e_j += coeff * e_k
-    1 2 2 1/2                      indices are 1-based, coeff is int or p/q
+    1 2 2 1/2                      indices are 1-based, coeff is int or p/q,
+                                   all in ASCII digits without '_'
 
-Omitted entries are zero; an omitted operation block is the zero map (a
-warning is emitted on stderr).  Values may be quoted.
+Comments are whole lines: a '#' after a value is not a comment.  Omitted
+entries are zero; an omitted operation block is the zero map (a warning is
+emitted on stderr).  Values may be quoted.
 """
 
 import sys
@@ -121,6 +123,11 @@ def parse_algebra(text, warn=None):
                 raise AlgebraFileError(
                     line_no, "entry needs 4 tokens (i j k coeff), got %d"
                     % len(fieldsplit))
+            for tok in fieldsplit:
+                # int() also reads non-ASCII digits and '_' separators
+                if not tok.isascii() or "_" in tok:
+                    raise AlgebraFileError(
+                        line_no, "entry token %r is not an ASCII number" % tok)
             try:
                 i, j, k = (int(tok) for tok in fieldsplit[:3])
             except ValueError:

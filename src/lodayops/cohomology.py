@@ -28,13 +28,13 @@ signed sum and asks the cached echelon whether it is a coboundary; each
 instance gives one ``identities.LawCheck``.
 """
 
+from collections import namedtuple
 from itertools import product
 from operator import itemgetter
-from typing import NamedTuple
 
 from . import linalg
-from .cochains import (Cochain, _options, _rows, _signed_sum, bracket,
-                       cochain_dim, diff_d, dot, zero_cochain)
+from .cochains import (Cochain, _signed_sum, bracket, cochain_dim, diff_d,
+                       dot, zero_cochain)
 from .identities import LawCheck
 from .params import family_size
 from .preoperadic import r_index_tables
@@ -89,8 +89,8 @@ def matrix_of_d(ctx, n):
     """Matrix of d on degree n, assembled by linearity from the index tables.
 
     Column (u, b, o) is d e for the basis cochain e with the single cell
-    e(u; b) = e_o.  It is the sum of the n+2 signed coface walks of
-    ``_cofaces``, as d = (-1)^(n+1) sum_i (-1)^i delta^i (SIGN_NOTES.md).
+    e(u; b) = e_o.  It is the sum of the n+2 signed cofaces of ``_cofaces``,
+    as d = (-1)^(n+1) sum_i (-1)^i delta^i (SIGN_NOTES.md).
     No cochain is built per column.
     """
     if n < 1:
@@ -100,15 +100,24 @@ def matrix_of_d(ctx, n):
     return ctx.matrix_cache[n]
 
 
-def _summed(ctx, n, walks):
-    """The matrix on degree n of the sum of ``walks``, each parameter's
-    columns summed with the plain operators and then collected."""
+def _summed(ctx, n, cofaces):
+    """The matrix on degree n of the sum of ``cofaces`` (``_cofaces``),
+    each parameter's columns summed with the plain operators and then
+    collected."""
     alg = ctx.alg
+    row_stride = alg.dim ** (n + 2)     # rows per output parameter r
     columns = []
     for u in range(family_size(alg.kind, n)):
         cols = [{} for _ in range(alg.dim ** (n + 1))]  # (u, b, o) at b*d + o
-        for walk in walks:
-            walk(cols, u)
+        for by_u, cells, offsets in cofaces:
+            for r, p in by_u[u]:
+                base = r * row_stride
+                for col, row, a in cells[p]:
+                    row += base
+                    for c_off, r_off in offsets:
+                        acc = cols[col + c_off]
+                        key = row + r_off
+                        acc[key] = acc.get(key, 0) + a
         columns.extend(alg.field.collect(acc) for acc in cols)
     return DifferentialMatrix(n, cochain_dim(alg, n + 1), cochain_dim(alg, n),
                               tuple(columns), alg.field)
@@ -116,64 +125,19 @@ def _summed(ctx, n, walks):
 
 def _cofaces(ctx, n):
     """The cofaces delta^0..delta^(n+1) on degree n, delta^i signed by
-    (-1)^(n+1+i), as walks: ``walk(cols, u)`` adds its entries in column
-    (u, b, o) to ``cols[b * d + o]``.  delta^0 e = gamma(pi; Id, e) and
-    delta^(n+1) e = gamma(pi; e, Id) read pi at R_0 r on (1, n) and (n, 1);
-    delta^i e = gamma(e; Id,..,pi at s,..,Id), s = i-1, reads pi at R_s r on
-    (1,..,2 at s,..,1).  Each output parameter r is filed under its u."""
+    (-1)^(n+1+i), as triples (by_u, cells, offsets).  delta^0 e =
+    gamma(pi; Id, e) and delta^(n+1) e = gamma(pi; e, Id) read pi at R_0 r
+    on (1, n) and (n, 1); delta^i e = gamma(e; Id,..,pi at s,..,Id),
+    s = i-1, reads pi at R_s r on (1,..,2 at s,..,1).  ``by_u[u]`` lists
+    the (r, p) with r an output parameter over u and p the parameter pi is
+    read at.  Each cell of pi at p fixes one digit of e's column (b, o) and
+    gives ``cells[p]`` an entry (column offset, row offset, signed value):
+    e in pi's slot fixes o to the input there, and the other input z joins
+    the row; pi in e's slot s fixes b_s to pi's output, and the pair (x, y)
+    takes its place.  ``offsets`` holds the (column, row) offsets of every
+    value of the other n digits of (b, o)."""
     kind, d = ctx.alg.kind, ctx.alg.dim
-    width = d ** n                  # input tuples b of a degree-n cochain
-    col_stride = width * d          # columns (b, o) per parameter u
-    row_stride = col_stride * d     # rows per output parameter r
-    rows = _rows(ctx.pi)            # [(p, (x, y), [(out, a)])]
-    options = _options(ctx.pi)      # {p * d + out: [(x * d + y, a)]}
-
-    def outer(sign, slot, by_u):
-        """e in pi's ``slot``: each cell of pi at R_0 r with o in that slot
-        and z in the other gives its output to (r; b, z) or (r; z, b)."""
-        b_weight, z_weight = (d * d, d) if slot == 0 else (d, col_stride)
-        cells = {}
-        for p, pair, vec in rows:
-            cells.setdefault(p, []).extend(
-                (pair[slot], pair[1 - slot] * z_weight + out, sign * a)
-                for out, a in vec)
-
-        def walk(cols, u):
-            for r, p in by_u[u]:
-                for o, offset, a in cells.get(p, ()):
-                    row = r * row_stride + offset
-                    for b in range(width):
-                        acc = cols[b * d + o]
-                        key = row + b * b_weight
-                        acc[key] = acc.get(key, 0) + a
-        return walk
-
-    def inner(sign, s, by_u):
-        """pi in e's slot s: the input b_s is replaced by each pair (x, y)
-        with pi(R_s r; e_x, e_y) = a e_(b_s)."""
-        place = d ** (n - 1 - s)        # weight of b_s in b
-        signed = {}                     # by parameter, the outputs pi has
-        for key, pairs in options.items():
-            p, k = divmod(key, d)
-            signed.setdefault(p, {})[k] = [(pair * place * d, sign * a)
-                                           for pair, a in pairs]
-
-        def walk(cols, u):
-            for r, p in by_u[u]:
-                for k, pairs in signed.get(p, {}).items():
-                    for rest in range(width // d):
-                        high, low = divmod(rest, place)
-                        col = ((high * d + k) * place + low) * d
-                        base = (r * width * d + high * d * d * place + low) * d
-                        for pair, a in pairs:
-                            row = base + pair
-                            for o in range(d):
-                                acc = cols[col + o]
-                                key = row + o
-                                acc[key] = acc.get(key, 0) + a
-        return walk
-
-    walks = []
+    cofaces = []
     for i in range(n + 2):
         is_outer = i in (0, n + 1)
         slot = (0 if i else 1) if is_outer else i - 1
@@ -185,8 +149,31 @@ def _cofaces(ctx, n):
         for r, (u, p) in enumerate(zip(u_of, at)):
             by_u[u].append((r, p))
         sign = -1 if (n + 1 + i) % 2 else 1
-        walks.append((outer if is_outer else inner)(sign, slot, by_u))
-    return walks
+        fixed = n if is_outer else slot     # digit j of (b, o) weighs d^(n-j)
+        place = d ** (n - fixed)
+        cells = [[] for _ in range(family_size(kind, 2))]
+        for key, a in ctx.pi.cells.items():
+            rest, out = divmod(key, d)
+            p, pair = divmod(rest, d * d)
+            x, y = divmod(pair, d)
+            if i == 0:              # (r; z, b, out), o = y, z = x
+                cell = (y, x * d ** (n + 1) + out)
+            elif i == n + 1:        # (r; b, z, out), o = x, z = y
+                cell = (x, y * d + out)
+            else:                   # (r; .., x, y at s, .., o), b_s = out
+                cell = (out * place, pair * place)
+            cells[p].append(cell + (sign * a,))
+        # a digit in front of z or of pi's inputs moves up one place
+        front = max(i - 1, 0)
+        offsets = [(0, 0)]
+        for j in range(n + 1):
+            if j != fixed:
+                weight = d ** (n - j)
+                row_weight = weight * d if j < front else weight
+                offsets = [(c + v * weight, r + v * row_weight)
+                           for c, r in offsets for v in range(d)]
+        cofaces.append((by_u, cells, offsets))
+    return cofaces
 
 
 def matrix_product_is_zero(a, b, field):
@@ -265,10 +252,9 @@ def is_coboundary(ctx, c):
     return coboundary_preimage(ctx, c) is not None
 
 
-class GAlgebraReport(NamedTuple):
-    max_degree: int
-    checks: list
-    reps_per_degree: dict
+class GAlgebraReport(namedtuple("GAlgebraReport",
+                                 "max_degree checks reps_per_degree")):
+    __slots__ = ()
 
     @property
     def passed(self):

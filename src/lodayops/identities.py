@@ -10,19 +10,17 @@ degrees; see SIGN_NOTES.md.
 
 import os
 import threading
+from collections import namedtuple
 from itertools import accumulate
-from typing import NamedTuple
 
 from .cochains import _signed_sum, brace, diff_d, dot, random_cochain
 
 
-class LawCheck(NamedTuple):
+class LawCheck(namedtuple("LawCheck", "law pattern passed")):
     """One checked instance of a law: its degrees (for the identities, the
     pattern of degrees the cochains were drawn with) and the verdict."""
 
-    law: str
-    pattern: tuple
-    passed: bool
+    __slots__ = ()
 
 
 def brace_identity_sides(x, xs, ys):

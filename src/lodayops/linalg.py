@@ -27,10 +27,9 @@ the cochains and the matrix columns, and never changes them after
 construction.
 """
 
-from collections import Counter
+from collections import Counter, namedtuple
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from typing import NamedTuple
 
 
 def _integer_row(pairs):
@@ -87,14 +86,11 @@ def rank_bareiss(rows, ncols, p=0):
     return len(pivots)
 
 
-class Pivot(NamedTuple):
+class Pivot(namedtuple("Pivot", "column row image preimage")):
     """One pivot of a column echelon: M preimage = image, where image is 1
     at ``row`` and 0 at the row of every earlier pivot."""
 
-    column: int
-    row: int
-    image: dict
-    preimage: dict
+    __slots__ = ()
 
 
 def _add_multiple(target, coeff, vec, field):
@@ -146,7 +142,7 @@ def _insert(field, pivots, by_row, column, image, pre, row):
     pivots.append(Pivot(column, row, *scaled))
 
 
-class ColumnEchelon(NamedTuple):
+class ColumnEchelon(namedtuple("ColumnEchelon", "field basis kernel by_row")):
     """Triangular column echelon of a matrix M over ``field``.
 
     ``basis`` holds one ``Pivot`` per pivot column, in column order: the
@@ -157,10 +153,7 @@ class ColumnEchelon(NamedTuple):
     columns before f.  ``by_row`` maps each pivot row to its index in basis.
     """
 
-    field: object
-    basis: tuple
-    kernel: tuple
-    by_row: dict
+    __slots__ = ()
 
     @property
     def rank(self):

@@ -23,10 +23,10 @@ thread.
 """
 
 from bisect import bisect_left
+from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, product
 from math import prod
-from typing import NamedTuple
 
 from .params import _family, family_size, param_text
 from .trees import LEAF, _compositions
@@ -171,25 +171,19 @@ def r_part(kind, parts, j, elem):
 AXIOM_IDS = ("identity", "idempotency", "commutativity", "closure")
 
 
-class Counterexample(NamedTuple):
-    axiom: str
-    outer: tuple
-    inner: tuple
-    element: str
-    expected: str
-    actual: str
+class Counterexample(namedtuple(
+        "Counterexample", "axiom outer inner element expected actual")):
+    __slots__ = ()
 
     def sort_key(self):
         return (self.axiom, self.outer, self.inner, self.element)
 
 
-class SystemReport(NamedTuple):
+class SystemReport(namedtuple("SystemReport",
+                               "kind max_total checked counterexamples")):
     """The instances checked and the counterexamples, in ``sort_key`` order."""
 
-    kind: str
-    max_total: int
-    checked: int
-    counterexamples: tuple
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -4,11 +4,34 @@ from pathlib import Path
 
 import pytest
 
-from lodayops.algebra import AlgebraSpec, product_fixture, suspension_fixture
+from lodayops.algebra import (PI_OPS, AlgebraSpec, product_fixture,
+                              suspension_fixture)
 from lodayops.algfile import load_algebra
 from lodayops.fields import PrimeField
 
 FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+
+# [(n, dim H^n)] of each corpus file, filed after the fraction-free and
+# echelon engines first agreed over Q and the F_101 run matched; frozen so
+# that regressions surface as golden-file diffs.  trias_dim2 is filed
+# through degree 4: rank d^3 = 155 and rank d^4 = 1,284 from every engine;
+# H^5 = 1 is checked through the F_101 echelon alone in
+# tests/test_cohomology.py (test_trias_dim2_degree_5_mod_101)
+GOLDEN_DIMS = {
+    "dias_dim1": [(1, 0), (2, 0), (3, 0)],
+    "didend_dim1": [(1, 0), (2, 1), (3, 0)],
+    "trias_dim1": [(1, 0), (2, 0), (3, 0)],
+    "tridend_dim1": [(1, 0), (2, 2), (3, 0)],
+    "tricub_dim1": [(1, 0), (2, 0), (3, 0)],
+    "trias_dim2": [(1, 1), (2, 1), (3, 1), (4, 1)],
+    "zero_didend_dim1": [(1, 1), (2, 2), (3, 3)],
+}
+
+
+def t2_op(alg, u_idx):
+    """The one operation pi reads at a weight-2 parameter, from PI_OPS."""
+    op, = PI_OPS[alg.type_tag][u_idx]
+    return op
 
 
 @pytest.fixture

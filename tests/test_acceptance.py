@@ -9,7 +9,7 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from lodayops.algebra import (AXIOMS, PI_OPS, TYPES, axiom_mutation,
+from lodayops.algebra import (AXIOMS, TYPES, axiom_mutation,
                               product_fixture, suspension_fixture)
 from lodayops.algfile import load_algebra
 from lodayops.cli import main as cli_main
@@ -24,6 +24,8 @@ from lodayops.identities import run_identity_suite
 from lodayops.params import enumerate_params
 from lodayops.preoperadic import r_index_tables, verify_system
 
+from conftest import GOLDEN_DIMS, t2_op
+
 SEED = 20240901
 
 # the shipped corpus; (file name, type, dim)
@@ -36,21 +38,6 @@ CORPUS = [
     ("trias_dim2", "trias", 2),
     ("zero_didend_dim1", "didend", 1),
 ]
-
-# filed after the fraction-free and echelon engines first agreed (criterion
-# 8); the F_101 column matched on the same run.  trias_dim2 is checked
-# through degree 4 here: rank d^3 = 155 and rank d^4 = 1,284 from every
-# engine; H^5 = 1 is checked through the F_101 echelon alone in
-# tests/test_cohomology.py (test_trias_dim2_degree_5_mod_101)
-GOLDEN_DIMS = {
-    "dias_dim1": [(1, 0), (2, 0), (3, 0)],
-    "didend_dim1": [(1, 0), (2, 1), (3, 0)],
-    "trias_dim1": [(1, 0), (2, 0), (3, 0)],
-    "tridend_dim1": [(1, 0), (2, 2), (3, 0)],
-    "tricub_dim1": [(1, 0), (2, 0), (3, 0)],
-    "trias_dim2": [(1, 1), (2, 1), (3, 1), (4, 1)],
-    "zero_didend_dim1": [(1, 1), (2, 2), (3, 3)],
-}
 
 
 def _report(number, description, ok):
@@ -130,12 +117,6 @@ def test_criterion_2_operad_laws(fixture_dir):
     _report(2, "operad unit and associativity laws", ok)
 
 
-def _t2_op(alg, u_idx):
-    """The one operation pi reads at a weight-2 parameter, from PI_OPS."""
-    op, = PI_OPS[alg.type_tag][u_idx]
-    return op
-
-
 def test_criterion_3_multiplication_matches_axioms(fixture_dir):
     ok = True
     for name, _, _ in CORPUS:
@@ -148,8 +129,8 @@ def test_criterion_3_multiplication_matches_axioms(fixture_dir):
     right0, (_, right2) = r_index_tables("planar", (1, 2))
     derived = []
     for u in range(11):
-        derived.append(((_t2_op(alg, left1[u]), _t2_op(alg, left0[u])),
-                        (_t2_op(alg, right0[u]), _t2_op(alg, right2[u]))))
+        derived.append(((t2_op(alg, left1[u]), t2_op(alg, left0[u])),
+                        (t2_op(alg, right0[u]), t2_op(alg, right2[u]))))
     axioms = [(lhs[0], rhs[0]) for lhs, rhs in AXIOMS["trias"]]
     ok = ok and sorted(derived) == sorted(axioms)
     # each single-axiom mutation is nonzero exactly at the matching tree

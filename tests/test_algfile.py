@@ -1,3 +1,6 @@
+import re
+from fractions import Fraction
+
 import pytest
 
 from lodayops.algebra import TYPES, product_fixture, verify_axioms
@@ -151,3 +154,38 @@ def test_prime_field_file():
     alg = parse_algebra(
         "type = didend\nfield = Fp:101\ndim = 1\nop left\n1 1 1 1/2\n", **QUIET)
     assert alg.tables["left"][(0, 0)][0] == 51   # 1/2 mod 101
+
+
+def test_readme_example_is_the_trias_dim2_fixture(fixture_dir):
+    # the first fenced block under "## Algebra files" is a complete file
+    text = (fixture_dir.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Algebra files\n", 1)[1]
+    example = re.search(r"^```[^\n]*\n(.*?)^```", section,
+                        re.DOTALL | re.MULTILINE).group(1)
+    assert parse_algebra(example, **QUIET) == \
+        load_algebra(fixture_dir / "trias_dim2.alg", **QUIET)
+
+
+@pytest.mark.parametrize("entry, token", [
+    ("١ 1 1 1", "١"),         # an Arabic-Indic one
+    ("1 1 1 1_0", "1_0"),
+    ("1 1 1 1/٢", "1/٢"),
+    ("1 1 1 １", "１"),         # a fullwidth one
+    ("1 1_1 1 1", "1_1"),
+], ids=["arabic-index", "underscore-coeff", "arabic-denominator",
+        "fullwidth-coeff", "underscore-index"])
+def test_entry_tokens_must_be_ascii_without_underscores(entry, token):
+    with pytest.raises(AlgebraFileError) as err:
+        parse_algebra("type = didend\nfield = Q\ndim = 1\nop left\n%s\n"
+                      % entry, **QUIET)
+    assert err.value.line_no == 5
+    assert str(err.value) == \
+        "line 5: entry token %r is not an ASCII number" % token
+
+
+@pytest.mark.parametrize("coeff, value", [
+    ("1", 1), ("-3", -3), ("1/2", Fraction(1, 2)), ("-1/2", Fraction(-1, 2))])
+def test_ascii_coefficients_still_parse(coeff, value):
+    alg = parse_algebra("type = didend\nfield = Q\ndim = 1\nop left\n"
+                        "1 1 1 %s\n" % coeff, **QUIET)
+    assert alg.tables["left"] == {(0, 0): {0: value}}

@@ -1,7 +1,11 @@
 import hashlib
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +15,9 @@ from lodayops.algfile import serialize_algebra
 from lodayops.cli import MAX_SCAN_INSTANCES, main
 from lodayops.cochains import zero_cochain
 from lodayops.preoperadic import r_index_tables, scan_instances, verify_system
+
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(*argv):
@@ -259,6 +266,23 @@ def test_non_ascii_dim_exits_2(tmp_path, command):
         "error: %s: line 3: dim must be a positive integer" % bad]
 
 
+@pytest.mark.parametrize("command", ["verify-algebra", "cohomology",
+                                     "compare-differentials", "gerstenhaber",
+                                     "identities"])
+def test_non_ascii_entry_token_exits_2(tmp_path, command):
+    # int() reads the Arabic-Indic digit two, but the grammar does not
+    bad = tmp_path / "bad.alg"
+    bad.write_text("type = trias\nfield = Q\ndim = 1\nop left\n"
+                   "1 1 1 1/\u0662\nop right\nop middle\n", encoding="utf-8")
+    code, out, err = run_cli(command, str(bad))
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines()
+            if not line.startswith("# elapsed")] == [
+        "error: %s: line 5: entry token '1/\u0662' is not an ASCII number"
+        % bad]
+
+
 @pytest.mark.parametrize("header, message", [
     ("field = Fp:18446744073709551629\ndim = 1\n",
      "line 2: modulus 18446744073709551629 is not below 2^64"),
@@ -476,3 +500,27 @@ def test_timing_kept_off_stdout(fixture_dir):
     _, out, err = run_cli("verify-algebra", fx(fixture_dir, "didend_dim1"))
     assert "elapsed" not in out
     assert "elapsed" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-algebra", "fixtures/broken_trias_axiom7.alg"],
+    ["cohomology", "fixtures/trias_dim2.alg", "--max-degree", "3"],
+    ["verify-system", "--kind", "subsets", "--max-total", "4"],
+    ["identities", "fixtures/trias_dim1.alg", "--samples", "52",
+     "--seed", "3"],
+    ["gerstenhaber", "fixtures/didend_dim1.alg", "--max-degree", "4"],
+], ids=lambda argv: argv[0])
+def test_stdout_does_not_depend_on_the_hash_seed(argv):
+    # each run is a new process, so set and dict orders that follow the
+    # hash seed would show here, where one process shares one seed
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH")]))
+    outs = []
+    for seed in ("0", "12345"):
+        done = subprocess.run(
+            [sys.executable, "-m", "lodayops.cli", *argv], cwd=ROOT,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True, text=True, timeout=120)
+        assert done.returncode in (0, 1), done.stderr
+        outs.append(done.stdout)
+    assert outs[0] and outs[0] == outs[1]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lodayops import cochains, cohomology
-from lodayops.algebra import (AXIOMS, PI_OPS, TYPES, axiom_mutation,
+from lodayops.algebra import (AXIOMS, TYPES, axiom_mutation,
                               product_fixture, suspension_fixture,
                               zero_fixture)
 from lodayops.algfile import load_algebra
@@ -20,6 +20,8 @@ from lodayops.cohomology import DifferentialMatrix, matrix_of_d
 from lodayops.fields import QQ, PrimeField
 from lodayops.params import _family, enumerate_params
 from lodayops.preoperadic import r_index_tables, r_part, r_zero
+
+from conftest import t2_op
 
 
 def test_table_shape(rng):
@@ -458,12 +460,6 @@ def test_mutants_have_nonzero_pi_square():
             assert not circ(pi, pi).is_zero(), (t, index)
 
 
-def _t2_op(alg, u_idx):
-    """The one operation pi reads at a weight-2 parameter, from PI_OPS."""
-    op, = PI_OPS[alg.type_tag][u_idx]
-    return op
-
-
 def _tree_axiom_map(alg):
     """For each weight-3 tree: the instance ((A,B),(C,D)) realised by the
     square of the multiplication, read off the composition index tables."""
@@ -471,8 +467,8 @@ def _tree_axiom_map(alg):
     right0, (_, right2) = r_index_tables(alg.kind, (1, 2))  # gamma(pi; Id, pi)
     out = []
     for u in range(len(enumerate_params(alg.kind, 3))):
-        out.append(((_t2_op(alg, left1[u]), _t2_op(alg, left0[u])),
-                    (_t2_op(alg, right0[u]), _t2_op(alg, right2[u]))))
+        out.append(((t2_op(alg, left1[u]), t2_op(alg, left0[u])),
+                    (t2_op(alg, right0[u]), t2_op(alg, right2[u]))))
     return out
 
 

@@ -15,18 +15,12 @@ from lodayops.cohomology import (DifferentialMatrix, check_g_algebra,
                                  matrix_product_is_zero, matrix_rank)
 from lodayops.fields import QQ, PrimeField
 
-# dimensions established by the dual-elimination protocol: the fraction-free
-# and echelon engines agreed on these values over Q, and the F_101 run
-# matched; frozen here so regressions surface as golden-file diffs.  Degree 5
-# of trias_dim2 is checked by test_trias_dim2_degree_5_mod_101 below
-GOLDEN_DIMS = {
-    ("dias", 1): [(1, 0), (2, 0), (3, 0)],
-    ("didend", 1): [(1, 0), (2, 1), (3, 0)],
-    ("trias", 1): [(1, 0), (2, 0), (3, 0)],
-    ("tridend", 1): [(1, 0), (2, 2), (3, 0)],
-    ("tricub", 1): [(1, 0), (2, 0), (3, 0)],
-    ("trias", 2): [(1, 1), (2, 1), (3, 1)],
-}
+from conftest import GOLDEN_DIMS
+
+# the product fixtures filed in GOLDEN_DIMS under their corpus file name,
+# by (type, dim), checked through degree 3.  Degree 5 of trias_dim2 is
+# checked by test_trias_dim2_degree_5_mod_101 below
+PRODUCTS = sorted([(t, 1) for t in TYPES] + [("trias", 2)])
 
 
 def test_matrix_shapes_trias_dim1():
@@ -222,20 +216,20 @@ def test_flatten_round_trip(rng):
     assert all(0 <= k < cochain_dim(alg, 2) for k in f.cells)
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN_DIMS))
+@pytest.mark.parametrize("key", PRODUCTS)
 def test_golden_dims_dual_engines(key):
     type_tag, dim = key
     ctx = MultContext(product_fixture(type_tag, dim))
     via_bareiss = cohomology_dims(ctx, 3, engine="bareiss")
     via_echelon = cohomology_dims(ctx, 3, engine="echelon")
-    assert via_bareiss == via_echelon == GOLDEN_DIMS[key]
+    assert via_bareiss == via_echelon == GOLDEN_DIMS["%s_dim%d" % key][:3]
 
 
-@pytest.mark.parametrize("key", sorted(GOLDEN_DIMS))
+@pytest.mark.parametrize("key", PRODUCTS)
 def test_golden_dims_stable_mod_101(key):
     type_tag, dim = key
     ctx = MultContext(product_fixture(type_tag, dim, field=PrimeField(101)))
-    assert cohomology_dims(ctx, 3) == GOLDEN_DIMS[key]
+    assert cohomology_dims(ctx, 3) == GOLDEN_DIMS["%s_dim%d" % key][:3]
 
 
 @pytest.mark.parametrize("type_tag", TYPES)

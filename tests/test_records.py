@@ -20,9 +20,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 def test_cli_import_loads_no_dataclasses():
     # dataclasses brings in inspect, ast, dis and tokenize: a large share
     # of the start-up of every CLI call; the process and signal modules
-    # serve the identity suite's worker processes and are imported there
+    # serve the identity suite's worker processes and are imported there;
+    # typing would add a few ms to each cold start for the record syntax
     banned = ("dataclasses", "inspect", "signal", "subprocess",
-              "multiprocessing", "concurrent.futures")
+              "multiprocessing", "concurrent.futures", "typing")
     code = ("import sys; sys.path.insert(0, %r); "
             "from lodayops import algfile, cli, cochains; "
             "print(*(m for m in %r if m in sys.modules))"
