@@ -20,7 +20,7 @@ emitted on stderr).  Values may be quoted.
 import sys
 
 from .algebra import OPS, TYPES, AlgebraSpec
-from .fields import field_from_name, parse_scalar
+from .fields import _NotAscii, _ascii_int, field_from_name, parse_scalar
 
 
 class AlgebraFileError(ValueError):
@@ -89,11 +89,13 @@ def parse_algebra(text, warn=None):
         field = field_from_name(header["field"])
     except ValueError as exc:
         raise AlgebraFileError(header_lines["field"], str(exc)) from None
-    dim_text = header["dim"]
-    if not (dim_text.isascii() and dim_text.isdigit()) or int(dim_text) < 1:
+    try:
+        dim = _ascii_int(header["dim"])
+        if dim < 1:
+            raise ValueError
+    except ValueError:
         raise AlgebraFileError(header_lines["dim"],
-                               "dim must be a positive integer")
-    dim = int(dim_text)
+                               "dim must be a positive integer") from None
     basis = None
     if "basis" in header:
         basis = tuple(header["basis"].split())
@@ -123,19 +125,20 @@ def parse_algebra(text, warn=None):
                 raise AlgebraFileError(
                     line_no, "entry needs 4 tokens (i j k coeff), got %d"
                     % len(fieldsplit))
-            for tok in fieldsplit:
-                # int() also reads non-ASCII digits and '_' separators
-                if not tok.isascii() or "_" in tok:
-                    raise AlgebraFileError(
-                        line_no, "entry token %r is not an ASCII number" % tok)
             try:
-                i, j, k = (int(tok) for tok in fieldsplit[:3])
+                i, j, k = map(_ascii_int, fieldsplit[:3])
+            except _NotAscii as exc:
+                raise AlgebraFileError(line_no,
+                                       "entry token %s" % exc) from None
             except ValueError:
                 raise AlgebraFileError(line_no, "malformed basis index") from None
             if not all(1 <= t <= dim for t in (i, j, k)):
                 raise AlgebraFileError(line_no, "basis index out of range 1..%d" % dim)
             try:
                 coeff = parse_scalar(field, fieldsplit[3])
+            except _NotAscii as exc:
+                raise AlgebraFileError(line_no,
+                                       "entry token %s" % exc) from None
             except (ValueError, ZeroDivisionError) as exc:
                 raise AlgebraFileError(line_no, str(exc)) from None
             cell = tables[op].setdefault((i - 1, j - 1), {})

@@ -21,8 +21,9 @@ import time
 from . import cohomology
 from .algebra import verify_axioms
 from .algfile import AlgebraFileError, load_algebra
-from .cochains import (Cochain, MultContext, canonical_multiplication,
-                       circ, delta_trias)
+from .cochains import (_DELTA_TYPES, Cochain, MultContext,
+                       canonical_multiplication, circ, delta_trias)
+from .fields import _ascii_int
 from .identities import run_identity_suite
 from .params import KINDS, enumerate_params, param_text
 from .preoperadic import AXIOM_IDS, scan_instances, verify_system
@@ -176,8 +177,9 @@ def cmd_cohomology(ns, report):
 
 def cmd_compare_differentials(ns, report):
     alg = _describe(report, ns)
-    if alg.type_tag != "trias":
-        raise _Refused("compare-differentials requires a trias algebra")
+    if alg.type_tag not in _DELTA_TYPES:
+        raise _Refused("compare-differentials requires a dias or trias "
+                       "algebra")
     ctx = _context(alg, report)
     one = alg.field.one
     for n in range(1, ns.max_degree + 1):
@@ -223,14 +225,20 @@ def cmd_identities(ns, report):
     _law_lines(report, sorted({c.law for c in checks}), checks, "pattern")
 
 
+def _integer(text):
+    """argparse type: an integer in ASCII digits (``fields._ascii_int``);
+    anything else exits 2."""
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "invalid integer: %r" % text) from None
+
+
 def _int_at_least(low):
     """argparse type: an integer >= low; anything else exits 2."""
     def parse(text):
-        try:
-            value = int(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                "invalid integer: %r" % text) from None
+        value = _integer(text)
         if value < low:
             raise argparse.ArgumentTypeError(
                 "must be at least %d, got %d" % (low, value))
@@ -267,7 +275,8 @@ def build_parser():
     p.set_defaults(run=cmd_cohomology, parser=p)
 
     p = sub.add_parser("compare-differentials",
-                       help="entrywise check d = (-1)^(n+1) delta (trias)")
+                       help="entrywise check d = (-1)^(n+1) delta "
+                            "(dias, trias)")
     p.add_argument("file")
     p.add_argument("--max-degree", type=_int_at_least(1), default=3)
     p.set_defaults(run=cmd_compare_differentials, parser=p)
@@ -282,7 +291,7 @@ def build_parser():
                        help="randomised brace / homotopy identity suites")
     p.add_argument("file")
     p.add_argument("--samples", type=_int_at_least(1), default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(run=cmd_identities, parser=p)
     return parser
 

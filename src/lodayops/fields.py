@@ -148,31 +148,51 @@ class PrimeField:
 QQ = Rationals()
 
 
+class _NotAscii(ValueError):
+    """Text refused by ``_ascii_int`` that holds a non-ASCII character or a
+    '_', the spellings int() reads beyond the grammar."""
+
+
+def _ascii_int(text):
+    """The int that ``text`` spells as an optional sign and ASCII digits,
+    the one integer grammar of outside input: algebra files, field names
+    and command-line options.  int() also reads '_' separators, white space
+    around the number and the digits of other scripts ('1_0', ' 2', '٢');
+    text with a non-ASCII character or a '_' raises ``_NotAscii``, and
+    anything else that is not such an integer ValueError."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if digits.isascii() and digits.isdigit():
+        return int(text)
+    refusal = _NotAscii if not text.isascii() or "_" in text else ValueError
+    raise refusal("%r is not an ASCII number" % text)
+
+
 def field_from_name(name):
     """Parse a field descriptor: ``Q`` or ``Fp:<prime>``."""
     name = name.strip()
     if name == "Q":
         return QQ
     if name.startswith("Fp:"):
-        body = name[3:]
-        if not (body.isascii() and body.isdigit()):
-            raise ValueError("malformed field descriptor: %r" % name)
-        return PrimeField(int(body))
+        try:
+            p = _ascii_int(name[3:])
+        except ValueError:
+            raise ValueError("malformed field descriptor: %r" % name) from None
+        return PrimeField(p)
     raise ValueError("unknown field descriptor: %r" % name)
 
 
 def parse_scalar(field, text):
-    """Parse an integer or ``p/q`` fraction literal into a field scalar."""
+    """Parse an integer or ``p/q`` fraction literal in ASCII digits into a
+    field scalar.  Text with a non-ASCII character or a '_' raises
+    ``_NotAscii``, any other malformed literal ValueError."""
     text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        try:
-            q = Fraction(int(num), int(den))
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError("malformed fraction: %r" % text) from exc
-    else:
-        try:
-            q = Fraction(int(text))
-        except ValueError as exc:
-            raise ValueError("malformed coefficient: %r" % text) from exc
+    num, slash, den = text.partition("/")
+    try:
+        q = Fraction(_ascii_int(num), _ascii_int(den)) if slash \
+            else _ascii_int(num)
+    except _NotAscii:
+        raise _NotAscii("%r is not an ASCII number" % text) from None
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("malformed %s: %r" % (
+            "fraction" if slash else "coefficient", text)) from None
     return field.from_fraction(q)

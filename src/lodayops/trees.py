@@ -11,7 +11,8 @@ first, and two trees compare child by child.
 
 Two leaf-removal maps are kept apart on purpose.  ``face`` removes one
 leaf and reads the operation symbol there in the same descent; it gives
-the faces of ``delta_trias``, the explicit trialgebra differential.  The
+the faces of ``delta_trias``, the explicit differential of dialgebras (on
+binary trees) and trialgebras (on all planar trees).  The
 restriction tables behind the structure maps R_0, R_j in ``preoperadic``
 restrict a tree to any set of its leaves without building a tree.  The
 two share no code, so the two sides of the comparison d = +/- delta

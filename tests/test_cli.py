@@ -119,6 +119,16 @@ def test_compare_differentials_sees_the_pi_table(table, tmp_path, monkeypatch):
         "CHECK d-matches-delta-degree-%d %s" % (n, verdict) for n in (1, 2)]
 
 
+def test_compare_differentials_on_dias(fixture_dir):
+    # dias cochains are indexed by binary trees, whose faces are binary
+    code, out, _ = run_cli("compare-differentials",
+                           fx(fixture_dir, "dias_dim1"), "--max-degree", "4")
+    assert code == 0
+    assert [line for line in out.splitlines()
+            if line.startswith("CHECK")] == [
+        "CHECK d-matches-delta-degree-%d PASS" % n for n in range(1, 5)]
+
+
 def test_compare_differentials_wrong_type(fixture_dir):
     code, out, err = run_cli("compare-differentials", fx(fixture_dir, "didend_dim1"))
     assert code == 2
@@ -350,6 +360,11 @@ def test_missing_key_names_no_line(tmp_path):
     ["verify-system", "--kind", "linear", "--workers", "0"],
     ["verify-system", "--kind", "linear", "--workers", "-2"],
     ["cohomology", "FIXTURE", "--max-degree", "three"],
+    # int() reads these; the integer grammar of fields._ascii_int does not
+    ["cohomology", "FIXTURE", "--max-degree", "\u0663"],
+    ["cohomology", "FIXTURE", "--max-degree", "1_0"],
+    ["identities", "FIXTURE", "--seed", "1_0"],
+    ["verify-system", "--kind", "linear", "--workers", "\u0662"],
 ])
 def test_out_of_range_numbers_exit_2(fixture_dir, argv):
     argv = [fx(fixture_dir, "trias_dim1") if a == "FIXTURE" else a

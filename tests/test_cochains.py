@@ -200,6 +200,66 @@ def test_diff_degree_and_square(rng):
         assert diff_d(ctx, diff_d(ctx, x)).is_zero()
 
 
+CORPUS_FILES = ("dias_dim1", "didend_dim1", "trias_dim1", "trias_dim2",
+                "tridend_dim1", "tricub_dim1", "zero_didend_dim1")
+
+
+def test_diff_d_equals_the_bracket_route(fixture_dir, rng):
+    # diff_d sums cached columns merged from the cofaces; [pi, x] is the
+    # brace route.  Three single-cell cochains (first, middle and last
+    # cell) and one dense one per degree n <= 3, on every corpus file, on
+    # the dim-2 product of each type over Q and F_7, and on each type's
+    # suspension, dense only for n <= 2 there
+    algebras = ([(load_algebra(fixture_dir / ("%s.alg" % name)), 3)
+                 for name in CORPUS_FILES]
+                + [(product_fixture(t, 2, field=field), 3)
+                   for t in TYPES for field in (QQ, PrimeField(7))]
+                + [(suspension_fixture(t), 2) for t in TYPES])
+    checked = 0
+    for alg, dense_top in algebras:
+        ctx = MultContext(alg)
+        for n in (1, 2, 3):
+            size = cochain_dim(alg, n)
+            xs = [Cochain(alg, n, {c: alg.field.one})
+                  for c in (0, size // 2, size - 1)]
+            if n <= dense_top:
+                xs.append(random_cochain(alg, n, rng))
+            for x in xs:
+                assert diff_d(ctx, x) == bracket(ctx.pi, x), (alg, n)
+                checked += 1
+    assert checked == 259
+
+
+def test_merged_columns_equal_the_matrix_of_d(fixture_dir):
+    # a cochain with every cell set makes diff_d merge every column of its
+    # degree: the corpus files through degree 4, trias_dim2 through 5
+    for name in CORPUS_FILES:
+        alg = load_algebra(fixture_dir / ("%s.alg" % name))
+        ctx = MultContext(alg)
+        for n in range(1, 6 if name == "trias_dim2" else 5):
+            size = cochain_dim(alg, n)
+            diff_d(ctx, Cochain(alg, n, dict.fromkeys(range(size), 1)))
+            columns = ctx._d_columns[n][1]
+            assert len(columns) == size
+            assert all(columns[c] == col for c, col
+                       in enumerate(matrix_of_d(ctx, n).columns)), (name, n)
+
+
+def test_diff_d_of_a_sparse_cochain_builds_only_its_columns(fixture_dir):
+    # three cells in degree 6 of trias_dim2, whose matrix of d has 115,584
+    # columns: d is summed from three merged columns and no matrix is built
+    alg = load_algebra(fixture_dir / "trias_dim2.alg")
+    ctx = MultContext(alg)
+    size = cochain_dim(alg, 6)
+    assert size == 115584
+    x = Cochain(alg, 6, {7: 1, size // 3: -2, size - 5: 3})
+    dx = diff_d(ctx, x)
+    assert not dx.is_zero() and dx == bracket(ctx.pi, x)
+    assert ctx.matrix_cache == {}
+    assert list(ctx._d_columns) == [6]
+    assert set(ctx._d_columns[6][1]) == set(x.cells)
+
+
 def test_unit_cochain_built_at_most_once_per_call(rng, monkeypatch):
     # the free slots of a brace pass the unit to gamma as a marker, so no
     # call builds the unit cochain at all
@@ -618,19 +678,24 @@ def test_coface_matrices_are_cosimplicial_and_sum_to_d(case, case_algebra):
 
 def _one_face(full, i):
     """The face table ``full`` with every face but face i emptied."""
-    return lambda n: tuple(pushes if j == i else {}
-                           for j, pushes in enumerate(full(n)))
+    return lambda kind, n: tuple(pushes if j == i else {}
+                                 for j, pushes in enumerate(full(kind, n)))
 
 
 def test_delta_matches_d_face_by_face(fixture_dir, monkeypatch):
     # delta with its face table cut down to face i is the unsigned coface
     # delta^i, so (-1)^(n+1) times the i-th signed walk of matrix_of_d, on
     # every basis cochain: the n+2 faces of trias_dim2 for n <= 3 and of
-    # the trias suspension for n <= 2, 19 faces, each nonzero
+    # the trias suspension for n <= 2 (19 faces), and on binary trees of
+    # dias_dim1 for n <= 4, of dias_dim2 over F_7 for n <= 3 and of the
+    # dias suspension for n <= 2 (37 faces), each nonzero
     full = cochains._delta_data
     checked = 0
     for alg, top in ((load_algebra(fixture_dir / "trias_dim2.alg"), 3),
-                     (suspension_fixture("trias"), 2)):
+                     (suspension_fixture("trias"), 2),
+                     (load_algebra(fixture_dir / "dias_dim1.alg"), 4),
+                     (product_fixture("dias", 2, field=PrimeField(7)), 3),
+                     (suspension_fixture("dias"), 2)):
         ctx = MultContext(alg)
         for n in range(1, top + 1):
             for i, walk in enumerate(cohomology._cofaces(ctx, n)):
@@ -640,11 +705,12 @@ def test_delta_matches_d_face_by_face(fixture_dir, monkeypatch):
                 assert any(columns), (n, i)
                 for c, col in enumerate(columns):
                     if (n + 1) % 2:
-                        col = {r: -v for r, v in col.items()}
+                        col = alg.field.collect(
+                            {r: -v for r, v in col.items()})
                     assert delta_trias(alg, Cochain(alg, n, {c: 1})).cells \
-                        == col, (n, i, c)
+                        == col, (alg.type_tag, n, i, c)
                 checked += 1
-    assert checked == 19
+    assert checked == 19 + 37
 
 
 def test_delta_requires_trias():

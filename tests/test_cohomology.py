@@ -7,7 +7,8 @@ import pytest
 from lodayops import cochains, cohomology, linalg
 from lodayops.algebra import TYPES, product_fixture, zero_fixture
 from lodayops.algfile import load_algebra
-from lodayops.cochains import Cochain, MultContext, diff_d, dot, random_cochain
+from lodayops.cochains import (Cochain, MultContext, bracket, diff_d, dot,
+                               random_cochain)
 from lodayops.cohomology import (DifferentialMatrix, check_g_algebra,
                                  coboundary_preimage, cochain_dim,
                                  cocycle_representatives, cohomology_dims,
@@ -37,7 +38,7 @@ def test_matrix_agrees_with_differential(rng):
         for n in (1, 2):
             m = matrix_of_d(ctx, n)
             f = random_cochain(ctx.alg, n, rng)
-            assert m.apply(f.cells) == diff_d(ctx, f).cells
+            assert m.apply(f.cells) == bracket(ctx.pi, f).cells
 
 
 def test_matrix_kills_multiplication():
@@ -71,10 +72,10 @@ def test_d_squared_zero_as_matrices():
 # -- the assembly of d against the per-column route ---------------------------
 
 def _matrix_by_columns(ctx, n):
-    """Columns of the matrix of d from diff_d of each basis cochain, the
-    route that matrix_of_d replaced."""
+    """Columns of the matrix of d from [pi, e] of each basis cochain e, the
+    brace route that matrix_of_d replaced."""
     alg = ctx.alg
-    return tuple(diff_d(ctx, Cochain(alg, n, {col: alg.field.one})).cells
+    return tuple(bracket(ctx.pi, Cochain(alg, n, {col: alg.field.one})).cells
                  for col in range(cochain_dim(alg, n)))
 
 
@@ -129,7 +130,7 @@ def test_matrix_of_d_builds_no_cochain_per_column(fixture_dir, monkeypatch):
     def refuse(*args):
         raise AssertionError("matrix_of_d went through the cochain calculus")
 
-    monkeypatch.setattr(cohomology, "diff_d", refuse)
+    monkeypatch.setattr(cohomology, "bracket", refuse)
     monkeypatch.setattr(cochains, "_gamma_into", refuse)
     for n, old in enumerate(expected, start=1):
         m = matrix_of_d(ctx, n)
@@ -318,8 +319,8 @@ def test_product_of_classes_is_well_posed(rng):
 
 def test_representative_that_is_no_cocycle_raises(monkeypatch):
     ctx = MultContext(product_fixture("didend", 1))
-    monkeypatch.setattr(cohomology, "diff_d",
-                        lambda ctx, x: cochains.identity_cochain(ctx.alg))
+    monkeypatch.setattr(cohomology, "bracket",
+                        lambda pi, x: cochains.identity_cochain(pi.alg))
     with pytest.raises(ValueError, match="not a cocycle"):
         cocycle_representatives(ctx, 2)
 
@@ -348,7 +349,7 @@ def test_rank_nullity_consistency():
             assert r + len(ech.kernel) == m.ncols
             for vec in ech.kernel:
                 assert m.apply(vec) == {}
-                assert diff_d(ctx, Cochain(ctx.alg, n, vec)).is_zero()
+                assert bracket(ctx.pi, Cochain(ctx.alg, n, vec)).is_zero()
 
 
 def test_q_echelon_stores_integral_values_as_int(fixture_dir):

@@ -95,6 +95,14 @@ def test_parse_scalar():
         parse_scalar(QQ, "1/0")
 
 
+@pytest.mark.parametrize("text", ["1_0", "\u0662", "1/\u0662", "\uff11",
+                                  "1/2_0"])
+def test_parse_scalar_reads_ascii_digits_only(text):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit two as 2
+    with pytest.raises(ValueError, match="not an ASCII number"):
+        parse_scalar(QQ, text)
+
+
 def test_field_equality_and_names():
     assert PrimeField(101) == PrimeField(101)
     assert PrimeField(101) != PrimeField(103)
