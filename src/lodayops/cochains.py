@@ -31,22 +31,17 @@ index, the form of ``Cochain.cells``: its keys are the cells some term
 touched, so the dict is a sparse accumulator and nothing walks the cells no
 term reaches.  Terms are added and multiplied with the plain operators, and
 one collect step per result, the field's ``collect``, reduces each touched
-cell mod p over F_p and drops the zeros.  A summand of a signed sum that is
-itself a brace, bracket, dot or d is written straight into the sum's dict
-(``_signed_sum``); only an operand of another operation is built as a
-cochain.  Each operand is grouped once per operation: the left factor into
-rows by (parameter, inputs), each right factor into options by (parameter,
-output), which every slot choice of a brace then reads.  So a result costs
-O(terms + touched cells), however large cochain_dim is.
+cell mod p over F_p and drops the zeros.  Each operand is grouped once per
+operation: the left factor into rows by (parameter, inputs), each right
+factor into options by (parameter, output), which every slot choice of a
+brace then reads.  So a
+result costs O(terms + touched cells), however large cochain_dim is.
 
-d x is the sum of x_c times the column d e_c of the matrix of d over the
-cells c of x.  Each column is merged once per context from the n+2 cofaces
-of ``cohomology._cofaces`` and cached, so only the columns some cochain
-touches are ever built; ``bracket(ctx.pi, x)`` is the independent route to
-the same d through the brace kernel.
+d x is the matrix of d (``cohomology.matrix_of_d``, cached on the context)
+applied to the cells of x; ``bracket(ctx.pi, x)`` is the independent route
+to the same d through the brace kernel.
 """
 
-from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -130,10 +125,9 @@ class Cochain:
 
 
 def _signed_sum(alg, n, terms):
-    """The degree-n cochain summing ``terms``, pairs (negative, term), in
-    one dict through one collect step at the end.  A term is a cochain, or
-    a ``_Term`` that writes itself into the dict with its sign.  A term
-    over another algebra or of another degree raises ValueError."""
+    """The degree-n cochain summing ``terms``, pairs (negative, cochain),
+    through one collect step at the end.  A term over another algebra or of
+    another degree raises ValueError."""
     cells = {}
     get = cells.get
     for negative, x in terms:
@@ -141,24 +135,9 @@ def _signed_sum(alg, n, terms):
             raise ValueError("cochains over different algebras")
         if x.degree != n:
             raise ValueError("cochains of different degrees")
-        if type(x) is Cochain:
-            for i, c in x.cells.items():
-                cells[i] = get(i, 0) - c if negative else get(i, 0) + c
-        else:
-            x.write(cells, negative)
+        for i, c in x.cells.items():
+            cells[i] = get(i, 0) - c if negative else get(i, 0) + c
     return _collected(alg, n, cells)
-
-
-# An operation as a term of ``_signed_sum``: ``write(cells, negate)``
-# accumulates (+/-) its result of the given degree into ``cells``.
-_Term = namedtuple("_Term", "alg degree write")
-
-
-def _alone(term):
-    """The cochain of one term; a cochain is its own."""
-    if type(term) is Cochain:
-        return term
-    return _signed_sum(term.alg, term.degree, ((False, term),))
 
 
 def _collected(alg, n, cells):
@@ -356,14 +335,11 @@ def _input_tuples(d, n):
 # -- braces and derived operations -------------------------------------------
 
 def _brace_into(cells, x, xs, negate):
-    """Accumulate (+/-) x{x_1,...,x_n} into ``cells``, for n >= 1; with
-    n > deg x there is no substitution and nothing is written.
+    """Accumulate (+/-) x{x_1,...,x_n} into ``cells``, for 1 <= n <= deg x.
     x is grouped into rows and each x_p into options once; each slot choice
     places the options at its input blocks and leaves the operad unit,
     ``None``, in the free slots."""
     k = x.degree
-    if len(xs) > k:
-        return
     rows = _rows(x)
     options = [_options(g) for g in xs]
     for chosen in combinations(range(k), len(xs)):
@@ -383,56 +359,24 @@ def _brace_into(cells, x, xs, negate):
                     negate != (eps % 2 == 1))
 
 
-def _braced(x, xs):
-    """The term x{x_1,...,x_n}: x itself for n = 0, and a term that writes
-    nothing, of the formal degree (sum deg x_p) + deg x - n, for n > deg x,
-    where there is no substitution."""
-    for g in xs:
-        if g.alg != x.alg:
-            raise ValueError("cochains over different algebras")
-    if not xs:
-        return x
-    return _Term(x.alg, sum(g.degree for g in xs) + x.degree - len(xs),
-                 lambda cells, negate: _brace_into(cells, x, xs, negate))
-
-
-def _bracketed(x, y):
-    """The term [x, y] = x o y - (-1)^(|x||y|) y o x, two braces."""
-    if x.alg != y.alg:
-        raise ValueError("cochains over different algebras")
-    swapped = (x.shifted * y.shifted) % 2 == 0      # the sign of y o x
-
-    def write(cells, negate):
-        _brace_into(cells, x, [y], negate)
-        _brace_into(cells, y, [x], negate != swapped)
-    return _Term(x.alg, x.degree + y.degree - 1, write)
-
-
-def _dotted(ctx, x, y):
-    """The term x . y = (-1)^(deg x) m{x, y}, one brace on pi."""
-    if x.alg != ctx.alg or y.alg != ctx.alg:
-        raise ValueError("cochains do not belong to this context")
-    odd = x.degree % 2 == 1
-    return _Term(ctx.alg, x.degree + y.degree,
-                 lambda cells, negate: _brace_into(cells, ctx.pi, [x, y],
-                                                   negate != odd))
-
-
-def _differential(ctx, x):
-    """The term d x, scattered from the columns of d (``_d_into``)."""
-    if x.alg != ctx.alg:
-        raise ValueError("cochain does not belong to this context")
-    return _Term(ctx.alg, x.degree + 1,
-                 lambda cells, negate: _d_into(cells, ctx, x, negate))
-
-
 def brace(x, xs):
     """x{x_1,...,x_n}: signed sum over all order-preserving substitutions.
 
     With n > deg x there is no substitution and the result is the zero
     cochain of the formal degree (sum deg x_p) + deg x - n.
     """
-    return _alone(_braced(x, list(xs)))
+    xs = list(xs)
+    if not xs:
+        return x
+    for g in xs:
+        if g.alg != x.alg:
+            raise ValueError("cochains over different algebras")
+    n = sum(g.degree for g in xs) + x.degree - len(xs)
+    if len(xs) > x.degree:
+        return Cochain(x.alg, n, {})
+    cells = {}
+    _brace_into(cells, x, xs, False)
+    return _collected(x.alg, n, cells)
 
 
 def circ(x, y):
@@ -442,7 +386,13 @@ def circ(x, y):
 
 def bracket(x, y):
     """[x, y] = x o y - (-1)^(|x||y|) y o x, of degree deg x + deg y - 1."""
-    return _alone(_bracketed(x, y))
+    if x.alg != y.alg:
+        raise ValueError("cochains over different algebras")
+    n = x.degree + y.degree - 1
+    cells = {}
+    _brace_into(cells, x, [y], False)
+    _brace_into(cells, y, [x], (x.shifted * y.shifted) % 2 == 0)
+    return _collected(x.alg, n, cells)
 
 
 class MultContext:
@@ -450,16 +400,13 @@ class MultContext:
 
     Construction verifies pi o pi = 0 and fails otherwise, so holding a
     context certifies that the differential below squares to zero.  The
-    context memoises the matrices of d (``matrix_cache``, by degree) and,
-    by degree, the columns of d that ``diff_d`` has read, with the coface
-    walks they are merged from (``_d_columns``).
+    context memoises the matrices of d (``matrix_cache``, by degree).
     """
 
     def __init__(self, alg):
         self.alg = alg
         self.pi = canonical_multiplication(alg)
         self.matrix_cache = {}
-        self._d_columns = {}
         if not circ(self.pi, self.pi).is_zero():
             raise ValueError(
                 "pi o pi != 0: the %s axioms fail for this algebra" % alg.type_tag)
@@ -468,77 +415,29 @@ class MultContext:
 def dot(ctx, x, y):
     """x . y = (-1)^(deg x) m{x, y}, of degree deg x + deg y; the sign is
     the sign of the brace's accumulation."""
-    return _alone(_dotted(ctx, x, y))
+    if x.alg != ctx.alg or y.alg != ctx.alg:
+        raise ValueError("cochains do not belong to this context")
+    n = x.degree + y.degree
+    cells = {}
+    _brace_into(cells, ctx.pi, [x, y], x.degree % 2 == 1)
+    return _collected(ctx.alg, n, cells)
 
 
 def diff_d(ctx, x):
-    """d x = [m, x] = m o x - (-1)^(|x|) x o m, raising degree by one,
-    summed from the columns of the matrix of d that x touches."""
-    return _alone(_differential(ctx, x))
-
-
-def _d_into(cells, ctx, x, negate):
-    """Accumulate (+/-) d x = sum_c x_c d e_c into ``cells``.  Column c is
-    merged on first use and kept in ``ctx._d_columns``, beside the walks
-    of its degree."""
-    if not x.cells:
-        return
-    n = x.degree
-    if n not in ctx._d_columns:
-        ctx._d_columns[n] = (_column_walks(ctx, n), {})
-    walks, columns = ctx._d_columns[n]
-    get = cells.get
-    for c, a in x.cells.items():
-        col = columns.get(c)
-        if col is None:
-            col = columns[c] = _merged_column(ctx.alg, n, walks, c)
-        if negate:
-            a = -a
-        for r, v in col.items():
-            cells[r] = get(r, 0) + v * a
-
-
-def _column_walks(ctx, n):
-    """The cofaces (by_u, cells, offsets) of ``cohomology._cofaces`` on
-    degree n, indexed for one column at a time, as (by_u, at, split):
-    ``at[p]`` maps the column offset of the digit that a cell of pi at p
-    fixes to the cells' (row offset, value) pairs, and ``split`` maps each
-    column of a parameter's block to its fixed-digit offset and the row
-    offset of its other n digits."""
-    from .cohomology import _cofaces    # cohomology imports this module
-    walks = []
-    for by_u, cells, offsets in _cofaces(ctx, n):
-        at = []
-        for entries in cells:
-            fixing = {}
-            for col, row, a in entries:
-                fixing.setdefault(col, []).append((row, a))
-            at.append(fixing)
-        fixed = {col for fixing in at for col in fixing}
-        split = {col + c: (col, r) for col in fixed for c, r in offsets}
-        walks.append((by_u, at, split))
-    return walks
-
-
-def _merged_column(alg, n, walks, c):
-    """Column c of the matrix of d on degree n, d e_c, merged from the
-    ``walks`` in the order of ``cohomology._summed``."""
-    u, k = divmod(c, alg.dim ** (n + 1))
-    row_stride = alg.dim ** (n + 2)     # rows per output parameter r
-    acc = {}
-    get = acc.get
-    for by_u, at, split in walks:
-        hit = split.get(k)
-        if hit is None:
-            continue
-        col, r_off = hit
-        for r, p in by_u[u]:
-            rows = at[p].get(col)
-            if rows:
-                base = r * row_stride + r_off
-                for row, a in rows:
-                    acc[base + row] = get(base + row, 0) + a
-    return alg.field.collect(acc)
+    """d x = [m, x] = m o x - (-1)^(|x|) x o m, raising degree by one: the
+    matrix of d on deg x applied to the cells of x."""
+    if x.alg != ctx.alg:
+        raise ValueError("cochain does not belong to this context")
+    # a warm call reads the cache itself, so it calls no public function
+    matrix = ctx.matrix_cache.get(x.degree)
+    if matrix is None:
+        from .cohomology import matrix_of_d     # cohomology imports cochains
+        matrix = matrix_of_d(ctx, x.degree)
+    d = Cochain.__new__(Cochain)     # apply's cells are in range, collected
+    d.alg = ctx.alg
+    d.degree = x.degree + 1
+    d.cells = matrix.apply(x.cells)
+    return d
 
 
 # -- the explicit differential for dialgebras and trialgebras -----------------

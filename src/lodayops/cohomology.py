@@ -24,9 +24,8 @@ check compares them on both fields.
 
 A class of H^n is given by its representative, a cocycle ``Cochain``.
 ``check_g_algebra`` builds each law instance on representatives as one
-signed sum, each outer bracket and dot written straight into its dict, and
-asks the cached echelon whether it is a coboundary; each instance gives one
-``identities.LawCheck``.
+signed sum and asks the cached echelon whether it is a coboundary; each
+instance gives one ``identities.LawCheck``.
 """
 
 from collections import namedtuple
@@ -34,8 +33,8 @@ from itertools import product
 from operator import itemgetter
 
 from . import linalg
-from .cochains import (Cochain, _bracketed, _dotted, _signed_sum, bracket,
-                       cochain_dim, dot, zero_cochain)
+from .cochains import (Cochain, _signed_sum, bracket, cochain_dim, dot,
+                       zero_cochain)
 from .identities import LawCheck
 from .params import family_size
 from .preoperadic import r_index_tables
@@ -136,8 +135,7 @@ def _cofaces(ctx, n):
     e in pi's slot fixes o to the input there, and the other input z joins
     the row; pi in e's slot s fixes b_s to pi's output, and the pair (x, y)
     takes its place.  ``offsets`` holds the (column, row) offsets of every
-    value of the other n digits of (b, o).  ``cochains.diff_d`` reads the
-    same triples one column at a time."""
+    value of the other n digits of (b, o)."""
     kind, d = ctx.alg.kind, ctx.alg.dim
     cofaces = []
     for i in range(n + 2):
@@ -288,24 +286,24 @@ def check_g_algebra(ctx, max_degree):
     checks = []
     for x, y in classes(2):
         comm = _signed_sum(ctx.alg, x.degree + y.degree, (
-            (False, _dotted(ctx, x, y)),
-            ((x.degree * y.degree) % 2 == 0, _dotted(ctx, y, x))))
+            (False, dot(ctx, x, y)),
+            ((x.degree * y.degree) % 2 == 0, dot(ctx, y, x))))
         checks.append(LawCheck("graded-commutativity", (x.degree, y.degree),
                                is_coboundary(ctx, comm)))
 
     for x, y, z in classes(3):
         degrees = (x.degree, y.degree, z.degree)
         derivation = _signed_sum(ctx.alg, sum(degrees) - 1, (
-            (False, _bracketed(x, dot(ctx, y, z))),
-            (True, _dotted(ctx, bracket(x, y), z)),
-            ((x.shifted * y.degree) % 2 == 0, _dotted(ctx, y, bracket(x, z)))))
+            (False, bracket(x, dot(ctx, y, z))),
+            (True, dot(ctx, bracket(x, y), z)),
+            ((x.shifted * y.degree) % 2 == 0, dot(ctx, y, bracket(x, z)))))
         checks.append(LawCheck("bracket-derivation", degrees,
                                is_coboundary(ctx, derivation)))
 
         jacobi = _signed_sum(ctx.alg, sum(degrees) - 2, (
-            (False, _bracketed(x, bracket(y, z))),
-            (True, _bracketed(bracket(x, y), z)),
-            ((x.shifted * y.shifted) % 2 == 0, _bracketed(y, bracket(x, z)))))
+            (False, bracket(x, bracket(y, z))),
+            (True, bracket(bracket(x, y), z)),
+            ((x.shifted * y.shifted) % 2 == 0, bracket(y, bracket(x, z)))))
         checks.append(LawCheck("graded-jacobi", degrees,
                                is_coboundary(ctx, jacobi)))
 

@@ -1,11 +1,11 @@
 """Randomised verification suites for the brace and homotopy-G identities.
 
 Every check is an exact entrywise cochain equality on seeded random inputs,
-each side one signed sum (``cochains._signed_sum``) whose outer braces,
-dots and d write into one dict, and gives one ``LawCheck``, the record
-``check_g_algebra`` uses too.  The two identities whose displayed forms
-circulate with varying sign conventions are implemented in the form
-verified by exhaustive sign fitting at small degrees; see SIGN_NOTES.md.
+each side one signed sum of cochains (``cochains._signed_sum``), and gives
+one ``LawCheck``, the record ``check_g_algebra`` uses too.  The two
+identities whose displayed forms circulate with varying sign conventions
+are implemented in the form verified by exhaustive sign fitting at small
+degrees; see SIGN_NOTES.md.
 """
 
 import os
@@ -13,8 +13,7 @@ import threading
 from collections import namedtuple
 from itertools import accumulate
 
-from .cochains import (_braced, _differential, _dotted, _signed_sum, brace,
-                       diff_d, dot, random_cochain)
+from .cochains import _signed_sum, brace, diff_d, dot, random_cochain
 
 
 class LawCheck(namedtuple("LawCheck", "law pattern passed")):
@@ -45,7 +44,7 @@ def brace_identity_sides(x, xs, ys):
                 eps += xs[q].shifted * sum(sy[:i_q])
                 pos = j_q
             args.extend(ys[pos:n])
-            yield eps % 2 == 1, _braced(x, args)
+            yield eps % 2 == 1, brace(x, args)
             return
         for i_p in range(start, n + 1):
             for j_p in range(i_p, n + 1):
@@ -61,7 +60,7 @@ def dot_brace_sides(ctx, x1, x2, ys):
     lhs = brace(dot(ctx, x1, x2), ys)
     return lhs, _signed_sum(x1.alg, lhs.degree, (
         ((x2.degree * sum(sy[:k])) % 2 == 1,
-         _dotted(ctx, brace(x1, ys[:k]), brace(x2, ys[k:])))
+         dot(ctx, brace(x1, ys[:k]), brace(x2, ys[k:])))
         for k in range(len(ys) + 1)))
 
 
@@ -80,22 +79,21 @@ def hg_differential_sides(ctx, x, args):
     pre = list(accumulate((a.shifted for a in args), initial=0))
 
     def lhs():
-        yield False, _differential(ctx, brace(x, args))
-        yield True, _braced(diff_d(ctx, x), args)
+        yield False, diff_d(ctx, brace(x, args))
+        yield True, brace(diff_d(ctx, x), args)
         for i in range(k):
-            term = _braced(x, args[:i] + [diff_d(ctx, args[i])]
-                           + args[i + 1:])
+            term = brace(x, args[:i] + [diff_d(ctx, args[i])] + args[i + 1:])
             yield (sx + pre[i]) % 2 == 0, term
 
     def rhs():
         yield ((args[0].shifted * x.degree) % 2 == 1,
-               _dotted(ctx, args[0], brace(x, args[1:])))
+               dot(ctx, args[0], brace(x, args[1:])))
         for i in range(1, k):
-            term = _braced(x, args[:i - 1] + [dot(ctx, args[i - 1], args[i])]
-                           + args[i + 1:])
+            term = brace(x, args[:i - 1] + [dot(ctx, args[i - 1], args[i])]
+                         + args[i + 1:])
             yield (sx + pre[i]) % 2 == 0, term
         yield ((sx + pre[k - 1]) % 2 == 1,
-               _dotted(ctx, brace(x, args[:-1]), args[-1]))
+               dot(ctx, brace(x, args[:-1]), args[-1]))
 
     degree = x.degree + pre[k] + 1  # of d(x{args})
     return (_signed_sum(x.alg, degree, lhs()),
@@ -109,8 +107,8 @@ def dg_algebra_sides(ctx, x, y, z):
     assoc_r = dot(ctx, x, dot(ctx, y, z))
     leib_l = diff_d(ctx, xy)
     leib_r = _signed_sum(x.alg, leib_l.degree, (
-        (False, _dotted(ctx, diff_d(ctx, x), y)),
-        (x.degree % 2 == 1, _dotted(ctx, x, diff_d(ctx, y)))))
+        (False, dot(ctx, diff_d(ctx, x), y)),
+        (x.degree % 2 == 1, dot(ctx, x, diff_d(ctx, y)))))
     return (assoc_l, assoc_r), (leib_l, leib_r)
 
 

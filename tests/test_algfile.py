@@ -190,10 +190,3 @@ def test_ascii_coefficients_still_parse(coeff, value):
                         "1 1 1 %s\n" % coeff, **QUIET)
     assert alg.tables["left"] == {(0, 0): {0: value}}
 
-
-def test_every_fixture_parses(fixture_dir):
-    # the shipped files are in the ASCII integer grammar of fields._ascii_int
-    paths = sorted(fixture_dir.glob("*.alg"))
-    assert len(paths) == 8
-    for path in paths:
-        assert load_algebra(path, **QUIET).dim >= 1

@@ -205,59 +205,30 @@ CORPUS_FILES = ("dias_dim1", "didend_dim1", "trias_dim1", "trias_dim2",
 
 
 def test_diff_d_equals_the_bracket_route(fixture_dir, rng):
-    # diff_d sums cached columns merged from the cofaces; [pi, x] is the
-    # brace route.  Three single-cell cochains (first, middle and last
-    # cell) and one dense one per degree n <= 3, on every corpus file, on
-    # the dim-2 product of each type over Q and F_7, and on each type's
-    # suspension, dense only for n <= 2 there
+    # diff_d applies the matrix of d, built once per degree and cached on
+    # the context; [pi, x] is the brace route.  Three single-cell cochains
+    # (first, middle and last cell) and one dense one per degree n <= 3, on
+    # every corpus file and on the dim-2 product of each type over Q and
+    # F_7, and per degree n <= 2 on each type's suspension, where the
+    # matrix of d^3 has up to 395,307 columns
     algebras = ([(load_algebra(fixture_dir / ("%s.alg" % name)), 3)
                  for name in CORPUS_FILES]
                 + [(product_fixture(t, 2, field=field), 3)
                    for t in TYPES for field in (QQ, PrimeField(7))]
                 + [(suspension_fixture(t), 2) for t in TYPES])
     checked = 0
-    for alg, dense_top in algebras:
+    for alg, top in algebras:
         ctx = MultContext(alg)
-        for n in (1, 2, 3):
+        for n in range(1, top + 1):
             size = cochain_dim(alg, n)
             xs = [Cochain(alg, n, {c: alg.field.one})
                   for c in (0, size // 2, size - 1)]
-            if n <= dense_top:
-                xs.append(random_cochain(alg, n, rng))
+            xs.append(random_cochain(alg, n, rng))
             for x in xs:
                 assert diff_d(ctx, x) == bracket(ctx.pi, x), (alg, n)
                 checked += 1
-    assert checked == 259
-
-
-def test_merged_columns_equal_the_matrix_of_d(fixture_dir):
-    # a cochain with every cell set makes diff_d merge every column of its
-    # degree: the corpus files through degree 4, trias_dim2 through 5
-    for name in CORPUS_FILES:
-        alg = load_algebra(fixture_dir / ("%s.alg" % name))
-        ctx = MultContext(alg)
-        for n in range(1, 6 if name == "trias_dim2" else 5):
-            size = cochain_dim(alg, n)
-            diff_d(ctx, Cochain(alg, n, dict.fromkeys(range(size), 1)))
-            columns = ctx._d_columns[n][1]
-            assert len(columns) == size
-            assert all(columns[c] == col for c, col
-                       in enumerate(matrix_of_d(ctx, n).columns)), (name, n)
-
-
-def test_diff_d_of_a_sparse_cochain_builds_only_its_columns(fixture_dir):
-    # three cells in degree 6 of trias_dim2, whose matrix of d has 115,584
-    # columns: d is summed from three merged columns and no matrix is built
-    alg = load_algebra(fixture_dir / "trias_dim2.alg")
-    ctx = MultContext(alg)
-    size = cochain_dim(alg, 6)
-    assert size == 115584
-    x = Cochain(alg, 6, {7: 1, size // 3: -2, size - 5: 3})
-    dx = diff_d(ctx, x)
-    assert not dx.is_zero() and dx == bracket(ctx.pi, x)
-    assert ctx.matrix_cache == {}
-    assert list(ctx._d_columns) == [6]
-    assert set(ctx._d_columns[6][1]) == set(x.cells)
+        assert sorted(ctx.matrix_cache) == list(range(1, top + 1))
+    assert checked == 244
 
 
 def test_unit_cochain_built_at_most_once_per_call(rng, monkeypatch):
