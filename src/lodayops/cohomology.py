@@ -14,13 +14,13 @@ col) triples are derived from the columns on demand.  Each matrix carries
 the field engine's triangular column echelon (each pivot on the sparsest
 row of its reduced column, and never changed), eliminated on first use;
 kernels, representatives and coboundary witnesses are all read from it.
-Ranks come by default from the fraction-free row engine, which reads the
-columns as the rows of the transpose, runs over Q on primitive integer
-rows and over F_p on integer rows reduced mod p, and shares no code with
-the echelon.  The ``engine`` argument of ``matrix_rank`` and
-``cohomology_dims`` picks ``"bareiss"`` or ``"echelon"``, and a dimension
-is trusted only once the two agree; the CLI's ``rank-engines-agree``
-check compares them on both fields.
+The dimensions of ``cohomology_dims`` come from the fraction-free row
+engine alone, which reads the columns as the rows of the transpose, runs
+over Q on primitive integer rows and over F_p on integer rows reduced mod
+p, and shares no code with the echelon.  A dimension is trusted only once
+the two engines agree: the CLI's ``rank-engines-agree`` check compares
+the row engine's dimensions with the number of representatives the
+echelon gives, on both fields.
 
 A class of H^n is given by its representative, a cocycle ``Cochain``.
 ``check_g_algebra`` builds each law instance on representatives as one
@@ -39,7 +39,8 @@ from .identities import LawCheck
 from .params import family_size
 from .preoperadic import r_index_tables
 
-ENGINES = ("bareiss", "echelon")
+# the G-algebra laws, in report order
+_G_LAWS = ("graded-commutativity", "bracket-derivation", "graded-jacobi")
 
 
 class DifferentialMatrix:
@@ -187,23 +188,17 @@ def matrix_product_is_zero(a, b, field):
     return not any(a.apply(col) for col in b.columns)
 
 
-def matrix_rank(matrix, engine="bareiss"):
-    if engine not in ENGINES:
-        raise ValueError("unknown engine %r" % engine)
-    if engine == "bareiss":
-        # rank M = rank M^T: the columns are the rows of the transpose
-        return linalg.rank_bareiss([c.items() for c in matrix.columns],
-                                   matrix.nrows, matrix.field.characteristic)
-    return matrix.echelon().rank
-
-
-def cohomology_dims(ctx, max_degree, engine="bareiss"):
-    """[(n, dim H^n)] for 1 <= n <= max_degree; H^1 = ker d^1."""
+def cohomology_dims(ctx, max_degree):
+    """[(n, dim H^n)] for 1 <= n <= max_degree; H^1 = ker d^1.  The ranks
+    come from the row engine, never from the echelon."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     ranks = {}
     for n in range(1, max_degree + 1):
-        ranks[n] = matrix_rank(matrix_of_d(ctx, n), engine)
+        m = matrix_of_d(ctx, n)
+        # rank M = rank M^T: the columns are the rows of the transpose
+        ranks[n] = linalg.rank_bareiss([c.items() for c in m.columns],
+                                       m.nrows, m.field.characteristic)
     out = []
     for n in range(1, max_degree + 1):
         nullity = cochain_dim(ctx.alg, n) - ranks[n]
@@ -270,6 +265,7 @@ def check_g_algebra(ctx, max_degree):
     (3) graded Jacobi for the bracket holds up to coboundary;
 
     over all representative pairs/triples of total degree <= max_degree.
+    The laws are named, in this order, by ``_G_LAWS``.
     """
     if max_degree < 2:
         raise ValueError("max_degree must be >= 2")
@@ -283,12 +279,13 @@ def check_g_algebra(ctx, max_degree):
             if sum(ns) <= max_degree:
                 yield from product(*(reps[n] for n in ns))
 
+    comm_law, derivation_law, jacobi_law = _G_LAWS
     checks = []
     for x, y in classes(2):
         comm = _signed_sum(ctx.alg, x.degree + y.degree, (
             (False, dot(ctx, x, y)),
             ((x.degree * y.degree) % 2 == 0, dot(ctx, y, x))))
-        checks.append(LawCheck("graded-commutativity", (x.degree, y.degree),
+        checks.append(LawCheck(comm_law, (x.degree, y.degree),
                                is_coboundary(ctx, comm)))
 
     for x, y, z in classes(3):
@@ -297,14 +294,14 @@ def check_g_algebra(ctx, max_degree):
             (False, bracket(x, dot(ctx, y, z))),
             (True, dot(ctx, bracket(x, y), z)),
             ((x.shifted * y.degree) % 2 == 0, dot(ctx, y, bracket(x, z)))))
-        checks.append(LawCheck("bracket-derivation", degrees,
+        checks.append(LawCheck(derivation_law, degrees,
                                is_coboundary(ctx, derivation)))
 
         jacobi = _signed_sum(ctx.alg, sum(degrees) - 2, (
             (False, bracket(x, bracket(y, z))),
             (True, bracket(bracket(x, y), z)),
             ((x.shifted * y.shifted) % 2 == 0, bracket(y, bracket(x, z)))))
-        checks.append(LawCheck("graded-jacobi", degrees,
+        checks.append(LawCheck(jacobi_law, degrees,
                                is_coboundary(ctx, jacobi)))
 
     return GAlgebraReport(max_degree, checks,

@@ -491,14 +491,34 @@ def test_scaled_trias_dim2_matrix_dump_pinned(fixture_dir, tmp_path):
 @pytest.mark.parametrize("field", ["Q", "Fp:101"])
 def test_rank_cross_check_fails_on_a_wrong_echelon(fixture_dir, tmp_path,
                                                    monkeypatch, field):
-    # the default ranks come from the row engine on both fields and the
-    # cross-check reads the echelon, so a wrong echelon rank must show
+    # the dimensions come from the row engine on both fields and the
+    # cross-check counts the echelon's classes, so an echelon whose kernel
+    # drops one vector must show
+    real = linalg.column_echelon
+
+    def dropping(columns, field):
+        ech = real(columns, field)
+        return ech._replace(kernel=ech.kernel[:-1])
+    monkeypatch.setattr(linalg, "column_echelon", dropping)
+    _assert_cross_check_fails(fixture_dir, tmp_path, field)
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:101"])
+def test_rank_cross_check_fails_on_a_wrong_row_rank(fixture_dir, tmp_path,
+                                                    monkeypatch, field):
+    real = linalg.rank_bareiss
+    monkeypatch.setattr(linalg, "rank_bareiss",
+                        lambda *args: real(*args) + 1)
+    _assert_cross_check_fails(fixture_dir, tmp_path, field)
+
+
+def _assert_cross_check_fails(fixture_dir, tmp_path, field):
+    """``cohomology --max-degree 3`` on a copy of trias_dim2 over ``field``
+    exits 1 with a failed rank-engines-agree check."""
     with open(fx(fixture_dir, "trias_dim2"), encoding="utf-8") as fh:
         text = fh.read()
     path = tmp_path / "trias_dim2.alg"
     path.write_text(text.replace("field = Q\n", "field = %s\n" % field))
-    monkeypatch.setattr(linalg.ColumnEchelon, "rank",
-                        property(lambda ech: len(ech.basis) + 1))
     code, out, _ = run_cli("cohomology", str(path), "--max-degree", "3")
     assert code == 1
     assert "CHECK rank-engines-agree FAIL" in out
