@@ -12,9 +12,10 @@ Grammar (see README for a complete example):
     1 2 2 1/2                      indices are 1-based, coeff is int or p/q,
                                    all in ASCII digits without '_'
 
-Comments are whole lines: a '#' after a value is not a comment.  Omitted
-entries are zero; an omitted operation block is the zero map (a warning is
-emitted on stderr).  Values may be quoted.
+Any run of whitespace separates ``op`` from its name and the tokens of
+an entry.  Comments are whole lines: a '#' after a value is not a comment.
+Omitted entries are zero; an omitted operation block is the zero map (a
+warning is emitted on stderr).  Values may be quoted.
 """
 
 import sys
@@ -53,8 +54,8 @@ def parse_algebra(text, warn=None):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("op ") or line == "op":
-            name = _unquote(line[2:].strip())
+        if line.split(None, 1)[0] == "op":
+            name = _unquote(line[2:])
             if not name:
                 raise AlgebraFileError(line_no, "operation block without a name")
             if name in blocks:

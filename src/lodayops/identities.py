@@ -11,7 +11,7 @@ degrees; see SIGN_NOTES.md.
 import os
 import threading
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, cycle, islice
 
 from .cochains import _signed_sum, brace, diff_d, dot, random_cochain
 
@@ -173,25 +173,17 @@ def _blocks(samples, round_size):
     return [range(a, b) for a, b in zip(ends, ends[1:] + [samples])]
 
 
-def _checked(ctx, rng, families, block, draws):
-    """Draw the first ``draws`` samples from ``rng`` in order and check
-    those in ``block``."""
-    results = []
-    for i in range(draws):
-        law, pattern, sides = families[i % len(families)]
-        drawn = _draw(ctx.alg, rng, pattern)
-        if i in block:
-            pairs = sides(*drawn)
-            results.append(LawCheck(law, pattern,
-                                    all(lhs == rhs for lhs, rhs in pairs)))
-    return results
+def _checked(drawn):
+    """Check each drawn ``(law, pattern, sides, cochains)`` record."""
+    return [LawCheck(law, pattern, all(lhs == rhs for lhs, rhs in sides(*xs)))
+            for law, pattern, sides, xs in drawn]
 
 
-def _forked(ctx, rng, families, block):
-    """Check ``block`` in a forked child; return its pid and the read end of
-    its pipe.
+def _forked(drawn):
+    """Check the ``drawn`` records in a forked child; return its pid and the
+    read end of its pipe.
 
-    The child writes b"+" and one verdict byte per sample, or b"!" and the
+    The child writes b"+" and one verdict byte per record, or b"!" and the
     text of the exception that stopped it.  It leaves by ``os._exit``, so it
     runs no exit handler and flushes no buffer it shares with the parent."""
     read_fd, write_fd = os.pipe()
@@ -207,8 +199,7 @@ def _forked(ctx, rng, families, block):
     try:
         os.close(read_fd)
         try:
-            checks = _checked(ctx, rng, families, block, block.stop)
-            message = b"+" + bytes(c.passed for c in checks)
+            message = b"+" + bytes(c.passed for c in _checked(drawn))
         except Exception as exc:        # sent to the parent, which raises
             message = b"!" + ("%s: %s" % (type(exc).__name__, exc)).encode()
         with open(write_fd, "wb") as pipe:
@@ -217,8 +208,9 @@ def _forked(ctx, rng, families, block):
         os._exit(0)
 
 
-def _received(read_fd, families, block):
-    """The checks of ``block``, read from a child's pipe to its end."""
+def _received(read_fd, drawn, block):
+    """The checks of the records of ``block`` in ``drawn``, read from a
+    child's pipe to its end."""
     chunks = []
     while chunk := os.read(read_fd, 1 << 16):
         chunks.append(chunk)
@@ -228,23 +220,24 @@ def _received(read_fd, families, block):
             "identity samples %d-%d failed in a child process: %s"
             % (block.start, block.stop - 1,
                message[1:].decode(errors="replace") or "no verdicts"))
-    return [LawCheck(*families[i % len(families)][:2], bool(passed))
-            for i, passed in zip(block, message[1:])]
+    return [LawCheck(law, pattern, bool(passed))
+            for (law, pattern, _, _), passed
+            in zip(drawn[block.start:block.stop], message[1:])]
 
 
 def run_identity_suite(ctx, rng, samples):
     """Spread ``samples`` random instances across all identity families,
     round robin, from one table of (law, patterns, sides).
 
-    The samples are checked in contiguous blocks of whole rounds of the
-    table, one block per usable CPU: the first block in this process, each
-    other one in a forked child.  Every process replays the seeded draws in
-    order and checks only its own block, so no cochain crosses a process
-    boundary, and the results, and the state of ``rng`` afterwards, are the
-    same for every CPU count.  Fewer than two rounds, one usable CPU, no
-    ``os.fork`` or another live thread keep the suite in this process.  A
-    failed child makes the call raise RuntimeError with the child's
-    exception text; every child is reaped before the call returns.
+    All instances are drawn from ``rng`` in order, in this process, before
+    any is checked.  They are checked in contiguous blocks of whole rounds
+    of the table, one block per usable CPU: the first block in this
+    process, each other one in a forked child, which inherits the drawn
+    list and sends back one verdict byte per instance.  Fewer than two
+    rounds, one usable CPU, no ``os.fork`` or another live thread keep the
+    suite in this process.  A failed child makes the call raise
+    RuntimeError with the child's exception text; every child is reaped
+    before the call returns.
     """
     laws = (
         ("brace-identity", BRACE_PATTERNS,
@@ -257,14 +250,16 @@ def run_identity_suite(ctx, rng, samples):
     )
     families = [(law, pattern, sides) for law, patterns, sides in laws
                 for pattern in patterns]
+    drawn = [(law, pattern, sides, _draw(ctx.alg, rng, pattern))
+             for law, pattern, sides in islice(cycle(families), samples)]
     first, *others = _blocks(samples, len(families))
     children = []
     try:
         for block in others:
-            children.append((block, *_forked(ctx, rng, families, block)))
-        results = _checked(ctx, rng, families, first, samples)
+            children.append((block, *_forked(drawn[block.start:block.stop])))
+        results = _checked(drawn[first.start:first.stop])
         for block, _, read_fd in children:
-            results.extend(_received(read_fd, families, block))
+            results.extend(_received(read_fd, drawn, block))
         return results
     except BaseException:
         # stop the blocks still running; signal is imported only here, as

@@ -107,6 +107,20 @@ def test_distinct_diagnostics():
     _expect_error("bogus = 3\n", "unknown key")
 
 
+def test_op_header_takes_any_whitespace():
+    # entry lines split on any whitespace, and so does the block header;
+    # the second block shows a tab-spaced header is not read as an entry
+    head = "type = didend\nfield = Q\ndim = 1\n"
+    body = "%s\n1 1 1 1\n%s\n1 1 1 -1/2\n"
+    expected = parse_algebra(head + body % ("op left", "op right"), **QUIET)
+    assert expected.tables["right"] == {(0, 0): {0: Fraction(-1, 2)}}
+    for sep in ("\t", "   ", " \t "):
+        text = head + body % ("op%sleft" % sep, "op%sright" % sep)
+        assert parse_algebra(text, **QUIET) == expected, repr(sep)
+    for bare in ("op", "op\t", "op  "):
+        _expect_error(head + bare + "\n", "operation block without a name")
+
+
 def test_error_carries_line_number():
     with pytest.raises(AlgebraFileError) as err:
         parse_algebra("type = didend\nfield = Q\ndim = 1\nop left\nbroken\n",

@@ -121,6 +121,27 @@ def test_suite_runner_deterministic(fixture_dir, monkeypatch):
     assert not thread.is_alive()
 
 
+def test_forked_blocks_check_the_callers_draws(fixture_dir, monkeypatch):
+    # every sample is drawn in the calling process before the fork; a
+    # child that drew would raise, and the call with it
+    ctx = _context(fixture_dir, "trias_dim1")
+    _usable_cpus(monkeypatch, 1)
+    alone = run_identity_suite(ctx, random.Random(5), 208)
+    caller = os.getpid()
+    real = identities._draw
+
+    def draw_in_caller(alg, rng, pattern):
+        if os.getpid() != caller:
+            raise AssertionError("a forked block drew a sample")
+        return real(alg, rng, pattern)
+    monkeypatch.setattr(identities, "_draw", draw_in_caller)
+    forks = _usable_cpus(monkeypatch, 4)
+    checks = run_identity_suite(ctx, random.Random(5), 208)
+    assert len(forks) == 3
+    assert checks == alone
+    assert len(checks) == 208 and all(r.passed for r in checks)
+
+
 def test_suite_failures_are_the_same_on_any_cpu_count(fixture_dir,
                                                       monkeypatch):
     # hg-dot-brace fails on pattern (1, 2, (1,)) in every round, so in
