@@ -18,6 +18,7 @@ Omitted entries are zero; an omitted operation block is the zero map (a
 warning is emitted on stderr).  Values may be quoted.
 """
 
+import codecs
 import sys
 
 from .algebra import OPS, TYPES, AlgebraSpec
@@ -167,7 +168,9 @@ def serialize_algebra(alg):
 
 def load_algebra(path, warn=None):
     with open(path, "rb") as fh:
-        data = fh.read()
+        # a leading byte order mark is not part of the text; dropped before
+        # decoding, so a bad byte's offset still counts the file's newlines
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

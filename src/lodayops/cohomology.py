@@ -193,17 +193,14 @@ def cohomology_dims(ctx, max_degree):
     come from the row engine, never from the echelon."""
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
-    ranks = {}
+    out, below = [], 0      # below: rank d^(n-1), and there is no d^0
     for n in range(1, max_degree + 1):
         m = matrix_of_d(ctx, n)
         # rank M = rank M^T: the columns are the rows of the transpose
-        ranks[n] = linalg.rank_bareiss([c.items() for c in m.columns],
-                                       m.nrows, m.field.characteristic)
-    out = []
-    for n in range(1, max_degree + 1):
-        nullity = cochain_dim(ctx.alg, n) - ranks[n]
-        boundary_rank = ranks[n - 1] if n > 1 else 0
-        out.append((n, nullity - boundary_rank))
+        rank = linalg.rank_bareiss([c.items() for c in m.columns],
+                                   m.nrows, m.field.characteristic)
+        out.append((n, m.ncols - rank - below))
+        below = rank
     return out
 
 

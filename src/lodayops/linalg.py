@@ -12,13 +12,14 @@ elimination code:
   method); over F_p each entry of a combined row is reduced mod p as it
   is formed instead.  Neither a field object nor a fraction enters, and no
   inverse is taken.
-* ``column_echelon``: a triangular column echelon over a field object.
-  Each column in turn is reduced against the earlier pivots in the order
-  they were made, and what remains becomes a pivot on its row with the
-  fewest nonzeros in the matrix (a Markowitz-style choice); no pivot is
-  changed once made.  Each image carries its sparse preimage, so the one
-  reduction answers the rank, the kernel, membership in the image with a
-  witness, and independence modulo the image (``independent_mod_image``).
+* ``column_echelon``: a triangular column echelon over a field object,
+  and the one routine that makes a pivot, all by one rule.  Each column in
+  turn is reduced against the earlier pivots in the order they were made,
+  and what remains becomes a pivot on its row with the fewest nonzeros in
+  the matrix (a Markowitz-style choice); no pivot is changed once made.  Each
+  image carries its sparse preimage, so the one reduction answers the
+  rank, the kernel and membership in the image with a witness; the
+  echelon of the residuals gives independence modulo the image.
 
 Sparse vectors are mappings ``index -> value`` or sequences of
 ``(index, value)`` pairs.  An echelon reads each vector given to it through
@@ -107,12 +108,12 @@ def _add_multiple(target, coeff, vec, field):
             target.pop(i, None)
 
 
-def _reduce(field, pivots, by_row, vec, pre=None, solve=False):
+def _reduce(field, pivots, by_row, vec, pre):
     """vec minus the multiple of each pivot's image that clears its row, as
     a dict.  The pivots come in creation order from a heap of those whose
     rows are present; as each is zero on the rows of the earlier ones, it
     can only bring in rows of later ones.  The same multiples of the
-    preimages are subtracted from ``pre`` if given, or added if ``solve``."""
+    preimages are subtracted from ``pre``, in place."""
     vec = field.collect(dict(vec))
     heap = [by_row[r] for r in vec if r in by_row]
     heapify(heap)
@@ -126,20 +127,8 @@ def _reduce(field, pivots, by_row, vec, pre=None, solve=False):
                 heappush(heap, by_row[r])
         neg = -coeff
         _add_multiple(vec, neg, pivot.image, field)
-        if pre is not None:
-            _add_multiple(pre, coeff if solve else neg, pivot.preimage, field)
+        _add_multiple(pre, neg, pivot.preimage, field)
     return vec
-
-
-def _insert(field, pivots, by_row, column, image, pre, row):
-    """Append the reduced image and its preimage, scaled to 1 at ``row``, as
-    a pivot on ``row``."""
-    inv = field.inv(image[row])
-    by_row[row] = len(pivots)
-    scaled = [{}, {}]
-    for out, vec in zip(scaled, (image, pre)):
-        _add_multiple(out, inv, vec, field)
-    pivots.append(Pivot(column, row, *scaled))
 
 
 class ColumnEchelon(namedtuple("ColumnEchelon", "field basis kernel by_row")):
@@ -160,10 +149,12 @@ class ColumnEchelon(namedtuple("ColumnEchelon", "field basis kernel by_row")):
         return len(self.basis)
 
     def preimage(self, vec):
-        """Some x (a dict) with M x = vec, or None if vec is not an image."""
+        """Some x (a dict) with M x = vec, or None if vec is not an image:
+        the negated sum of the preimages that reducing vec subtracts."""
         x = {}
-        residual = _reduce(self.field, self.basis, self.by_row, vec, x, True)
-        return None if residual else x
+        residual = _reduce(self.field, self.basis, self.by_row, vec, x)
+        return None if residual else self.field.collect(
+            {c: -v for c, v in x.items()})
 
 
 def column_echelon(columns, field):
@@ -182,7 +173,12 @@ def column_echelon(columns, field):
         image = _reduce(field, basis, by_row, column, pre)
         if image:
             row = min(image, key=lambda r: (counts[r], r))
-            _insert(field, basis, by_row, j, image, pre, row)
+            inv = field.inv(image[row])
+            scaled = [{}, {}]
+            for out, vec in zip(scaled, (image, pre)):
+                _add_multiple(out, inv, vec, field)
+            by_row[row] = len(basis)
+            basis.append(Pivot(j, row, *scaled))
         else:
             kernel.append(pre)
     return ColumnEchelon(field, tuple(basis), tuple(kernel), by_row)
@@ -190,14 +186,11 @@ def column_echelon(columns, field):
 
 def independent_mod_image(echelon, vectors):
     """Indices of the vectors outside the span of the echelon's image and
-    of the vectors before them (the greedy choice, in order), found by
-    inserting them into a copy of the echelon's pivot list."""
-    pivots, by_row = list(echelon.basis), dict(echelon.by_row)
-    keep = []
-    for idx, vec in enumerate(vectors):
-        residual = _reduce(echelon.field, pivots, by_row, vec)
-        if residual:
-            _insert(echelon.field, pivots, by_row, idx, residual, {},
-                    min(residual))
-            keep.append(idx)
-    return keep
+    of the vectors before them (the greedy choice, in order): the pivot
+    columns of the echelon of their residuals.  A residual is zero on
+    every pivot row and a nonzero image vector is not, so the residuals'
+    span meets the image only in 0."""
+    field = echelon.field
+    residuals = [_reduce(field, echelon.basis, echelon.by_row, vec, {})
+                 for vec in vectors]
+    return [pivot.column for pivot in column_echelon(residuals, field).basis]

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -216,6 +217,32 @@ def test_dimension_and_index_validation():
         AlgebraSpec("trias", QQ, 2, basis=("e", "e"))
     with pytest.raises(ValueError):
         AlgebraSpec("trias", QQ, 1, None, {"left": {(0, 1): {0: QQ.one}}})
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+@pytest.mark.parametrize("constant", [0.5, 1.0, "1", None])
+def test_inexact_structure_constant_refused(field, constant):
+    tables = {op: {(0, 0): {0: constant}} for op in OPS["trias"]}
+    with pytest.raises(ValueError,
+                       match=r"^left table, cell \(0, 0\) -> 0: .* is not an"):
+        AlgebraSpec("trias", field, 1, tables=tables)
+
+
+@pytest.mark.parametrize("field, half, stored", [
+    (QQ, Fraction(1, 2), Fraction(1, 2)),
+    (QQ, Fraction(4, 2), 2),
+    (PrimeField(7), Fraction(1, 2), 4),
+    (PrimeField(7), 9, 2),
+])
+def test_structure_constants_stored_in_the_field(field, half, stored):
+    tables = {op: {(0, 0): {0: half}, (0, 1): {1: Fraction(7, 3)}}
+              for op in OPS["trias"]}
+    alg = AlgebraSpec("trias", field, 2, tables=tables)
+    for op in OPS["trias"]:
+        (value,), = [alg.tables[op][(0, 0)].values()]
+        assert value == stored and type(value) is type(stored)
+        # 7/3 is zero in F_7, and the cell that holds only it is dropped
+        assert ((0, 1) in alg.tables[op]) == (field == QQ)
 
 
 def test_ops_per_type():

@@ -1,3 +1,4 @@
+import codecs
 import re
 from fractions import Fraction
 
@@ -162,6 +163,24 @@ def test_file_not_utf8_names_its_line(tmp_path):
         load_algebra(path, **QUIET)
     assert err.value.line_no == 1
     assert "not valid UTF-8" in str(err.value)
+
+
+def test_leading_bom_is_dropped(tmp_path, fixture_dir):
+    original = fixture_dir / "trias_dim1.alg"
+    path = tmp_path / "bom.alg"
+    path.write_bytes(codecs.BOM_UTF8 + original.read_bytes())
+    assert load_algebra(path, **QUIET) == load_algebra(original, **QUIET)
+
+
+def test_bom_file_not_utf8_names_its_line(tmp_path):
+    # the byte order mark is not counted into the bad byte's line
+    path = tmp_path / "bom_latin1.alg"
+    path.write_bytes(codecs.BOM_UTF8 + "type = didend\nfield = Q\n# caf\u00e9\n"
+                     "dim = 1\n".encode("latin-1"))
+    with pytest.raises(AlgebraFileError) as err:
+        load_algebra(path, **QUIET)
+    assert err.value.line_no == 3
+    assert str(err.value) == "line 3: not valid UTF-8"
 
 
 def test_prime_field_file():

@@ -392,25 +392,34 @@ def test_coboundary_preimage_round_trip_trias_dim2(rng):
 
 def test_each_matrix_eliminated_once_per_engine(monkeypatch):
     calls = {}
+    ctx = MultContext(product_fixture("didend", 1))
 
-    def counting(name, fn):
+    def counting(kind, fn):
         def run(*args):
+            name = kind(*args)
             calls[name] = calls.get(name, 0) + 1
             return fn(*args)
         return run
 
+    def echelon_kind(columns, field):
+        # the columns of a matrix of d, or independent_mod_image's residuals
+        of_d = any(columns is m.columns for m in ctx.matrix_cache.values())
+        return "matrix" if of_d else "residuals"
+
     monkeypatch.setattr(linalg, "column_echelon",
-                        counting("field", linalg.column_echelon))
+                        counting(echelon_kind, linalg.column_echelon))
     monkeypatch.setattr(linalg, "rank_bareiss",
-                        counting("fraction-free", linalg.rank_bareiss))
-    ctx = MultContext(product_fixture("didend", 1))
+                        counting(lambda *args: "fraction-free",
+                                 linalg.rank_bareiss))
     cohomology_dims(ctx, 3)
     for n in (1, 2, 3):
         cocycle_representatives(ctx, n)
     report = check_g_algebra(ctx, 4)
     assert report.passed and report.checks
-    # one echelon per degree 1..3; is_coboundary reuses them
-    assert calls == {"field": 3, "fraction-free": 3}
+    # one echelon per degree 1..3; is_coboundary reuses them.  Each
+    # cocycle_representatives(ctx, n > 1) eliminates its residuals once:
+    # n = 2, 3 above and again in check_g_algebra
+    assert calls == {"matrix": 3, "residuals": 4, "fraction-free": 3}
 
 
 def test_trias_dim2_degree_5_mod_101():

@@ -238,3 +238,67 @@ def test_extend_independent():
         both = [[row[0], row[1]] + [v[r] for v in vecs]
                 for r, row in enumerate(m)]
         assert below.rank + len(added) == echelon(both).rank
+
+
+def _combination(rng, vecs, field):
+    """A seeded random combination of sparse vectors, collected."""
+    out = {}
+    for vec in vecs:
+        coeff = rng.randint(-2, 2)
+        for i, v in vec.items():
+            out[i] = out.get(i, 0) + coeff * v
+    return field.collect({i: field.from_fraction(v) for i, v in out.items()})
+
+
+def _greedy_independent(image, vectors, nrows, field):
+    """The oracle: keep vector i iff it raises the rank, by the row engine,
+    of the image columns, the vectors kept so far and vector i."""
+    p = field.characteristic
+    kept, keep = [], []
+    rank = rank_bareiss([c.items() for c in image], nrows, p)
+    for idx, vec in enumerate(vectors):
+        grown = rank_bareiss([c.items() for c in image + kept + [vec]],
+                             nrows, p)
+        if grown > rank:
+            rank = grown
+            kept.append(vec)
+            keep.append(idx)
+    return keep
+
+
+def test_independent_mod_image_matches_greedy_rank_oracle():
+    rng = random.Random(35)
+    for field in (QQ, F101):
+        for _ in range(60):
+            nrows = rng.randint(2, 9)
+
+            def sparse():
+                return field.collect({
+                    r: field.from_fraction(Fraction(rng.randint(-4, 4),
+                                                    rng.randint(1, 3)))
+                    for r in range(nrows) if rng.random() < 0.35})
+
+            image = [sparse() for _ in range(rng.randint(0, 5))]
+            # dependent columns, so the echelon has a kernel too
+            image += [_combination(rng, image, field)
+                      for _ in range(rng.randint(0, 2))]
+            vectors = []
+            for _ in range(rng.randint(0, 10)):
+                kind = rng.randrange(5)
+                if kind == 0:       # in the image
+                    vec = _combination(rng, image, field)
+                elif kind == 1 and vectors:     # a repeat
+                    vec = dict(rng.choice(vectors))
+                elif kind == 2:     # zero
+                    vec = {}
+                elif kind == 3:     # the span of the image and the earlier
+                    vec = _combination(rng, image + vectors, field)
+                else:
+                    vec = sparse()
+                vectors.append(vec)
+            ech = column_echelon(image, field)
+            # every third vector as an iterator of (index, value) pairs
+            given = [iter(list(v.items())) if i % 3 == 0 else v
+                     for i, v in enumerate(vectors)]
+            assert (independent_mod_image(ech, given)
+                    == _greedy_independent(image, vectors, nrows, field))
