@@ -21,7 +21,6 @@ the type's cochains.
 """
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .fields import QQ
 
@@ -121,8 +120,9 @@ def axiom_label(type_tag, index):
 
 class AlgebraSpec:
     """A Loday algebra of one of the five types over an exact field.  Each
-    structure constant must be an int or a Fraction; it is stored as
-    ``field.from_fraction`` gives it."""
+    structure constant must be an int or a Fraction, over F_p with a
+    denominator prime to p; it is stored as ``field.from_fraction`` gives
+    it, and any other is refused with a ValueError that names its cell."""
 
     def __init__(self, type_tag, field, dim, basis=None, tables=None):
         if type_tag not in TYPES:
@@ -147,13 +147,14 @@ class AlgebraSpec:
             for (i, j), row in tables.get(op, {}).items():
                 if not (0 <= i < dim and 0 <= j < dim):
                     raise ValueError("basis index out of range in %s table" % op)
+                out = {}
                 for k, c in row.items():
-                    if not isinstance(c, (int, Fraction)):
-                        raise ValueError(
-                            "%s table, cell (%r, %r) -> %r: %r is not an int "
-                            "or a Fraction" % (op, i, j, k, c))
-                out = field.collect({k: field.from_fraction(c)
-                                     for k, c in row.items()})
+                    try:
+                        out[k] = field.from_fraction(c)
+                    except (ValueError, ZeroDivisionError) as exc:
+                        raise ValueError("%s table, cell (%r, %r) -> %r: %s"
+                                         % (op, i, j, k, exc)) from None
+                out = field.collect(out)
                 for k in out:
                     if not 0 <= k < dim:
                         raise ValueError("basis index out of range in %s table" % op)

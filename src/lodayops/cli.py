@@ -248,10 +248,12 @@ def _int_at_least(low):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="lodayops",
+        prog="lodayops", allow_abbrev=False,
         description="verify and compute the operadic structure on "
                     "cochains of Loday algebras")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # every option parses under its full name only, never a prefix of it
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=(
+        lambda **kw: argparse.ArgumentParser(allow_abbrev=False, **kw)))
 
     p = sub.add_parser("verify-system",
                        help="exhaustively check the structure-function laws")

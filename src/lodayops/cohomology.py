@@ -197,8 +197,8 @@ def cohomology_dims(ctx, max_degree):
     for n in range(1, max_degree + 1):
         m = matrix_of_d(ctx, n)
         # rank M = rank M^T: the columns are the rows of the transpose
-        rank = linalg.rank_bareiss([c.items() for c in m.columns],
-                                   m.nrows, m.field.characteristic)
+        rank = linalg.rank_bareiss(m.columns, m.nrows,
+                                   m.field.characteristic)
         out.append((n, m.ncols - rank - below))
         below = rank
     return out

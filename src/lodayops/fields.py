@@ -79,6 +79,8 @@ class Rationals:
         if type(q) is int:
             return q
         if type(q) is not Fraction:
+            if not isinstance(q, (int, Fraction)):
+                raise ValueError("%r is not an int or a Fraction" % (q,))
             q = Fraction(q)
         return q.numerator if q.denominator == 1 else q
 
@@ -126,6 +128,8 @@ class PrimeField:
     def from_fraction(self, q):
         if type(q) is int:
             return q % self.p
+        if not isinstance(q, (int, Fraction)):
+            raise ValueError("%r is not an int or a Fraction" % (q,))
         q = Fraction(q)
         den = q.denominator % self.p
         if den == 0:

@@ -21,11 +21,10 @@ elimination code:
   rank, the kernel and membership in the image with a witness; the
   echelon of the residuals gives independence modulo the image.
 
-Sparse vectors are mappings ``index -> value`` or sequences of
-``(index, value)`` pairs.  An echelon reads each vector given to it through
-the field's collect step, stores its vectors as dicts without zeros, like
-the cochains and the matrix columns, and never changes them after
-construction.
+A sparse vector is a mapping ``index -> value``.  An echelon reads each
+vector given to it through the field's collect step, stores its vectors as
+dicts without zeros, like the cochains and the matrix columns, and never
+changes them after construction.
 """
 
 from collections import Counter, namedtuple
@@ -33,11 +32,11 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
-def _integer_row(pairs):
+def _integer_row(row):
     """A sparse rational row scaled to a primitive integer row (a dict)."""
-    den = lcm(*(v.denominator for _, v in pairs))
-    row = {c: v.numerator * (den // v.denominator) for c, v in pairs if v}
-    return _primitive(row)
+    den = lcm(*(v.denominator for v in row.values()))
+    return _primitive({c: v.numerator * (den // v.denominator)
+                       for c, v in row.items() if v})
 
 
 def _primitive(row):
@@ -56,18 +55,17 @@ def rank_bareiss(rows, ncols, p=0):
     """Rank of a matrix given by its sparse rows, over Q (``p == 0``) or
     over F_p (``p`` prime).
 
-    Each row is a collection of ``(column, value)`` pairs that can be
-    iterated twice, such as a list or a dict's ``items()``, with columns in
+    Each row is a mapping ``column -> value`` with columns in
     ``range(ncols)``: int or Fraction values over Q, int values over F_p.
     Rows are inserted one at a time: while the row's leading column already
     has a stored row, the two are combined to cancel that entry; otherwise
     the row is stored under it.
     """
     pivots = {}
-    for pairs in rows:
-        if any(not 0 <= c < ncols for c, _ in pairs):
+    for row in rows:
+        if any(not 0 <= c < ncols for c in row):
             raise ValueError("column index outside range(%d)" % ncols)
-        row = _mod_row(dict(pairs), p) if p else _integer_row(pairs)
+        row = _mod_row(row, p) if p else _integer_row(row)
         while row:
             lead = min(row)
             stored = pivots.get(lead)
@@ -114,7 +112,7 @@ def _reduce(field, pivots, by_row, vec, pre):
     rows are present; as each is zero on the rows of the earlier ones, it
     can only bring in rows of later ones.  The same multiples of the
     preimages are subtracted from ``pre``, in place."""
-    vec = field.collect(dict(vec))
+    vec = field.collect(vec)
     heap = [by_row[r] for r in vec if r in by_row]
     heapify(heap)
     while heap:
@@ -165,8 +163,7 @@ def column_echelon(columns, field):
     a pivot on its row with the fewest nonzeros in the matrix, the lowest
     such row on ties.  Earlier pivots are never changed.
     """
-    counts = Counter(r for column in columns
-                     for r in field.collect(dict(column)))
+    counts = Counter(r for column in columns for r in field.collect(column))
     basis, kernel, by_row = [], [], {}
     for j, column in enumerate(columns):
         pre = {j: field.one}

@@ -228,6 +228,15 @@ def test_inexact_structure_constant_refused(field, constant):
         AlgebraSpec("trias", field, 1, tables=tables)
 
 
+def test_constant_outside_the_prime_field_refused():
+    # 1/7 has no value in F_7: refused, naming its cell, like an inexact
+    # constant, and not with the field's ZeroDivisionError
+    tables = {op: {(0, 0): {0: Fraction(1, 7)}} for op in OPS["trias"]}
+    with pytest.raises(ValueError, match=r"^left table, cell \(0, 0\) -> 0: "
+                                         r"denominator divisible by 7$"):
+        AlgebraSpec("trias", PrimeField(7), 1, tables=tables)
+
+
 @pytest.mark.parametrize("field, half, stored", [
     (QQ, Fraction(1, 2), Fraction(1, 2)),
     (QQ, Fraction(4, 2), 2),

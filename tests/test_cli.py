@@ -394,14 +394,14 @@ def test_worker_configurations_identical():
 
 
 def test_worker_flag_spellings_identical():
-    # argparse accepts the prefix --work and the --workers=N form too
+    # the --workers=N form too; a prefix such as --work is refused
     runs = [run_cli("verify-system", "--kind", "linear", "--max-total", "4",
                     *flag)
-            for flag in (["--workers", "1"], ["--work", "4"],
-                         ["--workers=3"])]
-    assert runs[0][:2] == runs[1][:2] == runs[2][:2]
+            for flag in (["--workers", "1"], ["--workers=3"], ["--work", "4"])]
+    assert runs[0][:2] == runs[1][:2]
     assert "# command: verify-system --kind linear --max-total 4\n" in \
         runs[0][1]
+    assert runs[2][:2] == (2, "")
 
 
 @pytest.mark.parametrize("kind, max_total", [("planar", "8"),
@@ -425,10 +425,55 @@ def test_scan_limit_admits_planar_at_total_7():
 def test_command_echo_is_canonical(fixture_dir):
     path = fx(fixture_dir, "didend_dim1")
     spelled = [run_cli("cohomology", path, *args)
-               for args in ([], ["--max-degree", "3"], ["--max-d=3"])]
+               for args in ([], ["--max-degree", "3"], ["--max-degree=3"],
+                            ["--max-d=3"])]
     assert spelled[0] == spelled[1] == spelled[2]
     assert spelled[0][1].startswith(
         "# command: cohomology %s --max-degree 3\n" % path)
+    assert spelled[3][:2] == (2, "")
+
+
+# every long option of every subcommand: the subcommand, its fixture, the
+# arguments before the option, the option and its value (None for a flag),
+# and the canonical echo of the whole command
+LONG_OPTIONS = [
+    ("verify-system", None, ["--max-total", "3"], "--kind", "linear",
+     "verify-system --kind linear --max-total 3"),
+    ("verify-system", None, ["--kind", "linear"], "--max-total", "3",
+     "verify-system --kind linear --max-total 3"),
+    ("verify-system", None, ["--kind", "linear", "--max-total", "3"],
+     "--workers", "2", "verify-system --kind linear --max-total 3"),
+    ("cohomology", "didend_dim1", [], "--max-degree", "2",
+     "cohomology {} --max-degree 2"),
+    ("cohomology", "didend_dim1", ["--max-degree", "2"], "--dump-matrices",
+     None, "cohomology {} --max-degree 2 --dump-matrices"),
+    ("compare-differentials", "trias_dim1", [], "--max-degree", "2",
+     "compare-differentials {} --max-degree 2"),
+    ("gerstenhaber", "didend_dim1", [], "--max-degree", "2",
+     "gerstenhaber {} --max-degree 2"),
+    ("identities", "didend_dim1", [], "--samples", "3",
+     "identities {} --samples 3 --seed 0"),
+    ("identities", "didend_dim1", ["--samples", "3"], "--seed", "5",
+     "identities {} --samples 3 --seed 5"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, fixture, before, option, value, echo", LONG_OPTIONS,
+    ids=["%s %s" % (case[0], case[3]) for case in LONG_OPTIONS])
+def test_long_options_parse_under_full_names_only(
+        fixture_dir, command, fixture, before, option, value, echo):
+    path = [fx(fixture_dir, fixture)] if fixture else []
+    given = [option] if value is None else ["%s=%s" % (option, value)]
+    code, out, _ = run_cli(command, *path, *before, *given)
+    assert code == 0
+    assert out.startswith("# command: %s\n" % echo.format(*path))
+    # the option cut by one character, even after its full name, is
+    # refused: no report, exit 2
+    cut = [option[:-1]] + ([] if value is None else [value])
+    code, out, err = run_cli(command, *path, *before, *given, *cut)
+    assert (code, out) == (2, "")
+    assert "unrecognized arguments: %s" % " ".join(cut) in err
 
 
 def _digest(stdout):

@@ -1,3 +1,4 @@
+import re
 import time
 from fractions import Fraction
 
@@ -152,3 +153,12 @@ def test_from_fraction_takes_an_int_without_a_fraction(field, monkeypatch):
     monkeypatch.setattr(fields, "Fraction", no_fraction)
     ints = values[:-2]
     assert [field.from_fraction(q) for q in ints] == expected[:-2]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, "1/2", "3", None])
+def test_from_fraction_refuses_what_is_not_an_int_or_a_fraction(field, value):
+    # Fraction() would read a float or a string; there is no floating point
+    with pytest.raises(ValueError, match="^%s is not an int or a Fraction$"
+                       % re.escape(repr(value))):
+        field.from_fraction(value)

@@ -152,7 +152,7 @@ def _dual_dim(t, n):
     for shape in _shapes(n, 0):
         for element in _elements(t, shape, ()):
             column[next(iter(element))] = len(column)
-    rows = [[(column[m], v) for m, v in element.items() if v]
+    rows = [{column[m]: v for m, v in element.items() if v}
             for shape in _shapes(n, 1)
             for element in _elements(t, shape, _dual_relations(t))]
     return len(column) - rank_bareiss(rows, len(column), P)
@@ -160,7 +160,7 @@ def _dual_dim(t, n):
 
 def _rank(rows, keys):
     index = {m: i for i, m in enumerate(keys)}
-    return rank_bareiss([[(index[m], v % P) for m, v in row.items()]
+    return rank_bareiss([{index[m]: v % P for m, v in row.items()}
                          for row in rows], len(keys), P)
 
 

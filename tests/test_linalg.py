@@ -24,7 +24,7 @@ def random_matrix(rng, nrows, ncols, rank):
 
 
 def sparse_rows(m):
-    return [[(c, v) for c, v in enumerate(row) if v] for row in m]
+    return [{c: v for c, v in enumerate(row) if v} for row in m]
 
 
 def columns(m, field=QQ):
@@ -37,11 +37,11 @@ def echelon(m, field=QQ):
     return column_echelon(columns(m, field), field)
 
 
-def dense(pairs, n, field=QQ):
-    vec = [field.zero] * n
-    for i, v in dict(pairs).items():
-        vec[i] = v
-    return vec
+def dense(vec, n, field=QQ):
+    out = [field.zero] * n
+    for i, v in vec.items():
+        out[i] = v
+    return out
 
 
 def times(m, x, field=QQ):
@@ -63,28 +63,27 @@ def test_rank_engines_agree_on_random_matrices():
         rank = rng.randint(0, min(nrows, ncols))
         m = random_matrix(rng, nrows, ncols, rank)
         rb = rank_bareiss(sparse_rows(m), ncols)
-        rows_p = [[(c, F101.from_fraction(v)) for c, v in row]
+        rows_p = [{c: F101.from_fraction(v) for c, v in row.items()}
                   for row in sparse_rows(m)]
         assert rb == echelon(m).rank == echelon(m, F101).rank
         assert rank_bareiss(rows_p, ncols, 101) == rb
-        # the columns as the rows of the transpose, as dict items
-        assert rank_bareiss([c.items() for c in columns(m)], nrows) == rb
-        assert rank_bareiss([c.items() for c in columns(m, F101)], nrows,
-                            101) == rb
+        # the columns as the rows of the transpose
+        assert rank_bareiss(columns(m), nrows) == rb
+        assert rank_bareiss(columns(m, F101), nrows, 101) == rb
         assert rb <= rank
 
 
 def test_known_ranks():
-    assert rank_bareiss([[(0, 1), (1, 2)], [(0, 2), (1, 4)]], 2) == 1
-    assert rank_bareiss([[(0, 1)], [(1, 1)]], 2) == 2
-    assert rank_bareiss([[], []], 2) == 0
+    assert rank_bareiss([{0: 1, 1: 2}, {0: 2, 1: 4}], 2) == 1
+    assert rank_bareiss([{0: 1}, {1: 1}], 2) == 2
+    assert rank_bareiss([{}, {}], 2) == 0
     assert rank_bareiss([], 3) == 0
     # determinant -5: full rank over Q, rank 1 over F_5, entries reduced
-    rows = [[(0, 1), (1, 2)], [(0, 3), (1, 1)]]
+    rows = [{0: 1, 1: 2}, {0: 3, 1: 1}]
     assert rank_bareiss(rows, 2) == 2
     assert rank_bareiss(rows, 2, 5) == 1
     assert echelon([[1, 2], [3, 1]], PrimeField(5)).rank == 1
-    assert rank_bareiss([[(0, 10)], [(1, -3)]], 2, 5) == 1
+    assert rank_bareiss([{0: 10}, {1: -3}], 2, 5) == 1
     assert echelon([[Fraction(1, 2), Fraction(1)],
                     [Fraction(1), Fraction(2)]]).rank == 1
 
@@ -92,9 +91,9 @@ def test_known_ranks():
 def test_clear_denominators():
     # rational rows are scaled to integers row by row: these two rows are
     # proportional only if the denominators are cleared exactly
-    rows = [[(0, Fraction(1, 2)), (1, Fraction(2, 3))], [(0, 3), (1, 4)]]
+    rows = [{0: Fraction(1, 2), 1: Fraction(2, 3)}, {0: 3, 1: 4}]
     assert rank_bareiss(rows, 2) == 1
-    rows[1] = [(0, 3), (1, 5)]
+    rows[1] = {0: 3, 1: 5}
     assert rank_bareiss(rows, 2) == 2
 
 
@@ -143,7 +142,7 @@ def test_kernel_is_canonical_on_generated_matrices(m, field, x):
                                                   field))
     x = [field.from_fraction(v) for v in x]
     image = times(m, x, field)
-    pre = ech.preimage(enumerate(image))
+    pre = ech.preimage(dict(enumerate(image)))
     assert pre is not None and times(m, dense(pre, 5, field), field) == image
     # a unit vector is an image exactly when adding it as a column keeps
     # the rank
@@ -167,7 +166,7 @@ def test_solve_consistent_and_inconsistent():
              for _ in range(nrows)]
         target = [Fraction(rng.randint(-2, 2)) for _ in range(ncols)]
         rhs = times(m, target)
-        x = echelon(m).preimage(enumerate(rhs))
+        x = echelon(m).preimage(dict(enumerate(rhs)))
         assert x is not None
         assert times(m, dense(x, ncols)) == rhs
         ech = echelon(m)
@@ -175,7 +174,7 @@ def test_solve_consistent_and_inconsistent():
             # a unit vector outside the image, alone or added to an image
             if ech.preimage({r: Fraction(1)}) is None:
                 rhs[r] += 1
-                assert ech.preimage(enumerate(rhs)) is None
+                assert ech.preimage(dict(enumerate(rhs))) is None
                 break
 
 
@@ -222,19 +221,21 @@ def test_extend_independent():
     ech = column_echelon([], QQ)
     vecs = [[Fraction(1), Fraction(1)], [Fraction(2), Fraction(2)],
             [Fraction(0), Fraction(1)], [Fraction(5), Fraction(7)]]
-    assert independent_mod_image(ech, [enumerate(v) for v in vecs]) == [0, 2]
+    assert independent_mod_image(ech, [dict(enumerate(v)) for v in vecs]) \
+        == [0, 2]
     rng = random.Random(3)
     for _ in range(10):
         dim = rng.randint(2, 6)
         vecs = [[Fraction(rng.randint(-2, 2)) for _ in range(dim)]
                 for _ in range(dim + 2)]
-        added = independent_mod_image(ech, [enumerate(v) for v in vecs])
+        added = independent_mod_image(ech, [dict(enumerate(v)) for v in vecs])
         assert len(added) == echelon(vecs).rank
         # modulo the image of a matrix: count the dimension of the sum
         m = [[Fraction(rng.randint(-1, 1)) for _ in range(2)]
              for _ in range(dim)]
         below = echelon(m)
-        added = independent_mod_image(below, [enumerate(v) for v in vecs])
+        added = independent_mod_image(below,
+                                      [dict(enumerate(v)) for v in vecs])
         both = [[row[0], row[1]] + [v[r] for v in vecs]
                 for r, row in enumerate(m)]
         assert below.rank + len(added) == echelon(both).rank
@@ -255,10 +256,9 @@ def _greedy_independent(image, vectors, nrows, field):
     of the image columns, the vectors kept so far and vector i."""
     p = field.characteristic
     kept, keep = [], []
-    rank = rank_bareiss([c.items() for c in image], nrows, p)
+    rank = rank_bareiss(image, nrows, p)
     for idx, vec in enumerate(vectors):
-        grown = rank_bareiss([c.items() for c in image + kept + [vec]],
-                             nrows, p)
+        grown = rank_bareiss(image + kept + [vec], nrows, p)
         if grown > rank:
             rank = grown
             kept.append(vec)
@@ -297,8 +297,5 @@ def test_independent_mod_image_matches_greedy_rank_oracle():
                     vec = sparse()
                 vectors.append(vec)
             ech = column_echelon(image, field)
-            # every third vector as an iterator of (index, value) pairs
-            given = [iter(list(v.items())) if i % 3 == 0 else v
-                     for i, v in enumerate(vectors)]
-            assert (independent_mod_image(ech, given)
+            assert (independent_mod_image(ech, vectors)
                     == _greedy_independent(image, vectors, nrows, field))
