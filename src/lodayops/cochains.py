@@ -201,11 +201,11 @@ def canonical_multiplication(alg):
 @lru_cache(maxsize=None)
 def _composition_data(kind, parts):
     """Index tables for gamma: the output parameters grouped by their R_0
-    image, and the R_1..R_k tables."""
+    image, the group of u at index u, and the R_1..R_k tables."""
     r0, part_tables = r_index_tables(kind, parts)
-    groups = {}
+    groups = tuple([] for _ in range(family_size(kind, len(parts))))
     for u_idx, i0 in enumerate(r0):
-        groups.setdefault(i0, []).append(u_idx)
+        groups[i0].append(u_idx)
     return groups, part_tables
 
 
@@ -298,16 +298,13 @@ def _gamma_into(cells, alg, rows, parts, slots, places, negate):
     by_key, table, t0 = factors[0]
     more = factors[1:]
     for u_idx, ctuple, vec in rows:
-        members = groups.get(u_idx)
-        if not members:
-            continue
         if negate:
             vec = [(o, -a) for o, a in vec]
         shift = 0
         for t, place in units:
             shift += ctuple[t] * place
         c = ctuple[t0]
-        for out_u in members:
+        for out_u in groups[u_idx]:
             combos = by_key.get(table[out_u] * d + c)
             if not combos:
                 continue

@@ -5,13 +5,13 @@ of their ranks is part of the verification protocol, so they share no
 elimination code:
 
 * ``rank_bareiss``: fraction-free elimination on sparse integer rows, for
-  the rank over Q or over F_p.  A row is combined with the stored row of
-  its leading column by integer multiples that cancel that entry.  Over Q
-  rational rows are scaled to integers first and each combined row is
-  divided by the gcd of its entries (the primitive-row variant of Bareiss's
-  method); over F_p each entry of a combined row is reduced mod p as it
-  is formed instead.  Neither a field object nor a fraction enters, and no
-  inverse is taken.
+  the rank over Q or over F_p, in an order it picks itself: rows shortest
+  first, columns by ascending count.  A row is combined with the stored
+  row of its leading column by integer multiples that cancel that entry.
+  Over Q rational rows are scaled to integers first and each combined row
+  is divided by the gcd of its entries (the primitive-row variant of
+  Bareiss's method); over F_p each entry of a combined row is reduced mod
+  p as it is formed instead.  No field object, fraction or inverse enters.
 * ``column_echelon``: a triangular column echelon over a field object,
   and the one routine that makes a pivot, all by one rule.  Each column in
   turn is reduced against the earlier pivots in the order they were made,
@@ -32,10 +32,10 @@ from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
 
-def _integer_row(row):
-    """A sparse rational row scaled to a primitive integer row (a dict)."""
+def _integer_row(row, order):
+    """The rational row renumbered by ``order`` as a primitive integer row."""
     den = lcm(*(v.denominator for v in row.values()))
-    return _primitive({c: v.numerator * (den // v.denominator)
+    return _primitive({order[c]: v.numerator * (den // v.denominator)
                        for c, v in row.items() if v})
 
 
@@ -46,9 +46,9 @@ def _primitive(row):
     return row
 
 
-def _mod_row(row, p):
-    """The integer row reduced mod p, without the entries that vanish."""
-    return {c: r for c, v in row.items() if (r := v % p)}
+def _mod_row(row, p, order):
+    """The integer row renumbered by ``order``, mod p, without zeros."""
+    return {order[c]: r for c, v in row.items() if (r := v % p)}
 
 
 def rank_bareiss(rows, ncols, p=0):
@@ -57,15 +57,19 @@ def rank_bareiss(rows, ncols, p=0):
 
     Each row is a mapping ``column -> value`` with columns in
     ``range(ncols)``: int or Fraction values over Q, int values over F_p.
-    Rows are inserted one at a time: while the row's leading column already
-    has a stored row, the two are combined to cancel that entry; otherwise
-    the row is stored under it.
+    Rows are inserted one at a time, shortest first, with the columns
+    numbered by ascending count: while the row's leading column, its
+    rarest, has a stored row, the two are combined to cancel that entry;
+    otherwise the row is stored under it.  Neither order changes the rank.
     """
+    rows = sorted(rows, key=len)
+    counts = Counter(c for row in rows for c in row)
+    if counts and not 0 <= min(counts) <= max(counts) < ncols:
+        raise ValueError("column index outside range(%d)" % ncols)
+    order = {c: i for i, c in enumerate(sorted(counts, key=counts.get))}
     pivots = {}
     for row in rows:
-        if any(not 0 <= c < ncols for c in row):
-            raise ValueError("column index outside range(%d)" % ncols)
-        row = _mod_row(row, p) if p else _integer_row(row)
+        row = _mod_row(row, p, order) if p else _integer_row(row, order)
         while row:
             lead = min(row)
             stored = pivots.get(lead)
@@ -106,12 +110,12 @@ def _add_multiple(target, coeff, vec, field):
             target.pop(i, None)
 
 
-def _reduce(field, pivots, by_row, vec, pre):
+def _reduce(field, pivots, by_row, vec, pre=None):
     """vec minus the multiple of each pivot's image that clears its row, as
     a dict.  The pivots come in creation order from a heap of those whose
     rows are present; as each is zero on the rows of the earlier ones, it
     can only bring in rows of later ones.  The same multiples of the
-    preimages are subtracted from ``pre``, in place."""
+    preimages are subtracted from ``pre``, in place, if it is given."""
     vec = field.collect(vec)
     heap = [by_row[r] for r in vec if r in by_row]
     heapify(heap)
@@ -125,7 +129,8 @@ def _reduce(field, pivots, by_row, vec, pre):
                 heappush(heap, by_row[r])
         neg = -coeff
         _add_multiple(vec, neg, pivot.image, field)
-        _add_multiple(pre, neg, pivot.preimage, field)
+        if pre is not None:
+            _add_multiple(pre, neg, pivot.preimage, field)
     return vec
 
 
@@ -188,6 +193,6 @@ def independent_mod_image(echelon, vectors):
     every pivot row and a nonzero image vector is not, so the residuals'
     span meets the image only in 0."""
     field = echelon.field
-    residuals = [_reduce(field, echelon.basis, echelon.by_row, vec, {})
+    residuals = [_reduce(field, echelon.basis, echelon.by_row, vec)
                  for vec in vectors]
     return [pivot.column for pivot in column_echelon(residuals, field).basis]

@@ -110,8 +110,17 @@ def _restriction_table(kind, n, labels):
 
 
 @lru_cache(maxsize=None)
-def _index_tables(kind, parts):
-    """``r_index_tables`` of the parts given as a tuple."""
+def r_index_tables(kind, parts):
+    """(R_0 table, (R_1 table, ..., R_k table)) of the profile ``parts``,
+    the tuple (n_1,...,n_k): the R_j table holds, for each element of U_N
+    by index, the index of R_j(u) in U_{n_j}, and the R_0 table the index
+    of R_0(u) in U_k.
+
+    These tables are the one form of the structure maps, cached per (kind,
+    parts) since the same profiles recur for every cochain degree; each is
+    a shared restriction table, so the R_j table of an interval serves
+    every profile with that interval.
+    """
     if not parts or min(parts) < 1:
         raise ValueError("profile parts must be positive: %r" % (parts,))
     cuts = (0, *accumulate(parts))
@@ -121,28 +130,9 @@ def _index_tables(kind, parts):
                   for lo, hi in zip(cuts, cuts[1:])))
 
 
-def r_index_tables(kind, parts):
-    """(R_0 table, (R_1 table, ..., R_k table)): the R_j table holds, for
-    each element of U_N by index, the index of R_j(u) in U_{n_j}, and the
-    R_0 table the index of R_0(u) in U_k.
-
-    These tables are the one form of the structure maps; they are cached
-    per (kind, profile) since the same profiles recur for every cochain
-    degree, and each is a shared restriction table, so the R_j table of an
-    interval serves every profile with that interval.  The parts may be
-    any sequence.
-    """
-    return _index_tables(kind, tuple(parts))
-
-
-# the public name shows its cache as an lru_cache does
-r_index_tables.cache_info = _index_tables.cache_info
-r_index_tables.cache_clear = _index_tables.cache_clear
-
-
 def _apply(kind, parts, j, elem):
     """R_0 of elem, an element of U_N, for j = 0, else R_j, read from the
-    index tables of the profile ``parts``, a tuple."""
+    index tables of the profile ``parts``."""
     r0, part_tables = r_index_tables(kind, parts)
     i = _family(kind, sum(parts))[1].get(elem)
     if i is None:
@@ -153,14 +143,12 @@ def _apply(kind, parts, j, elem):
 
 
 def r_zero(kind, parts, elem):
-    """R_0(k; n_1,...,n_k): U_N -> U_k, for the parts (n_1,...,n_k) given
-    as any sequence."""
-    return _apply(kind, tuple(parts), 0, elem)
+    """R_0(k; n_1,...,n_k): U_N -> U_k, the parts (n_1,...,n_k) a tuple."""
+    return _apply(kind, parts, 0, elem)
 
 
 def r_part(kind, parts, j, elem):
     """R_j(k; n_1,...,n_k): U_N -> U_{n_j} for 1 <= j <= k."""
-    parts = tuple(parts)
     if not 1 <= j <= len(parts):
         raise ValueError("part index %d out of range 1..%d" % (j, len(parts)))
     return _apply(kind, parts, j, elem)

@@ -217,6 +217,14 @@ def test_dimension_and_index_validation():
         AlgebraSpec("trias", QQ, 2, basis=("e", "e"))
     with pytest.raises(ValueError):
         AlgebraSpec("trias", QQ, 1, None, {"left": {(0, 1): {0: QQ.one}}})
+    with pytest.raises(ValueError,
+                       match="^basis index out of range in left table$"):
+        AlgebraSpec("trias", QQ, 1, None, {"left": {(0, 0): {1: QQ.one}}})
+    with pytest.raises(ValueError, match="dimensions 1 and 2 only"):
+        product_fixture("trias", 3)
+    for index in (0, len(AXIOMS["trias"]) + 1):
+        with pytest.raises(ValueError, match="^axiom index out of range$"):
+            axiom_mutation("trias", index)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)])

@@ -92,6 +92,8 @@ def test_distinct_diagnostics():
                   "malformed field descriptor")
     _expect_error("type = didend\nfield = Q\ndim = \u00b2\n",
                   "dim must be a positive integer")
+    _expect_error("type = didend\nfield = Q\ndim = 0\n",
+                  "dim must be a positive integer")
     _expect_error("type = didend\nfield = Q\ndim = 1\nop left\n1 1 2 1\n",
                   "out of range")
     _expect_error("type = didend\nfield = Q\ndim = 1\nop left\n1 1 1 1/0\n",

@@ -684,6 +684,12 @@ def test_delta_matches_d_face_by_face(fixture_dir, monkeypatch):
     assert checked == 19 + 37
 
 
+def test_zero_cochain_of_degree_zero_refused():
+    # the families have no arity-0 part, so there are no degree-0 cochains
+    with pytest.raises(ValueError, match="^cochain degree must be >= 1$"):
+        zero_cochain(product_fixture("trias", 1), 0)
+
+
 def test_delta_requires_trias():
     alg = product_fixture("didend", 1)
     with pytest.raises(ValueError):

@@ -422,15 +422,31 @@ def test_each_matrix_eliminated_once_per_engine(monkeypatch):
     assert calls == {"matrix": 3, "residuals": 4, "fraction-free": 3}
 
 
-def test_trias_dim2_degree_5_mod_101():
+@pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
+def test_trias_dim2_degree_5(field):
     # filed after both engines agreed on H^5 = 1 over Q and over F_101
-    # (rank d^5 = 11,323); the row engine and the Q echelon take 10-20 s
-    # each at this size, so only the F_101 echelon runs here
-    field = PrimeField(101)
+    # (rank d^5 = 11,323).  The row engine takes about 1.5 s per field at
+    # this size; the echelon about 5 s over Q, so only the F_101 echelon
+    # runs here
     ctx = MultContext(product_fixture("trias", 2, field=field))
+    assert cohomology_dims(ctx, 5) == [(n, 1) for n in range(1, 6)]
+    if field is QQ:
+        return
     assert len(cocycle_representatives(ctx, 5)) == 1
     ech = matrix_of_d(ctx, 5).echelon()
     assert (ech.rank, len(ech.kernel)) == (11323, 1285)
+
+
+def test_degrees_below_the_first_are_refused():
+    ctx = MultContext(product_fixture("trias", 1))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="^degree must be >= 1$"):
+            matrix_of_d(ctx, n)
+        with pytest.raises(ValueError, match="^max_degree must be >= 1$"):
+            cohomology_dims(ctx, n)
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="^max_degree must be >= 2$"):
+            check_g_algebra(ctx, n)
 
 
 def test_cached_echelons_not_changed_by_use(rng):

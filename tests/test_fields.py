@@ -17,6 +17,9 @@ def test_rationals_basics():
 def test_prime_field_arithmetic():
     f = PrimeField(7)
     assert f.inv(3) == 5
+    for zero in (0, 7):
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero$"):
+            f.inv(zero)
     assert f.from_fraction(Fraction(1, 2)) == 4
     with pytest.raises(ZeroDivisionError):
         f.from_fraction(Fraction(1, 7))

@@ -2,6 +2,7 @@ import copy
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lodayops.fields import QQ, PrimeField
@@ -86,6 +87,15 @@ def test_known_ranks():
     assert rank_bareiss([{0: 10}, {1: -3}], 2, 5) == 1
     assert echelon([[Fraction(1, 2), Fraction(1)],
                     [Fraction(1), Fraction(2)]]).rank == 1
+
+
+def test_rank_bareiss_refuses_columns_outside_range():
+    for column in (2, -1):
+        with pytest.raises(ValueError,
+                           match=r"^column index outside range\(2\)$"):
+            rank_bareiss([{0: 1}, {1: 1, column: 1}], 2)
+        with pytest.raises(ValueError, match=r"range\(2\)"):
+            rank_bareiss([{column: 1}], 2, 5)
 
 
 def test_clear_denominators():

@@ -33,27 +33,34 @@ def test_linear_r_part_clamps():
 
 
 def test_profile_parts_given_as_a_list():
-    # the maps read tables cached by the profile's parts, taken as a tuple
+    # a profile is a tuple, the key of the tables' cache: a list is refused
     p = [2, 2]
-    assert r_index_tables("linear", p) is r_index_tables("linear", (2, 2))
-    assert r_zero("linear", p, 3) == 2
-    assert r_part("planar", p, 2, enumerate_params("planar", 4)[0]) \
-        == enumerate_params("planar", 2)[0]
-    assert r_zero("planar", p, enumerate_params("planar", 4)[5]) \
-        == r_zero("planar", (2, 2), enumerate_params("planar", 4)[5])
+    u = enumerate_params("linear", 4)[2]
+    with pytest.raises(TypeError, match="unhashable"):
+        r_index_tables("linear", p)
+    with pytest.raises(TypeError, match="unhashable"):
+        r_zero("linear", p, u)
+    with pytest.raises(TypeError, match="unhashable"):
+        r_part("planar", p, 2, enumerate_params("planar", 4)[0])
 
 
 def test_nonpositive_profile_parts_are_errors():
     message = "profile parts must be positive"
     u = enumerate_params("linear", 2)[0]
-    for parts in ((), (2, 0), (1, -1), (3, -1), [2, 0]):
+    for parts in ((), (2, 0), (1, -1), (3, -1)):
         with pytest.raises(ValueError, match=message):
             r_index_tables("linear", parts)
-    for parts in ((), [], (2, 0), [3, -1]):
+    for parts in ((), (2, 0)):
         with pytest.raises(ValueError, match=message):
             r_zero("linear", parts, u)
     with pytest.raises(ValueError, match=message):
         r_part("linear", (3, -1), 1, u)
+    # the list cases are refused as lists, before their parts are read
+    for parts in ([2, 0], [], [3, -1]):
+        with pytest.raises(TypeError, match="unhashable"):
+            r_index_tables("linear", parts)
+        with pytest.raises(TypeError, match="unhashable"):
+            r_zero("linear", parts, u)
 
 
 def test_identity_profile_is_identity():
@@ -555,13 +562,17 @@ def test_scan_matches_reference_on_off_family_values():
         verify_system("linear", 4, tables=_tabulated(rj=_unclamped_linear_rj))
 
 
-@pytest.mark.parametrize("fault", ["short", "too-large", "negative"])
+@pytest.mark.parametrize("fault", ["short", "too-large", "negative",
+                                   "missing"])
 def test_malformed_override_table_is_an_error(fault):
-    # a table must map every index of U_N into its target family
+    # a table must map every index of U_N into its target family, and a
+    # profile of k parts has k R_j tables
     def tables(kind, parts):
         r0, part_tables = r_index_tables(kind, parts)
         if parts != (2, 1):
             return r0, part_tables
+        if fault == "missing":
+            return r0, part_tables[:1]
         bad = list(part_tables[0])
         if fault == "short":
             bad.pop()
@@ -569,9 +580,19 @@ def test_malformed_override_table_is_an_error(fault):
             bad[-1] = 3 if fault == "too-large" else -1   # |U_2| = 3
         return r0, (tuple(bad),) + part_tables[1:]
 
-    with pytest.raises(ValueError,
-                       match=r"^planar R_1 table of profile \(2, 1\) "):
+    message = (r"^planar profile \(2, 1\) has 1 R_j tables, not 2$"
+               if fault == "missing"
+               else r"^planar R_1 table of profile \(2, 1\) ")
+    with pytest.raises(ValueError, match=message):
         verify_system("planar", 3, tables=tables)
+
+
+def test_unknown_kind_and_empty_scan_are_errors():
+    with pytest.raises(ValueError, match="^unknown parameter kind 'nosuch'$"):
+        r_index_tables("nosuch", (2, 1))
+    for max_total in (0, -1):
+        with pytest.raises(ValueError, match="^max_total must be >= 1$"):
+            verify_system("linear", max_total)
 
 
 def test_each_profile_tables_requested_once():

@@ -162,6 +162,15 @@ def test_unary_vertex_rejected():
         PlanarTree((LEAF,))
 
 
+def test_non_tree_child_and_weight_zero_rejected():
+    # a plain tuple equals a tree but is not one
+    with pytest.raises(TypeError, match="children must be PlanarTree"):
+        PlanarTree((LEAF, ()))
+    for trees in (planar_trees, binary_trees):
+        with pytest.raises(ValueError, match="^weight must be >= 1$"):
+            trees(0)
+
+
 def test_tree_is_its_tuple_of_children():
     # equality, hashing and order are tuple's, implemented in C
     assert PlanarTree.__hash__ is tuple.__hash__
