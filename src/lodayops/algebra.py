@@ -118,53 +118,67 @@ def axiom_label(type_tag, index):
     return "%s = %s" % (lhs, rhs)
 
 
+class SpecError(ValueError):
+    """An argument of ``AlgebraSpec`` that breaks a rule of a valid algebra,
+    named by ``where``: "type", "dim", "basis", ``(op,)`` for an operation,
+    ``(op, i, j)`` for a table cell, ``(op, i, j, k)`` for one constant."""
+
+    def __init__(self, where, message):
+        super().__init__(message)
+        self.where = where
+
+
 class AlgebraSpec:
-    """A Loday algebra of one of the five types over an exact field.  Each
-    structure constant must be an int or a Fraction, over F_p with a
-    denominator prime to p; it is stored as ``field.from_fraction`` gives
-    it, and any other is refused with a ValueError that names its cell."""
+    """A Loday algebra of one of the five types over an exact field, judged
+    by this constructor alone: a broken rule raises SpecError.  A structure
+    constant must be an int or a Fraction, over F_p with a denominator
+    prime to p; it is stored as ``field.from_fraction`` gives it."""
 
     def __init__(self, type_tag, field, dim, basis=None, tables=None):
         if type_tag not in TYPES:
-            raise ValueError("unknown algebra type %r" % type_tag)
-        if dim < 1:
-            raise ValueError("dimension must be >= 1")
+            raise SpecError("type", "unknown algebra type %r" % (type_tag,))
+        if not isinstance(dim, int) or dim < 1:
+            raise SpecError("dim", "dim must be a positive integer")
         self.type_tag = type_tag
         self.field = field
         self.dim = dim
         self.basis = tuple(basis) if basis is not None else tuple(
             "e%d" % (i + 1) for i in range(dim))
         if len(self.basis) != dim:
-            raise ValueError("basis has %d names for dimension %d"
-                             % (len(self.basis), dim))
+            raise SpecError("basis", "basis lists %d names for dim %d"
+                            % (len(self.basis), dim))
+        for name in self.basis:
+            # a name an algebra file reads back as itself
+            if not isinstance(name, str) or name.split() != [name] \
+                    or "'" in name or '"' in name:
+                raise SpecError("basis", "basis name %r is empty or holds "
+                                "white space or a quote" % (name,))
         if len(set(self.basis)) != dim:
-            raise ValueError("basis repeats a name")
+            raise SpecError("basis", "basis repeats a name")
         self.ops = OPS[type_tag]
-        self.tables = {}
         tables = tables or {}
-        for op in self.ops:
-            clean = {}
-            for (i, j), row in tables.get(op, {}).items():
-                if not (0 <= i < dim and 0 <= j < dim):
-                    raise ValueError("basis index out of range in %s table" % op)
+        for op in tables:
+            if op not in self.ops:
+                raise SpecError((op,), "operation %r does not belong to "
+                                "type %s" % (op, type_tag))
+        self.tables = {op: {} for op in self.ops}
+        for op, cells in tables.items():
+            for (i, j), row in cells.items():
+                for where in [(op, i, j)] + [(op, i, j, k) for k in row]:
+                    if not all(0 <= t < dim for t in where[1:]):
+                        raise SpecError(where, "basis index out of range in "
+                                        "%s table" % op)
                 out = {}
                 for k, c in row.items():
                     try:
                         out[k] = field.from_fraction(c)
                     except (ValueError, ZeroDivisionError) as exc:
-                        raise ValueError("%s table, cell (%r, %r) -> %r: %s"
-                                         % (op, i, j, k, exc)) from None
+                        raise SpecError((op, i, j, k),
+                                        "%s table, cell (%r, %r) -> %r: %s"
+                                        % (op, i, j, k, exc)) from None
                 out = field.collect(out)
-                for k in out:
-                    if not 0 <= k < dim:
-                        raise ValueError("basis index out of range in %s table" % op)
                 if out:
-                    clean[(i, j)] = out
-            self.tables[op] = clean
-        for op in tables:
-            if op not in self.ops:
-                raise ValueError("operation %r does not belong to type %s"
-                                 % (op, type_tag))
+                    self.tables[op][(i, j)] = out
 
     @property
     def kind(self):
@@ -262,18 +276,17 @@ _ACTIVE_OPS = {
 }
 
 
-def _assoc_table(field, dim):
+def _assoc_table(dim):
     """dim 1: the field product.  dim 2: K[t]/(t^2) with basis (e, t)."""
-    one = field.one
     if dim == 1:
-        return {(0, 0): {0: one}}
+        return {(0, 0): {0: 1}}
     if dim == 2:
-        return {(0, 0): {0: one}, (0, 1): {1: one}, (1, 0): {1: one}}
+        return {(0, 0): {0: 1}, (0, 1): {1: 1}, (1, 0): {1: 1}}
     raise ValueError("product fixtures exist for dimensions 1 and 2 only")
 
 
 def product_fixture(type_tag, dim=1, field=QQ):
-    table = _assoc_table(field, dim)
+    table = _assoc_table(dim)
     tables = {op: table for op in _ACTIVE_OPS[type_tag]}
     basis = ("e",) if dim == 1 else ("e", "t")
     return AlgebraSpec(type_tag, field, dim, basis, tables)
@@ -332,20 +345,19 @@ def suspension_fixture(type_tag, field=QQ, bump=None):
     iq = {op: 3 + t for t, op in enumerate(ops)}
     ip = {op: 3 + len(ops) + t for t, op in enumerate(ops)}
     iw, iu = dim - 2, dim - 1
-    one = field.one
     q_w, p_w = _base_weights(type_tag)
     tables = {op: {} for op in ops}
     for op in ops:
-        tables[op][(ix, iy)] = {iq[op]: one}
-        tables[op][(iy, iz)] = {ip[op]: one}
+        tables[op][(ix, iy)] = {iq[op]: 1}
+        tables[op][(iy, iz)] = {ip[op]: 1}
     for a in ops:
         for b in ops:
-            q_cell = {iw: field.from_fraction(q_w[(a, b)])}
-            p_cell = {iw: field.from_fraction(p_w[(a, b)])}
+            q_cell = {iw: q_w[(a, b)]}
+            p_cell = {iw: p_w[(a, b)]}
             if bump == ("q", (a, b)):
-                q_cell[iu] = one
+                q_cell[iu] = 1
             if bump == ("p", (a, b)):
-                p_cell[iu] = one
+                p_cell[iu] = 1
             tables[b][(iq[a], iz)] = q_cell
             tables[a][(ix, ip[b])] = p_cell
     return AlgebraSpec(type_tag, field, dim, names, tables)

@@ -6,7 +6,7 @@ Grammar (see README for a complete example):
     type = trias                   dias | didend | trias | tridend | tricub
     field = Q                      Q | Fp:<prime below 2^64>
     dim = 2
-    basis = e t                    optional; dim distinct names
+    basis = e t                    optional; dim distinct names, no quotes
     op left                        one block per operation, entries below
     1 1 1 1                        i j k coeff:  e_i op e_j += coeff * e_k
     1 2 2 1/2                      indices are 1-based, coeff is int or p/q,
@@ -16,12 +16,16 @@ Any run of whitespace separates ``op`` from its name and the tokens of
 an entry.  Comments are whole lines: a '#' after a value is not a comment.
 Omitted entries are zero; an omitted operation block is the zero map (a
 warning is emitted on stderr).  Values may be quoted.
+
+The parser reads only this grammar; the rules of a valid algebra (type,
+dim, basis names, operations, indices) are ``AlgebraSpec``'s, checked after
+every syntax fault and reported at the line that gave the refused value.
 """
 
 import codecs
 import sys
 
-from .algebra import OPS, TYPES, AlgebraSpec
+from .algebra import AlgebraSpec, SpecError
 from .fields import _NotAscii, _ascii_int, field_from_name, parse_scalar
 
 
@@ -49,8 +53,8 @@ def parse_algebra(text, warn=None):
     header = {}
     blocks = {}
     current_op = None
-    header_lines = {}
-    block_lines = {}
+    # the line of each value, keyed as SpecError.where names it
+    lines = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -62,7 +66,7 @@ def parse_algebra(text, warn=None):
             if name in blocks:
                 raise AlgebraFileError(line_no, "duplicate operation block %r" % name)
             blocks[name] = []
-            block_lines[name] = line_no
+            lines[(name,)] = line_no
             current_op = name
             continue
         if "=" in line:
@@ -72,7 +76,7 @@ def parse_algebra(text, warn=None):
                 if key in header:
                     raise AlgebraFileError(line_no, "duplicate key %r" % key)
                 header[key] = _unquote(value)
-                header_lines[key] = line_no
+                lines[key] = line_no
                 current_op = None
                 continue
             raise AlgebraFileError(line_no, "unknown key %r" % key)
@@ -83,44 +87,20 @@ def parse_algebra(text, warn=None):
     for key in ("type", "field", "dim"):
         if key not in header:
             raise AlgebraFileError(None, "missing key %r" % key)
-    type_tag = header["type"]
-    if type_tag not in TYPES:
-        raise AlgebraFileError(header_lines["type"],
-                               "unknown algebra type %r" % type_tag)
     try:
         field = field_from_name(header["field"])
     except ValueError as exc:
-        raise AlgebraFileError(header_lines["field"], str(exc)) from None
+        raise AlgebraFileError(lines["field"], str(exc)) from None
     try:
         dim = _ascii_int(header["dim"])
-        if dim < 1:
-            raise ValueError
     except ValueError:
-        raise AlgebraFileError(header_lines["dim"],
+        raise AlgebraFileError(lines["dim"],
                                "dim must be a positive integer") from None
-    basis = None
-    if "basis" in header:
-        basis = tuple(header["basis"].split())
-        if len(basis) != dim:
-            raise AlgebraFileError(header_lines["basis"],
-                                   "basis lists %d names for dim %d"
-                                   % (len(basis), dim))
-        if len(set(basis)) != dim:
-            raise AlgebraFileError(header_lines["basis"],
-                                   "basis repeats a name")
+    basis = header["basis"].split() if "basis" in header else None
 
-    ops = OPS[type_tag]
-    for name in blocks:
-        if name not in ops:
-            raise AlgebraFileError(block_lines[name],
-                                   "operation %r does not belong to type %s"
-                                   % (name, type_tag))
-    for op in ops:
-        if op not in blocks:
-            warn("operation %r not given; taking it to be zero" % op)
-
-    tables = {op: {} for op in ops}
+    tables = {}
     for op, entries in blocks.items():
+        table = tables[op] = {}
         for line_no, line in entries:
             fieldsplit = line.split()
             if len(fieldsplit) != 4:
@@ -128,14 +108,12 @@ def parse_algebra(text, warn=None):
                     line_no, "entry needs 4 tokens (i j k coeff), got %d"
                     % len(fieldsplit))
             try:
-                i, j, k = map(_ascii_int, fieldsplit[:3])
+                i, j, k = (_ascii_int(t) - 1 for t in fieldsplit[:3])
             except _NotAscii as exc:
                 raise AlgebraFileError(line_no,
                                        "entry token %s" % exc) from None
             except ValueError:
                 raise AlgebraFileError(line_no, "malformed basis index") from None
-            if not all(1 <= t <= dim for t in (i, j, k)):
-                raise AlgebraFileError(line_no, "basis index out of range 1..%d" % dim)
             try:
                 coeff = parse_scalar(field, fieldsplit[3])
             except _NotAscii as exc:
@@ -143,12 +121,18 @@ def parse_algebra(text, warn=None):
                                        "entry token %s" % exc) from None
             except (ValueError, ZeroDivisionError) as exc:
                 raise AlgebraFileError(line_no, str(exc)) from None
-            cell = tables[op].setdefault((i - 1, j - 1), {})
-            cell[k - 1] = cell.get(k - 1, 0) + coeff
+            lines.setdefault((op, i, j), line_no)
+            lines.setdefault((op, i, j, k), line_no)
+            cell = table.setdefault((i, j), {})
+            cell[k] = cell.get(k, 0) + coeff
     try:
-        return AlgebraSpec(type_tag, field, dim, basis, tables)
-    except ValueError as exc:
-        raise AlgebraFileError(None, str(exc)) from None
+        alg = AlgebraSpec(header["type"], field, dim, basis, tables)
+    except SpecError as exc:
+        raise AlgebraFileError(lines[exc.where], str(exc)) from None
+    for op in alg.ops:
+        if op not in blocks:
+            warn("operation %r not given; taking it to be zero" % op)
+    return alg
 
 
 def serialize_algebra(alg):

@@ -182,13 +182,12 @@ def cmd_compare_differentials(ns, report):
         raise _Refused("compare-differentials requires a dias or trias "
                        "algebra")
     ctx = _context(alg, report)
-    one = alg.field.one
     for n in range(1, ns.max_degree + 1):
         # the matrix that cohomology eliminates, against delta of each
         # basis cochain: the two routes share no code
         ok = True
         for col, cells in enumerate(cohomology.matrix_of_d(ctx, n).columns):
-            rhs = delta_trias(alg, Cochain(alg, n, {col: one}))
+            rhs = delta_trias(alg, Cochain(alg, n, {col: 1}))
             if (n + 1) % 2 == 1:
                 rhs = -rhs
             if cells != rhs.cells:

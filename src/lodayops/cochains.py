@@ -54,21 +54,27 @@ from .trees import face
 class Cochain:
     """A degree-n cochain: ``cells`` maps each flat index to its nonzero
     coefficient.  The constructor keeps its own copy of the cells given,
-    through the field's collect step.  A key that is not an int in
-    ``range(cochain_dim(alg, degree))`` raises ValueError."""
+    each value read through ``field.from_fraction`` and the zeros dropped.
+    A key that is not an int in ``range(cochain_dim(alg, degree))``, or a
+    value that is not a scalar of the field, raises ValueError."""
 
     __slots__ = ("alg", "degree", "cells")
 
     def __init__(self, alg, degree, cells):
         # cochain_dim through the private cache of U_n, which is not traced
         size = len(_family(alg.kind, degree)[0]) * alg.dim ** (degree + 1)
-        for i in cells:
+        values = {}
+        for i, c in cells.items():
             if type(i) is not int or not 0 <= i < size:
                 raise ValueError("cochain key %r is not a flat index in "
                                  "range(%d)" % (i, size))
+            try:
+                values[i] = alg.field.from_fraction(c)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValueError("cochain key %r: %s" % (i, exc)) from None
         self.alg = alg
         self.degree = degree
-        self.cells = alg.field.collect(cells)
+        self.cells = alg.field.collect(values)
 
     @property
     def shifted(self):
@@ -165,16 +171,14 @@ def zero_cochain(alg, n):
 
 def random_cochain(alg, n, rng, span=3):
     """Seeded random cochain with small integer coefficients."""
-    f = alg.field
-    return Cochain(alg, n, {i: f.from_fraction(rng.randint(-span, span))
+    return Cochain(alg, n, {i: rng.randint(-span, span)
                             for i in range(cochain_dim(alg, n))})
 
 
 def identity_cochain(alg):
     """The operad unit: value x at (r; x) for every r in U_1."""
     d = alg.dim
-    one = alg.field.one
-    return Cochain(alg, 1, {(u_idx * d + i) * d + i: one
+    return Cochain(alg, 1, {(u_idx * d + i) * d + i: 1
                             for u_idx in range(family_size(alg.kind, 1))
                             for i in range(d)})
 

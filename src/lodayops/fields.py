@@ -9,13 +9,13 @@ over F_p are reduced.
 
 * Over Q a scalar is an exact Python rational: an ``int`` when its value is
   an integer and a ``fractions.Fraction`` only when it is not.  Every scalar
-  that enters the library (``from_fraction``, ``inv``, hence the parser and
-  the random cochains) is normalised this way, and the arithmetic is the
-  plain numeric tower: ``int`` op ``int`` stays ``int``, a mixed operation
-  gives a ``Fraction``, and ``==``, ``hash``, truth value and ``str`` agree
-  across the two types.  So integral structure constants and cochains are
-  computed on ``int`` throughout, with no per-operation normalisation; a
-  ``Fraction`` whose value happens to be integral is a valid scalar too.
+  that enters the library (``from_fraction``, ``inv``, hence the parser,
+  ``AlgebraSpec`` and ``Cochain``) is normalised this way, and the
+  arithmetic is the plain numeric tower: ``int`` op ``int`` stays ``int``,
+  a mixed operation gives a ``Fraction``, and ``==``, ``hash``, truth value
+  and ``str`` agree across the two types.  So integral structure constants
+  and cochains are computed on ``int`` throughout, with no per-operation
+  normalisation; a ``Fraction`` whose value is integral is a valid scalar.
 * Over F_p a scalar is an ``int`` in ``range(p)``; a sum built with the
   operators may leave that range until it is collected.
 

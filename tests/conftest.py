@@ -15,8 +15,8 @@ FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
 # echelon engines first agreed over Q and the F_101 run matched; frozen so
 # that regressions surface as golden-file diffs.  trias_dim2 is filed
 # through degree 4: rank d^3 = 155 and rank d^4 = 1,284 from every engine;
-# H^5 = 1 is checked through the F_101 echelon alone in
-# tests/test_cohomology.py (test_trias_dim2_degree_5_mod_101)
+# H^5 = 1 is checked by the row engine over Q and F_101, and by the F_101
+# echelon, in tests/test_cohomology.py (test_trias_dim2_degree_5[Q|F101])
 GOLDEN_DIMS = {
     "dias_dim1": [(1, 0), (2, 0), (3, 0)],
     "didend_dim1": [(1, 0), (2, 1), (3, 0)],

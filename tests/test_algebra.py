@@ -4,7 +4,8 @@ from itertools import product
 import pytest
 
 from lodayops.algebra import (AXIOMS, GLYPHS, OPS, PARAM_KIND, PI_OPS, TYPES,
-                              AlgebraSpec, axiom_label, axiom_mutation,
+                              AlgebraSpec, SpecError, axiom_label,
+                              axiom_mutation,
                               multiply, product_fixture, suspension_fixture,
                               verify_axioms, zero_fixture)
 from lodayops.algfile import parse_algebra
@@ -220,11 +221,27 @@ def test_dimension_and_index_validation():
     with pytest.raises(ValueError,
                        match="^basis index out of range in left table$"):
         AlgebraSpec("trias", QQ, 1, None, {"left": {(0, 0): {1: QQ.one}}})
+    # an output index is checked before its zero coefficient is dropped,
+    # as an algebra file's "1 1 6 0" is refused
+    with pytest.raises(SpecError,
+                       match="^basis index out of range in left table$"):
+        AlgebraSpec("trias", QQ, 1, None, {"left": {(0, 0): {5: 0}}})
     with pytest.raises(ValueError, match="dimensions 1 and 2 only"):
         product_fixture("trias", 3)
     for index in (0, len(AXIOMS["trias"]) + 1):
         with pytest.raises(ValueError, match="^axiom index out of range$"):
             axiom_mutation("trias", index)
+
+
+@pytest.mark.parametrize("basis", [("a b",), ("",), ('"a', 'b"'), ("'a",),
+                                   ("a\tb",), (1,)])
+def test_basis_names_an_algebra_file_reads_back(basis):
+    # serialize_algebra writes the names on one line split on white space,
+    # and the parser strips a quoted value's quotes
+    with pytest.raises(SpecError, match="is empty or holds white space or "
+                                        "a quote$") as err:
+        AlgebraSpec("trias", QQ, len(basis), basis=basis)
+    assert err.value.where == "basis"
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)])

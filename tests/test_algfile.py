@@ -4,9 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from lodayops.algebra import TYPES, product_fixture, verify_axioms
+from lodayops.algebra import (TYPES, AlgebraSpec, SpecError, product_fixture,
+                              suspension_fixture, verify_axioms)
 from lodayops.algfile import (AlgebraFileError, load_algebra, parse_algebra,
                               serialize_algebra)
+from lodayops.fields import QQ, PrimeField
 
 QUIET = {"warn": lambda msg: None}
 
@@ -36,8 +38,9 @@ def test_didend_fixture_contents(fixture_dir):
 
 def test_round_trip_all_types():
     for t in TYPES:
-        for dim in (1, 2):
-            alg = product_fixture(t, dim)
+        for alg in (product_fixture(t, 1), product_fixture(t, 2),
+                    suspension_fixture(t),
+                    suspension_fixture(t, PrimeField(101))):
             text = serialize_algebra(alg)
             assert parse_algebra(text, **QUIET) == alg
             assert serialize_algebra(parse_algebra(text, **QUIET)) == text
@@ -108,6 +111,49 @@ def test_distinct_diagnostics():
     _expect_error("type = didend\nfield = Q\ndim = 1\nbasis = a b\n",
                   "basis lists")
     _expect_error("bogus = 3\n", "unknown key")
+    # a syntax fault is reported before the rules of AlgebraSpec are read
+    _expect_error("type = frob\nfield = Q\ndim = 0\nop left\n1 1 1 x\n",
+                  "line 5: malformed coefficient: 'x'")
+
+
+# one input per rule of a valid algebra: the AlgebraSpec arguments, the
+# SpecError.where that names the refused one, and a file breaking the same
+# rule with the line that gave the refused value
+HEAD = "type = trias\nfield = Q\ndim = 1\n"
+RULES = [
+    (("frob", QQ, 1), "type", "type = frob\nfield = Q\ndim = 1\n", 1),
+    (("trias", QQ, 0), "dim", "type = trias\nfield = Q\ndim = 0\n", 3),
+    (("trias", QQ, 1, ("a", "b")), "basis", HEAD + "basis = a b\n", 4),
+    (("trias", QQ, 2, ("e", "e")), "basis",
+     "type = trias\nfield = Q\ndim = 2\nbasis = e e\n", 4),
+    # the outer quotes are the value's, the inner ones the names'
+    (("trias", QQ, 2, ('a"', '"b')), "basis",
+     'type = trias\nfield = Q\ndim = 2\nbasis = "a" "b"\n', 4),
+    (("dias", QQ, 1, None, {"middle": {}}), ("middle",),
+     "type = dias\nfield = Q\ndim = 1\nop left\n1 1 1 1\nop middle\n", 6),
+    (("trias", QQ, 1, None, {"left": {(1, 0): {0: 1}}}), ("left", 1, 0),
+     HEAD + "op left\n1 1 1 1\n2 1 1 1\n", 6),
+    (("trias", QQ, 1, None, {"right": {(0, 1): {0: 1}}}), ("right", 0, 1),
+     HEAD + "op right\n1 2 1 1\n", 5),
+    (("trias", QQ, 1, None, {"left": {(0, 0): {5: 0}}}), ("left", 0, 0, 5),
+     HEAD + "op left\n1 1 6 0\n", 5),
+]
+
+
+@pytest.mark.parametrize("args, where, text, line_no", RULES, ids=[
+    "type", "dim", "basis-count", "basis-repeat", "basis-quote",
+    "foreign-block", "i-range", "j-range", "k-range-zero"])
+def test_library_and_file_refuse_by_one_rule(args, where, text, line_no):
+    with pytest.raises(SpecError) as spec_err:
+        AlgebraSpec(*args)
+    assert spec_err.value.where == where
+    warnings = []
+    with pytest.raises(AlgebraFileError) as file_err:
+        parse_algebra(text, warn=warnings.append)
+    assert file_err.value.line_no == line_no
+    assert str(file_err.value) == "line %d: %s" % (line_no, spec_err.value)
+    # the missing-block warnings come after a valid algebra is built
+    assert warnings == []
 
 
 def test_op_header_takes_any_whitespace():

@@ -743,6 +743,31 @@ def test_cochain_refuses_keys_outside_its_cells(key):
     assert Cochain(alg, 2, {3992: 1}).cells == {3992: 1}
 
 
+@pytest.mark.parametrize("field, half", [(QQ, Fraction(1, 2)),
+                                         (PrimeField(101), 51)],
+                         ids=["Q", "F101"])
+def test_cochain_values_are_read_as_field_scalars(field, half):
+    # each value goes through field.from_fraction, as a structure constant
+    # does: a half over F_101 used to stay a Fraction that diff_d spread
+    # over nine cells, and a float was carried through diff_d and bracket
+    alg = product_fixture("trias", 2, field=field)
+    ctx = MultContext(alg)
+    x = Cochain(alg, 1, {0: Fraction(1, 2)})
+    assert x.cells == {0: half} and type(x.cells[0]) is type(half)
+    assert x == Cochain(alg, 1, {0: half})
+    d_unit = diff_d(ctx, Cochain(alg, 1, {0: 1}))
+    assert not d_unit.is_zero() and diff_d(ctx, x) + diff_d(ctx, x) == d_unit
+    two = Cochain(alg, 1, {0: Fraction(4, 2)})
+    assert two.cells == {0: 2} and type(two.cells[0]) is int
+    with pytest.raises(ValueError, match=r"^cochain key 0: 0\.5 is not an "
+                                         r"int or a Fraction$"):
+        Cochain(alg, 1, {0: 0.5})
+    if field.characteristic:
+        with pytest.raises(ValueError, match="^cochain key 3: denominator "
+                                             "divisible by 101$"):
+            Cochain(alg, 1, {3: Fraction(1, 101)})
+
+
 def test_sparse_results_allocate_only_their_cells():
     # a result is built in a dict of the cells its terms touch: one basis
     # cochain of the 11-dim trias suspension must not cost a slot for each

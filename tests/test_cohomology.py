@@ -20,7 +20,7 @@ from conftest import GOLDEN_DIMS
 
 # the product fixtures filed in GOLDEN_DIMS under their corpus file name,
 # by (type, dim), checked through degree 3.  Degree 5 of trias_dim2 is
-# checked by test_trias_dim2_degree_5_mod_101 below
+# checked by test_trias_dim2_degree_5[Q|F101] below
 PRODUCTS = sorted([(t, 1) for t in TYPES] + [("trias", 2)])
 
 
