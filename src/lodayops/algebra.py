@@ -22,7 +22,7 @@ the type's cochains.
 
 from collections import namedtuple
 
-from .fields import QQ
+from .fields import QQ, PrimeField, Rationals
 
 TYPES = ("dias", "didend", "trias", "tridend", "tricub")
 
@@ -120,8 +120,9 @@ def axiom_label(type_tag, index):
 
 class SpecError(ValueError):
     """An argument of ``AlgebraSpec`` that breaks a rule of a valid algebra,
-    named by ``where``: "type", "dim", "basis", ``(op,)`` for an operation,
-    ``(op, i, j)`` for a table cell, ``(op, i, j, k)`` for one constant."""
+    named by ``where``: "type", "field", "dim", "basis", ``(op,)`` for an
+    operation, ``(op, i, j)`` for a table cell, ``(op, i, j, k)`` for one
+    constant."""
 
     def __init__(self, where, message):
         super().__init__(message)
@@ -137,7 +138,10 @@ class AlgebraSpec:
     def __init__(self, type_tag, field, dim, basis=None, tables=None):
         if type_tag not in TYPES:
             raise SpecError("type", "unknown algebra type %r" % (type_tag,))
-        if not isinstance(dim, int) or dim < 1:
+        if not isinstance(field, (Rationals, PrimeField)):
+            raise SpecError("field", "field %r is not a Rationals or a "
+                            "PrimeField" % (field,))
+        if type(dim) is not int or dim < 1:
             raise SpecError("dim", "dim must be a positive integer")
         self.type_tag = type_tag
         self.field = field

@@ -26,7 +26,7 @@ import codecs
 import sys
 
 from .algebra import AlgebraSpec, SpecError
-from .fields import _NotAscii, _ascii_int, field_from_name, parse_scalar
+from .fields import _ascii_int, field_from_name, parse_scalar
 
 
 class AlgebraFileError(ValueError):
@@ -109,16 +109,11 @@ def parse_algebra(text, warn=None):
                     % len(fieldsplit))
             try:
                 i, j, k = (_ascii_int(t) - 1 for t in fieldsplit[:3])
-            except _NotAscii as exc:
-                raise AlgebraFileError(line_no,
-                                       "entry token %s" % exc) from None
-            except ValueError:
-                raise AlgebraFileError(line_no, "malformed basis index") from None
+            except ValueError as exc:
+                raise AlgebraFileError(line_no, "malformed basis index: %s"
+                                       % exc) from None
             try:
                 coeff = parse_scalar(field, fieldsplit[3])
-            except _NotAscii as exc:
-                raise AlgebraFileError(line_no,
-                                       "entry token %s" % exc) from None
             except (ValueError, ZeroDivisionError) as exc:
                 raise AlgebraFileError(line_no, str(exc)) from None
             lines.setdefault((op, i, j), line_no)

@@ -23,7 +23,7 @@ from .algebra import verify_axioms
 from .algfile import AlgebraFileError, load_algebra
 from .cochains import (_DELTA_TYPES, Cochain, MultContext,
                        canonical_multiplication, circ, delta_trias)
-from .fields import _ascii_int
+from .fields import _ascii_int, _at_least
 from .identities import run_identity_suite
 from .params import KINDS, enumerate_params, param_text
 from .preoperadic import AXIOM_IDS, scan_instances, verify_system
@@ -235,13 +235,13 @@ def _integer(text):
 
 
 def _int_at_least(low):
-    """argparse type: an integer >= low; anything else exits 2."""
+    """argparse type: an integer >= low, judged by the library's judge
+    (``fields._at_least``); anything else exits 2."""
     def parse(text):
-        value = _integer(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(
-                "must be at least %d, got %d" % (low, value))
-        return value
+        try:
+            return _at_least(_integer(text), low, "value")
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
     return parse
 
 

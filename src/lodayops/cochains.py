@@ -46,6 +46,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .algebra import PI_OPS
+from .fields import _at_least
 from .params import _family, enumerate_params, family_size
 from .preoperadic import r_index_tables
 from .trees import face
@@ -55,12 +56,14 @@ class Cochain:
     """A degree-n cochain: ``cells`` maps each flat index to its nonzero
     coefficient.  The constructor keeps its own copy of the cells given,
     each value read through ``field.from_fraction`` and the zeros dropped.
-    A key that is not an int in ``range(cochain_dim(alg, degree))``, or a
-    value that is not a scalar of the field, raises ValueError."""
+    A degree that is not an int >= 1, a key that is not an int in
+    ``range(cochain_dim(alg, degree))``, or a value that is not a scalar of
+    the field, raises ValueError."""
 
     __slots__ = ("alg", "degree", "cells")
 
     def __init__(self, alg, degree, cells):
+        _at_least(degree, 1, "degree")
         # cochain_dim through the private cache of U_n, which is not traced
         size = len(_family(alg.kind, degree)[0]) * alg.dim ** (degree + 1)
         values = {}
@@ -109,6 +112,9 @@ class Cochain:
                            ((False, self), (True, other)))
 
     def scaled(self, c):
+        """c times this cochain; c is read through ``field.from_fraction``,
+        as a cell is."""
+        c = self.alg.field.from_fraction(c)
         return _collected(self.alg, self.degree,
                           {i: c * a for i, a in self.cells.items()})
 
@@ -164,8 +170,6 @@ def cochain_dim(alg, n):
 
 
 def zero_cochain(alg, n):
-    if n < 1:
-        raise ValueError("cochain degree must be >= 1")
     return Cochain(alg, n, {})
 
 

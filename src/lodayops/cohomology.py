@@ -35,6 +35,7 @@ from operator import itemgetter
 from . import linalg
 from .cochains import (Cochain, _signed_sum, bracket, cochain_dim, dot,
                        zero_cochain)
+from .fields import _at_least
 from .identities import LawCheck
 from .params import family_size
 from .preoperadic import r_index_tables
@@ -94,9 +95,7 @@ def matrix_of_d(ctx, n):
     as d = (-1)^(n+1) sum_i (-1)^i delta^i (SIGN_NOTES.md).
     No cochain is built per column.
     """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
-    if n not in ctx.matrix_cache:
+    if _at_least(n, 1, "n") not in ctx.matrix_cache:
         ctx.matrix_cache[n] = _summed(ctx, n, _cofaces(ctx, n))
     return ctx.matrix_cache[n]
 
@@ -191,8 +190,7 @@ def matrix_product_is_zero(a, b, field):
 def cohomology_dims(ctx, max_degree):
     """[(n, dim H^n)] for 1 <= n <= max_degree; H^1 = ker d^1.  The ranks
     come from the row engine, never from the echelon."""
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
+    _at_least(max_degree, 1, "max_degree")
     out, below = [], 0      # below: rank d^(n-1), and there is no d^0
     for n in range(1, max_degree + 1):
         m = matrix_of_d(ctx, n)
@@ -264,8 +262,7 @@ def check_g_algebra(ctx, max_degree):
     over all representative pairs/triples of total degree <= max_degree.
     The laws are named, in this order, by ``_G_LAWS``.
     """
-    if max_degree < 2:
-        raise ValueError("max_degree must be >= 2")
+    _at_least(max_degree, 2, "max_degree")
     reps = {n: cocycle_representatives(ctx, n) for n in range(1, max_degree)}
     degs = [n for n in reps if reps[n]]
 

@@ -101,12 +101,10 @@ class PrimeField:
     """The field F_p with int scalars normalised to range(p)."""
 
     def __init__(self, p):
-        if not is_prime(p):
+        # signs +-1 collapse in characteristic 2 (and 3 is excluded with
+        # it): the graded identities are only guaranteed away from both
+        if not is_prime(_at_least(p, 5, "p")):
             raise ValueError("modulus not prime: %d" % p)
-        if p <= 3:
-            # signs +-1 collapse in characteristic 2 (and 3 is excluded with
-            # it): the graded identities are only guaranteed away from both
-            raise ValueError("characteristic %d not supported; use p > 3" % p)
         self.p = p
         self.name = "Fp:%d" % p
         self.characteristic = p
@@ -152,9 +150,15 @@ class PrimeField:
 QQ = Rationals()
 
 
-class _NotAscii(ValueError):
-    """Text refused by ``_ascii_int`` that holds a non-ASCII character or a
-    '_', the spellings int() reads beyond the grammar."""
+def _at_least(value, low, name):
+    """``value`` if it is an int, not a bool, and at least ``low``; anything
+    else raises ValueError naming the parameter ``name``.  The one judge of
+    the integers that index the library's objects: arities, degrees, degree
+    bounds, sample counts and moduli, called before any cache is read."""
+    if type(value) is not int or value < low:
+        raise ValueError("%s must be an int >= %d, got %r"
+                         % (name, low, value))
+    return value
 
 
 def _ascii_int(text):
@@ -162,13 +166,11 @@ def _ascii_int(text):
     the one integer grammar of outside input: algebra files, field names
     and command-line options.  int() also reads '_' separators, white space
     around the number and the digits of other scripts ('1_0', ' 2', '٢');
-    text with a non-ASCII character or a '_' raises ``_NotAscii``, and
-    anything else that is not such an integer ValueError."""
+    anything that is not such an integer raises ValueError."""
     digits = text[1:] if text[:1] in ("+", "-") else text
     if digits.isascii() and digits.isdigit():
         return int(text)
-    refusal = _NotAscii if not text.isascii() or "_" in text else ValueError
-    raise refusal("%r is not an ASCII number" % text)
+    raise ValueError("%r is not an ASCII number" % text)
 
 
 def field_from_name(name):
@@ -187,16 +189,12 @@ def field_from_name(name):
 
 def parse_scalar(field, text):
     """Parse an integer or ``p/q`` fraction literal in ASCII digits into a
-    field scalar.  Text with a non-ASCII character or a '_' raises
-    ``_NotAscii``, any other malformed literal ValueError."""
+    field scalar; any other text raises ValueError."""
     text = text.strip()
     num, slash, den = text.partition("/")
     try:
         q = Fraction(_ascii_int(num), _ascii_int(den)) if slash \
             else _ascii_int(num)
-    except _NotAscii:
-        raise _NotAscii("%r is not an ASCII number" % text) from None
     except (ValueError, ZeroDivisionError):
-        raise ValueError("malformed %s: %r" % (
-            "fraction" if slash else "coefficient", text)) from None
+        raise ValueError("malformed coefficient: %r" % text) from None
     return field.from_fraction(q)

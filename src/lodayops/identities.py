@@ -14,6 +14,7 @@ from collections import namedtuple
 from itertools import accumulate, cycle, islice
 
 from .cochains import _signed_sum, brace, diff_d, dot, random_cochain
+from .fields import _at_least
 
 
 class LawCheck(namedtuple("LawCheck", "law pattern passed")):
@@ -239,6 +240,7 @@ def run_identity_suite(ctx, rng, samples):
     RuntimeError with the child's exception text; every child is reaped
     before the call returns.
     """
+    _at_least(samples, 0, "samples")
     laws = (
         ("brace-identity", BRACE_PATTERNS,
          lambda *xs: [brace_identity_sides(*xs)]),

@@ -17,6 +17,7 @@ position in that order, its canonical index.
 from functools import lru_cache
 from itertools import product
 
+from .fields import _at_least
 from .trees import binary_trees, planar_trees, tree_text
 
 KINDS = ("linear", "binary", "planar", "subsets", "signs")
@@ -37,8 +38,7 @@ def enumerate_params(kind, n):
     """All of U_n for the given family, in canonical order."""
     if kind not in KINDS:
         raise ValueError("unknown parameter kind %r" % kind)
-    if n < 1:
-        raise ValueError("invalid arity %d" % n)
+    _at_least(n, 1, "n")
     if kind == "linear":
         return tuple(range(1, n + 1))
     if kind == "binary":
@@ -61,5 +61,5 @@ def _family(kind, n):
 
 
 def family_size(kind, n):
-    return len(enumerate_params(kind, n))
+    return len(enumerate_params(kind, _at_least(n, 1, "n")))
 

@@ -28,6 +28,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import prod
 
+from .fields import _at_least
 from .params import _family, family_size, param_text
 from .trees import LEAF, _compositions
 
@@ -240,8 +241,7 @@ def verify_system(kind, max_total, workers=1, tables=r_index_tables):
     index outside its target family, raises ValueError.  ``workers`` is
     accepted and changes nothing: the scan runs in one thread.
     """
-    if max_total < 1:
-        raise ValueError("max_total must be >= 1")
+    _at_least(max_total, 1, "max_total")
     checked, counterexamples = 0, []
     family = [()] + [_family(kind, m)[0] for m in range(1, max_total + 1)]
     sizes = [len(f) for f in family]

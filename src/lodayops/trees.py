@@ -22,6 +22,8 @@ remove leaves independently.
 from functools import lru_cache
 from itertools import product
 
+from .fields import _at_least
+
 LEFT = "left"
 RIGHT = "right"
 MIDDLE = "middle"
@@ -133,12 +135,8 @@ def _compositions(total, nparts):
 
 def planar_trees(n):
     """All trees of weight n >= 1 in canonical order."""
-    if n < 1:
-        raise ValueError("weight must be >= 1")
-    return _trees_with_leaves(n + 1, False)
+    return _trees_with_leaves(_at_least(n, 1, "n") + 1, False)
 
 
 def binary_trees(n):
-    if n < 1:
-        raise ValueError("weight must be >= 1")
-    return _trees_with_leaves(n + 1, True)
+    return _trees_with_leaves(_at_least(n, 1, "n") + 1, True)

@@ -209,9 +209,21 @@ def test_wrong_operation_rejected():
         multiply(alg, "left", {-1: QQ.one}, e)
 
 
+@pytest.mark.parametrize("field", ["Q", None, 101])
+def test_field_that_is_not_a_field_refused(field):
+    # a field name or a modulus is not a field object: refused up front, not
+    # later by an AttributeError of repr or of a constant's reading
+    with pytest.raises(SpecError, match="^field %r is not a Rationals or a "
+                                        "PrimeField$" % (field,)) as err:
+        AlgebraSpec("trias", field, 1)
+    assert err.value.where == "field"
+
+
 def test_dimension_and_index_validation():
-    with pytest.raises(ValueError):
-        AlgebraSpec("trias", QQ, 0)
+    for dim in (0, True, 1.0):
+        with pytest.raises(SpecError, match="^dim must be a positive "
+                                            "integer$"):
+            AlgebraSpec("trias", QQ, dim)
     with pytest.raises(ValueError):
         AlgebraSpec("trias", QQ, 1, basis=("a", "b"))
     with pytest.raises(ValueError, match="repeats a name"):

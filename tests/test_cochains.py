@@ -686,7 +686,8 @@ def test_delta_matches_d_face_by_face(fixture_dir, monkeypatch):
 
 def test_zero_cochain_of_degree_zero_refused():
     # the families have no arity-0 part, so there are no degree-0 cochains
-    with pytest.raises(ValueError, match="^cochain degree must be >= 1$"):
+    with pytest.raises(ValueError,
+                       match="^degree must be an int >= 1, got 0$"):
         zero_cochain(product_fixture("trias", 1), 0)
 
 
@@ -812,7 +813,8 @@ def test_results_store_no_zero_coefficient(seed, field, dim):
     x1, y1 = (random_cochain(alg, 1, rng, span=1) for _ in range(2))
     x2, y2 = (random_cochain(alg, 2, rng, span=1) for _ in range(2))
     results = [x2 + y2, x2 - y2, x2.scaled(field.zero),
-               x2.scaled(field.from_fraction(3)), -x2,
+               x2.scaled(field.from_fraction(3)), x2.scaled(Fraction(1, 2)),
+               -x2,
                gamma(x2, [x1, y1]), gamma(x1, [y2]), brace(x2, [x1]),
                brace(x2, [x1, y1]), circ(x2, y2), bracket(x1, y2),
                bracket(x2, y2), dot(ctx, x1, y2), dot(ctx, x2, y1),
@@ -827,6 +829,12 @@ def test_results_store_no_zero_coefficient(seed, field, dim):
                 for u_idx, tup, out, _ in x.entries()]
         assert keys == sorted(x.cells)
     assert x2.scaled(field.zero) == zero_cochain(alg, 2)
+    # the factor is read through from_fraction, as the constructor reads a
+    # cell: a half over F_101 is 51, and a float is no scalar
+    assert x2.scaled(Fraction(1, 2)) == Cochain(
+        alg, 2, {i: Fraction(c, 2) for i, c in x2.cells.items()})
+    with pytest.raises(ValueError, match="^0.5 is not an int or a Fraction$"):
+        x2.scaled(0.5)
     for x in (x1, x2, y2, brace(x2, [x1])):
         zero = zero_cochain(alg, x.degree)
         assert x - x == zero

@@ -440,12 +440,15 @@ def test_trias_dim2_degree_5(field):
 def test_degrees_below_the_first_are_refused():
     ctx = MultContext(product_fixture("trias", 1))
     for n in (0, -1):
-        with pytest.raises(ValueError, match="^degree must be >= 1$"):
+        with pytest.raises(ValueError,
+                           match="^n must be an int >= 1, got %d$" % n):
             matrix_of_d(ctx, n)
-        with pytest.raises(ValueError, match="^max_degree must be >= 1$"):
+        with pytest.raises(ValueError, match="^max_degree must be an int "
+                           ">= 1, got %d$" % n):
             cohomology_dims(ctx, n)
     for n in (1, 0):
-        with pytest.raises(ValueError, match="^max_degree must be >= 2$"):
+        with pytest.raises(ValueError, match="^max_degree must be an int "
+                           ">= 2, got %d$" % n):
             check_g_algebra(ctx, n)
 
 

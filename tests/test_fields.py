@@ -1,6 +1,10 @@
+import json
 import re
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,90 @@ def test_large_prime_moduli():
         field_from_name("Fp:%d" % (2 ** 64 + 13))
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# each entry that takes a degree, arity, bound, sample count or modulus:
+# its call on one integer argument n, the judge's name for n, its least
+# valid value, and a float equal to a valid value
+JUDGED = {
+    "enumerate_params": ("enumerate_params('planar', n)", "n", 1, 2.0),
+    "family_size": ("family_size('planar', n)", "n", 1, 2.0),
+    "planar_trees": ("planar_trees(n)", "n", 1, 2.0),
+    "binary_trees": ("binary_trees(n)", "n", 1, 2.0),
+    "cochain_dim": ("cochain_dim(product_fixture('trias', 2), n)", "n", 1,
+                    2.0),
+    "Cochain": ("Cochain(product_fixture('trias', 2), n, {0: 1})", "degree",
+                1, 1.0),
+    "random_cochain": ("random_cochain(product_fixture('trias', 1), n, "
+                       "random.Random(0))", "n", 1, 2.0),
+    "matrix_of_d": ("matrix_of_d(ctx(), n)", "n", 1, 1.0),
+    "cohomology_dims": ("cohomology_dims(ctx(), n)", "max_degree", 1, 1.0),
+    "check_g_algebra": ("check_g_algebra(ctx(), n)", "max_degree", 2, 3.0),
+    "verify_system": ("verify_system('linear', n)", "max_total", 1, 2.0),
+    "run_identity_suite": ("run_identity_suite(ctx(), random.Random(0), n)",
+                           "samples", 0, 1.0),
+    "PrimeField": ("PrimeField(n)", "p", 5, 7.0),
+}
+
+# run in a fresh interpreter: the bad argument on cold caches, the same
+# call with a valid int, then the bad argument on the caches it warmed;
+# prints the two outcomes of the bad argument, and whether the second
+# returned the very result of the valid call
+JUDGE_SCRIPT = """
+import functools, json, random, sys
+sys.path.insert(0, sys.argv[1])
+from lodayops.algebra import product_fixture
+from lodayops.cochains import Cochain, MultContext, cochain_dim, random_cochain
+from lodayops.cohomology import check_g_algebra, cohomology_dims, matrix_of_d
+from lodayops.fields import PrimeField
+from lodayops.identities import run_identity_suite
+from lodayops.params import enumerate_params, family_size
+from lodayops.preoperadic import verify_system
+from lodayops.trees import binary_trees, planar_trees
+
+# built on first use: a context's pi already reads some families
+ctx = functools.cache(lambda: MultContext(product_fixture("trias", 1)))
+call, bad, good = sys.argv[2], json.loads(sys.argv[3]), int(sys.argv[4])
+
+def outcome(n):
+    try:
+        result = eval(call)
+    except ValueError as exc:
+        return ["ValueError", str(exc)], None
+    return ["returned", repr(result)[:80]], result
+
+cold, _ = outcome(bad)
+valid = eval(call, {**globals(), "n": good})
+warm, result = outcome(bad)
+print(json.dumps([cold, warm, result is valid]))
+"""
+
+
+@pytest.mark.parametrize("bad", [True, "float", "low - 1"])
+@pytest.mark.parametrize("entry", sorted(JUDGED))
+def test_integer_judge_refuses_on_cold_and_warm_caches(entry, bad):
+    # a bool, a float equal to a valid value and an int below the least
+    # valid one are refused before any cache is read: a refusal on a cold
+    # cache does not turn into an answer on a warm one
+    call, name, low, equal_float = JUDGED[entry]
+    bad = {"float": equal_float, "low - 1": low - 1}.get(bad, bad)
+    good = max(int(bad), low)
+    done = subprocess.run(
+        [sys.executable, "-c", JUDGE_SCRIPT, str(SRC), call,
+         json.dumps(bad), str(good)],
+        capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    cold, warm, same = json.loads(done.stdout)
+    refusal = ["ValueError",
+               "%s must be an int >= %d, got %r" % (name, low, bad)]
+    assert cold == refusal
+    if entry == "enumerate_params" and bad == good:
+        # the entry is the lru_cache itself: an equal key finds the family
+        assert warm[0] == "returned" and same
+    else:
+        assert warm == refusal
+
+
 def test_field_from_name():
     assert field_from_name("Q") is QQ
     assert field_from_name("Fp:101") == PrimeField(101)
@@ -102,8 +190,9 @@ def test_parse_scalar():
 @pytest.mark.parametrize("text", ["1_0", "\u0662", "1/\u0662", "\uff11",
                                   "1/2_0"])
 def test_parse_scalar_reads_ascii_digits_only(text):
-    # int() reads "1_0" as 10 and the Arabic-Indic digit two as 2
-    with pytest.raises(ValueError, match="not an ASCII number"):
+    # int() reads "1_0" as 10 and the Arabic-Indic digit two as 2; every
+    # malformed literal gets the one message
+    with pytest.raises(ValueError, match="^malformed coefficient: %r$" % text):
         parse_scalar(QQ, text)
 
 

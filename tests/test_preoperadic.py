@@ -591,7 +591,8 @@ def test_unknown_kind_and_empty_scan_are_errors():
     with pytest.raises(ValueError, match="^unknown parameter kind 'nosuch'$"):
         r_index_tables("nosuch", (2, 1))
     for max_total in (0, -1):
-        with pytest.raises(ValueError, match="^max_total must be >= 1$"):
+        with pytest.raises(ValueError, match="^max_total must be an int "
+                           ">= 1, got %d$" % max_total):
             verify_system("linear", max_total)
 
 

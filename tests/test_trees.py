@@ -167,7 +167,8 @@ def test_non_tree_child_and_weight_zero_rejected():
     with pytest.raises(TypeError, match="children must be PlanarTree"):
         PlanarTree((LEAF, ()))
     for trees in (planar_trees, binary_trees):
-        with pytest.raises(ValueError, match="^weight must be >= 1$"):
+        with pytest.raises(ValueError,
+                           match="^n must be an int >= 1, got 0$"):
             trees(0)
 
 
