@@ -22,7 +22,7 @@ the type's cochains.
 
 from collections import namedtuple
 
-from .fields import QQ, PrimeField, Rationals
+from .fields import QQ, PrimeField, Rationals, _all_at_least, _at_least
 
 TYPES = ("dias", "didend", "trias", "tridend", "tricub")
 
@@ -107,6 +107,7 @@ AXIOMS = _axioms()
 def axiom_label(type_tag, index):
     """Human form of axiom <index> (1-based), e.g. '(x ⊣ y) ⊣ z = x ⊣ (y ⊢ z)'."""
     g = GLYPHS[type_tag]
+    _at_least(index, 1, "index", len(AXIOMS[type_tag]))
     lhs_terms, rhs_terms = AXIOMS[type_tag][index - 1]
     outer_l = {b for _, b in lhs_terms}
     outer_r = {c for c, _ in rhs_terms}
@@ -141,8 +142,10 @@ class AlgebraSpec:
         if not isinstance(field, (Rationals, PrimeField)):
             raise SpecError("field", "field %r is not a Rationals or a "
                             "PrimeField" % (field,))
-        if type(dim) is not int or dim < 1:
-            raise SpecError("dim", "dim must be a positive integer")
+        try:
+            _at_least(dim, 1, "dim")
+        except ValueError as exc:
+            raise SpecError("dim", str(exc)) from None
         self.type_tag = type_tag
         self.field = field
         self.dim = dim
@@ -168,18 +171,18 @@ class AlgebraSpec:
         self.tables = {op: {} for op in self.ops}
         for op, cells in tables.items():
             for (i, j), row in cells.items():
-                for where in [(op, i, j)] + [(op, i, j, k) for k in row]:
-                    if not all(0 <= t < dim for t in where[1:]):
-                        raise SpecError(where, "basis index out of range in "
-                                        "%s table" % op)
-                out = {}
-                for k, c in row.items():
-                    try:
+                # an index is judged before its constant, so before a zero
+                where, out = (op, i, j), {}
+                try:
+                    _all_at_least((i, j), 0, "0-based basis index", dim - 1)
+                    for k, c in row.items():
+                        where = (op, i, j, k)
+                        _at_least(k, 0, "0-based basis index", dim - 1)
                         out[k] = field.from_fraction(c)
-                    except (ValueError, ZeroDivisionError) as exc:
-                        raise SpecError((op, i, j, k),
-                                        "%s table, cell (%r, %r) -> %r: %s"
-                                        % (op, i, j, k, exc)) from None
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise SpecError(where, "%s table, cell (%r, %r)%s: %s" % (
+                        op, i, j, "".join(" -> %r" % k for k in where[3:]),
+                        exc)) from None
                 out = field.collect(out)
                 if out:
                     self.tables[op][(i, j)] = out
@@ -208,8 +211,8 @@ def multiply(alg, op, x, y):
     if op not in alg.ops:
         raise ValueError("operation %r does not belong to type %s"
                          % (op, alg.type_tag))
-    if any(not 0 <= i < alg.dim for v in (x, y) for i in v):
-        raise ValueError("basis index out of range")
+    for v in (x, y):
+        _all_at_least(v, 0, "basis index", alg.dim - 1)
     table = alg.tables[op]
     out = {}
     for i, xi in x.items():
@@ -370,6 +373,7 @@ def suspension_fixture(type_tag, field=QQ, bump=None):
 def mutation_bump(type_tag, index):
     """The nested-product cell read by axiom <index> and by no other axiom."""
     axioms = AXIOMS[type_tag]
+    _at_least(index, 1, "index", len(axioms))
     lhs_terms, rhs_terms = axioms[index - 1]
     for c, d in rhs_terms:
         uses = sum((c, d) in rhs for _, rhs in axioms)
@@ -384,6 +388,4 @@ def mutation_bump(type_tag, index):
 
 def axiom_mutation(type_tag, index, field=QQ):
     """An algebra violating exactly axiom <index> (1-based)."""
-    if not 1 <= index <= len(AXIOMS[type_tag]):
-        raise ValueError("axiom index out of range")
     return suspension_fixture(type_tag, field, bump=mutation_bump(type_tag, index))

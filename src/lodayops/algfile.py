@@ -93,9 +93,9 @@ def parse_algebra(text, warn=None):
         raise AlgebraFileError(lines["field"], str(exc)) from None
     try:
         dim = _ascii_int(header["dim"])
-    except ValueError:
+    except ValueError as exc:
         raise AlgebraFileError(lines["dim"],
-                               "dim must be a positive integer") from None
+                               "malformed dim: %s" % exc) from None
     basis = header["basis"].split() if "basis" in header else None
 
     tables = {}

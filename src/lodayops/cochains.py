@@ -46,7 +46,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .algebra import PI_OPS
-from .fields import _at_least
+from .fields import _all_at_least, _at_least
 from .params import _family, enumerate_params, family_size
 from .preoperadic import r_index_tables
 from .trees import face
@@ -66,11 +66,9 @@ class Cochain:
         _at_least(degree, 1, "degree")
         # cochain_dim through the private cache of U_n, which is not traced
         size = len(_family(alg.kind, degree)[0]) * alg.dim ** (degree + 1)
+        _all_at_least(cells, 0, "cochain key", size - 1)
         values = {}
         for i, c in cells.items():
-            if type(i) is not int or not 0 <= i < size:
-                raise ValueError("cochain key %r is not a flat index in "
-                                 "range(%d)" % (i, size))
             try:
                 values[i] = alg.field.from_fraction(c)
             except (ValueError, ZeroDivisionError) as exc:
@@ -136,6 +134,14 @@ class Cochain:
         return "Cochain(%s, degree=%d)" % (self.alg, self.degree)
 
 
+def _over(alg, x):
+    """The cochain ``x`` if it is over ``alg``; else the one ValueError of
+    every operation on cochains for a cochain of another algebra."""
+    if x.alg != alg:
+        raise ValueError("cochain of another algebra")
+    return x
+
+
 def _signed_sum(alg, n, terms):
     """The degree-n cochain summing ``terms``, pairs (negative, cochain),
     through one collect step at the end.  A term over another algebra or of
@@ -143,9 +149,7 @@ def _signed_sum(alg, n, terms):
     cells = {}
     get = cells.get
     for negative, x in terms:
-        if x.alg != alg:
-            raise ValueError("cochains over different algebras")
-        if x.degree != n:
+        if _over(alg, x).degree != n:
             raise ValueError("cochains of different degrees")
         for i, c in x.cells.items():
             cells[i] = get(i, 0) - c if negative else get(i, 0) + c
@@ -155,8 +159,8 @@ def _signed_sum(alg, n, terms):
 def _collected(alg, n, cells):
     """The degree-n cochain of accumulated ``cells``, a dict from flat index
     to a sum built with the plain operators, through the field's collect
-    step.  The keys of a kernel result are in range by construction, so
-    they are not checked."""
+    step.  The keys of a result the library built are in range by
+    construction, so they are not judged again."""
     x = Cochain.__new__(Cochain)
     x.alg = alg
     x.degree = n
@@ -269,12 +273,9 @@ def gamma(f, gs):
     and of the g_i and touches only the cells their products reach, so
     sparse factors compose cheaply.
     """
-    gs = list(gs)
+    gs = [_over(f.alg, g) for g in gs]
     if len(gs) != f.degree:
         raise ValueError("gamma needs exactly deg f arguments")
-    for g in gs:
-        if g.alg != f.alg:
-            raise ValueError("cochains over different algebras")
     parts = tuple(g.degree for g in gs)
     places = _places(f.alg.dim, parts)
     cells = {}
@@ -370,12 +371,9 @@ def brace(x, xs):
     With n > deg x there is no substitution and the result is the zero
     cochain of the formal degree (sum deg x_p) + deg x - n.
     """
-    xs = list(xs)
+    xs = [_over(x.alg, g) for g in xs]
     if not xs:
         return x
-    for g in xs:
-        if g.alg != x.alg:
-            raise ValueError("cochains over different algebras")
     n = sum(g.degree for g in xs) + x.degree - len(xs)
     if len(xs) > x.degree:
         return Cochain(x.alg, n, {})
@@ -391,9 +389,7 @@ def circ(x, y):
 
 def bracket(x, y):
     """[x, y] = x o y - (-1)^(|x||y|) y o x, of degree deg x + deg y - 1."""
-    if x.alg != y.alg:
-        raise ValueError("cochains over different algebras")
-    n = x.degree + y.degree - 1
+    n = x.degree + _over(x.alg, y).degree - 1
     cells = {}
     _brace_into(cells, x, [y], False)
     _brace_into(cells, y, [x], (x.shifted * y.shifted) % 2 == 0)
@@ -420,9 +416,7 @@ class MultContext:
 def dot(ctx, x, y):
     """x . y = (-1)^(deg x) m{x, y}, of degree deg x + deg y; the sign is
     the sign of the brace's accumulation."""
-    if x.alg != ctx.alg or y.alg != ctx.alg:
-        raise ValueError("cochains do not belong to this context")
-    n = x.degree + y.degree
+    n = _over(ctx.alg, x).degree + _over(ctx.alg, y).degree
     cells = {}
     _brace_into(cells, ctx.pi, [x, y], x.degree % 2 == 1)
     return _collected(ctx.alg, n, cells)
@@ -431,18 +425,13 @@ def dot(ctx, x, y):
 def diff_d(ctx, x):
     """d x = [m, x] = m o x - (-1)^(|x|) x o m, raising degree by one: the
     matrix of d on deg x applied to the cells of x."""
-    if x.alg != ctx.alg:
-        raise ValueError("cochain does not belong to this context")
     # a warm call reads the cache itself, so it calls no public function
-    matrix = ctx.matrix_cache.get(x.degree)
+    matrix = ctx.matrix_cache.get(_over(ctx.alg, x).degree)
     if matrix is None:
         from .cohomology import matrix_of_d     # cohomology imports cochains
         matrix = matrix_of_d(ctx, x.degree)
-    d = Cochain.__new__(Cochain)     # apply's cells are in range, collected
-    d.alg = ctx.alg
-    d.degree = x.degree + 1
-    d.cells = matrix.apply(x.cells)
-    return d
+    # x was judged when it was built, so its cells are not judged again
+    return _collected(ctx.alg, x.degree + 1, matrix._product(x.cells))
 
 
 # -- the explicit differential for dialgebras and trialgebras -----------------
@@ -491,9 +480,7 @@ def delta_trias(alg, f):
     if alg.type_tag not in _DELTA_TYPES:
         raise ValueError("the explicit differential is defined for dias and "
                          "trias only")
-    if f.alg != alg:
-        raise ValueError("cochain does not belong to this algebra")
-    n = f.degree
+    n = _over(alg, f).degree
     d = alg.dim
     width = d ** n
     # by op, {fixed index: [(row offset, coefficient)]}: e_x op e_o by o

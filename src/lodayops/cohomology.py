@@ -33,9 +33,9 @@ from itertools import product
 from operator import itemgetter
 
 from . import linalg
-from .cochains import (Cochain, _signed_sum, bracket, cochain_dim, dot,
-                       zero_cochain)
-from .fields import _at_least
+from .cochains import (_collected, _over, _signed_sum, bracket, cochain_dim,
+                       dot, zero_cochain)
+from .fields import _all_at_least, _at_least
 from .identities import LawCheck
 from .params import family_size
 from .preoperadic import r_index_tables
@@ -73,18 +73,19 @@ class DifferentialMatrix:
 
     def apply(self, cells):
         """M x for a sparse vector x ({column: value}), as {row: value}
-        without zeros.  A key outside ``range(ncols)`` raises ValueError."""
-        if cells:
-            low, high = min(cells), max(cells)
-            if low < 0 or high >= self.ncols:
-                raise ValueError("column keys %r..%r are not all in range(%d)"
-                                 % (low, high, self.ncols))
+        without zeros; each key must be an int in ``range(ncols)``."""
+        _all_at_least(cells, 0, "column", self.ncols - 1)
+        return self.field.collect(self._product(cells))
+
+    def _product(self, cells):
+        """M x summed with the plain operators, not collected, for keys the
+        library built in ``range(ncols)``, which are not judged again."""
         out = {}
         get = out.get
         for c, x in cells.items():
             for r, v in self.columns[c].items():
                 out[r] = get(r, 0) + v * x
-        return self.field.collect(out)
+        return out
 
 
 def matrix_of_d(ctx, n):
@@ -184,7 +185,7 @@ def matrix_product_is_zero(a, b, field):
                          % (a.field.name, b.field.name, field.name))
     if a.ncols != b.nrows:
         raise ValueError("shape mismatch")
-    return not any(a.apply(col) for col in b.columns)
+    return not any(a.field.collect(a._product(col)) for col in b.columns)
 
 
 def cohomology_dims(ctx, max_degree):
@@ -212,7 +213,7 @@ def cocycle_representatives(ctx, n):
     if n > 1:
         below = matrix_of_d(ctx, n - 1).echelon()
         ker = [ker[i] for i in linalg.independent_mod_image(below, ker)]
-    reps = [Cochain(alg, n, vec) for vec in ker]
+    reps = [_collected(alg, n, vec) for vec in ker]
     for rep in reps:
         if not bracket(ctx.pi, rep).is_zero():
             raise ValueError("representative is not a cocycle")
@@ -226,9 +227,7 @@ def coboundary_preimage(ctx, c):
     the witness returned in that case is the degree-1 zero cochain, standing
     in for the nonexistent degree-0 module.
     """
-    if c.alg != ctx.alg:
-        raise ValueError("cochain does not belong to this context")
-    n = c.degree
+    n = _over(ctx.alg, c).degree
     if n < 2:
         if c.is_zero():
             return zero_cochain(ctx.alg, 1)
@@ -236,7 +235,7 @@ def coboundary_preimage(ctx, c):
     sol = matrix_of_d(ctx, n - 1).echelon().preimage(c.cells)
     if sol is None:
         return None
-    return Cochain(ctx.alg, n - 1, sol)
+    return _collected(ctx.alg, n - 1, sol)
 
 
 def is_coboundary(ctx, c):

@@ -79,9 +79,7 @@ class Rationals:
         if type(q) is int:
             return q
         if type(q) is not Fraction:
-            if not isinstance(q, (int, Fraction)):
-                raise ValueError("%r is not an int or a Fraction" % (q,))
-            q = Fraction(q)
+            raise ValueError("%r is not an int or a Fraction" % (q,))
         return q.numerator if q.denominator == 1 else q
 
     def to_text(self, a):
@@ -126,9 +124,8 @@ class PrimeField:
     def from_fraction(self, q):
         if type(q) is int:
             return q % self.p
-        if not isinstance(q, (int, Fraction)):
+        if type(q) is not Fraction:
             raise ValueError("%r is not an int or a Fraction" % (q,))
-        q = Fraction(q)
         den = q.denominator % self.p
         if den == 0:
             raise ZeroDivisionError("denominator divisible by %d" % self.p)
@@ -150,15 +147,27 @@ class PrimeField:
 QQ = Rationals()
 
 
-def _at_least(value, low, name):
-    """``value`` if it is an int, not a bool, and at least ``low``; anything
-    else raises ValueError naming the parameter ``name``.  The one judge of
-    the integers that index the library's objects: arities, degrees, degree
-    bounds, sample counts and moduli, called before any cache is read."""
-    if type(value) is not int or value < low:
-        raise ValueError("%s must be an int >= %d, got %r"
-                         % (name, low, value))
+def _at_least(value, low, name, high=None):
+    """``value`` if it is an int, not a bool, at least ``low`` and at most
+    ``high`` when given; anything else raises ValueError naming the
+    parameter ``name``.  The one judge of the integers that size and index
+    the library's objects, called where each enters, before any cache."""
+    if type(value) is not int or value < low \
+            or high is not None and value > high:
+        bound = ">= %d" % low if high is None else "in %d..%d" % (low, high)
+        raise ValueError("%s must be an int %s, got %r" % (name, bound, value))
     return value
+
+
+def _all_at_least(values, low, name, high=None):
+    """``values``, a collection such as the keys of a sparse vector, if
+    ``_at_least`` accepts each of them; else it raises for the first it
+    refuses.  The values that all pass cost one type, min and max scan."""
+    if values and (set(map(type, values)) != {int} or min(values) < low
+                   or high is not None and max(values) > high):
+        for value in values:
+            _at_least(value, low, name, high)
+    return values
 
 
 def _ascii_int(text):

@@ -29,7 +29,10 @@ changes them after construction.
 
 from collections import Counter, namedtuple
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
+
+from .fields import _all_at_least
 
 
 def _integer_row(row, order):
@@ -63,9 +66,9 @@ def rank_bareiss(rows, ncols, p=0):
     otherwise the row is stored under it.  Neither order changes the rank.
     """
     rows = sorted(rows, key=len)
-    counts = Counter(c for row in rows for c in row)
-    if counts and not 0 <= min(counts) <= max(counts) < ncols:
-        raise ValueError("column index outside range(%d)" % ncols)
+    # every key of every row is judged: a Counter would merge True into 1
+    counts = Counter(_all_at_least(list(chain.from_iterable(rows)), 0,
+                                   "column", ncols - 1))
     order = {c: i for i, c in enumerate(sorted(counts, key=counts.get))}
     pivots = {}
     for row in rows:

@@ -28,7 +28,7 @@ from functools import lru_cache
 from itertools import accumulate, product
 from math import prod
 
-from .fields import _at_least
+from .fields import _all_at_least, _at_least
 from .params import _family, family_size, param_text
 from .trees import LEAF, _compositions
 
@@ -122,9 +122,8 @@ def r_index_tables(kind, parts):
     a shared restriction table, so the R_j table of an interval serves
     every profile with that interval.
     """
-    if not parts or min(parts) < 1:
-        raise ValueError("profile parts must be positive: %r" % (parts,))
-    cuts = (0, *accumulate(parts))
+    _at_least(len(parts), 1, "len(parts)")
+    cuts = (0, *accumulate(_all_at_least(parts, 1, "part")))
     n = cuts[-1]
     return (_restriction_table(kind, n, cuts),
             tuple(_restriction_table(kind, n, tuple(range(lo, hi + 1)))
@@ -133,9 +132,10 @@ def r_index_tables(kind, parts):
 
 def _apply(kind, parts, j, elem):
     """R_0 of elem, an element of U_N, for j = 0, else R_j, read from the
-    index tables of the profile ``parts``."""
+    index tables of the profile ``parts``.  The cache refuses a list, and
+    the parts are judged after it, since a warm cache does not judge them."""
     r0, part_tables = r_index_tables(kind, parts)
-    i = _family(kind, sum(parts))[1].get(elem)
+    i = _family(kind, sum(_all_at_least(parts, 1, "part")))[1].get(elem)
     if i is None:
         raise ValueError("%s is not an element of the %s family"
                          % (param_text(kind, elem), kind))
@@ -150,9 +150,7 @@ def r_zero(kind, parts, elem):
 
 def r_part(kind, parts, j, elem):
     """R_j(k; n_1,...,n_k): U_N -> U_{n_j} for 1 <= j <= k."""
-    if not 1 <= j <= len(parts):
-        raise ValueError("part index %d out of range 1..%d" % (j, len(parts)))
-    return _apply(kind, parts, j, elem)
+    return _apply(kind, parts, _at_least(j, 1, "j", len(parts)), elem)
 
 
 # -- exhaustive verification ------------------------------------------------

@@ -82,9 +82,7 @@ def face(t, i):
     if t.is_leaf:
         raise ValueError("cannot delete from a bare leaf")
     n = t.weight
-    if not 0 <= i <= n:
-        raise ValueError("leaf index %d out of range for weight %d" % (i, n))
-    removed, symbol = _face(t, i)
+    removed, symbol = _face(t, _at_least(i, 0, "i", n))
     if i == 0:
         symbol = RIGHT if t[0].weight else LEFT if len(t) == 2 else MIDDLE
     elif i == n:

@@ -52,6 +52,16 @@ def test_multiply_bilinear_and_basis(rng):
     assert multiply(alg, "middle", y, {}) == {}
 
 
+def test_multiply_refuses_keys_that_are_not_basis_indices():
+    # {0.0: 1} and {True: 1} used to be read as e_1 and e_2
+    alg = product_fixture("dias", 2)
+    for x, y, bad in (({0.0: 1}, {True: 1}, 0.0), ({0: 1}, {True: 1}, True),
+                      ({2: 1}, {0: 1}, 2), ({0: 1}, {-1: 1}, -1)):
+        with pytest.raises(ValueError, match=r"^basis index must be an int "
+                           r"in 0\.\.1, got %r$" % bad):
+            multiply(alg, "left", x, y)
+
+
 def test_fixture_products():
     alg = product_fixture("didend", 1)
     e = {0: alg.field.one}
@@ -221,8 +231,8 @@ def test_field_that_is_not_a_field_refused(field):
 
 def test_dimension_and_index_validation():
     for dim in (0, True, 1.0):
-        with pytest.raises(SpecError, match="^dim must be a positive "
-                                            "integer$"):
+        with pytest.raises(SpecError, match="^dim must be an int >= 1, "
+                                            "got %r$" % dim):
             AlgebraSpec("trias", QQ, dim)
     with pytest.raises(ValueError):
         AlgebraSpec("trias", QQ, 1, basis=("a", "b"))
@@ -231,17 +241,20 @@ def test_dimension_and_index_validation():
     with pytest.raises(ValueError):
         AlgebraSpec("trias", QQ, 1, None, {"left": {(0, 1): {0: QQ.one}}})
     with pytest.raises(ValueError,
-                       match="^basis index out of range in left table$"):
+                       match=r"^left table, cell \(0, 0\) -> 1: 0-based basis "
+                             r"index must be an int in 0\.\.0, got 1$"):
         AlgebraSpec("trias", QQ, 1, None, {"left": {(0, 0): {1: QQ.one}}})
     # an output index is checked before its zero coefficient is dropped,
     # as an algebra file's "1 1 6 0" is refused
     with pytest.raises(SpecError,
-                       match="^basis index out of range in left table$"):
+                       match=r"^left table, cell \(0, 0\) -> 5: 0-based basis "
+                             r"index must be an int in 0\.\.0, got 5$"):
         AlgebraSpec("trias", QQ, 1, None, {"left": {(0, 0): {5: 0}}})
     with pytest.raises(ValueError, match="dimensions 1 and 2 only"):
         product_fixture("trias", 3)
     for index in (0, len(AXIOMS["trias"]) + 1):
-        with pytest.raises(ValueError, match="^axiom index out of range$"):
+        with pytest.raises(ValueError, match=r"^index must be an int in "
+                                             r"1\.\.11, got %d$" % index):
             axiom_mutation("trias", index)
 
 
@@ -257,7 +270,7 @@ def test_basis_names_an_algebra_file_reads_back(basis):
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
-@pytest.mark.parametrize("constant", [0.5, 1.0, "1", None])
+@pytest.mark.parametrize("constant", [0.5, 1.0, "1", None, True])
 def test_inexact_structure_constant_refused(field, constant):
     tables = {op: {(0, 0): {0: constant}} for op in OPS["trias"]}
     with pytest.raises(ValueError,

@@ -94,11 +94,12 @@ def test_distinct_diagnostics():
     _expect_error("type = didend\nfield = Fp:\u00b2\ndim = 1\n",
                   "malformed field descriptor")
     _expect_error("type = didend\nfield = Q\ndim = \u00b2\n",
-                  "dim must be a positive integer")
+                  "line 3: malformed dim: '\u00b2' is not an ASCII number")
     _expect_error("type = didend\nfield = Q\ndim = 0\n",
-                  "dim must be a positive integer")
+                  "line 3: dim must be an int >= 1, got 0")
     _expect_error("type = didend\nfield = Q\ndim = 1\nop left\n1 1 2 1\n",
-                  "out of range")
+                  "line 5: left table, cell (0, 0) -> 1: 0-based basis index "
+                  "must be an int in 0..0, got 1")
     _expect_error("type = didend\nfield = Q\ndim = 1\nop left\n1 1 1 1/0\n",
                   "line 5: malformed coefficient: '1/0'")
     _expect_error("type = didend\nfield = Q\ndim = 1\nop left\n1 1 1 x\n",
@@ -154,6 +155,19 @@ def test_library_and_file_refuse_by_one_rule(args, where, text, line_no):
     assert str(file_err.value) == "line %d: %s" % (line_no, spec_err.value)
     # the missing-block warnings come after a valid algebra is built
     assert warnings == []
+
+
+@pytest.mark.parametrize("cell, row, where, bad", [
+    ((0.5, 0), {1: 1}, ("left", 0.5, 0), 0.5),
+    ((0, True), {1: 1}, ("left", 0, True), True),
+    ((0, 0), {1.0: 1}, ("left", 0, 0, 1.0), 1.0)])
+def test_index_that_is_not_an_int_is_refused(cell, row, where, bad):
+    # an index no algebra file can spell: (0.5, 0) used to be stored, so
+    # that parse_algebra(serialize_algebra(a)) != a
+    with pytest.raises(SpecError, match=r"0-based basis index must be an int "
+                                        r"in 0\.\.1, got %r$" % bad) as err:
+        AlgebraSpec("dias", QQ, 2, None, {"left": {cell: row}})
+    assert err.value.where == where
 
 
 def test_op_header_takes_any_whitespace():

@@ -274,7 +274,8 @@ def test_non_ascii_dim_exits_2(tmp_path, command):
     assert out == ""
     assert [line for line in err.splitlines()
             if not line.startswith("# elapsed")] == [
-        "error: %s: line 3: dim must be a positive integer" % bad]
+        "error: %s: line 3: malformed dim: '\u00b2' is not an ASCII number"
+        % bad]
 
 
 @pytest.mark.parametrize("command", ["verify-algebra", "cohomology",

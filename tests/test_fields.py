@@ -83,28 +83,47 @@ def test_large_prime_moduli():
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
-# each entry that takes a degree, arity, bound, sample count or modulus:
-# its call on one integer argument n, the judge's name for n, its least
-# valid value, and a float equal to a valid value
+# each entry that takes a degree, arity, bound, sample count, modulus or
+# index: its call on one integer argument n, the judge's name for n, its
+# least and greatest valid values (None: no greatest), and a float equal to
+# a valid value
 JUDGED = {
-    "enumerate_params": ("enumerate_params('planar', n)", "n", 1, 2.0),
-    "family_size": ("family_size('planar', n)", "n", 1, 2.0),
-    "planar_trees": ("planar_trees(n)", "n", 1, 2.0),
-    "binary_trees": ("binary_trees(n)", "n", 1, 2.0),
+    "enumerate_params": ("enumerate_params('planar', n)", "n", 1, None, 2.0),
+    "family_size": ("family_size('planar', n)", "n", 1, None, 2.0),
+    "planar_trees": ("planar_trees(n)", "n", 1, None, 2.0),
+    "binary_trees": ("binary_trees(n)", "n", 1, None, 2.0),
     "cochain_dim": ("cochain_dim(product_fixture('trias', 2), n)", "n", 1,
-                    2.0),
+                    None, 2.0),
     "Cochain": ("Cochain(product_fixture('trias', 2), n, {0: 1})", "degree",
-                1, 1.0),
+                1, None, 1.0),
     "random_cochain": ("random_cochain(product_fixture('trias', 1), n, "
-                       "random.Random(0))", "n", 1, 2.0),
-    "matrix_of_d": ("matrix_of_d(ctx(), n)", "n", 1, 1.0),
-    "cohomology_dims": ("cohomology_dims(ctx(), n)", "max_degree", 1, 1.0),
-    "check_g_algebra": ("check_g_algebra(ctx(), n)", "max_degree", 2, 3.0),
-    "verify_system": ("verify_system('linear', n)", "max_total", 1, 2.0),
+                       "random.Random(0))", "n", 1, None, 2.0),
+    "matrix_of_d": ("matrix_of_d(ctx(), n)", "n", 1, None, 1.0),
+    "cohomology_dims": ("cohomology_dims(ctx(), n)", "max_degree", 1, None,
+                        1.0),
+    "check_g_algebra": ("check_g_algebra(ctx(), n)", "max_degree", 2, None,
+                        3.0),
+    "verify_system": ("verify_system('linear', n)", "max_total", 1, None,
+                      2.0),
     "run_identity_suite": ("run_identity_suite(ctx(), random.Random(0), n)",
-                           "samples", 0, 1.0),
-    "PrimeField": ("PrimeField(n)", "p", 5, 7.0),
+                           "samples", 0, None, 1.0),
+    "PrimeField": ("PrimeField(n)", "p", 5, None, 7.0),
+    # the indices: of an axiom, a leaf, a part and a profile's parts
+    "axiom_label": ("axiom_label('dias', n)", "index", 1, 5, 5.0),
+    "mutation_bump": ("mutation_bump('dias', n)", "index", 1, 5, 5.0),
+    "axiom_mutation": ("axiom_mutation('dias', n)", "index", 1, 5, 1.0),
+    "face": ("face(planar_trees(2)[0], n)", "i", 0, 2, 1.0),
+    "r_part j": ("r_part('planar', (1, 1), n, U2)", "j", 1, 2, 1.0),
+    "r_part parts": ("r_part('planar', (n, 1), 1, U2)", "part", 1, None,
+                     1.0),
+    "r_zero parts": ("r_zero('planar', (n, 1), U2)", "part", 1, None, 1.0),
+    "r_index_tables": ("r_index_tables('planar', (n, 1))", "part", 1, None,
+                       2.0),
 }
+
+# the entries that are an lru_cache themselves: once a call has filled the
+# cache, a key equal to the int (2.0, True) finds its result there
+CACHES = ("enumerate_params", "r_index_tables")
 
 # run in a fresh interpreter: the bad argument on cold caches, the same
 # call with a valid int, then the bad argument on the caches it warmed;
@@ -113,17 +132,19 @@ JUDGED = {
 JUDGE_SCRIPT = """
 import functools, json, random, sys
 sys.path.insert(0, sys.argv[1])
-from lodayops.algebra import product_fixture
+from lodayops.algebra import (axiom_label, axiom_mutation, mutation_bump,
+                              product_fixture)
 from lodayops.cochains import Cochain, MultContext, cochain_dim, random_cochain
 from lodayops.cohomology import check_g_algebra, cohomology_dims, matrix_of_d
 from lodayops.fields import PrimeField
 from lodayops.identities import run_identity_suite
 from lodayops.params import enumerate_params, family_size
-from lodayops.preoperadic import verify_system
-from lodayops.trees import binary_trees, planar_trees
+from lodayops.preoperadic import r_index_tables, r_part, r_zero, verify_system
+from lodayops.trees import binary_trees, face, planar_trees
 
 # built on first use: a context's pi already reads some families
 ctx = functools.cache(lambda: MultContext(product_fixture("trias", 1)))
+U2 = planar_trees(2)[0]
 call, bad, good = sys.argv[2], json.loads(sys.argv[3]), int(sys.argv[4])
 
 def outcome(n):
@@ -140,26 +161,37 @@ print(json.dumps([cold, warm, result is valid]))
 """
 
 
-@pytest.mark.parametrize("bad", [True, "float", "low - 1"])
-@pytest.mark.parametrize("entry", sorted(JUDGED))
+def _judged_cases():
+    for entry in sorted(JUDGED):
+        high = JUDGED[entry][3]
+        ends = ["low - 1"] if high is None else ["low - 1", "high + 1"]
+        for bad in ["True", "float"] + ends:
+            yield pytest.param(entry, bad, id="%s-%s" % (entry, bad))
+
+
+@pytest.mark.parametrize("entry, bad", _judged_cases())
 def test_integer_judge_refuses_on_cold_and_warm_caches(entry, bad):
     # a bool, a float equal to a valid value and an int below the least
-    # valid one are refused before any cache is read: a refusal on a cold
-    # cache does not turn into an answer on a warm one
-    call, name, low, equal_float = JUDGED[entry]
-    bad = {"float": equal_float, "low - 1": low - 1}.get(bad, bad)
-    good = max(int(bad), low)
+    # valid one or above the greatest are refused before any cache is
+    # read: a refusal on a cold cache does not turn into an answer on a
+    # warm one
+    call, name, low, high, equal_float = JUDGED[entry]
+    bad = {"True": True, "float": equal_float, "low - 1": low - 1,
+           "high + 1": (high or 0) + 1}[bad]
+    good = max(int(bad), low) if high is None else min(max(int(bad), low),
+                                                       high)
     done = subprocess.run(
         [sys.executable, "-c", JUDGE_SCRIPT, str(SRC), call,
          json.dumps(bad), str(good)],
         capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     cold, warm, same = json.loads(done.stdout)
+    bound = ">= %d" % low if high is None else "in %d..%d" % (low, high)
     refusal = ["ValueError",
-               "%s must be an int >= %d, got %r" % (name, low, bad)]
+               "%s must be an int %s, got %r" % (name, bound, bad)]
     assert cold == refusal
-    if entry == "enumerate_params" and bad == good:
-        # the entry is the lru_cache itself: an equal key finds the family
+    if entry in CACHES and bad == good:
+        # the entry is the lru_cache itself: an equal key finds the result
         assert warm[0] == "returned" and same
     else:
         assert warm == refusal
@@ -230,8 +262,7 @@ def test_rational_text_is_unchanged_by_the_scalar_type():
 @pytest.mark.parametrize("field", [QQ, PrimeField(101)], ids=["Q", "F101"])
 def test_from_fraction_takes_an_int_without_a_fraction(field, monkeypatch):
     # a plain int gives the value and type of the Fraction route ...
-    values = (-10 ** 30, -205, -101, -3, -1, 0, 1, 7, 100, 101, 10 ** 30,
-              True, False)
+    values = (-10 ** 30, -205, -101, -3, -1, 0, 1, 7, 100, 101, 10 ** 30)
     expected = [field.from_fraction(Fraction(q)) for q in values]
     assert [field.from_fraction(q) for q in values] == expected
     assert [type(field.from_fraction(q)) for q in values] == \
@@ -243,14 +274,15 @@ def test_from_fraction_takes_an_int_without_a_fraction(field, monkeypatch):
         raise AssertionError("a Fraction was built for an int")
 
     monkeypatch.setattr(fields, "Fraction", no_fraction)
-    ints = values[:-2]
-    assert [field.from_fraction(q) for q in ints] == expected[:-2]
+    assert [field.from_fraction(q) for q in values] == expected
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
-@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, "1/2", "3", None])
+@pytest.mark.parametrize("value", [0.1, 0.5, 1.0, "1/2", "3", None, True,
+                                   False])
 def test_from_fraction_refuses_what_is_not_an_int_or_a_fraction(field, value):
-    # Fraction() would read a float or a string; there is no floating point
+    # Fraction() would read a float or a string; there is no floating point;
+    # a bool is not an int here, as for fields._at_least (True used to be 1)
     with pytest.raises(ValueError, match="^%s is not an int or a Fraction$"
                        % re.escape(repr(value))):
         field.from_fraction(value)

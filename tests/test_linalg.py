@@ -90,11 +90,13 @@ def test_known_ranks():
 
 
 def test_rank_bareiss_refuses_columns_outside_range():
-    for column in (2, -1):
-        with pytest.raises(ValueError,
-                           match=r"^column index outside range\(2\)$"):
-            rank_bareiss([{0: 1}, {1: 1, column: 1}], 2)
-        with pytest.raises(ValueError, match=r"range\(2\)"):
+    # a float or a bool column used to be counted as a column of its own:
+    # rank_bareiss([{0.5: 1}], 2) was 1
+    for column in (2, -1, 0.5, 1.0, True):
+        message = r"^column must be an int in 0\.\.1, got %r$" % column
+        with pytest.raises(ValueError, match=message):
+            rank_bareiss([{0: 1}, {1: 1}, {0: 2, column: 1}], 2)
+        with pytest.raises(ValueError, match=message):
             rank_bareiss([{column: 1}], 2, 5)
 
 

@@ -45,15 +45,19 @@ def test_profile_parts_given_as_a_list():
 
 
 def test_nonpositive_profile_parts_are_errors():
-    message = "profile parts must be positive"
+    # the one judge's message, for the count of parts and for each part
+    messages = {(): "^len\\(parts\\) must be an int >= 1, got 0$",
+                (2, 0): "^part must be an int >= 1, got 0$",
+                (1, -1): "^part must be an int >= 1, got -1$",
+                (3, -1): "^part must be an int >= 1, got -1$"}
     u = enumerate_params("linear", 2)[0]
-    for parts in ((), (2, 0), (1, -1), (3, -1)):
+    for parts, message in messages.items():
         with pytest.raises(ValueError, match=message):
             r_index_tables("linear", parts)
     for parts in ((), (2, 0)):
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=messages[parts]):
             r_zero("linear", parts, u)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError, match=messages[(3, -1)]):
         r_part("linear", (3, -1), 1, u)
     # the list cases are refused as lists, before their parts are read
     for parts in ([2, 0], [], [3, -1]):
@@ -102,7 +106,7 @@ def test_results_always_valid_members():
 
 
 def test_arity_mismatch_is_an_error():
-    with pytest.raises(ValueError, match=r"^part index 3 out of range 1\.\.2$"):
+    with pytest.raises(ValueError, match=r"^j must be an int in 1\.\.2, got 3$"):
         r_part("linear", (2, 2), 3, 1)
 
 
