@@ -22,18 +22,10 @@ the type's cochains.
 
 from collections import namedtuple
 
-from .fields import QQ, PrimeField, Rationals, _all_at_least, _at_least
+from .fields import (QQ, PrimeField, Rationals, _all_at_least, _at_least,
+                     _mapping)
 
-TYPES = ("dias", "didend", "trias", "tridend", "tricub")
-
-OPS = {
-    "dias": ("left", "right"),
-    "didend": ("left", "right"),
-    "trias": ("left", "right", "middle"),
-    "tridend": ("left", "middle", "right"),
-    "tricub": ("left", "right", "middle"),
-}
-
+# each type's operations in canonical order, with glyphs; TYPES and OPS too
 GLYPHS = {
     "dias": {"left": "⊣", "right": "⊢"},
     "didend": {"left": "≺", "right": "≻"},
@@ -41,6 +33,9 @@ GLYPHS = {
     "tridend": {"left": "≺", "middle": "·", "right": "≻"},
     "tricub": {"left": "⊣", "right": "⊢", "middle": "⊥"},
 }
+
+TYPES = tuple(GLYPHS)
+OPS = {t: tuple(glyphs) for t, glyphs in GLYPHS.items()}
 
 # The parameter family indexing each type's cochains.
 PARAM_KIND = {
@@ -122,8 +117,8 @@ def axiom_label(type_tag, index):
 class SpecError(ValueError):
     """An argument of ``AlgebraSpec`` that breaks a rule of a valid algebra,
     named by ``where``: "type", "field", "dim", "basis", ``(op,)`` for an
-    operation, ``(op, i, j)`` for a table cell, ``(op, i, j, k)`` for one
-    constant."""
+    operation, its table or a cell key, ``(op, i, j)`` for a table cell,
+    ``(op, i, j, k)`` for one constant."""
 
     def __init__(self, where, message):
         super().__init__(message)
@@ -170,22 +165,28 @@ class AlgebraSpec:
                                 "type %s" % (op, type_tag))
         self.tables = {op: {} for op in self.ops}
         for op, cells in tables.items():
-            for (i, j), row in cells.items():
-                # an index is judged before its constant, so before a zero
-                where, out = (op, i, j), {}
-                try:
-                    _all_at_least((i, j), 0, "0-based basis index", dim - 1)
-                    for k, c in row.items():
+            where = (op,)
+            try:
+                for ij, row in _mapping(cells, "the table").items():
+                    if not (isinstance(ij, tuple) and len(ij) == 2):
+                        raise ValueError("cell key must be a pair (i, j), "
+                                         "got %r" % (ij,))
+                    # an index is judged before its constant, so before a zero
+                    i, j = ij
+                    where, out = (op, i, j), {}
+                    _all_at_least(ij, 0, "0-based basis index", dim - 1)
+                    for k, c in _mapping(row, "row").items():
                         where = (op, i, j, k)
                         _at_least(k, 0, "0-based basis index", dim - 1)
                         out[k] = field.from_fraction(c)
-                except (ValueError, ZeroDivisionError) as exc:
-                    raise SpecError(where, "%s table, cell (%r, %r)%s: %s" % (
-                        op, i, j, "".join(" -> %r" % k for k in where[3:]),
-                        exc)) from None
-                out = field.collect(out)
-                if out:
-                    self.tables[op][(i, j)] = out
+                    out = field.collect(out)
+                    if out:
+                        self.tables[op][(i, j)] = out
+            except (ValueError, ZeroDivisionError) as exc:
+                cell = ", cell (%r, %r)" % where[1:3] if where[1:] else ""
+                raise SpecError(where, "%s table%s%s: %s" % (
+                    op, cell, "".join(" -> %r" % k for k in where[3:]),
+                    exc)) from None
 
     @property
     def kind(self):
@@ -211,8 +212,8 @@ def multiply(alg, op, x, y):
     if op not in alg.ops:
         raise ValueError("operation %r does not belong to type %s"
                          % (op, alg.type_tag))
-    for v in (x, y):
-        _all_at_least(v, 0, "basis index", alg.dim - 1)
+    for name, v in (("x", x), ("y", y)):
+        _all_at_least(_mapping(v, name), 0, "basis index", alg.dim - 1)
     table = alg.tables[op]
     out = {}
     for i, xi in x.items():
@@ -271,16 +272,10 @@ def verify_axioms(alg):
 
 # -- fixture corpus ----------------------------------------------------------
 
-# Operations carrying the associative product in the shipped valid fixtures;
-# the remaining operations are zero.  These are the minimal assignments whose
-# validity reduces to plain associativity.
-_ACTIVE_OPS = {
-    "dias": ("left", "right"),
-    "didend": ("left",),
-    "trias": ("left", "right", "middle"),
-    "tridend": ("middle",),
-    "tricub": ("left", "right", "middle"),
-}
+# Operations carrying the associative product in the shipped valid fixtures,
+# all of a type not listed; the others are zero.  These are the minimal
+# assignments whose validity reduces to plain associativity.
+_ACTIVE_OPS = {"didend": ("left",), "tridend": ("middle",)}
 
 
 def _assoc_table(dim):
@@ -294,7 +289,7 @@ def _assoc_table(dim):
 
 def product_fixture(type_tag, dim=1, field=QQ):
     table = _assoc_table(dim)
-    tables = {op: table for op in _ACTIVE_OPS[type_tag]}
+    tables = {op: table for op in _ACTIVE_OPS.get(type_tag, OPS[type_tag])}
     basis = ("e",) if dim == 1 else ("e", "t")
     return AlgebraSpec(type_tag, field, dim, basis, tables)
 

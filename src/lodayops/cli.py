@@ -21,11 +21,11 @@ import time
 from . import cohomology
 from .algebra import verify_axioms
 from .algfile import AlgebraFileError, load_algebra
-from .cochains import (_DELTA_TYPES, Cochain, MultContext,
-                       canonical_multiplication, circ, delta_trias)
+from .cochains import (Cochain, MultContext, canonical_multiplication, circ,
+                       delta_trias)
 from .fields import _ascii_int, _at_least
 from .identities import run_identity_suite
-from .params import KINDS, enumerate_params, param_text
+from .params import KINDS, TREE_KINDS, enumerate_params, param_text
 from .preoperadic import AXIOM_IDS, scan_instances, verify_system
 
 # the largest law scan verify-system runs; a larger one is refused (exit 2)
@@ -178,7 +178,7 @@ def cmd_cohomology(ns, report):
 
 def cmd_compare_differentials(ns, report):
     alg = _describe(report, ns)
-    if alg.type_tag not in _DELTA_TYPES:
+    if alg.kind not in TREE_KINDS:
         raise _Refused("compare-differentials requires a dias or trias "
                        "algebra")
     ctx = _context(alg, report)

@@ -46,8 +46,8 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .algebra import PI_OPS
-from .fields import _all_at_least, _at_least
-from .params import _family, enumerate_params, family_size
+from .fields import _all_at_least, _at_least, _mapping
+from .params import TREE_KINDS, _family, enumerate_params, family_size
 from .preoperadic import r_index_tables
 from .trees import face
 
@@ -56,9 +56,9 @@ class Cochain:
     """A degree-n cochain: ``cells`` maps each flat index to its nonzero
     coefficient.  The constructor keeps its own copy of the cells given,
     each value read through ``field.from_fraction`` and the zeros dropped.
-    A degree that is not an int >= 1, a key that is not an int in
-    ``range(cochain_dim(alg, degree))``, or a value that is not a scalar of
-    the field, raises ValueError."""
+    A degree that is not an int >= 1, cells that are not a mapping, a key
+    that is not an int in ``range(cochain_dim(alg, degree))``, or a value
+    that is not a scalar of the field, raises ValueError."""
 
     __slots__ = ("alg", "degree", "cells")
 
@@ -66,7 +66,7 @@ class Cochain:
         _at_least(degree, 1, "degree")
         # cochain_dim through the private cache of U_n, which is not traced
         size = len(_family(alg.kind, degree)[0]) * alg.dim ** (degree + 1)
-        _all_at_least(cells, 0, "cochain key", size - 1)
+        _all_at_least(_mapping(cells, "cells"), 0, "cochain key", size - 1)
         values = {}
         for i, c in cells.items():
             try:
@@ -436,10 +436,6 @@ def diff_d(ctx, x):
 
 # -- the explicit differential for dialgebras and trialgebras -----------------
 
-# the types delta covers: dias on binary trees (Y_n), trias on all planar
-# trees (T_n)
-_DELTA_TYPES = ("dias", "trias")
-
 
 @lru_cache(maxsize=None)
 def _delta_data(kind, n):
@@ -477,7 +473,7 @@ def delta_trias(alg, f):
     and the face table are read, never pi, so the comparison with
     d = [pi, -] is between independent computations.
     """
-    if alg.type_tag not in _DELTA_TYPES:
+    if alg.kind not in TREE_KINDS:
         raise ValueError("the explicit differential is defined for dias and "
                          "trias only")
     n = _over(alg, f).degree

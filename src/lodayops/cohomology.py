@@ -35,7 +35,7 @@ from operator import itemgetter
 from . import linalg
 from .cochains import (_collected, _over, _signed_sum, bracket, cochain_dim,
                        dot, zero_cochain)
-from .fields import _all_at_least, _at_least
+from .fields import _at_least
 from .identities import LawCheck
 from .params import family_size
 from .preoperadic import r_index_tables
@@ -70,12 +70,6 @@ class DifferentialMatrix:
         if self._echelon is None:
             self._echelon = linalg.column_echelon(self.columns, self.field)
         return self._echelon
-
-    def apply(self, cells):
-        """M x for a sparse vector x ({column: value}), as {row: value}
-        without zeros; each key must be an int in ``range(ncols)``."""
-        _all_at_least(cells, 0, "column", self.ncols - 1)
-        return self.field.collect(self._product(cells))
 
     def _product(self, cells):
         """M x summed with the plain operators, not collected, for keys the

@@ -23,6 +23,7 @@ In both fields zero is the only scalar that tests false, which lets sparse
 containers drop zeros with a plain truth test.
 """
 
+from collections.abc import Mapping
 from fractions import Fraction
 
 
@@ -168,6 +169,14 @@ def _all_at_least(values, low, name, high=None):
         for value in values:
             _at_least(value, low, name, high)
     return values
+
+
+def _mapping(value, name):
+    """``value`` if it is a mapping; else ValueError naming ``name``."""
+    if not isinstance(value, Mapping):
+        raise ValueError("%s must be a mapping, not %s"
+                         % (name, type(value).__name__))
+    return value
 
 
 def _ascii_int(text):

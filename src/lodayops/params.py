@@ -21,10 +21,11 @@ from .fields import _at_least
 from .trees import binary_trees, planar_trees, tree_text
 
 KINDS = ("linear", "binary", "planar", "subsets", "signs")
+TREE_KINDS = ("binary", "planar")      # the kinds whose elements are trees
 
 
 def param_text(kind, p):
-    if kind in ("binary", "planar"):
+    if kind in TREE_KINDS:
         return tree_text(p)
     if kind == "subsets":
         return "{" + ",".join(str(i) for i in sorted(p)) + "}"
@@ -33,7 +34,8 @@ def param_text(kind, p):
     return str(p)
 
 
-@lru_cache(maxsize=None)
+# typed: 2.0 and True reach the judge below, not the entries of 2 and 1
+@lru_cache(maxsize=None, typed=True)
 def enumerate_params(kind, n):
     """All of U_n for the given family, in canonical order."""
     if kind not in KINDS:
@@ -61,5 +63,5 @@ def _family(kind, n):
 
 
 def family_size(kind, n):
-    return len(enumerate_params(kind, _at_least(n, 1, "n")))
+    return len(enumerate_params(kind, n))
 

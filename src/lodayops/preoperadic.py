@@ -29,10 +29,8 @@ from itertools import accumulate, product
 from math import prod
 
 from .fields import _all_at_least, _at_least
-from .params import _family, family_size, param_text
+from .params import TREE_KINDS, _family, family_size, param_text
 from .trees import LEAF, _compositions
-
-TREE_KINDS = ("binary", "planar")
 
 
 def _spanned(memo, node, keep):

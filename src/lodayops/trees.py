@@ -65,7 +65,7 @@ LEAF = PlanarTree()
 
 def tree_text(t):
     """Nested-parentheses form: the 3-corolla is ``(|,|,|)``."""
-    if t.is_leaf:
+    if not t:
         return "|"
     return "(" + ",".join(tree_text(c) for c in t) + ")"
 
@@ -79,6 +79,8 @@ def face(t, i):
     boundary positions take o_i from the grafting decomposition
     t = t_0 v ... v t_k instead.
     """
+    if not isinstance(t, PlanarTree):
+        raise ValueError("t must be a PlanarTree, not %s" % type(t).__name__)
     if t.is_leaf:
         raise ValueError("cannot delete from a bare leaf")
     n = t.weight

@@ -304,7 +304,47 @@ def test_structure_constants_stored_in_the_field(field, half, stored):
         assert ((0, 1) in alg.tables[op]) == (field == QQ)
 
 
+@pytest.mark.parametrize("table, where, message", [
+    ({0: {0: 1}}, ("left",),
+     "left table: cell key must be a pair (i, j), got 0"),
+    ({(0, 0, 0): {0: 1}}, ("left",),
+     "left table: cell key must be a pair (i, j), got (0, 0, 0)"),
+    ({(0,): {0: 1}}, ("left",),
+     "left table: cell key must be a pair (i, j), got (0,)"),
+    ({(0, 0): 5}, ("left", 0, 0),
+     "left table, cell (0, 0): row must be a mapping, not int"),
+    ([((0, 0), {0: 1})], ("left",),
+     "left table: the table must be a mapping, not list"),
+    (None, ("left",), "left table: the table must be a mapping, not NoneType"),
+], ids=["int-key", "triple-key", "single-key", "int-row", "list-table",
+        "none-table"])
+def test_table_of_the_wrong_shape_refused(table, where, message):
+    # each used to raise a bare TypeError, ValueError (unpack) or
+    # AttributeError that named no argument
+    with pytest.raises(SpecError) as err:
+        AlgebraSpec("trias", QQ, 1, None, {"left": table})
+    assert err.value.where == where and str(err.value) == message
+
+
+@pytest.mark.parametrize("operand", [[0], (0,), None],
+                         ids=["list", "tuple", "None"])
+def test_multiply_refuses_an_operand_that_is_not_a_mapping(operand):
+    # each used to raise AttributeError
+    alg = product_fixture("trias", 1)
+    for x, y, name in ((operand, {0: 1}, "x"), ({0: 1}, operand, "y")):
+        with pytest.raises(ValueError, match="^%s must be a mapping, not %s$"
+                           % (name, type(operand).__name__)):
+            multiply(alg, "left", x, y)
+
+
 def test_ops_per_type():
-    assert OPS["didend"] == ("left", "right")
-    assert OPS["tridend"] == ("left", "middle", "right")
+    # TYPES and OPS are read from GLYPHS; these are the literals they were
+    assert TYPES == ("dias", "didend", "trias", "tridend", "tricub")
+    assert OPS == {
+        "dias": ("left", "right"),
+        "didend": ("left", "right"),
+        "trias": ("left", "right", "middle"),
+        "tridend": ("left", "middle", "right"),
+        "tricub": ("left", "right", "middle"),
+    }
     assert GLYPHS["tridend"]["middle"] == "·"

@@ -12,9 +12,9 @@ import pytest
 
 from lodayops import cli, cohomology, identities, linalg
 from lodayops.algebra import PI_OPS, suspension_fixture
-from lodayops.algfile import serialize_algebra
+from lodayops.algfile import load_algebra, serialize_algebra
 from lodayops.cli import MAX_SCAN_INSTANCES, main
-from lodayops.cochains import zero_cochain
+from lodayops.cochains import delta_trias, zero_cochain
 from lodayops.preoperadic import r_index_tables, scan_instances, verify_system
 
 
@@ -135,6 +135,21 @@ def test_compare_differentials_wrong_type(fixture_dir):
     assert code == 2
     assert out == ""
     assert "trias" in err
+
+
+@pytest.mark.parametrize("name", ["didend_dim1", "tridend_dim1",
+                                  "tricub_dim1"])
+def test_delta_is_defined_on_the_tree_kinds_only(fixture_dir, name):
+    # delta and compare-differentials read one rule, the kind of the type:
+    # binary trees for dias, planar trees for trias, no tree for the others
+    alg = load_algebra(fx(fixture_dir, name))
+    with pytest.raises(ValueError, match="^the explicit differential is "
+                       "defined for dias and trias only$"):
+        delta_trias(alg, zero_cochain(alg, 1))
+    code, out, err = run_cli("compare-differentials", fx(fixture_dir, name))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: compare-differentials requires a dias or "
+                          "trias algebra\n")
 
 
 def test_gerstenhaber(fixture_dir):

@@ -609,7 +609,7 @@ def _coface_matrices(ctx, n):
 
 def _product(a, b):
     """The columns of the sparse product a*b."""
-    return [a.apply(col) for col in b.columns]
+    return [a.field.collect(a._product(col)) for col in b.columns]
 
 
 @pytest.mark.parametrize("case", ["file:trias_dim2"]
@@ -760,16 +760,28 @@ def test_operations_refuse_cochains_of_another_complex(rng):
     assert (x1 - x1).is_zero() and (x2 + x2).degree == 2
 
 
-@pytest.mark.parametrize("key", [12345, -1, 3993, (0, 1)])
+@pytest.mark.parametrize("key", [12345, -1, 3993, (0, 1), True, 0.0, 1.0])
 def test_cochain_refuses_keys_outside_its_cells(key):
     # a key outside range(cochain_dim) used to build a cochain that every
-    # operation treated as zero
+    # operation treated as zero; a bool or a float is no key either, alone
+    # or beside a valid key
     alg = suspension_fixture("trias")
     assert cochain_dim(alg, 2) == 3993
-    with pytest.raises(ValueError, match=r"^cochain key must be an int in "
-                       r"0\.\.3992, got %s$" % re.escape(repr(key))):
-        Cochain(alg, 2, {key: 1})
+    for cells in ({key: 1}, {3992: 1, key: 1}):
+        with pytest.raises(ValueError, match=r"^cochain key must be an int "
+                           r"in 0\.\.3992, got %s$" % re.escape(repr(key))):
+            Cochain(alg, 2, cells)
     assert Cochain(alg, 2, {3992: 1}).cells == {3992: 1}
+
+
+@pytest.mark.parametrize("cells", [[0, 1], (0,), None],
+                         ids=["list", "tuple", "None"])
+def test_cochain_refuses_cells_that_are_not_a_mapping(cells):
+    # each used to raise AttributeError
+    alg = product_fixture("trias", 2)
+    with pytest.raises(ValueError, match="^cells must be a mapping, not %s$"
+                       % type(cells).__name__):
+        Cochain(alg, 1, cells)
 
 
 @pytest.mark.parametrize("field, half", [(QQ, Fraction(1, 2)),

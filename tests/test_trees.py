@@ -3,6 +3,8 @@ from itertools import combinations
 
 import pytest
 
+from lodayops.params import param_text
+from lodayops.preoperadic import r_zero
 from lodayops.trees import (LEAF, LEFT, MIDDLE, RIGHT, PlanarTree,
                             binary_trees, face, planar_trees, tree_text)
 
@@ -180,6 +182,22 @@ def test_tree_is_its_tuple_of_children():
     with pytest.raises(AttributeError):
         T1.weight = 5
     assert T1.weight == 1
+
+
+@pytest.mark.parametrize("plain", [((), ()), ((), ((), ())),
+                                   (((), ()), (), ())],
+                         ids=["corolla2", "right-comb", "left-corolla"])
+def test_plain_tuple_tree_is_read_or_refused_by_name(plain):
+    # a plain tuple equals its tree, so r_zero takes it (R_0 on the parts
+    # (1, ..., 1) keeps every leaf); tree_text and param_text used to raise
+    # AttributeError on it, and so did face
+    tree = next(t for n in (1, 2, 3) for t in planar_trees(n) if t == plain)
+    assert type(plain) is tuple and tree == plain
+    assert tree_text(plain) == param_text("planar", plain) == tree_text(tree)
+    assert r_zero("planar", (1,) * tree.weight, plain) == tree
+    with pytest.raises(ValueError, match="^t must be a PlanarTree, not "
+                                         "tuple$"):
+        face(plain, 0)
 
 
 def test_canonical_tree_order_is_pinned():
