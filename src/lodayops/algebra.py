@@ -23,7 +23,7 @@ the type's cochains.
 from collections import namedtuple
 
 from .fields import (QQ, PrimeField, Rationals, _all_at_least, _at_least,
-                     _mapping)
+                     _mapping, _scalars)
 
 # each type's operations in canonical order, with glyphs; TYPES and OPS too
 GLYPHS = {
@@ -116,9 +116,9 @@ def axiom_label(type_tag, index):
 
 class SpecError(ValueError):
     """An argument of ``AlgebraSpec`` that breaks a rule of a valid algebra,
-    named by ``where``: "type", "field", "dim", "basis", ``(op,)`` for an
-    operation, its table or a cell key, ``(op, i, j)`` for a table cell,
-    ``(op, i, j, k)`` for one constant."""
+    named by ``where``: "type", "field", "dim", "basis", "tables", ``(op,)``
+    for an operation, its table or a cell key, ``(op, i, j)`` for a table
+    cell, ``(op, i, j, k)`` for one constant."""
 
     def __init__(self, where, message):
         super().__init__(message)
@@ -137,13 +137,19 @@ class AlgebraSpec:
         if not isinstance(field, (Rationals, PrimeField)):
             raise SpecError("field", "field %r is not a Rationals or a "
                             "PrimeField" % (field,))
+        where = "dim"
         try:
             _at_least(dim, 1, "dim")
+            where = "tables"
+            tables = {} if tables is None else _mapping(tables, "tables")
         except ValueError as exc:
-            raise SpecError("dim", str(exc)) from None
+            raise SpecError(where, str(exc)) from None
         self.type_tag = type_tag
         self.field = field
         self.dim = dim
+        if not isinstance(basis, (list, tuple, type(None))):
+            raise SpecError("basis", "basis must be a list or a tuple, not %s"
+                            % type(basis).__name__)
         self.basis = tuple(basis) if basis is not None else tuple(
             "e%d" % (i + 1) for i in range(dim))
         if len(self.basis) != dim:
@@ -158,7 +164,6 @@ class AlgebraSpec:
         if len(set(self.basis)) != dim:
             raise SpecError("basis", "basis repeats a name")
         self.ops = OPS[type_tag]
-        tables = tables or {}
         for op in tables:
             if op not in self.ops:
                 raise SpecError((op,), "operation %r does not belong to "
@@ -214,16 +219,12 @@ def multiply(alg, op, x, y):
                          % (op, alg.type_tag))
     for name, v in (("x", x), ("y", y)):
         _all_at_least(_mapping(v, name), 0, "basis index", alg.dim - 1)
-    table = alg.tables[op]
-    out = {}
+    x, y = _scalars(x, alg.field, "x key"), _scalars(y, alg.field, "y key")
+    table, out = alg.tables[op], {}
     for i, xi in x.items():
         for j, yj in y.items():
-            row = table.get((i, j))
-            if not row:
-                continue
-            scale = xi * yj
-            for k, c in row.items():
-                out[k] = out.get(k, 0) + scale * c
+            for k, c in table.get((i, j), {}).items():
+                out[k] = out.get(k, 0) + xi * yj * c
     return alg.field.collect(out)
 
 

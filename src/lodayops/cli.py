@@ -213,7 +213,7 @@ def cmd_gerstenhaber(ns, report):
     g = cohomology.check_g_algebra(ctx, ns.max_degree)
     for n in sorted(g.reps_per_degree):
         report.data("CLASSES", n, g.reps_per_degree[n])
-    _law_lines(report, cohomology._G_LAWS, g.checks, "degrees")
+    _law_lines(report, cohomology.G_LAWS, g.checks, "degrees")
 
 
 def cmd_identities(ns, report):

@@ -46,7 +46,7 @@ from functools import lru_cache
 from itertools import combinations, product
 
 from .algebra import PI_OPS
-from .fields import _all_at_least, _at_least, _mapping
+from .fields import _all_at_least, _at_least, _mapping, _scalars
 from .params import TREE_KINDS, _family, enumerate_params, family_size
 from .preoperadic import r_index_tables
 from .trees import face
@@ -67,15 +67,9 @@ class Cochain:
         # cochain_dim through the private cache of U_n, which is not traced
         size = len(_family(alg.kind, degree)[0]) * alg.dim ** (degree + 1)
         _all_at_least(_mapping(cells, "cells"), 0, "cochain key", size - 1)
-        values = {}
-        for i, c in cells.items():
-            try:
-                values[i] = alg.field.from_fraction(c)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError("cochain key %r: %s" % (i, exc)) from None
         self.alg = alg
         self.degree = degree
-        self.cells = alg.field.collect(values)
+        self.cells = _scalars(cells, alg.field, "cochain key")
 
     @property
     def shifted(self):

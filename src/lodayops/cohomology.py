@@ -41,7 +41,7 @@ from .params import family_size
 from .preoperadic import r_index_tables
 
 # the G-algebra laws, in report order
-_G_LAWS = ("graded-commutativity", "bracket-derivation", "graded-jacobi")
+G_LAWS = ("graded-commutativity", "bracket-derivation", "graded-jacobi")
 
 
 class DifferentialMatrix:
@@ -253,7 +253,7 @@ def check_g_algebra(ctx, max_degree):
     (3) graded Jacobi for the bracket holds up to coboundary;
 
     over all representative pairs/triples of total degree <= max_degree.
-    The laws are named, in this order, by ``_G_LAWS``.
+    The laws are named, in this order, by ``G_LAWS``.
     """
     _at_least(max_degree, 2, "max_degree")
     reps = {n: cocycle_representatives(ctx, n) for n in range(1, max_degree)}
@@ -266,7 +266,7 @@ def check_g_algebra(ctx, max_degree):
             if sum(ns) <= max_degree:
                 yield from product(*(reps[n] for n in ns))
 
-    comm_law, derivation_law, jacobi_law = _G_LAWS
+    comm_law, derivation_law, jacobi_law = G_LAWS
     checks = []
     for x, y in classes(2):
         comm = _signed_sum(ctx.alg, x.degree + y.degree, (

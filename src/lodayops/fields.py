@@ -20,7 +20,8 @@ over F_p are reduced.
   operators may leave that range until it is collected.
 
 In both fields zero is the only scalar that tests false, which lets sparse
-containers drop zeros with a plain truth test.
+containers drop zeros with a plain truth test: ``_scalars``, the one reader
+of a caller's sparse vector, drops them after ``from_fraction``.
 """
 
 from collections.abc import Mapping
@@ -177,6 +178,19 @@ def _mapping(value, name):
         raise ValueError("%s must be a mapping, not %s"
                          % (name, type(value).__name__))
     return value
+
+
+def _scalars(values, field, name):
+    """``values``, a sparse mapping, as a new dict of field scalars without
+    zeros; ValueError names ``name`` and the key of a value it refuses."""
+    read, out = field.from_fraction, {}
+    try:
+        for key, value in values.items():
+            if value := read(value):
+                out[key] = value
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError("%s %r: %s" % (name, key, exc)) from None
+    return out
 
 
 def _ascii_int(text):

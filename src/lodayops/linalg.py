@@ -22,17 +22,18 @@ elimination code:
   echelon of the residuals gives independence modulo the image.
 
 A sparse vector is a mapping ``index -> value``.  An echelon reads each
-vector given to it through the field's collect step, stores its vectors as
-dicts without zeros, like the cochains and the matrix columns, and never
-changes them after construction.
+vector given to it once, through the one reader ``fields._scalars``, stores
+its vectors as dicts without zeros, like the cochains and the matrix
+columns, and never changes them after construction.
 """
 
 from collections import Counter, namedtuple
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 
-from .fields import _all_at_least
+from .fields import _all_at_least, _scalars
 
 
 def _integer_row(row, order):
@@ -58,8 +59,8 @@ def rank_bareiss(rows, ncols, p=0):
     """Rank of a matrix given by its sparse rows, over Q (``p == 0``) or
     over F_p (``p`` prime).
 
-    Each row is a mapping ``column -> value`` with columns in
-    ``range(ncols)``: int or Fraction values over Q, int values over F_p.
+    Each row maps columns in ``range(ncols)`` to values, int or Fraction
+    over Q and int over F_p (another value, a bool too, raises ValueError).
     Rows are inserted one at a time, shortest first, with the columns
     numbered by ascending count: while the row's leading column, its
     rarest, has a stored row, the two are combined to cancel that entry;
@@ -69,6 +70,12 @@ def rank_bareiss(rows, ncols, p=0):
     # every key of every row is judged: a Counter would merge True into 1
     counts = Counter(_all_at_least(list(chain.from_iterable(rows)), 0,
                                    "column", ncols - 1))
+    kinds = {int} if p else {int, Fraction}     # the values, by type alone
+    if not kinds.issuperset(map(type, chain(*(r.values() for r in rows)))):
+        c, v = next((c, v) for r in rows for c, v in r.items()
+                    if type(v) not in kinds)
+        raise ValueError("column %r: %r is not an int%s"
+                         % (c, v, "" if p else " or a Fraction"))
     order = {c: i for i, c in enumerate(sorted(counts, key=counts.get))}
     pivots = {}
     for row in rows:
@@ -114,12 +121,11 @@ def _add_multiple(target, coeff, vec, field):
 
 
 def _reduce(field, pivots, by_row, vec, pre=None):
-    """vec minus the multiple of each pivot's image that clears its row, as
-    a dict.  The pivots come in creation order from a heap of those whose
-    rows are present; as each is zero on the rows of the earlier ones, it
-    can only bring in rows of later ones.  The same multiples of the
-    preimages are subtracted from ``pre``, in place, if it is given."""
-    vec = field.collect(vec)
+    """vec, a dict that ``_scalars`` made, less the multiple of each pivot's
+    image that clears its row, in place.  The pivots come in creation order
+    from a heap of those whose rows are present; as each is zero on the
+    rows of the earlier ones, it can only bring in rows of later ones.  The
+    same multiples of the preimages come off ``pre``, in place, if given."""
     heap = [by_row[r] for r in vec if r in by_row]
     heapify(heap)
     while heap:
@@ -158,7 +164,8 @@ class ColumnEchelon(namedtuple("ColumnEchelon", "field basis kernel by_row")):
         """Some x (a dict) with M x = vec, or None if vec is not an image:
         the negated sum of the preimages that reducing vec subtracts."""
         x = {}
-        residual = _reduce(self.field, self.basis, self.by_row, vec, x)
+        residual = _reduce(self.field, self.basis, self.by_row,
+                           _scalars(vec, self.field, "vec key"), x)
         return None if residual else self.field.collect(
             {c: -v for c, v in x.items()})
 
@@ -166,12 +173,14 @@ class ColumnEchelon(namedtuple("ColumnEchelon", "field basis kernel by_row")):
 def column_echelon(columns, field):
     """Column echelon of the matrix given by a sequence of sparse columns.
 
-    Column j is reduced against the pivots before it.  If nothing remains,
-    its preimage is the kernel vector of j; otherwise the remainder becomes
-    a pivot on its row with the fewest nonzeros in the matrix, the lowest
-    such row on ties.  Earlier pivots are never changed.
+    Column j is read and reduced against the pivots before it.  If nothing
+    remains, its preimage is the kernel vector of j; otherwise the rest
+    becomes a pivot on its row with the fewest nonzeros in the matrix, the
+    lowest such row on ties.  Earlier pivots are never changed.
     """
-    counts = Counter(r for column in columns for r in field.collect(column))
+    columns = [_scalars(column, field, "column %d key" % j)
+               for j, column in enumerate(columns)]
+    counts = Counter(chain.from_iterable(columns))
     basis, kernel, by_row = [], [], {}
     for j, column in enumerate(columns):
         pre = {j: field.one}
@@ -196,6 +205,7 @@ def independent_mod_image(echelon, vectors):
     every pivot row and a nonzero image vector is not, so the residuals'
     span meets the image only in 0."""
     field = echelon.field
-    residuals = [_reduce(field, echelon.basis, echelon.by_row, vec)
-                 for vec in vectors]
+    residuals = [_reduce(field, echelon.basis, echelon.by_row,
+                         _scalars(vec, field, "vector %d key" % i))
+                 for i, vec in enumerate(vectors)]
     return [pivot.column for pivot in column_echelon(residuals, field).basis]

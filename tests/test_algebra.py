@@ -348,3 +348,35 @@ def test_ops_per_type():
         "tricub": ("left", "right", "middle"),
     }
     assert GLYPHS["tridend"]["middle"] == "·"
+
+
+@pytest.mark.parametrize("kwargs, where, message", [
+    ({"tables": ["left"]}, "tables", "tables must be a mapping, not list"),
+    ({"tables": 0}, "tables", "tables must be a mapping, not int"),
+    ({"tables": ()}, "tables", "tables must be a mapping, not tuple"),
+    ({"tables": []}, "tables", "tables must be a mapping, not list"),
+    ({"tables": "left"}, "tables", "tables must be a mapping, not str"),
+    ({"basis": 5}, "basis", "basis must be a list or a tuple, not int"),
+    ({"basis": "et"}, "basis", "basis must be a list or a tuple, not str"),
+    ({"basis": {"e": 0, "t": 1}}, "basis",
+     "basis must be a list or a tuple, not dict"),
+    ({"basis": iter(["e", "t"])}, "basis",
+     "basis must be a list or a tuple, not list_iterator"),
+], ids=["tables-list", "tables-0", "tables-empty-tuple", "tables-empty-list",
+        "tables-str", "basis-int", "basis-str", "basis-dict", "basis-iter"])
+def test_tables_and_basis_of_another_form_refused(kwargs, where, message):
+    # tables=['left'] raised AttributeError and basis=5 TypeError; 0, () and
+    # [] were read as no tables, 'left' as the operations 'l', 'e', 'f', 't';
+    # 'et' was split into the names ('e', 't'), and a dict or an iterator
+    # gave its items as names
+    with pytest.raises(SpecError) as err:
+        AlgebraSpec("trias", QQ, 2, **kwargs)
+    assert err.value.where == where and str(err.value) == message
+
+
+@pytest.mark.parametrize("basis", [["e", "t"], ("e", "t")],
+                         ids=["list", "tuple"])
+def test_basis_list_or_tuple_accepted(basis):
+    alg = AlgebraSpec("trias", QQ, 2, basis=basis, tables={})
+    assert alg.basis == ("e", "t")
+    assert alg == AlgebraSpec("trias", QQ, 2, basis=("e", "t"))

@@ -351,6 +351,18 @@ def test_check_g_algebra_passes():
     assert laws == {"graded-commutativity", "bracket-derivation", "graded-jacobi"}
 
 
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_g_laws_are_public_and_in_report_order(order):
+    # the CLI reads the laws' report order from this public name (it read
+    # the private one before); each law's first check comes in that order
+    laws = ("graded-commutativity", "bracket-derivation", "graded-jacobi")
+    assert len(cohomology.G_LAWS) == 3
+    assert cohomology.G_LAWS[order] == laws[order]
+    report = check_g_algebra(MultContext(zero_fixture("didend", 1)), 4)
+    first = [[c.law for c in report.checks].index(law) for law in laws]
+    assert first[order] == sorted(first)[order]
+
+
 def test_rank_nullity_consistency():
     for key in (("trias", 1), ("trias", 2)):
         ctx = MultContext(product_fixture(*key))

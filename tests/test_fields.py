@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from lodayops.algebra import multiply, product_fixture
 from lodayops.fields import (QQ, PrimeField, field_from_name, is_prime,
                              parse_scalar)
+from lodayops.linalg import column_echelon, independent_mod_image, rank_bareiss
 
 
 def test_rationals_basics():
@@ -289,3 +291,107 @@ def test_from_fraction_refuses_what_is_not_an_int_or_a_fraction(field, value):
     with pytest.raises(ValueError, match="^%s is not an int or a Fraction$"
                        % re.escape(repr(value))):
         field.from_fraction(value)
+
+
+F5 = PrimeField(5)
+
+
+def _doors():
+    """Each public door that reads a caller's sparse vector, as a call on
+    the vector ``vec`` over ``field`` (its value at key 0 is the value
+    tested), and the name its refusal gives that key."""
+    def alg(field):
+        return product_fixture("trias", 2, field=field)
+
+    def echelon(field):
+        return column_echelon([{1: 1}], field)
+
+    return {
+        "multiply-x": (lambda f, vec: multiply(alg(f), "left", vec, {0: 1}),
+                       "x key 0"),
+        "multiply-y": (lambda f, vec: multiply(alg(f), "left", {0: 1}, vec),
+                       "y key 0"),
+        "column_echelon": (lambda f, vec: column_echelon([{1: 1}, vec], f)[1:],
+                           "column 1 key 0"),
+        "preimage": (lambda f, vec: echelon(f).preimage(vec), "vec key 0"),
+        "independent_mod_image": (
+            lambda f, vec: independent_mod_image(echelon(f), [{2: 1}, vec]),
+            "vector 1 key 0"),
+    }
+
+
+DOORS = _doors()
+
+
+@pytest.mark.parametrize("field", [QQ, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("value", [0.5, True], ids=["float", "bool"])
+@pytest.mark.parametrize("door", DOORS)
+def test_every_door_refuses_a_value_the_field_does_not_read(door, value,
+                                                            field):
+    # multiply returned {0: 0.5}; the echelon failed deep inside, naming
+    # a value the caller never gave ("1.0 is not ...", "0.0 is not ...")
+    call, key = DOORS[door]
+    with pytest.raises(ValueError, match="^%s: %s is not an int or a "
+                       "Fraction$" % (key, value)):
+        call(field, {0: value, 1: 1})
+
+
+# preimage read a half right before, as its row updates normalise each
+# entry; only the 5/2 it kept as a nonzero residual was wrong
+@pytest.mark.parametrize("door, value, read", [
+    pytest.param(door, value, read, id="%s-%s" % (door, name))
+    for door in DOORS
+    for value, read, name in ((Fraction(1, 2), 3, "half-is-3"),
+                              (Fraction(5, 2), 0, "five-halves-is-0"))
+    if (door, read) != ("preimage", 3)])
+def test_every_door_reads_a_fraction_as_its_residue_over_fp(door, value,
+                                                            read):
+    # over F_5 a half is 3 and 5/2 is 0; multiply kept the Fraction (a
+    # nonzero dict for a zero element), and the echelon raised TypeError
+    # or missed that 0 is an image
+    call, _ = DOORS[door]
+    assert call(F5, {0: value, 1: 1}) == call(F5, {0: read, 1: 1})
+    assert call(F5, {0: value}) == call(F5, {0: read} if read else {})
+
+
+def _zero_over_f5(door):
+    """The acceptance examples: a door given Fraction(5, 2), which is 0 in
+    F_5, where the echelon has one column {0: 1}."""
+    five_halves = Fraction(5, 2)
+    if door == "multiply":
+        return multiply(product_fixture("trias", 2, field=F5), "left",
+                        {0: five_halves}, {0: 1})
+    if door == "preimage":
+        return column_echelon([{0: 1}], F5).preimage({1: five_halves})
+    return column_echelon([{0: five_halves}], F5).rank
+
+
+@pytest.mark.parametrize("door, expected", [("multiply", {}),
+                                            ("preimage", {}),
+                                            ("column_echelon", 0)])
+def test_a_vector_zero_over_fp_is_the_zero_vector(door, expected):
+    # multiply gave {0: Fraction(5, 2)}, a nonzero dict for a zero element;
+    # preimage gave None although 0 is an image; the echelon raised
+    # TypeError from pow
+    assert _zero_over_f5(door) == expected
+
+
+@pytest.mark.parametrize("p, value, message", [
+    (5, Fraction(5, 2), "Fraction(5, 2) is not an int"),
+    (5, Fraction(1, 2), "Fraction(1, 2) is not an int"),
+    (5, 0.5, "0.5 is not an int"),
+    (5, True, "True is not an int"),
+    (0, 0.5, "0.5 is not an int or a Fraction"),
+    (0, True, "True is not an int or a Fraction"),
+], ids=["F5-zero-fraction", "F5-fraction", "F5-float", "F5-bool", "Q-float",
+        "Q-bool"])
+def test_rank_bareiss_judges_every_value_by_type(p, value, message):
+    # over F_5 a row {0: 5/2} was rank 1 although it is zero, a half beside
+    # an int raised TypeError from gcd, a float over Q AttributeError, and
+    # True was read as 1
+    rows = [{0: 1, 1: 2}, {2: 1}, {1: 3, 2: value}]
+    with pytest.raises(ValueError, match="^column 2: %s$" % re.escape(message)):
+        rank_bareiss(rows, 3, p)
+    with pytest.raises(ValueError, match="^column 0: %s$" % re.escape(message)):
+        rank_bareiss([{0: value}], 1, p)
+    assert rank_bareiss([{0: 1, 1: 2}, {2: 1}, {1: 3, 2: 5}], 3, p) == 3
