@@ -69,7 +69,7 @@ class Cochain:
         _all_at_least(_mapping(cells, "cells"), 0, "cochain key", size - 1)
         self.alg = alg
         self.degree = degree
-        self.cells = _scalars(cells, alg.field, "cochain key")
+        self.cells = _scalars(cells, alg.field, "cochain")
 
     @property
     def shifted(self):

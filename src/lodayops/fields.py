@@ -182,14 +182,16 @@ def _mapping(value, name):
 
 def _scalars(values, field, name):
     """``values``, a sparse mapping, as a new dict of field scalars without
-    zeros; ValueError names ``name`` and the key of a value it refuses."""
+    zeros; ValueError names ``name`` if it is not a mapping, and ``name``
+    and the key of a value it refuses."""
     read, out = field.from_fraction, {}
+    items = _mapping(values, name).items()
     try:
-        for key, value in values.items():
+        for key, value in items:
             if value := read(value):
                 out[key] = value
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError("%s %r: %s" % (name, key, exc)) from None
+        raise ValueError("%s key %r: %s" % (name, key, exc)) from None
     return out
 
 

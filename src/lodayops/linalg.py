@@ -33,7 +33,7 @@ from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
 
-from .fields import _all_at_least, _scalars
+from .fields import _all_at_least, _mapping, _scalars
 
 
 def _integer_row(row, order):
@@ -59,8 +59,9 @@ def rank_bareiss(rows, ncols, p=0):
     """Rank of a matrix given by its sparse rows, over Q (``p == 0``) or
     over F_p (``p`` prime).
 
-    Each row maps columns in ``range(ncols)`` to values, int or Fraction
-    over Q and int over F_p (another value, a bool too, raises ValueError).
+    Each row is a mapping from columns in ``range(ncols)`` to values, int
+    or Fraction over Q and int over F_p (another value, a bool too, or a
+    row that is not a mapping raises ValueError).
     Rows are inserted one at a time, shortest first, with the columns
     numbered by ascending count: while the row's leading column, its
     rarest, has a stored row, the two are combined to cancel that entry;
@@ -68,8 +69,8 @@ def rank_bareiss(rows, ncols, p=0):
     """
     rows = sorted(rows, key=len)
     # every key of every row is judged: a Counter would merge True into 1
-    counts = Counter(_all_at_least(list(chain.from_iterable(rows)), 0,
-                                   "column", ncols - 1))
+    counts = Counter(_all_at_least(list(chain.from_iterable(
+        _mapping(row, "row") for row in rows)), 0, "column", ncols - 1))
     kinds = {int} if p else {int, Fraction}     # the values, by type alone
     if not kinds.issuperset(map(type, chain(*(r.values() for r in rows)))):
         c, v = next((c, v) for r in rows for c, v in r.items()
@@ -165,7 +166,7 @@ class ColumnEchelon(namedtuple("ColumnEchelon", "field basis kernel by_row")):
         the negated sum of the preimages that reducing vec subtracts."""
         x = {}
         residual = _reduce(self.field, self.basis, self.by_row,
-                           _scalars(vec, self.field, "vec key"), x)
+                           _scalars(vec, self.field, "vec"), x)
         return None if residual else self.field.collect(
             {c: -v for c, v in x.items()})
 
@@ -178,7 +179,7 @@ def column_echelon(columns, field):
     becomes a pivot on its row with the fewest nonzeros in the matrix, the
     lowest such row on ties.  Earlier pivots are never changed.
     """
-    columns = [_scalars(column, field, "column %d key" % j)
+    columns = [_scalars(column, field, "column %d" % j)
                for j, column in enumerate(columns)]
     counts = Counter(chain.from_iterable(columns))
     basis, kernel, by_row = [], [], {}
@@ -206,6 +207,6 @@ def independent_mod_image(echelon, vectors):
     span meets the image only in 0."""
     field = echelon.field
     residuals = [_reduce(field, echelon.basis, echelon.by_row,
-                         _scalars(vec, field, "vector %d key" % i))
+                         _scalars(vec, field, "vector %d" % i))
                  for i, vec in enumerate(vectors)]
     return [pivot.column for pivot in column_echelon(residuals, field).basis]

@@ -1,15 +1,13 @@
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
-from lodayops.algebra import (PI_OPS, AlgebraSpec, product_fixture,
-                              suspension_fixture)
+from lodayops.algebra import PI_OPS, AlgebraSpec
 from lodayops.algfile import load_algebra
 from lodayops.fields import PrimeField
 
-FIXTURE_DIR = Path(__file__).resolve().parent.parent / "fixtures"
+from corpus import FIXTURE_DIR, product_fixture, suspension_fixture
 
 # [(n, dim H^n)] of each corpus file, filed after the fraction-free and
 # echelon engines first agreed over Q and the F_101 run matched; frozen so

@@ -9,8 +9,7 @@ import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
 
-from lodayops.algebra import (AXIOMS, TYPES, axiom_mutation,
-                              product_fixture, suspension_fixture)
+from lodayops.algebra import AXIOMS, TYPES
 from lodayops.algfile import load_algebra
 from lodayops.cli import main as cli_main
 from lodayops.cochains import (Cochain, MultContext,
@@ -26,6 +25,7 @@ from lodayops.params import enumerate_params
 from lodayops.preoperadic import r_index_tables, verify_system
 
 from conftest import GOLDEN_DIMS, t2_op
+from corpus import axiom_mutation, product_fixture, suspension_fixture
 
 SEED = 20240901
 

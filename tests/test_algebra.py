@@ -4,14 +4,15 @@ from itertools import product
 import pytest
 
 from lodayops.algebra import (AXIOMS, GLYPHS, OPS, PARAM_KIND, PI_OPS, TYPES,
-                              AlgebraSpec, SpecError, axiom_label,
-                              axiom_mutation,
-                              multiply, product_fixture, suspension_fixture,
-                              verify_axioms, zero_fixture)
+                              AlgebraSpec, SpecError, axiom_label, multiply,
+                              verify_axioms)
 from lodayops.algfile import parse_algebra
 from lodayops.cochains import canonical_multiplication
 from lodayops.fields import QQ, PrimeField
 from lodayops.params import family_size
+
+from corpus import (axiom_mutation, product_fixture, suspension_fixture,
+                    zero_fixture)
 
 
 def test_axiom_counts():
@@ -112,9 +113,11 @@ def _pi_oracle(alg):
 
 
 def _corpus_over(fixture_dir, type_tag, field):
-    """The shipped fixture files of one type, read over ``field``."""
+    """The shipped fixture files of one type, those of ``corpus/`` too,
+    read over ``field``."""
     out = []
-    for path in sorted(fixture_dir.glob("*.alg")):
+    for path in sorted(fixture_dir.glob("*.alg")) + sorted(
+            fixture_dir.glob("corpus/*.alg")):
         text = path.read_text(encoding="utf-8")
         alg = parse_algebra(text.replace("field = Q", "field = " + field.name),
                             warn=lambda m: None)

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from lodayops.algebra import (TYPES, AlgebraSpec, SpecError, product_fixture,
-                              suspension_fixture, verify_axioms)
+from lodayops.algebra import TYPES, AlgebraSpec, SpecError, verify_axioms
 from lodayops.algfile import (AlgebraFileError, load_algebra, parse_algebra,
                               serialize_algebra)
 from lodayops.fields import QQ, PrimeField
+
+from corpus import FILES, product_fixture, suspension_fixture
 
 QUIET = {"warn": lambda msg: None}
 
@@ -22,11 +23,16 @@ def test_shipped_fixtures_parse(fixture_dir):
 
 
 def test_fixture_files_match_programmatic_corpus(fixture_dir):
-    pairs = [("didend_dim1", product_fixture("didend", 1)),
-             ("trias_dim2", product_fixture("trias", 2)),
-             ("tricub_dim1", product_fixture("tricub", 1))]
-    for name, expected in pairs:
-        assert load_algebra(fixture_dir / ("%s.alg" % name), **QUIET) == expected
+    # every file under fixtures/, byte for byte, so that neither a file nor
+    # its generator can drift
+    found = {path.relative_to(fixture_dir).as_posix()
+             for path in fixture_dir.rglob("*.alg")}
+    assert found == set(FILES)
+    for name, build in FILES.items():
+        expected, path = build(), fixture_dir / name
+        assert path.read_bytes() == serialize_algebra(expected).encode(
+            "utf-8"), name
+        assert load_algebra(path, **QUIET) == expected, name
 
 
 def test_didend_fixture_contents(fixture_dir):

@@ -11,11 +11,13 @@ from pathlib import Path
 import pytest
 
 from lodayops import cli, cohomology, identities, linalg
-from lodayops.algebra import PI_OPS, suspension_fixture
+from lodayops.algebra import PI_OPS
 from lodayops.algfile import load_algebra, serialize_algebra
 from lodayops.cli import MAX_SCAN_INSTANCES, main
 from lodayops.cochains import delta_trias, zero_cochain
 from lodayops.preoperadic import r_index_tables, scan_instances, verify_system
+
+from corpus import suspension_fixture
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -8,9 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from lodayops import cochains, cohomology
-from lodayops.algebra import (AXIOMS, TYPES, axiom_mutation,
-                              product_fixture, suspension_fixture,
-                              zero_fixture)
+from lodayops.algebra import AXIOMS, TYPES
 from lodayops.algfile import load_algebra
 from lodayops.cochains import (Cochain, MultContext, bracket, brace,
                                canonical_multiplication, circ, cochain_dim,
@@ -22,6 +20,8 @@ from lodayops.params import _family, enumerate_params
 from lodayops.preoperadic import r_index_tables, r_part, r_zero
 
 from conftest import t2_op
+from corpus import (axiom_mutation, product_fixture, suspension_fixture,
+                    zero_fixture)
 
 
 def test_table_shape(rng):

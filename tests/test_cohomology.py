@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from lodayops import cochains, cohomology, linalg
-from lodayops.algebra import TYPES, product_fixture, zero_fixture
+from lodayops.algebra import TYPES
 from lodayops.algfile import load_algebra
 from lodayops.cochains import (Cochain, MultContext, bracket, diff_d, dot,
                                random_cochain)
@@ -17,6 +17,7 @@ from lodayops.cohomology import (DifferentialMatrix, check_g_algebra,
 from lodayops.fields import QQ, PrimeField
 
 from conftest import GOLDEN_DIMS
+from corpus import product_fixture, zero_fixture
 
 # the product fixtures filed in GOLDEN_DIMS under their corpus file name,
 # by (type, dim), checked through degree 3.  Degree 5 of trias_dim2 is

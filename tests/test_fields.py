@@ -8,10 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from lodayops.algebra import multiply, product_fixture
+from lodayops.algebra import multiply
 from lodayops.fields import (QQ, PrimeField, field_from_name, is_prime,
                              parse_scalar)
 from lodayops.linalg import column_echelon, independent_mod_image, rank_bareiss
+
+from corpus import product_fixture
 
 
 def test_rationals_basics():
@@ -135,10 +137,10 @@ CACHES = ("r_index_tables",)
 # prints the two outcomes of the bad argument, and whether the second
 # returned the very result of the valid call
 JUDGE_SCRIPT = """
-import functools, json, random, sys
-sys.path.insert(0, sys.argv[1])
-from lodayops.algebra import (axiom_label, axiom_mutation, mutation_bump,
-                              product_fixture)
+import functools, json, os, random, sys
+sys.path[:0] = [sys.argv[1], os.path.join(sys.argv[1], os.pardir, "tests")]
+from corpus import axiom_mutation, mutation_bump, product_fixture
+from lodayops.algebra import axiom_label
 from lodayops.cochains import Cochain, MultContext, cochain_dim, random_cochain
 from lodayops.cohomology import check_g_algebra, cohomology_dims, matrix_of_d
 from lodayops.fields import PrimeField
@@ -395,3 +397,20 @@ def test_rank_bareiss_judges_every_value_by_type(p, value, message):
     with pytest.raises(ValueError, match="^column 0: %s$" % re.escape(message)):
         rank_bareiss([{0: value}], 1, p)
     assert rank_bareiss([{0: 1, 1: 2}, {2: 1}, {1: 3, 2: 5}], 3, p) == 3
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: column_echelon([[1]], QQ), "column 0"),
+    (lambda: column_echelon([{0: 1}], QQ).preimage([1]), "vec"),
+    (lambda: independent_mod_image(column_echelon([{0: 1}], QQ), [[1]]),
+     "vector 0"),
+    (lambda: rank_bareiss([[1]], 1), "row"),
+    (lambda: rank_bareiss([[0]], 1), "row"),
+], ids=["column_echelon", "preimage", "independent_mod_image",
+        "rank_bareiss-key-1", "rank_bareiss-key-0"])
+def test_linalg_doors_refuse_a_vector_that_is_not_a_mapping(call, name):
+    # each raised AttributeError, except rank_bareiss([[1]], 1), which read
+    # the list's 1 as a column out of range
+    with pytest.raises(ValueError,
+                       match="^%s must be a mapping, not list$" % name):
+        call()

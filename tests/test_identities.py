@@ -7,7 +7,6 @@ from contextlib import redirect_stdout
 import pytest
 
 from lodayops import identities
-from lodayops.algebra import product_fixture
 from lodayops.algfile import load_algebra
 from lodayops.cli import main
 from lodayops.cochains import MultContext, random_cochain, zero_cochain
@@ -15,6 +14,8 @@ from lodayops.identities import (BRACE_PATTERNS, DOT_BRACE_PATTERNS,
                                  HG_DIFF_PATTERNS, brace_identity_sides,
                                  dg_algebra_sides, dot_brace_sides,
                                  hg_differential_sides, run_identity_suite)
+
+from corpus import product_fixture
 
 
 @pytest.fixture(params=["didend", "trias"])

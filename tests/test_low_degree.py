@@ -22,11 +22,13 @@ U_2, and its H^1 and H^2 differ from these routes (ROADMAP item 2).
 
 import pytest
 
-from lodayops.algebra import AXIOMS, product_fixture, suspension_fixture
+from lodayops.algebra import AXIOMS
 from lodayops.cochains import MultContext
 from lodayops.cohomology import cohomology_dims
 from lodayops.fields import QQ, PrimeField
 from lodayops.linalg import column_echelon
+
+from corpus import product_fixture, suspension_fixture
 
 # (H^1, H^2) of each case, over Q and over F_101
 EXPECTED = {
