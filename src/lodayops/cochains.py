@@ -128,10 +128,16 @@ class Cochain:
         return "Cochain(%s, degree=%d)" % (self.alg, self.degree)
 
 
-def _over(alg, x):
-    """The cochain ``x`` if it is over ``alg``; else the one ValueError of
-    every operation on cochains for a cochain of another algebra."""
-    if x.alg != alg:
+def _over(alg, x, name):
+    """The operand ``x`` if it is a Cochain over ``alg``, or over any
+    algebra when ``alg`` is None: the one judge of every operand of the
+    operations on cochains.  Anything else raises ValueError, naming the
+    operand ``name`` and the type it got, or a cochain of another
+    algebra."""
+    if not isinstance(x, Cochain):
+        raise ValueError("%s must be a Cochain, not %s"
+                         % (name, type(x).__name__))
+    if alg is not None and x.alg != alg:
         raise ValueError("cochain of another algebra")
     return x
 
@@ -143,7 +149,7 @@ def _signed_sum(alg, n, terms):
     cells = {}
     get = cells.get
     for negative, x in terms:
-        if _over(alg, x).degree != n:
+        if _over(alg, x, "term").degree != n:
             raise ValueError("cochains of different degrees")
         for i, c in x.cells.items():
             cells[i] = get(i, 0) - c if negative else get(i, 0) + c
@@ -267,16 +273,17 @@ def gamma(f, gs):
     and of the g_i and touches only the cells their products reach, so
     sparse factors compose cheaply.
     """
-    gs = [_over(f.alg, g) for g in gs]
+    alg = _over(None, f, "f").alg
+    gs = [_over(alg, g, "g") for g in gs]
     if len(gs) != f.degree:
         raise ValueError("gamma needs exactly deg f arguments")
     parts = tuple(g.degree for g in gs)
-    places = _places(f.alg.dim, parts)
+    places = _places(alg.dim, parts)
     cells = {}
-    _gamma_into(cells, f.alg, _rows(f), parts,
+    _gamma_into(cells, alg, _rows(f), parts,
                 [_placed(_options(g), place) for g, place in zip(gs, places)],
                 places, False)
-    return _collected(f.alg, sum(parts), cells)
+    return _collected(alg, sum(parts), cells)
 
 
 def _gamma_into(cells, alg, rows, parts, slots, places, negate):
@@ -365,15 +372,16 @@ def brace(x, xs):
     With n > deg x there is no substitution and the result is the zero
     cochain of the formal degree (sum deg x_p) + deg x - n.
     """
-    xs = [_over(x.alg, g) for g in xs]
+    alg = _over(None, x, "x").alg
+    xs = [_over(alg, g, "x_p") for g in xs]
     if not xs:
         return x
     n = sum(g.degree for g in xs) + x.degree - len(xs)
     if len(xs) > x.degree:
-        return Cochain(x.alg, n, {})
+        return Cochain(alg, n, {})
     cells = {}
     _brace_into(cells, x, xs, False)
-    return _collected(x.alg, n, cells)
+    return _collected(alg, n, cells)
 
 
 def circ(x, y):
@@ -383,7 +391,7 @@ def circ(x, y):
 
 def bracket(x, y):
     """[x, y] = x o y - (-1)^(|x||y|) y o x, of degree deg x + deg y - 1."""
-    n = x.degree + _over(x.alg, y).degree - 1
+    n = _over(None, x, "x").degree + _over(x.alg, y, "y").degree - 1
     cells = {}
     _brace_into(cells, x, [y], False)
     _brace_into(cells, y, [x], (x.shifted * y.shifted) % 2 == 0)
@@ -410,7 +418,7 @@ class MultContext:
 def dot(ctx, x, y):
     """x . y = (-1)^(deg x) m{x, y}, of degree deg x + deg y; the sign is
     the sign of the brace's accumulation."""
-    n = _over(ctx.alg, x).degree + _over(ctx.alg, y).degree
+    n = _over(ctx.alg, x, "x").degree + _over(ctx.alg, y, "y").degree
     cells = {}
     _brace_into(cells, ctx.pi, [x, y], x.degree % 2 == 1)
     return _collected(ctx.alg, n, cells)
@@ -420,7 +428,7 @@ def diff_d(ctx, x):
     """d x = [m, x] = m o x - (-1)^(|x|) x o m, raising degree by one: the
     matrix of d on deg x applied to the cells of x."""
     # a warm call reads the cache itself, so it calls no public function
-    matrix = ctx.matrix_cache.get(_over(ctx.alg, x).degree)
+    matrix = ctx.matrix_cache.get(_over(ctx.alg, x, "x").degree)
     if matrix is None:
         from .cohomology import matrix_of_d     # cohomology imports cochains
         matrix = matrix_of_d(ctx, x.degree)
@@ -470,7 +478,7 @@ def delta_trias(alg, f):
     if alg.kind not in TREE_KINDS:
         raise ValueError("the explicit differential is defined for dias and "
                          "trias only")
-    n = _over(alg, f).degree
+    n = _over(alg, f, "f").degree
     d = alg.dim
     width = d ** n
     # by op, {fixed index: [(row offset, coefficient)]}: e_x op e_o by o

@@ -221,7 +221,7 @@ def coboundary_preimage(ctx, c):
     the witness returned in that case is the degree-1 zero cochain, standing
     in for the nonexistent degree-0 module.
     """
-    n = _over(ctx.alg, c).degree
+    n = _over(ctx.alg, c, "c").degree
     if n < 2:
         if c.is_zero():
             return zero_cochain(ctx.alg, 1)

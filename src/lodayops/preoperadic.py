@@ -7,14 +7,14 @@ N_0, ..., N_k for R_0, and the interval N_{j-1}..N_j for R_j; on the tree
 families (binary, planar), to the tree spanned by those leaves.  Both maps
 have one form, the index tables of ``r_index_tables``: one table per
 (kind, N, labels), built once over all of U_N, and the R_j table of an
-interval serves every profile with that interval.  A tree is its tuple
-of children, so a tree table puts each restriction together from its
-children's as a plain tuple, which equals the restricted tree and finds
-its index in U_k: no tree is built.  The linear, subset and sign tables
-are integer arithmetic on the canonical index.  Composition, the
-matrices of d, the public ``r_zero``/``r_part`` and the law scan all
-read these tables; ``r_zero``/``r_part`` take and return elements
-themselves, and refuse a value outside U_N.
+interval serves every profile with that interval.  These cached tables
+are the one cache of restrictions: a tree table puts each restriction
+together from its children's, read from their own tables, as a plain
+tuple that finds its index in U_k, so no tree is built.  The linear,
+subset and sign tables are integer arithmetic on the canonical index.
+Composition, the matrices of d, the public ``r_zero``/``r_part`` and the
+law scan all read these tables; ``r_zero``/``r_part`` take and return
+elements themselves, and refuse a value outside U_N.
 
 ``verify_system`` checks the laws on canonical indices: U_m is
 range(|U_m|), each map R_0(p), R_j(p) is a table fetched once per profile
@@ -33,10 +33,11 @@ from .params import TREE_KINDS, _family, family_size, param_text
 from .trees import LEAF, _compositions
 
 
-def _spanned(memo, node, keep):
+def _spanned(kind, node, keep):
     """The tree spanned by the leaves ``keep`` of node, two or more, sorted
     and labelled from its first leaf, as its tuple of children: a tree, or
-    a plain tuple equal to one.  ``memo`` holds restricted subtrees."""
+    a plain tuple equal to one.  A child keeping some of its leaves, two or
+    more, is read from its own family's ``_restriction_table``."""
     live = []
     lo = offset = 0
     for c in node:
@@ -47,13 +48,10 @@ def _spanned(memo, node, keep):
         elif mid - lo == 1:
             live.append(LEAF)
         elif mid > lo:
-            sub = keep[lo:mid]
-            if offset:
-                sub = tuple(x - offset for x in sub)
-            out = memo.get((c, sub))
-            if out is None:
-                out = memo[c, sub] = _spanned(memo, c, sub)
-            live.append(out)
+            table = _restriction_table(
+                kind, c.weight, tuple(x - offset for x in keep[lo:mid]))
+            live.append(_family(kind, mid - lo - 1)[0][
+                table[_family(kind, c.weight)[1][c]]])
         lo, offset = mid, end
     return live[0] if len(live) == 1 else tuple(live)
 
@@ -78,14 +76,15 @@ def _restriction_table(kind, n, labels):
     (l_{b-1}, l_b], widened the same way; on signs, digit b is the product
     of the signs in (l_{b-1}, l_b].  Element i of C_n is i + 1, element i
     of P_n is the bitmask i + 1 of its members, and element i of Q_n has
-    the base-3 digits s + 1 of its signs.
+    the base-3 digits s + 1 of its signs.  This cache is the one cache of
+    restrictions, which ``_spanned`` reads for each restricted child.
     """
     k = len(labels) - 1
     if kind in TREE_KINDS:
         if family_size(kind, k) == 1:   # U_1: every tree spans its one element
             return (0,) * family_size(kind, n)
-        index, memo = _family(kind, k)[1], {}   # one memo per table
-        return tuple(index[_spanned(memo, t, labels)]
+        index = _family(kind, k)[1]
+        return tuple(index[_spanned(kind, t, labels)]
                      for t in _family(kind, n)[0])
     if kind == "linear":
         return tuple(min(max(bisect_left(labels, x), 1), k) - 1
@@ -234,10 +233,12 @@ def verify_system(kind, max_total, workers=1, tables=r_index_tables):
     a law compares the images of all of U_m at once.  Counterexample texts
     are read from the families.  ``tables`` may be overridden to scan a
     deliberately corrupted system; a table of the wrong length, or with an
-    index outside its target family, raises ValueError.  ``workers`` is
-    accepted and changes nothing: the scan runs in one thread.
+    index outside its target family, raises ValueError.  ``workers`` must
+    be an int >= 1, as the CLI's ``--workers`` must, and changes nothing
+    else: the scan runs in one thread.
     """
     _at_least(max_total, 1, "max_total")
+    _at_least(workers, 1, "workers")
     checked, counterexamples = 0, []
     family = [()] + [_family(kind, m)[0] for m in range(1, max_total + 1)]
     sizes = [len(f) for f in family]

@@ -760,6 +760,37 @@ def test_operations_refuse_cochains_of_another_complex(rng):
     assert (x1 - x1).is_zero() and (x2 + x2).degree == 2
 
 
+# each call with one operand that is not a cochain: (operand name, type
+# name, call); x is a degree-1 and y a degree-2 cochain of the context
+NOT_COCHAINS = {
+    "brace-x": ("x", "int", lambda ctx, x, y: brace(5, [y])),
+    "brace-xs": ("x_p", "int", lambda ctx, x, y: brace(x, [5])),
+    "circ": ("x_p", "int", lambda ctx, x, y: circ(x, 5)),
+    "bracket-x": ("x", "str", lambda ctx, x, y: bracket("a", x)),
+    "bracket-y": ("y", "str", lambda ctx, x, y: bracket(x, "a")),
+    "dot": ("y", "dict", lambda ctx, x, y: dot(ctx, x, {0: 1})),
+    "diff_d": ("x", "list", lambda ctx, x, y: diff_d(ctx, [1])),
+    "gamma-f": ("f", "NoneType", lambda ctx, x, y: gamma(None, [x])),
+    "gamma-gs": ("g", "NoneType", lambda ctx, x, y: gamma(x, [None])),
+    "coboundary_preimage": ("c", "dict", lambda ctx, x, y:
+                            cohomology.coboundary_preimage(ctx, {1: 2})),
+    "delta_trias": ("f", "dict", lambda ctx, x, y: delta_trias(ctx.alg, {})),
+    "add": ("term", "int", lambda ctx, x, y: x + 3),
+    "sub": ("term", "int", lambda ctx, x, y: x - 3),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOT_COCHAINS))
+def test_operand_that_is_not_a_cochain_is_refused(entry, rng):
+    # each used to raise AttributeError, a first operand too
+    ctx = MultContext(product_fixture("trias", 1))
+    x, y = random_cochain(ctx.alg, 1, rng), random_cochain(ctx.alg, 2, rng)
+    name, got, call = NOT_COCHAINS[entry]
+    with pytest.raises(ValueError, match="^%s must be a Cochain, not %s$"
+                       % (name, got)):
+        call(ctx, x, y)
+
+
 @pytest.mark.parametrize("key", [12345, -1, 3993, (0, 1), True, 0.0, 1.0])
 def test_cochain_refuses_keys_outside_its_cells(key):
     # a key outside range(cochain_dim) used to build a cochain that every

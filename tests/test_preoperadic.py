@@ -1,3 +1,4 @@
+import re
 from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, combinations
@@ -234,8 +235,15 @@ def test_verify_system_passes_small(kind):
 def test_verify_system_worker_partition_agrees():
     a = verify_system("signs", 4, workers=1)
     b = verify_system("signs", 4, workers=3)
-    assert a.counterexamples == b.counterexamples
-    assert a.checked == b.checked
+    assert a == b
+
+
+@pytest.mark.parametrize("workers", [0, -2, 2.5, True, "2", None])
+def test_verify_system_refuses_workers_the_cli_refuses(workers):
+    # the CLI's --workers wants an int >= 1; the library accepted these
+    with pytest.raises(ValueError, match="^workers must be an int >= 1, "
+                       "got %s$" % re.escape(repr(workers))):
+        verify_system("linear", 2, workers=workers)
 
 
 def test_profile_dependent_corruption_caught_by_closure():
