@@ -46,10 +46,9 @@ def _unquote(v):
     return v
 
 
-def parse_algebra(text, warn=None):
-    """Parse a definition document into an AlgebraSpec."""
-    if warn is None:
-        warn = lambda msg: print("warning: %s" % msg, file=sys.stderr)
+def parse_algebra(text):
+    """Parse a definition document into an AlgebraSpec.  Each operation
+    block the file omits is taken to be zero, with a warning on stderr."""
     header = {}
     blocks = {}
     current_op = None
@@ -126,7 +125,8 @@ def parse_algebra(text, warn=None):
         raise AlgebraFileError(lines[exc.where], str(exc)) from None
     for op in alg.ops:
         if op not in blocks:
-            warn("operation %r not given; taking it to be zero" % op)
+            print("warning: operation %r not given; taking it to be zero"
+                  % op, file=sys.stderr)
     return alg
 
 
@@ -145,7 +145,7 @@ def serialize_algebra(alg):
     return "\n".join(lines) + "\n"
 
 
-def load_algebra(path, warn=None):
+def load_algebra(path):
     with open(path, "rb") as fh:
         # a leading byte order mark is not part of the text; dropped before
         # decoding, so a bad byte's offset still counts the file's newlines
@@ -155,4 +155,4 @@ def load_algebra(path, warn=None):
     except UnicodeDecodeError as exc:
         raise AlgebraFileError(data.count(b"\n", 0, exc.start) + 1,
                                "not valid UTF-8") from None
-    return parse_algebra(text, warn=warn)
+    return parse_algebra(text)

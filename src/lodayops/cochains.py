@@ -142,6 +142,15 @@ def _over(alg, x, name):
     return x
 
 
+def _all_over(alg, xs, name, item):
+    """``_over`` of each operand in ``xs``, as ``item``; an ``xs`` that is
+    no list or tuple raises ValueError, naming ``name`` and its type."""
+    if not isinstance(xs, (list, tuple)):
+        raise ValueError("%s must be a list or a tuple, not %s"
+                         % (name, type(xs).__name__))
+    return [_over(alg, x, item) for x in xs]
+
+
 def _signed_sum(alg, n, terms):
     """The degree-n cochain summing ``terms``, pairs (negative, cochain),
     through one collect step at the end.  A term over another algebra or of
@@ -177,9 +186,9 @@ def zero_cochain(alg, n):
     return Cochain(alg, n, {})
 
 
-def random_cochain(alg, n, rng, span=3):
-    """Seeded random cochain with small integer coefficients."""
-    return Cochain(alg, n, {i: rng.randint(-span, span)
+def random_cochain(alg, n, rng):
+    """Seeded random cochain with integer coefficients in -3..3."""
+    return Cochain(alg, n, {i: rng.randint(-3, 3)
                             for i in range(cochain_dim(alg, n))})
 
 
@@ -274,7 +283,7 @@ def gamma(f, gs):
     sparse factors compose cheaply.
     """
     alg = _over(None, f, "f").alg
-    gs = [_over(alg, g, "g") for g in gs]
+    gs = _all_over(alg, gs, "gs", "g")
     if len(gs) != f.degree:
         raise ValueError("gamma needs exactly deg f arguments")
     parts = tuple(g.degree for g in gs)
@@ -373,7 +382,7 @@ def brace(x, xs):
     cochain of the formal degree (sum deg x_p) + deg x - n.
     """
     alg = _over(None, x, "x").alg
-    xs = [_over(alg, g, "x_p") for g in xs]
+    xs = _all_over(alg, xs, "xs", "x_p")
     if not xs:
         return x
     n = sum(g.degree for g in xs) + x.degree - len(xs)

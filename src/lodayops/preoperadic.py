@@ -13,13 +13,13 @@ together from its children's, read from their own tables, as a plain
 tuple that finds its index in U_k, so no tree is built.  The linear,
 subset and sign tables are integer arithmetic on the canonical index.
 Composition, the matrices of d, the public ``r_zero``/``r_part`` and the
-law scan all read these tables; ``r_zero``/``r_part`` take and return
-elements themselves, and refuse a value outside U_N.
+law scan all read these tables through ``r_index_tables``, which judges
+each profile's tables once, when it builds them; ``r_zero``/``r_part``
+take and return elements themselves, and refuse a value outside U_N.
 
 ``verify_system`` checks the laws on canonical indices: U_m is
-range(|U_m|), each map R_0(p), R_j(p) is a table fetched once per profile
-per scan, and a law compares the images of all of U_m at once, in one
-thread.
+range(|U_m|), each map R_0(p), R_j(p) is a table of ``r_index_tables``,
+and a law compares the images of all of U_m at once, in one thread.
 """
 
 from bisect import bisect_left
@@ -114,17 +114,39 @@ def r_index_tables(kind, parts):
     by index, the index of R_j(u) in U_{n_j}, and the R_0 table the index
     of R_0(u) in U_k.
 
-    These tables are the one form of the structure maps, cached per (kind,
-    parts) since the same profiles recur for every cochain degree; each is
-    a shared restriction table, so the R_j table of an interval serves
-    every profile with that interval.
+    These tables are the one form of the structure maps, and this is their
+    one cache, per (kind, parts), since the same profiles recur for every
+    cochain degree; each is a shared restriction table, so the R_j table of
+    an interval serves every profile with that interval.  Each profile's
+    tables are judged once, when built, so no reader gets a malformed one.
     """
     _at_least(len(parts), 1, "len(parts)")
     cuts = (0, *accumulate(_all_at_least(parts, 1, "part")))
     n = cuts[-1]
-    return (_restriction_table(kind, n, cuts),
-            tuple(_restriction_table(kind, n, tuple(range(lo, hi + 1)))
-                  for lo, hi in zip(cuts, cuts[1:])))
+    r0 = _restriction_table(kind, n, cuts)
+    part_tables = tuple(_restriction_table(kind, n, tuple(range(lo, hi + 1)))
+                        for lo, hi in zip(cuts, cuts[1:]))
+    _check_tables(kind, parts, (r0, *part_tables))
+    return r0, part_tables
+
+
+def _check_tables(kind, parts, maps):
+    """Raise ValueError unless ``maps``, (R_0, R_1, ..., R_k) of the
+    profile ``parts``, map the indices of U_N into U_k and U_{n_1}, ...,
+    U_{n_k}."""
+    n = sum(parts)
+    size = len(_family(kind, n)[0])
+    for j, (table, k) in enumerate(zip(maps, (len(parts),) + parts)):
+        target = len(_family(kind, k)[0])
+        if len(table) != size:
+            problem = "has %d entries, not |U_%d| = %d" % (len(table), n, size)
+        elif not 0 <= min(table) <= max(table) < target:
+            problem = "holds an index outside 0..%d, the indices of U_%d" % (
+                target - 1, k)
+        else:
+            continue
+        raise ValueError("%s R_%d table of profile %r %s"
+                         % (kind, j, parts, problem))
 
 
 def _apply(kind, parts, j, elem):
@@ -200,59 +222,24 @@ def _compose(outer, inner):
     return tuple(map(outer.__getitem__, inner))
 
 
-def _check_tables(kind, parts, maps, sizes):
-    """Raise ValueError unless ``maps``, (R_0, R_1, ..., R_k) of the
-    profile ``parts``, map the sizes[N] indices of U_N into U_k and
-    U_{n_1}, ..., U_{n_k}: ``sizes[m]`` is |U_m|."""
-    targets = (len(parts),) + parts
-    if len(maps) != len(targets):
-        raise ValueError("%s profile %r has %d R_j tables, not %d"
-                         % (kind, parts, len(maps) - 1, len(parts)))
-    n = sum(parts)
-    for j, (table, k) in enumerate(zip(maps, targets)):
-        if len(table) != sizes[n]:
-            problem = "has %d entries, not |U_%d| = %d" % (
-                len(table), n, sizes[n])
-        elif not 0 <= min(table) <= max(table) < sizes[k]:
-            problem = "holds an index outside 0..%d, the indices of U_%d" % (
-                sizes[k] - 1, k)
-        else:
-            continue
-        raise ValueError("%s R_%d table of profile %r %s"
-                         % (kind, j, parts, problem))
-
-
-def verify_system(kind, max_total, workers=1, tables=r_index_tables):
+def verify_system(kind, max_total, workers=1):
     """Exhaustively check conditions (1)-(4) for all outer profiles
     (k; n_1..n_k) and inner profiles (m_1..m_N) with sum(m) <= max_total,
     over every element of the relevant family.
 
     The scan works on canonical indices: the elements of U_m are
-    range(|U_m|), each map R_0(p), R_j(p) is the index table that
-    ``tables(kind, parts)`` gives, requested once per profile per scan, and
-    a law compares the images of all of U_m at once.  Counterexample texts
-    are read from the families.  ``tables`` may be overridden to scan a
-    deliberately corrupted system; a table of the wrong length, or with an
-    index outside its target family, raises ValueError.  ``workers`` must
-    be an int >= 1, as the CLI's ``--workers`` must, and changes nothing
-    else: the scan runs in one thread.
+    range(|U_m|), each map R_0(p), R_j(p) is the index table of
+    ``r_index_tables(kind, p)``, the one cache of these tables, which
+    judges them when it builds them, and a law compares the images of all
+    of U_m at once.  Counterexample texts are read from the families.
+    ``workers`` must be an int >= 1, as the CLI's ``--workers`` must, and
+    changes nothing else: the scan runs in one thread.
     """
     _at_least(max_total, 1, "max_total")
     _at_least(workers, 1, "workers")
     checked, counterexamples = 0, []
     family = [()] + [_family(kind, m)[0] for m in range(1, max_total + 1)]
     sizes = [len(f) for f in family]
-    fetched = {}
-
-    def maps(parts):
-        """(R_0, R_1, ..., R_k) of the profile ``parts``."""
-        out = fetched.get(parts)
-        if out is None:
-            r0, part_tables = tables(kind, parts)
-            out = (r0, *part_tables)
-            _check_tables(kind, parts, out, sizes)
-            fetched[parts] = out
-        return out
 
     def check(axiom, outer, inner, m, k, expected, actual):
         """Record each u in U_m whose two images in U_k differ."""
@@ -270,35 +257,36 @@ def verify_system(kind, max_total, workers=1, tables=r_index_tables):
         ones = (1,) * k
         checked += sizes[k]
         check("identity", ones, (), k, k, tuple(range(sizes[k])),
-              maps(ones)[0])
+              r_index_tables(kind, ones)[0])
 
     for n_total in range(1, max_total + 1):
         for outer in _compositions_of(n_total):
             cuts = (0, *accumulate(outer))
-            r_outer = maps(outer)
+            outer0, outer_parts = r_index_tables(kind, outer)
             for m_total in range(n_total, max_total + 1):
                 for inner in _compositions(m_total, n_total):
                     checked += sizes[m_total]
                     m_cuts = (0, *accumulate(inner))
-                    r_inner = maps(inner)
-                    r_t = maps(tuple(m_cuts[hi] - m_cuts[lo]
-                                     for lo, hi in zip(cuts, cuts[1:])))
-                    via0 = r_inner[0]
+                    via0, inner_parts = r_index_tables(kind, inner)
+                    t0, t_parts = r_index_tables(
+                        kind, tuple(m_cuts[hi] - m_cuts[lo]
+                                    for lo, hi in zip(cuts, cuts[1:])))
                     # (2) idempotency
                     check("idempotency", outer, inner, m_total, len(outer),
-                          r_t[0], _compose(r_outer[0], via0))
-                    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:]), start=1):
-                        r_block = maps(inner[lo:hi])
-                        via_i = r_t[i]
+                          t0, _compose(outer0, via0))
+                    for i, (lo, hi) in enumerate(zip(cuts, cuts[1:])):
+                        block0, block_parts = r_index_tables(kind,
+                                                             inner[lo:hi])
+                        via_i = t_parts[i]
                         # (3) commutativity
                         check("commutativity", outer, inner, m_total,
-                              outer[i - 1], _compose(r_block[0], via_i),
-                              _compose(r_outer[i], via0))
+                              outer[i], _compose(block0, via_i),
+                              _compose(outer_parts[i], via0))
                         # (4) closure
-                        for j in range(1, hi - lo + 1):
+                        for j in range(hi - lo):
                             check("closure", outer, inner, m_total,
-                                  inner[lo + j - 1],
-                                  _compose(r_block[j], via_i),
-                                  r_inner[lo + j])
+                                  inner[lo + j],
+                                  _compose(block_parts[j], via_i),
+                                  inner_parts[lo + j])
     counterexamples.sort(key=Counterexample.sort_key)
     return SystemReport(kind, max_total, checked, tuple(counterexamples))

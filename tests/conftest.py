@@ -64,8 +64,7 @@ def case_algebra():
             return product_fixture(name, 2)
         if source == "suspension":
             return suspension_fixture(name)
-        alg = load_algebra(FIXTURE_DIR / ("%s.alg" % name),
-                           warn=lambda m: None)
+        alg = load_algebra(FIXTURE_DIR / ("%s.alg" % name))
         if source == "fp101":
             return _recast(alg, PrimeField(101))
         if source == "scaled":

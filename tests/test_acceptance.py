@@ -48,7 +48,7 @@ def _report(number, description, ok):
 
 
 def _corpus_algebra(fixture_dir, name, field=None):
-    alg = load_algebra(fixture_dir / ("%s.alg" % name), warn=lambda m: None)
+    alg = load_algebra(fixture_dir / ("%s.alg" % name))
     if field is not None:
         from lodayops.algebra import AlgebraSpec
         tables = {op: {cell: {k: field.from_fraction(c) for k, c in row.items()}

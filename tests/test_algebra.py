@@ -119,8 +119,7 @@ def _corpus_over(fixture_dir, type_tag, field):
     for path in sorted(fixture_dir.glob("*.alg")) + sorted(
             fixture_dir.glob("corpus/*.alg")):
         text = path.read_text(encoding="utf-8")
-        alg = parse_algebra(text.replace("field = Q", "field = " + field.name),
-                            warn=lambda m: None)
+        alg = parse_algebra(text.replace("field = Q", "field = " + field.name))
         if alg.type_tag == type_tag:
             out.append(alg)
     return out

@@ -112,7 +112,7 @@ def test_warm_operations_call_no_traced_function(monkeypatch):
     from lodayops.algfile import load_algebra
 
     contexts = [cochains.MultContext(load_algebra(
-        ROOT / "fixtures" / ("%s.alg" % name), warn=lambda m: None))
+        ROOT / "fixtures" / ("%s.alg" % name)))
         for name in ("trias_dim2", "tricub_dim1")]
     calls = []
 

@@ -10,12 +10,12 @@ from pathlib import Path
 
 import pytest
 
-from lodayops import cli, cohomology, identities, linalg
+from lodayops import cli, cohomology, identities, linalg, preoperadic
 from lodayops.algebra import PI_OPS
 from lodayops.algfile import load_algebra, serialize_algebra
 from lodayops.cli import MAX_SCAN_INSTANCES, main
 from lodayops.cochains import delta_trias, zero_cochain
-from lodayops.preoperadic import r_index_tables, scan_instances, verify_system
+from lodayops.preoperadic import r_index_tables, scan_instances
 
 from corpus import suspension_fixture
 
@@ -51,8 +51,7 @@ def _swapped_r0(kind, parts):
 
 
 def test_verify_system_lists_counterexamples(monkeypatch):
-    monkeypatch.setattr(cli, "verify_system", lambda kind, max_total:
-                        verify_system(kind, max_total, tables=_swapped_r0))
+    monkeypatch.setattr(preoperadic, "r_index_tables", _swapped_r0)
     code, out, _ = run_cli("verify-system", "--kind", "linear",
                            "--max-total", "4")
     assert code == 1

@@ -791,6 +791,28 @@ def test_operand_that_is_not_a_cochain_is_refused(entry, rng):
         call(ctx, x, y)
 
 
+# each call whose list of operands is no list or tuple: (argument name,
+# type name, call), x a degree-2 cochain of trias_dim1
+NOT_LISTS = {
+    "gamma-int": ("gs", "int", lambda x: gamma(x, 5)),
+    "gamma-cochain": ("gs", "Cochain", lambda x: gamma(x, x)),
+    "gamma-none": ("gs", "NoneType", lambda x: gamma(x, None)),
+    "brace-int": ("xs", "int", lambda x: brace(x, 5)),
+    "brace-cochain": ("xs", "Cochain", lambda x: brace(x, x)),
+    "brace-none": ("xs", "NoneType", lambda x: brace(x, None)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NOT_LISTS))
+def test_operand_list_that_is_not_a_list_is_refused(entry, fixture_dir, rng):
+    # each used to raise TypeError from iterating the argument
+    x = random_cochain(load_algebra(fixture_dir / "trias_dim1.alg"), 2, rng)
+    name, got, call = NOT_LISTS[entry]
+    with pytest.raises(ValueError, match="^%s must be a list or a tuple, "
+                       "not %s$" % (name, got)):
+        call(x)
+
+
 @pytest.mark.parametrize("key", [12345, -1, 3993, (0, 1), True, 0.0, 1.0])
 def test_cochain_refuses_keys_outside_its_cells(key):
     # a key outside range(cochain_dim) used to build a cochain that every
@@ -883,8 +905,13 @@ def test_results_store_no_zero_coefficient(seed, field, dim):
     rng = random.Random(seed)
     alg = product_fixture("trias", dim, field=field)
     ctx = MultContext(alg)
-    x1, y1 = (random_cochain(alg, 1, rng, span=1) for _ in range(2))
-    x2, y2 = (random_cochain(alg, 2, rng, span=1) for _ in range(2))
+
+    def small(n):
+        return Cochain(alg, n, {i: rng.randint(-1, 1)
+                                for i in range(cochain_dim(alg, n))})
+
+    x1, y1 = small(1), small(1)
+    x2, y2 = small(2), small(2)
     results = [x2 + y2, x2 - y2, x2.scaled(field.zero),
                x2.scaled(field.from_fraction(3)), x2.scaled(Fraction(1, 2)),
                -x2,

@@ -48,8 +48,7 @@ def _scaled_text(fixture_dir, field):
 
 @pytest.fixture(scope="module")
 def algebras(fixture_dir):
-    return tuple(parse_algebra(_scaled_text(fixture_dir, field),
-                               warn=lambda m: None)
+    return tuple(parse_algebra(_scaled_text(fixture_dir, field))
                  for field in ("Q", "Fp:%d" % P))
 
 

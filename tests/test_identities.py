@@ -81,8 +81,7 @@ def _usable_cpus(monkeypatch, count):
 
 
 def _context(fixture_dir, name):
-    return MultContext(load_algebra(fixture_dir / ("%s.alg" % name),
-                                    warn=lambda m: None))
+    return MultContext(load_algebra(fixture_dir / ("%s.alg" % name)))
 
 
 def test_suite_runner_deterministic(fixture_dir, monkeypatch):

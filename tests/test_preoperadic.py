@@ -6,7 +6,7 @@ from math import prod
 
 import pytest
 
-from lodayops import cohomology, preoperadic
+from lodayops import cochains, cohomology, preoperadic
 from lodayops.algfile import load_algebra
 from lodayops.cochains import MultContext
 from lodayops.params import KINDS, _family, enumerate_params, param_text
@@ -255,7 +255,7 @@ def test_profile_dependent_corruption_caught_by_closure():
             return 1
         return r_part(kind, p, j, elem)
 
-    report = verify_system("linear", 4, tables=_tabulated(rj=bad_r_part))
+    report = _scan_of("linear", 4, rj=bad_r_part)
     assert not report.passed
     axioms = {c.axiom for c in report.counterexamples}
     assert "idempotency" not in axioms
@@ -487,20 +487,34 @@ def _assert_same_report(got, want):
         sorted(got.counterexamples, key=Counterexample.sort_key))
 
 
-def _tabulated(r0=r_zero, rj=r_part):
-    """A ``tables`` argument for verify_system: the element maps r0/rj,
-    tabulated over each family by canonical index, with -1 for a value
-    outside its target family."""
-    def tables(kind, parts):
-        family = enumerate_params(kind, sum(parts))
+def _tabulated(kind, parts, r0, rj):
+    """(R_0 table, R_j tables) of the profile ``parts``: the element maps
+    r0/rj tabulated over U_N by canonical index.  A value outside its
+    target family is refused, since nothing judges these tables."""
+    family = enumerate_params(kind, sum(parts))
 
-        def column(k, values):
-            index = _family(kind, k)[1]
-            return tuple(index.get(x, -1) for x in values)
-        return (column(len(parts), (r0(kind, parts, u) for u in family)),
-                tuple(column(n_j, (rj(kind, parts, j, u) for u in family))
-                      for j, n_j in enumerate(parts, start=1)))
-    return tables
+    def column(k, values):
+        index = _family(kind, k)[1]
+        for x in values:
+            if x not in index:
+                raise ValueError("%s is not an element of U_%d"
+                                 % (param_text(kind, x), k))
+        return tuple(map(index.__getitem__, values))
+    return (column(len(parts), [r0(kind, parts, u) for u in family]),
+            tuple(column(n_j, [rj(kind, parts, j, u) for u in family])
+                  for j, n_j in enumerate(parts, start=1)))
+
+
+def _scan_of(kind, max_total, r0=r_zero, rj=r_part):
+    """verify_system(kind, max_total) on the tables of the element maps
+    r0/rj, tabulated before the scan and handed to it in place of the
+    library's ``r_index_tables``."""
+    tables = {parts: _tabulated(kind, parts, r0, rj)
+              for parts in _all_compositions(max_total)}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(preoperadic, "r_index_tables",
+                      lambda kind, parts: tables[parts])
+        return verify_system(kind, max_total)
 
 
 def _next_in_family(kind, k, elem):
@@ -544,8 +558,7 @@ def test_scan_matches_reference_on_corrupted_maps(kind, corrupted):
     maps = ({"r0": _corrupt_r0} if corrupted == "r0"
             else {"rj": _corrupt_rj})
     want = _reference_scan(kind, 4, **maps)
-    _assert_same_report(verify_system(kind, 4, tables=_tabulated(**maps)),
-                        want)
+    _assert_same_report(_scan_of(kind, 4, **maps), want)
     assert want.counterexamples
 
 
@@ -554,49 +567,74 @@ def test_unclamped_linear_system_caught_by_commutativity():
     # pins the damage on commutativity and closure, and idempotency (R_0
     # only) stays clean
     want = _reference_scan("linear", 4, rj=_wrapped_linear_rj)
-    _assert_same_report(
-        verify_system("linear", 4, tables=_tabulated(rj=_wrapped_linear_rj)),
-        want)
+    _assert_same_report(_scan_of("linear", 4, rj=_wrapped_linear_rj), want)
     axioms = Counter(c.axiom for c in want.counterexamples)
     assert axioms == {"commutativity": 2, "closure": 4}
 
 
 def test_scan_matches_reference_on_off_family_values():
-    # an unclamped R_j leaves the family; neither scan may report on such a
-    # map: the reference scan refuses the off-family value when it feeds it
-    # to R_0, and the table scan refuses the table that holds it
+    # an unclamped R_j leaves the family; the reference scan may not report
+    # on such a map: it refuses the off-family value when it feeds it to R_0
     with pytest.raises(ValueError,
                        match=r"^0 is not an element of the linear family$"):
         _reference_scan("linear", 4, rj=_unclamped_linear_rj)
-    with pytest.raises(ValueError,
-                       match=r"^linear R_1 table of profile \(1, 1\) holds an "
-                             r"index outside 0\.\.0, the indices of U_1$"):
-        verify_system("linear", 4, tables=_tabulated(rj=_unclamped_linear_rj))
 
 
-@pytest.mark.parametrize("fault", ["short", "too-large", "negative",
-                                   "missing"])
-def test_malformed_override_table_is_an_error(fault):
-    # a table must map every index of U_N into its target family, and a
-    # profile of k parts has k R_j tables
-    def tables(kind, parts):
-        r0, part_tables = r_index_tables(kind, parts)
-        if parts != (2, 1):
-            return r0, part_tables
-        if fault == "missing":
-            return r0, part_tables[:1]
-        bad = list(part_tables[0])
+@pytest.fixture
+def corrupt(monkeypatch):
+    """corrupt(fault) gives the R_1 table of the planar profile (2, 1), one
+    ``_restriction_table`` result, the fault: one entry short, or its last
+    entry 3 (|U_2| = 3) or -1.  The caches of profiles' tables are cleared
+    then, and again after the test."""
+    caches = (r_index_tables, cochains._composition_data)
+    real = preoperadic._restriction_table
+
+    def table(kind, n, labels, fault):
+        out = real(kind, n, labels)
+        if (kind, n, labels) != ("planar", 3, (0, 1, 2)):
+            return out
         if fault == "short":
-            bad.pop()
-        else:
-            bad[-1] = 3 if fault == "too-large" else -1   # |U_2| = 3
-        return r0, (tuple(bad),) + part_tables[1:]
+            return out[:-1]
+        return out[:-1] + (3 if fault == "too-large" else -1,)
 
-    message = (r"^planar profile \(2, 1\) has 1 R_j tables, not 2$"
-               if fault == "missing"
-               else r"^planar R_1 table of profile \(2, 1\) ")
-    with pytest.raises(ValueError, match=message):
-        verify_system("planar", 3, tables=tables)
+    def set_fault(fault):
+        monkeypatch.setattr(preoperadic, "_restriction_table",
+                            lambda *key: table(*key, fault))
+        for cache in caches:
+            cache.cache_clear()
+
+    yield set_fault
+    for cache in caches:
+        cache.cache_clear()
+
+
+@pytest.mark.parametrize("fault", ["short", "too-large", "negative"])
+def test_malformed_override_table_is_an_error(fault, corrupt):
+    # a table must map every index of U_N into its target family;
+    # r_index_tables judges each profile's tables as it builds them
+    corrupt(fault)
+    message = (r"has 10 entries, not \|U_3\| = 11$" if fault == "short"
+               else r"holds an index outside 0\.\.2, the indices of U_2$")
+    for _ in range(2):      # a refused build is not cached
+        with pytest.raises(ValueError, match=r"^planar R_1 table of profile "
+                           r"\(2, 1\) " + message):
+            r_index_tables("planar", (2, 1))
+
+
+def test_judge_guards_every_reader_of_the_tables(corrupt, fixture_dir, rng):
+    # composition, the matrices of d and the scan all read the tables of
+    # r_index_tables, so none of them reads a short table
+    ctx = MultContext(load_algebra(fixture_dir / "trias_dim1.alg"))
+    x1 = cochains.random_cochain(ctx.alg, 1, rng)
+    corrupt("short")
+    message = (r"^planar R_1 table of profile \(2, 1\) has 10 entries, "
+               r"not \|U_3\| = 11$")
+    readers = [lambda: cochains.gamma(ctx.pi, [ctx.pi, x1]),
+               lambda: cohomology.matrix_of_d(ctx, 2),
+               lambda: verify_system("planar", 3)]
+    for reader in readers:
+        with pytest.raises(ValueError, match=message):
+            reader()
 
 
 def test_unknown_kind_and_empty_scan_are_errors():
@@ -608,19 +646,42 @@ def test_unknown_kind_and_empty_scan_are_errors():
             verify_system("linear", max_total)
 
 
-def test_each_profile_tables_requested_once():
-    calls = Counter()
+def test_each_profile_tables_built_and_judged_once(monkeypatch):
+    # r_index_tables is the one cache of the tables: a second scan builds
+    # and judges nothing, and composition is handed the tables the scan reads
+    judged = Counter()
+    check = preoperadic._check_tables
 
-    def counted(kind, parts):
-        calls[kind, parts] += 1
-        return r_index_tables(kind, parts)
+    def counted(kind, parts, *rest):
+        judged[kind, parts] += 1
+        return check(kind, parts, *rest)
 
-    for kind in KINDS:
-        _assert_same_report(verify_system(kind, 4, tables=counted),
-                            verify_system(kind, 4))
-    # every composition of every total <= 4, for each kind
-    assert len(calls) == len(KINDS) * 15
-    assert set(calls.values()) == {1}
+    read = {}
+
+    def recorded(kind, parts):
+        read[kind, parts] = out = r_index_tables(kind, parts)
+        return out
+
+    monkeypatch.setattr(preoperadic, "_check_tables", counted)
+    monkeypatch.setattr(preoperadic, "r_index_tables", recorded)
+    r_index_tables.cache_clear()
+    try:
+        for kind in KINDS:
+            built = []
+            for _ in range(2):
+                misses = r_index_tables.cache_info().misses
+                verify_system(kind, 4)
+                built.append(r_index_tables.cache_info().misses - misses)
+            # every composition of every total <= 4, then none
+            assert built == [15, 0]
+        assert len(judged) == len(KINDS) * 15
+        assert set(judged.values()) == {1}
+        assert len(read) == len(KINDS) * 15
+        for (kind, parts), (_, part_tables) in read.items():
+            handed = cochains._composition_data(kind, parts)[1]
+            assert [*map(id, handed)] == [*map(id, part_tables)]
+    finally:
+        r_index_tables.cache_clear()
 
 
 @pytest.mark.parametrize("kind", KINDS)
