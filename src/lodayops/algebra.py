@@ -101,6 +101,8 @@ AXIOMS = _axioms()
 
 def axiom_label(type_tag, index):
     """Human form of axiom <index> (1-based), e.g. '(x ⊣ y) ⊣ z = x ⊣ (y ⊢ z)'."""
+    if type_tag not in TYPES:
+        raise ValueError("unknown algebra type %r" % (type_tag,))
     g = GLYPHS[type_tag]
     _at_least(index, 1, "index", len(AXIOMS[type_tag]))
     lhs_terms, rhs_terms = AXIOMS[type_tag][index - 1]

@@ -24,12 +24,14 @@ from .algfile import AlgebraFileError, load_algebra
 from .cochains import (Cochain, MultContext, canonical_multiplication, circ,
                        delta_trias)
 from .fields import _ascii_int, _at_least
-from .identities import run_identity_suite
+from .identities import drawn_cells, run_identity_suite
 from .params import KINDS, TREE_KINDS, enumerate_params, param_text
 from .preoperadic import AXIOM_IDS, scan_instances, verify_system
 
 # the largest law scan verify-system runs; a larger one is refused (exit 2)
 MAX_SCAN_INSTANCES = 5_000_000
+# the most cochain cells (50-70 bytes each) identities draws; more exit 2
+MAX_IDENTITY_CELLS = 5_000_000
 
 
 class Report:
@@ -218,6 +220,11 @@ def cmd_gerstenhaber(ns, report):
 
 def cmd_identities(ns, report):
     alg = _describe(report, ns)
+    cells = drawn_cells(alg, ns.samples)
+    if cells > MAX_IDENTITY_CELLS:
+        raise _Refused("identities --samples %d draws %d cochain cells, "
+                       "over the limit of %d"
+                       % (ns.samples, cells, MAX_IDENTITY_CELLS))
     report.meta("samples=%d seed=%d" % (ns.samples, ns.seed))
     ctx = _context(alg, report)
     checks = run_identity_suite(ctx, random.Random(ns.seed), ns.samples)

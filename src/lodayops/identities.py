@@ -11,9 +11,11 @@ degrees; see SIGN_NOTES.md.
 import os
 import threading
 from collections import namedtuple
+from functools import cache, partial
 from itertools import accumulate, cycle, islice
 
-from .cochains import _signed_sum, brace, diff_d, dot, random_cochain
+from .cochains import (_signed_sum, brace, cochain_dim, diff_d, dot,
+                       random_cochain)
 from .fields import _at_least
 
 
@@ -147,6 +149,30 @@ HG_DIFF_PATTERNS = (
 
 DG_PATTERNS = ((1, 1, 1), (1, 1, 2), (1, 2, 1), (2, 1, 1))
 
+# the suite's table in its round-robin order: (law, degree pattern, sides),
+# the sides taking the context and then the drawn cochains
+_FAMILIES = tuple((law, pattern, sides) for law, patterns, sides in (
+    ("brace-identity", BRACE_PATTERNS,
+     lambda ctx, *xs: [brace_identity_sides(*xs)]),
+    ("hg-dot-brace", DOT_BRACE_PATTERNS,
+     lambda ctx, *xs: [dot_brace_sides(ctx, *xs)]),
+    ("hg-differential", HG_DIFF_PATTERNS,
+     lambda ctx, *xs: [hg_differential_sides(ctx, *xs)]),
+    ("dg-algebra", DG_PATTERNS, lambda ctx, *xs: dg_algebra_sides(ctx, *xs)),
+) for pattern in patterns)
+
+
+def drawn_cells(alg, samples):
+    """The number of cochain cells ``run_identity_suite`` draws for
+    ``samples`` instances on ``alg``, counted before any is drawn."""
+    size = cache(partial(cochain_dim, alg))     # once per degree, not cochain
+
+    def cells(p):
+        return size(p) if isinstance(p, int) else sum(map(cells, p))
+    per_family = [cells(pattern) for _, pattern, _ in _FAMILIES]
+    rounds, rest = divmod(_at_least(samples, 0, "samples"), len(per_family))
+    return rounds * sum(per_family) + sum(per_family[:rest])
+
 
 def _draw(alg, rng, pattern):
     """Random cochains of the degrees in ``pattern``, nested as it is and
@@ -228,7 +254,7 @@ def _received(read_fd, drawn, block):
 
 def run_identity_suite(ctx, rng, samples):
     """Spread ``samples`` random instances across all identity families,
-    round robin, from one table of (law, patterns, sides).
+    round robin, from the one table ``_FAMILIES``.
 
     All instances are drawn from ``rng`` in order, in this process, before
     any is checked.  They are checked in contiguous blocks of whole rounds
@@ -241,20 +267,9 @@ def run_identity_suite(ctx, rng, samples):
     before the call returns.
     """
     _at_least(samples, 0, "samples")
-    laws = (
-        ("brace-identity", BRACE_PATTERNS,
-         lambda *xs: [brace_identity_sides(*xs)]),
-        ("hg-dot-brace", DOT_BRACE_PATTERNS,
-         lambda *xs: [dot_brace_sides(ctx, *xs)]),
-        ("hg-differential", HG_DIFF_PATTERNS,
-         lambda *xs: [hg_differential_sides(ctx, *xs)]),
-        ("dg-algebra", DG_PATTERNS, lambda *xs: dg_algebra_sides(ctx, *xs)),
-    )
-    families = [(law, pattern, sides) for law, patterns, sides in laws
-                for pattern in patterns]
-    drawn = [(law, pattern, sides, _draw(ctx.alg, rng, pattern))
-             for law, pattern, sides in islice(cycle(families), samples)]
-    first, *others = _blocks(samples, len(families))
+    drawn = [(law, pattern, partial(sides, ctx), _draw(ctx.alg, rng, pattern))
+             for law, pattern, sides in islice(cycle(_FAMILIES), samples)]
+    first, *others = _blocks(samples, len(_FAMILIES))
     children = []
     try:
         for block in others:

@@ -11,20 +11,23 @@ signs       Q_n            length-n tuple over {-1, 0, +1}
 An element is this value itself, its payload; it carries neither its
 kind nor n.  Every family is finite, non-empty and carries a canonical
 total order, and the tables and cochains index an element by its
-position in that order, its canonical index.
+position in that order, its canonical index.  ``enumerate_params``
+grafts each tree family from the smaller ones in its own cache.
 """
 
 from functools import lru_cache
 from itertools import product
 
 from .fields import _at_least
-from .trees import binary_trees, planar_trees, tree_text
+from .trees import LEAF, PlanarTree, _compositions, tree_text
 
 KINDS = ("linear", "binary", "planar", "subsets", "signs")
 TREE_KINDS = ("binary", "planar")      # the kinds whose elements are trees
 
 
 def param_text(kind, p):
+    if kind not in KINDS:
+        raise ValueError("unknown parameter kind %r" % kind)
     if kind in TREE_KINDS:
         return tree_text(p)
     if kind == "subsets":
@@ -43,10 +46,14 @@ def enumerate_params(kind, n):
     _at_least(n, 1, "n")
     if kind == "linear":
         return tuple(range(1, n + 1))
-    if kind == "binary":
-        return binary_trees(n)
-    if kind == "planar":
-        return planar_trees(n)
+    if kind in TREE_KINDS:
+        # pools[c - 1]: the subtrees with c leaves, the leaf or U_(c-1)
+        pools = [(LEAF,)] + [enumerate_params(kind, c) for c in range(1, n)]
+        arities = (2,) if kind == "binary" else range(2, n + 2)
+        return tuple(sorted(
+            PlanarTree(children) for k in arities
+            for parts in _compositions(n + 1, k)
+            for children in product(*[pools[c - 1] for c in parts])))
     if kind == "subsets":
         # element i is the subset whose bitmask is i + 1
         universe = range(1, n + 1)

@@ -7,7 +7,9 @@ produces it) but is not a member of any parameter family.
 A tree is the tuple of its children, the leaf being the empty one, so a
 tree equals the plain tuple of its children, and equality, hashing and
 the canonical order of the tree families are tuple's: the leaf comes
-first, and two trees compare child by child.
+first, and two trees compare child by child.  Grafting is the constructor
+``PlanarTree(children)``, ``tuple(t)`` its inverse and ``not t`` tells the
+leaf; ``params.enumerate_params`` grafts the tree families.
 
 Two leaf-removal maps are kept apart on purpose.  ``face`` removes one
 leaf and reads the operation symbol there in the same descent; it gives
@@ -20,7 +22,8 @@ remove leaves independently.
 """
 
 from functools import lru_cache
-from itertools import product
+from itertools import combinations
+from operator import sub
 
 from .fields import _at_least
 
@@ -48,14 +51,6 @@ class PlanarTree(tuple):
     def __setattr__(self, name, value):
         raise AttributeError("PlanarTree is immutable")
 
-    @property
-    def children(self):
-        return tuple(self)
-
-    @property
-    def is_leaf(self):
-        return not self
-
     def __repr__(self):
         return "PlanarTree(%s)" % tree_text(self)
 
@@ -81,7 +76,7 @@ def face(t, i):
     """
     if not isinstance(t, PlanarTree):
         raise ValueError("t must be a PlanarTree, not %s" % type(t).__name__)
-    if t.is_leaf:
+    if not t:
         raise ValueError("cannot delete from a bare leaf")
     n = t.weight
     removed, symbol = _face(t, _at_least(i, 0, "i", n))
@@ -108,35 +103,7 @@ def _face(node, i):
 
 
 @lru_cache(maxsize=None)
-def _trees_with_leaves(leaves, binary):
-    if leaves == 1:
-        return (LEAF,)
-    out = []
-    max_parts = 2 if binary else leaves
-    for nparts in range(2, max_parts + 1):
-        for comp in _compositions(leaves, nparts):
-            pools = [_trees_with_leaves(c, binary) for c in comp]
-            for combo in product(*pools):
-                out.append(PlanarTree(combo))
-    out.sort()
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def _compositions(total, nparts):
-    if nparts == 1:
-        return ((total,),)
-    out = []
-    for first in range(1, total - nparts + 2):
-        for rest in _compositions(total - first, nparts - 1):
-            out.append((first,) + rest)
-    return tuple(out)
-
-
-def planar_trees(n):
-    """All trees of weight n >= 1 in canonical order."""
-    return _trees_with_leaves(_at_least(n, 1, "n") + 1, False)
-
-
-def binary_trees(n):
-    return _trees_with_leaves(_at_least(n, 1, "n") + 1, True)
+    """The compositions of total into nparts parts, lexicographically."""
+    return tuple(tuple(map(sub, cuts + (total,), (0,) + cuts))
+                 for cuts in combinations(range(1, total), nparts - 1))

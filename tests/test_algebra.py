@@ -26,6 +26,14 @@ def test_axiom_labels_render():
     assert axiom_label("tridend", 3) == "(x ≺ y + x · y + x ≻ y) ≻ z = x ≻ (y ≻ z)"
 
 
+def test_axiom_label_refuses_an_unknown_type():
+    # it used to raise KeyError: 'bogus'; the text is AlgebraSpec's
+    with pytest.raises(ValueError, match="^unknown algebra type 'bogus'$"):
+        axiom_label("bogus", 1)
+    with pytest.raises(SpecError, match="^unknown algebra type 'bogus'$"):
+        AlgebraSpec("bogus", QQ, 1)
+
+
 def _element(field, coeffs):
     return {k: c for k, c in enumerate(map(field.from_fraction, coeffs)) if c}
 

@@ -13,7 +13,7 @@ import pytest
 from lodayops import cli, cohomology, identities, linalg, preoperadic
 from lodayops.algebra import PI_OPS
 from lodayops.algfile import load_algebra, serialize_algebra
-from lodayops.cli import MAX_SCAN_INSTANCES, main
+from lodayops.cli import MAX_IDENTITY_CELLS, MAX_SCAN_INSTANCES, main
 from lodayops.cochains import delta_trias, zero_cochain
 from lodayops.preoperadic import r_index_tables, scan_instances
 
@@ -436,6 +436,29 @@ def test_oversized_scan_refused(kind, max_total):
     assert "over the limit of %d" % MAX_SCAN_INSTANCES in err
 
 
+def test_oversized_identity_run_refused(fixture_dir):
+    # every sample is drawn before any is checked, about 2 KB each on
+    # trias_dim2, so ten million would need some 21 GB before any output
+    code, out, err = run_cli("identities", fx(fixture_dir, "trias_dim2"),
+                             "--samples", "10000000")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "error: identities --samples 10000000 draws 413846224 cochain "
+        "cells, over the limit of %d" % MAX_IDENTITY_CELLS)
+
+
+def test_identity_limit_admits_a_run_at_the_limit(fixture_dir, monkeypatch):
+    # the limit on a run of 27 samples on trias_dim1: 27 runs, 28 exits 2
+    path = fx(fixture_dir, "trias_dim1")
+    cells = identities.drawn_cells(load_algebra(path), 27)
+    monkeypatch.setattr(cli, "MAX_IDENTITY_CELLS", cells)
+    assert run_cli("identities", path, "--samples", "27")[0] == 0
+    code, out, err = run_cli("identities", path, "--samples", "28")
+    assert (code, out) == (2, "")
+    assert "over the limit of %d" % cells in err
+
+
 def test_scan_limit_admits_planar_at_total_7():
     # counted, not run: the scan itself takes many seconds
     size = scan_instances("planar", 7, MAX_SCAN_INSTANCES)
@@ -445,9 +468,12 @@ def test_scan_limit_admits_planar_at_total_7():
 
 def test_command_echo_is_canonical(fixture_dir):
     path = fx(fixture_dir, "didend_dim1")
-    spelled = [run_cli("cohomology", path, *args)
-               for args in ([], ["--max-degree", "3"], ["--max-degree=3"],
-                            ["--max-d=3"])]
+    # the elapsed line of stderr is left out: a cold cache can move it
+    spelled = [(code, out, re.sub(r"# elapsed \S+\n", "", err))
+               for code, out, err in (
+                   run_cli("cohomology", path, *args)
+                   for args in ([], ["--max-degree", "3"],
+                                ["--max-degree=3"], ["--max-d=3"]))]
     assert spelled[0] == spelled[1] == spelled[2]
     assert spelled[0][1].startswith(
         "# command: cohomology %s --max-degree 3\n" % path)

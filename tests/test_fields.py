@@ -94,8 +94,6 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 JUDGED = {
     "enumerate_params": ("enumerate_params('planar', n)", "n", 1, None, 2.0),
     "family_size": ("family_size('planar', n)", "n", 1, None, 2.0),
-    "planar_trees": ("planar_trees(n)", "n", 1, None, 2.0),
-    "binary_trees": ("binary_trees(n)", "n", 1, None, 2.0),
     "cochain_dim": ("cochain_dim(product_fixture('trias', 2), n)", "n", 1,
                     None, 2.0),
     "Cochain": ("Cochain(product_fixture('trias', 2), n, {0: 1})", "degree",
@@ -116,7 +114,7 @@ JUDGED = {
     "axiom_label": ("axiom_label('dias', n)", "index", 1, 5, 5.0),
     "mutation_bump": ("mutation_bump('dias', n)", "index", 1, 5, 5.0),
     "axiom_mutation": ("axiom_mutation('dias', n)", "index", 1, 5, 1.0),
-    "face": ("face(planar_trees(2)[0], n)", "i", 0, 2, 1.0),
+    "face": ("face(enumerate_params('planar', 2)[0], n)", "i", 0, 2, 1.0),
     "r_part j": ("r_part('planar', (1, 1), n, U2)", "j", 1, 2, 1.0),
     "r_part parts": ("r_part('planar', (n, 1), 1, U2)", "part", 1, None,
                      1.0),
@@ -147,11 +145,11 @@ from lodayops.fields import PrimeField
 from lodayops.identities import run_identity_suite
 from lodayops.params import enumerate_params, family_size
 from lodayops.preoperadic import r_index_tables, r_part, r_zero, verify_system
-from lodayops.trees import binary_trees, face, planar_trees
+from lodayops.trees import face
 
 # built on first use: a context's pi already reads some families
 ctx = functools.cache(lambda: MultContext(product_fixture("trias", 1)))
-U2 = planar_trees(2)[0]
+U2 = enumerate_params("planar", 2)[0]
 call, bad, good = sys.argv[2], json.loads(sys.argv[3]), int(sys.argv[4])
 
 def outcome(n):

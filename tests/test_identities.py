@@ -9,11 +9,13 @@ import pytest
 from lodayops import identities
 from lodayops.algfile import load_algebra
 from lodayops.cli import main
-from lodayops.cochains import MultContext, random_cochain, zero_cochain
+from lodayops.cochains import (MultContext, cochain_dim, random_cochain,
+                               zero_cochain)
 from lodayops.identities import (BRACE_PATTERNS, DOT_BRACE_PATTERNS,
                                  HG_DIFF_PATTERNS, brace_identity_sides,
                                  dg_algebra_sides, dot_brace_sides,
-                                 hg_differential_sides, run_identity_suite)
+                                 drawn_cells, hg_differential_sides,
+                                 run_identity_suite)
 
 from corpus import product_fixture
 
@@ -202,3 +204,21 @@ def test_suite_reaps_every_child_when_a_block_raises(fixture_dir, monkeypatch,
     assert len(forks) == 3
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("samples", [0, 1, 25, 26, 27, 60])
+def test_drawn_cells_counts_the_cells_the_suite_draws(fixture_dir,
+                                                      monkeypatch, samples):
+    # counted up front from the table, against the cells of every cochain
+    # the suite really draws
+    alg = load_algebra(fixture_dir / "trias_dim1.alg")
+    drawn = []
+
+    def counting(alg, n, rng):
+        drawn.append(cochain_dim(alg, n))
+        return random_cochain(alg, n, rng)
+
+    monkeypatch.setattr(identities, "random_cochain", counting)
+    run_identity_suite(MultContext(alg), random.Random(0), samples)
+    assert drawn_cells(alg, samples) == sum(drawn)
+    assert sum(drawn) > 0 or samples == 0

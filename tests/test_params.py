@@ -42,6 +42,14 @@ def test_invalid_arity():
         enumerate_params("nosuch", 2)
 
 
+def test_param_text_refuses_an_unknown_kind():
+    # it used to print the value as a linear one: '3'
+    with pytest.raises(ValueError, match="^unknown parameter kind 'bogus'$"):
+        param_text("bogus", 3)
+    with pytest.raises(ValueError, match="^unknown parameter kind 'bogus'$"):
+        enumerate_params("bogus", 3)
+
+
 def test_family_index_round_trip():
     # the canonical index of each element is its position: no element of
     # a family equals another

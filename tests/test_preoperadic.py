@@ -14,8 +14,7 @@ from lodayops.preoperadic import (TREE_KINDS, Counterexample, SystemReport,
                                   _compositions_of, r_part, r_zero,
                                   r_index_tables, scan_instances,
                                   verify_system)
-from lodayops.trees import (LEAF, PlanarTree, _compositions, face,
-                            planar_trees)
+from lodayops.trees import LEAF, PlanarTree, _compositions, face
 
 
 def test_linear_r_zero_block_index():
@@ -116,7 +115,7 @@ def test_arity_mismatch_is_an_error():
     ("subsets", frozenset()),
     ("signs", (1, 0, 2, -1)),
     ("signs", (1, 0, -1)),
-    ("planar", planar_trees(3)[0]),
+    ("planar", enumerate_params("planar", 3)[0]),
     ("planar", LEAF),
     ("binary", PlanarTree([LEAF] * 5)),
     ("linear", 0),
@@ -137,11 +136,11 @@ def test_off_family_payloads_are_errors(kind, elem):
 def _keep_leaves_direct(t, keep):
     """Independent one-pass construction of the subtree on a leaf set."""
     def rec(node, offset):
-        if node.is_leaf:
+        if not node:
             return node if offset in keep else None
         live = []
         pos = offset
-        for c in node.children:
+        for c in node:
             r = rec(c, pos)
             if r is not None:
                 live.append(r)
@@ -175,7 +174,7 @@ def _sequential_deletions(t):
             out[kept] = tree
             return
         rec(i - 1, tree, (i,) + kept)
-        if not tree.is_leaf:
+        if tree:
             rec(i - 1, face(tree, i)[0], kept)
 
     rec(t.weight, t, ())
@@ -195,7 +194,7 @@ def test_restrict_matches_sequential_deletion_and_direct_construction():
                           _family(kind, len(keep) - 1)[0]) for keep in keeps]
                   for kind in TREE_KINDS}
         binary_index = _family("binary", n)[1]
-        for i, t in enumerate(planar_trees(n)):
+        for i, t in enumerate(enumerate_params("planar", n)):
             sequential = _sequential_deletions(t)
             b = binary_index.get(t)
             for keep, (table, targets), (b_table, b_targets) in zip(

@@ -3,17 +3,17 @@ from itertools import combinations
 
 import pytest
 
-from lodayops.params import param_text
+from lodayops.params import TREE_KINDS, enumerate_params, param_text
 from lodayops.preoperadic import r_zero
-from lodayops.trees import (LEAF, LEFT, MIDDLE, RIGHT, PlanarTree,
-                            binary_trees, face, planar_trees, tree_text)
+from lodayops.trees import (LEAF, LEFT, MIDDLE, RIGHT, PlanarTree, face,
+                            tree_text)
 
 CORolla3 = PlanarTree([LEAF, LEAF, LEAF])
 T1 = PlanarTree([LEAF, LEAF])
 
 
 def is_binary(t):
-    return t.is_leaf or (len(t) == 2 and all(is_binary(c) for c in t))
+    return not t or (len(t) == 2 and all(is_binary(c) for c in t))
 
 
 def delete_leaf(t, i):
@@ -27,7 +27,8 @@ def symbol(t, i):
 
 
 def test_counts_small():
-    assert [len(planar_trees(n)) for n in range(1, 6)] == [1, 3, 11, 45, 197]
+    assert [len(enumerate_params("planar", n))
+            for n in range(1, 6)] == [1, 3, 11, 45, 197]
     # independent count oracle: the grafting recurrence s_L = sum over
     # compositions of L into >= 2 parts of products of smaller counts
     counts = {1: 1}
@@ -49,33 +50,69 @@ def test_binary_counts_are_catalan():
     def catalan(n):
         return math.comb(2 * n, n) // (n + 1)
     for n in range(1, 6):
-        assert len(binary_trees(n)) == catalan(n)
-        assert all(is_binary(t) for t in binary_trees(n))
+        assert len(enumerate_params("binary", n)) == catalan(n)
+        assert all(is_binary(t) for t in enumerate_params("binary", n))
+
+
+def _bracketings(letters):
+    """Every Schroeder bracketing of a word of ``letters`` letters, each
+    bracket around two or more consecutive pieces, as plain nested tuples:
+    a letter is (), a bracket the tuple of its pieces."""
+    if letters == 1:
+        return [()]
+    out = []
+
+    def complete(prefix, left):
+        # extend ``prefix`` by pieces covering ``left`` more letters
+        if not left:
+            if len(prefix) >= 2:
+                out.append(prefix)
+            return
+        for size in range(1, min(left, letters - 1) + 1):
+            for piece in _bracketings(size):
+                complete(prefix + (piece,), left - size)
+
+    complete((), letters)
+    return out
+
+
+@pytest.mark.parametrize("kind", TREE_KINDS)
+def test_families_are_the_bracketings_in_tuple_order(kind):
+    # an independent generator: the bracketings of n + 1 letters, the
+    # binary ones alone for the binary family, sorted as plain tuples,
+    # equal the family element for element and in order
+    for n in range(1, 7):
+        want = sorted(t for t in _bracketings(n + 1)
+                      if kind == "planar" or is_binary(t))
+        got = enumerate_params(kind, n)
+        assert list(got) == want
+        assert all(type(t) is PlanarTree for t in got)
+    assert len(want) == {"binary": 132, "planar": 903}[kind]
 
 
 def _leaves(t):
-    return 1 if t.is_leaf else sum(_leaves(c) for c in t.children)
+    return 1 if not t else sum(_leaves(c) for c in t)
 
 
 def test_weights_and_leaf_labels():
     # a tree of weight n has n + 1 leaves, counted here by recursion
     for n in range(1, 5):
-        for t in planar_trees(n):
+        for t in enumerate_params("planar", n):
             assert t.weight == n
             assert _leaves(t) == t.weight + 1
 
 
 def test_graft_decompose_inverse():
-    # grafting is the constructor and decomposition its children
+    # grafting is the constructor and decomposition its tuple of children
     assert PlanarTree([LEAF, LEAF]) == T1
-    assert CORolla3.children == (LEAF, LEAF, LEAF)
-    assert T1.children == (LEAF, LEAF)
+    assert tuple(CORolla3) == (LEAF, LEAF, LEAF)
+    assert tuple(T1) == (LEAF, LEAF)
     for n in range(1, 6):
-        for t in planar_trees(n):
-            assert PlanarTree(t.children) == t
+        for t in enumerate_params("planar", n):
+            assert PlanarTree(tuple(t)) == t
     with pytest.raises(ValueError):
         PlanarTree([LEAF])
-    assert LEAF.children == ()
+    assert tuple(LEAF) == () and not LEAF
 
 
 def test_graft_weight_formula():
@@ -103,7 +140,7 @@ def test_delete_leaf_examples():
 def test_simplicial_identity():
     # both composites land in weight n-2, so trees of weight >= 2
     for n in range(2, 6):
-        for t in planar_trees(n):
+        for t in enumerate_params("planar", n):
             for i in range(n + 1):
                 for j in range(i + 1, n + 1):
                     assert (delete_leaf(delete_leaf(t, j), i)
@@ -112,7 +149,7 @@ def test_simplicial_identity():
 
 def test_binary_closed_under_deletion():
     for n in range(2, 6):
-        for t in binary_trees(n):
+        for t in enumerate_params("binary", n):
             for i in range(n + 1):
                 assert is_binary(delete_leaf(t, i))
 
@@ -144,7 +181,7 @@ def test_boundary_symbols_on_reference_tree():
 def test_boundary_symbol_total():
     # exactly one case fires for every tree and every position
     for n in range(1, 5):
-        for t in planar_trees(n):
+        for t in enumerate_params("planar", n):
             for i in range(n + 1):
                 assert symbol(t, i) in (LEFT, RIGHT, MIDDLE)
             with pytest.raises(ValueError):
@@ -155,7 +192,7 @@ def test_tree_text_is_injective():
     assert tree_text(CORolla3) == "(|,|,|)"
     assert tree_text(PlanarTree([LEAF, T1])) == "(|,(|,|))"
     for n in range(1, 8):
-        for trees in (planar_trees(n), binary_trees(n)):
+        for trees in (enumerate_params(kind, n) for kind in TREE_KINDS):
             assert len({tree_text(t) for t in trees}) == len(trees)
 
 
@@ -168,10 +205,10 @@ def test_non_tree_child_and_weight_zero_rejected():
     # a plain tuple equals a tree but is not one
     with pytest.raises(TypeError, match="children must be PlanarTree"):
         PlanarTree((LEAF, ()))
-    for trees in (planar_trees, binary_trees):
+    for kind in ("planar", "binary"):
         with pytest.raises(ValueError,
                            match="^n must be an int >= 1, got 0$"):
-            trees(0)
+            enumerate_params(kind, 0)
 
 
 def test_tree_is_its_tuple_of_children():
@@ -191,7 +228,8 @@ def test_plain_tuple_tree_is_read_or_refused_by_name(plain):
     # a plain tuple equals its tree, so r_zero takes it (R_0 on the parts
     # (1, ..., 1) keeps every leaf); tree_text and param_text used to raise
     # AttributeError on it, and so did face
-    tree = next(t for n in (1, 2, 3) for t in planar_trees(n) if t == plain)
+    tree = next(t for n in (1, 2, 3) for t in enumerate_params("planar", n)
+                if t == plain)
     assert type(plain) is tuple and tree == plain
     assert tree_text(plain) == param_text("planar", plain) == tree_text(tree)
     assert r_zero("planar", (1,) * tree.weight, plain) == tree
@@ -203,6 +241,7 @@ def test_plain_tuple_tree_is_read_or_refused_by_name(plain):
 def test_canonical_tree_order_is_pinned():
     # the order of the tree families, which fixes every canonical index
     text = "".join(tree_text(t) + "\n" for n in range(1, 8)
-                   for t in planar_trees(n) + binary_trees(n))
+                   for kind in ("planar", "binary")
+                   for t in enumerate_params(kind, n))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "fc6bfa9b3eb8dc48cc7d7c40082d4643f07337723d7a846be5b55857405f4b6c")
