@@ -26,8 +26,18 @@ TREE_KINDS = ("binary", "planar")      # the kinds whose elements are trees
 
 
 def param_text(kind, p):
+    """The text of p, an element of the ``kind`` family; a tree may be
+    given as the plain tuple equal to it.  Anything that is not an element
+    of U_n, n read from p, raises ValueError naming the kind.  The test
+    builds U_n, as every map that reads an element of U_n does."""
     if kind not in KINDS:
         raise ValueError("unknown parameter kind %r" % kind)
+    try:
+        member = p in _family(kind, _at_least(_n_of(kind, p), 1, "n"))[1]
+    except (TypeError, ValueError):     # p has no n, or its n is no size
+        member = False
+    if not member:
+        raise ValueError("%r is not an element of the %s family" % (p, kind))
     if kind in TREE_KINDS:
         return tree_text(p)
     if kind == "subsets":
@@ -35,6 +45,24 @@ def param_text(kind, p):
     if kind == "signs":
         return "(" + ",".join("%+d" % s if s else "0" for s in p) + ")"
     return str(p)
+
+
+def _n_of(kind, p):
+    """The n of the one family U_n that can hold p, read from p."""
+    if kind in TREE_KINDS:
+        return _leaves(p) - 1
+    if kind == "subsets":
+        return max(p)
+    if kind == "signs":
+        return len(p)
+    return p
+
+
+def _leaves(t):
+    """The number of leaves of t, a tree or a nested plain tuple."""
+    if not isinstance(t, tuple):
+        raise TypeError("a tree is a tuple, not %s" % type(t).__name__)
+    return sum(map(_leaves, t)) if t else 1
 
 
 # typed: 2.0 and True reach the judge below, not the entries of 2 and 1

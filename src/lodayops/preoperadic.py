@@ -8,10 +8,12 @@ families (binary, planar), to the tree spanned by those leaves.  Both maps
 have one form, the index tables of ``r_index_tables``: one table per
 (kind, N, labels), built once over all of U_N, and the R_j table of an
 interval serves every profile with that interval.  These cached tables
-are the one cache of restrictions: a tree table puts each restriction
-together from its children's, read from their own tables, as a plain
-tuple that finds its index in U_k, so no tree is built.  The linear,
-subset and sign tables are integer arithmetic on the canonical index.
+are the one cache of restrictions.  A tree table composes the cached
+tables ``_deletions`` of the leaves outside the labels, each of which
+deletes one leaf from all of U_n; a deletion reads the deleted child's
+own smaller table and finds its result in U_(n-1) as a plain tuple, so
+no tree is built.  The linear, subset and sign tables are integer
+arithmetic on the canonical index.
 Composition, the matrices of d, the public ``r_zero``/``r_part`` and the
 law scan all read these tables through ``r_index_tables``, which judges
 each profile's tables once, when it builds them; ``r_zero``/``r_part``
@@ -25,7 +27,7 @@ and a law compares the images of all of U_m at once, in one thread.
 from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, islice, product
 from math import prod
 
 from .fields import _all_at_least, _at_least
@@ -33,27 +35,29 @@ from .params import TREE_KINDS, _family, family_size, param_text
 from .trees import LEAF, _compositions
 
 
-def _spanned(kind, node, keep):
-    """The tree spanned by the leaves ``keep`` of node, two or more, sorted
-    and labelled from its first leaf, as its tuple of children: a tree, or
-    a plain tuple equal to one.  A child keeping some of its leaves, two or
-    more, is read from its own family's ``_restriction_table``."""
-    live = []
-    lo = offset = 0
-    for c in node:
-        end = offset + c.weight + 1
-        mid = bisect_left(keep, end, lo)
-        if mid - lo == end - offset:
-            live.append(c)
-        elif mid - lo == 1:
-            live.append(LEAF)
-        elif mid > lo:
-            table = _restriction_table(
-                kind, c.weight, tuple(x - offset for x in keep[lo:mid]))
-            live.append(_family(kind, mid - lo - 1)[0][
-                table[_family(kind, c.weight)[1][c]]])
-        lo, offset = mid, end
-    return live[0] if len(live) == 1 else tuple(live)
+@lru_cache(maxsize=None)
+def _deletions(kind, n):
+    """For each leaf i of 0..n, n >= 2: the index table U_n -> U_(n-1) of
+    deleting leaf i and splicing out the vertex that deletion leaves with
+    one child.  A child of weight w >= 2 loses its leaf by its own
+    family's table of U_w, and the result finds its index in U_(n-1) as a
+    plain tuple, so no tree is built."""
+    index = _family(kind, n - 1)[1]
+    flat = []           # per tree of U_n in turn, its deletions of leaves 0..n
+    for t in _family(kind, n)[0]:
+        for pos, c in enumerate(t):
+            head, tail = t[:pos], t[pos + 1:]
+            if not c:
+                rest = head + tail
+                flat.append(index[rest[0] if len(rest) == 1 else rest])
+            elif c.weight == 1:
+                flat += [index[head + (LEAF,) + tail]] * 2
+            else:
+                smaller = _family(kind, c.weight - 1)[0]
+                at = _family(kind, c.weight)[1][c]
+                flat += [index[head + (smaller[table[at]],) + tail]
+                         for table in _deletions(kind, c.weight)]
+    return tuple(tuple(islice(flat, i, None, n + 1)) for i in range(n + 1))
 
 
 def _digit_table(pieces):
@@ -77,15 +81,18 @@ def _restriction_table(kind, n, labels):
     of the signs in (l_{b-1}, l_b].  Element i of C_n is i + 1, element i
     of P_n is the bitmask i + 1 of its members, and element i of Q_n has
     the base-3 digits s + 1 of its signs.  This cache is the one cache of
-    restrictions, which ``_spanned`` reads for each restricted child.
+    restrictions; a tree table is composed from ``_deletions``' tables.
     """
     k = len(labels) - 1
     if kind in TREE_KINDS:
-        if family_size(kind, k) == 1:   # U_1: every tree spans its one element
-            return (0,) * family_size(kind, n)
-        index = _family(kind, k)[1]
-        return tuple(index[_spanned(kind, t, labels)]
-                     for t in _family(kind, n)[0])
+        # delete the leaves outside labels, highest first; the table is
+        # composed from the last deletion, on the smallest family, outward,
+        # and starts from U_k's own index objects, so it holds no new int
+        gone = [x for x in range(n + 1) if x not in labels]
+        table = tuple(_family(kind, k)[1].values())
+        for m, leaf in enumerate(gone, k + 1):
+            table = tuple(map(table.__getitem__, _deletions(kind, m)[leaf]))
+        return table
     if kind == "linear":
         return tuple(min(max(bisect_left(labels, x), 1), k) - 1
                      for x in range(1, n + 1))

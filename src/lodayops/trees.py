@@ -14,9 +14,10 @@ leaf; ``params.enumerate_params`` grafts the tree families.
 Two leaf-removal maps are kept apart on purpose.  ``face`` removes one
 leaf and reads the operation symbol there in the same descent; it gives
 the faces of ``delta_trias``, the explicit differential of dialgebras (on
-binary trees) and trialgebras (on all planar trees).  The
-restriction tables behind the structure maps R_0, R_j in ``preoperadic``
-restrict a tree to any set of its leaves without building a tree.  The
+binary trees) and trialgebras (on all planar trees).  The deletion
+tables of ``preoperadic``, which the structure maps R_0, R_j compose to
+restrict a tree to any set of its leaves, delete one leaf from a whole
+family at once, on canonical indices, without building a tree.  The
 two share no code, so the two sides of the comparison d = +/- delta
 remove leaves independently.
 """

@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
 from lodayops.params import (KINDS, _family, enumerate_params, family_size,
                              param_text)
+from lodayops.trees import LEAF
 
 
 def test_family_sizes():
@@ -48,6 +51,29 @@ def test_param_text_refuses_an_unknown_kind():
         param_text("bogus", 3)
     with pytest.raises(ValueError, match="^unknown parameter kind 'bogus'$"):
         enumerate_params("bogus", 3)
+
+
+@pytest.mark.parametrize("kind, good, text, bad", [
+    ("linear", 3, "3", ["x", 0, True, 2.0, None, 1.0]),
+    ("binary", ((), ()), "(|,|)",
+     [5, ((), (), ()), (((),),), LEAF, "ab", [(), ()]]),
+    ("planar", ((), (), ()), "(|,|,|)",
+     [5, ((),), (((),),), LEAF, "ab", ((), 1)]),
+    ("subsets", frozenset({3, 1}), "{1,3}",
+     [3, frozenset(), frozenset({0, 1}), frozenset({True}), {1, 2}]),
+    ("signs", (1, -1, 0), "(+1,-1,0)", [(7,), (1, 2), (), [1, 0], "+-"]),
+], ids=["linear", "binary", "planar", "subsets", "signs"])
+def test_param_text_refuses_what_is_not_an_element(kind, good, text, bad):
+    # it used to print some of these ('(+7)', 'x', '0') and raise TypeError
+    # on others; a tree may be a plain tuple.  U_1 is built first, so a
+    # warm cache must not admit True or {True} as 1 or {1}
+    _family(kind, 1)
+    assert param_text(kind, good) == text
+    for p in bad:
+        want = "^%s is not an element of the %s family$" % (
+            re.escape(repr(p)), kind)
+        with pytest.raises(ValueError, match=want):
+            param_text(kind, p)
 
 
 def test_family_index_round_trip():

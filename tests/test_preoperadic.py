@@ -209,6 +209,21 @@ def test_restrict_matches_sequential_deletion_and_direct_construction():
     assert cases == {"planar": 120893, "binary": 18662}
 
 
+@pytest.mark.parametrize("kind", TREE_KINDS)
+def test_deletion_tables_agree_with_face(kind):
+    # the two leaf-removal routines share no code: the deletion tables that
+    # the restriction tables compose, and ``face``, which delta_trias reads
+    cases = 0
+    for n in range(2, 8):
+        deletions = preoperadic._deletions(kind, n)
+        smaller = _family(kind, n - 1)[1]
+        for u, t in enumerate(enumerate_params(kind, n)):
+            for i in range(n + 1):
+                assert deletions[i][u] == smaller[face(t, i)[0]]
+                cases += 1
+    assert cases == {"binary": 4704, "planar": 42013}[kind]
+
+
 def test_tree_r_functions_match_direct_construction():
     # R_0 and R_j on trees versus direct extraction, every profile of total <= 6
     for kind in ("binary", "planar"):
