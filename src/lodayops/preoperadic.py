@@ -8,12 +8,12 @@ families (binary, planar), to the tree spanned by those leaves.  Both maps
 have one form, the index tables of ``r_index_tables``: one table per
 (kind, N, labels), built once over all of U_N, and the R_j table of an
 interval serves every profile with that interval.  These cached tables
-are the one cache of restrictions.  A tree table composes the cached
-tables ``_deletions`` of the leaves outside the labels, each of which
-deletes one leaf from all of U_n; a deletion reads the deleted child's
-own smaller table and finds its result in U_(n-1) as a plain tuple, so
-no tree is built.  The linear, subset and sign tables are integer
-arithmetic on the canonical index.
+are the one cache of restrictions.  Every family's table composes the
+cached tables ``_deletions`` of the labels outside the kept ones, each of
+which deletes one label from all of U_n and finds each result in
+U_(n-1)'s own index, so only ``params`` knows the families' order.  A
+tree deletion reads the deleted child's own smaller table and finds its
+result as a plain tuple, so no tree is built.
 Composition, the matrices of d, the public ``r_zero``/``r_part`` and the
 law scan all read these tables through ``r_index_tables``, which judges
 each profile's tables once, when it builds them; ``r_zero``/``r_part``
@@ -24,27 +24,45 @@ range(|U_m|), each map R_0(p), R_j(p) is a table of ``r_index_tables``,
 and a law compares the images of all of U_m at once, in one thread.
 """
 
-from bisect import bisect_left
 from collections import namedtuple
 from functools import lru_cache
-from itertools import accumulate, islice, product
-from math import prod
+from itertools import accumulate, islice
 
 from .fields import _all_at_least, _at_least
-from .params import TREE_KINDS, _family, family_size, param_text
+from .params import _family, family_size, param_text
 from .trees import LEAF, _compositions
 
 
 @lru_cache(maxsize=None)
 def _deletions(kind, n):
-    """For each leaf i of 0..n, n >= 2: the index table U_n -> U_(n-1) of
-    deleting leaf i and splicing out the vertex that deletion leaves with
-    one child.  A child of weight w >= 2 loses its leaf by its own
-    family's table of U_w, and the result finds its index in U_(n-1) as a
-    plain tuple, so no tree is built."""
-    index = _family(kind, n - 1)[1]
+    """For each label i of 0..n, n >= 2: the index table U_n -> U_(n-1) of
+    deleting label i.  Each table reads every element of U_n and finds the
+    element left by the deletion in U_(n-1)'s own index, so no order of
+    the family is assumed here.  On a tree, the deleted leaf's vertex is
+    spliced out if it is left with one child; a child of weight w >= 2
+    loses its leaf by its own family's table of U_w, and the result is
+    found as a plain tuple, so no tree is built."""
+    elems, index = _family(kind, n)[0], _family(kind, n - 1)[1]
+    if kind == "linear" or kind == "subsets":
+        # labels i - 1 and i + 1 meet: members m and m + 1 merge, m being
+        # i clamped to 1..n-1, so labels 0 and 1 delete alike, as do n - 1
+        # and n
+        if kind == "linear":
+            merged = [tuple(index[x - (x > m)] for x in elems)
+                      for m in range(1, n)]
+        else:
+            merged = [tuple(index[frozenset(x - (x > m) for x in s)]
+                            for s in elems) for m in range(1, n)]
+        return (merged[0], *merged, merged[-1])
+    if kind == "signs":
+        # an end label drops its end sign; inner label i multiplies signs
+        # i and i + 1
+        return (tuple(index[s[1:]] for s in elems),
+                *(tuple(index[s[:i - 1] + (s[i - 1] * s[i],) + s[i + 1:]]
+                        for s in elems) for i in range(1, n)),
+                tuple(index[s[:-1]] for s in elems))
     flat = []           # per tree of U_n in turn, its deletions of leaves 0..n
-    for t in _family(kind, n)[0]:
+    for t in elems:
         for pos, c in enumerate(t):
             head, tail = t[:pos], t[pos + 1:]
             if not c:
@@ -60,58 +78,28 @@ def _deletions(kind, n):
     return tuple(tuple(islice(flat, i, None, n + 1)) for i in range(n + 1))
 
 
-def _digit_table(pieces):
-    """The index table of a map that reads an index block of digits by
-    block: ``pieces`` lists, most significant block first, (radix, values)
-    where values[d] is the output digit of the block with digits d."""
-    table = [0]
-    for radix, values in pieces:
-        table = [h * radix + v for h in table for v in values]
-    return table
-
-
 @lru_cache(maxsize=None)
 def _restriction_table(kind, n, labels):
     """For each element of U_n, by index: the index in U_k of its
     restriction to the k + 1 sorted ``labels`` l_0 < ... < l_k in 0..n.
     On trees it spans the leaves ``labels``; on the linear family, x goes
     to the b with x in (l_{b-1}, l_b], the first interval widened down to 1
-    and the last up to n; on subsets, bit b is set if the subset meets
-    (l_{b-1}, l_b], widened the same way; on signs, digit b is the product
-    of the signs in (l_{b-1}, l_b].  Element i of C_n is i + 1, element i
-    of P_n is the bitmask i + 1 of its members, and element i of Q_n has
-    the base-3 digits s + 1 of its signs.  This cache is the one cache of
-    restrictions; a tree table is composed from ``_deletions``' tables.
+    and the last up to n; on subsets, member b is present if the subset
+    meets (l_{b-1}, l_b], widened the same way; on signs, sign b is the
+    product of the signs in (l_{b-1}, l_b], and the signs outside l_0..l_k
+    are dropped.  Each is the composition of ``_deletions``' tables of the
+    labels outside ``labels``.  This cache is the one cache of
+    restrictions.
     """
+    # delete the labels outside labels, highest first; the table is
+    # composed from the last deletion, on the smallest family, outward,
+    # and starts from U_k's own index objects, so it holds no new int
     k = len(labels) - 1
-    if kind in TREE_KINDS:
-        # delete the leaves outside labels, highest first; the table is
-        # composed from the last deletion, on the smallest family, outward,
-        # and starts from U_k's own index objects, so it holds no new int
-        gone = [x for x in range(n + 1) if x not in labels]
-        table = tuple(_family(kind, k)[1].values())
-        for m, leaf in enumerate(gone, k + 1):
-            table = tuple(map(table.__getitem__, _deletions(kind, m)[leaf]))
-        return table
-    if kind == "linear":
-        return tuple(min(max(bisect_left(labels, x), 1), k) - 1
-                     for x in range(1, n + 1))
-    if kind == "subsets":
-        # one output bit per interval, read from its mask of member bits
-        widths = [hi - lo for lo, hi in
-                  zip((0,) + labels[1:-1], labels[1:-1] + (n,))]
-        masks = _digit_table([(2, [0] + [1] * ((1 << w) - 1))
-                              for w in reversed(widths)])
-        return tuple(m - 1 for m in masks[1:])
-    if kind == "signs":
-        # the signs outside l_0..l_k are dropped, and each interval gives
-        # one digit, read from the digits of its signs
-        return tuple(_digit_table(
-            [(1, (0,) * 3 ** labels[0])]
-            + [(3, [prod(x) + 1 for x in product((-1, 0, 1), repeat=hi - lo)])
-               for lo, hi in zip(labels, labels[1:])]
-            + [(1, (0,) * 3 ** (n - labels[-1]))]))
-    raise ValueError("unknown parameter kind %r" % kind)
+    gone = [x for x in range(n + 1) if x not in labels]
+    table = tuple(_family(kind, k)[1].values())
+    for m, label in enumerate(gone, k + 1):
+        table = tuple(map(table.__getitem__, _deletions(kind, m)[label]))
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -161,10 +149,11 @@ def _apply(kind, parts, j, elem):
     index tables of the profile ``parts``.  The cache refuses a list, and
     the parts are judged after it, since a warm cache does not judge them."""
     r0, part_tables = r_index_tables(kind, parts)
-    i = _family(kind, sum(_all_at_least(parts, 1, "part")))[1].get(elem)
+    n = sum(_all_at_least(parts, 1, "part"))
+    i = _family(kind, n)[1].get(elem)
     if i is None:
-        raise ValueError("%s is not an element of the %s family"
-                         % (param_text(kind, elem), kind))
+        raise ValueError("%s is not an element of U_%d of the %s family"
+                         % (param_text(kind, elem), n, kind))
     table, k = (r0, len(parts)) if j == 0 else (part_tables[j - 1], parts[j - 1])
     return _family(kind, k)[0][table[i]]
 

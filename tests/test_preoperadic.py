@@ -1,6 +1,7 @@
 import re
 from bisect import bisect_left
 from collections import Counter
+from functools import lru_cache
 from itertools import accumulate, combinations
 from math import prod
 
@@ -9,8 +10,9 @@ import pytest
 from lodayops import cochains, cohomology, preoperadic
 from lodayops.algfile import load_algebra
 from lodayops.cochains import MultContext
-from lodayops.params import KINDS, _family, enumerate_params, param_text
-from lodayops.preoperadic import (TREE_KINDS, Counterexample, SystemReport,
+from lodayops.params import (KINDS, TREE_KINDS, _family, enumerate_params,
+                             param_text)
+from lodayops.preoperadic import (Counterexample, SystemReport,
                                   _compositions_of, r_part, r_zero,
                                   r_index_tables, scan_instances,
                                   verify_system)
@@ -110,26 +112,33 @@ def test_arity_mismatch_is_an_error():
         r_part("linear", (2, 2), 3, 1)
 
 
-@pytest.mark.parametrize("kind, elem", [
-    ("subsets", frozenset({2, 7})),
-    ("subsets", frozenset()),
-    ("signs", (1, 0, 2, -1)),
-    ("signs", (1, 0, -1)),
-    ("planar", enumerate_params("planar", 3)[0]),
-    ("planar", LEAF),
-    ("binary", PlanarTree([LEAF] * 5)),
-    ("linear", 0),
-    ("linear", 5),
+@pytest.mark.parametrize("kind, elem, text", [
+    ("subsets", frozenset({2, 7}), "{2,7}"),
+    ("subsets", frozenset(), None),
+    ("signs", (1, 0, 2, -1), None),
+    ("signs", (1, 0, -1), "(+1,0,-1)"),
+    ("planar", enumerate_params("planar", 3)[0], "(|,|,|,|)"),
+    ("planar", LEAF, None),
+    ("binary", PlanarTree([LEAF] * 5), None),
+    ("linear", 0, None),
+    ("linear", 5, "5"),
 ], ids=["subset-out-of-range", "empty-subset", "sign-2", "sign-length-3",
         "tree-weight-3", "bare-leaf", "binary-corolla", "linear-0",
         "linear-n-plus-1"])
-def test_off_family_payloads_are_errors(kind, elem):
+def test_off_family_payloads_are_errors(kind, elem, text):
     # the maps read index tables, so a payload that is not in U_N, N = 4,
-    # has no index
+    # has no index; one that param_text accepts, an element of another
+    # U_n, is named with the U_N it is not in, and any other is refused by
+    # param_text itself
     p = (2, 2)
-    with pytest.raises(ValueError, match="not an element"):
+    if text is None:
+        message = "is not an element of the %s family$" % kind
+    else:
+        message = "^%s is not an element of U_4 of the %s family$" % (
+            re.escape(text), kind)
+    with pytest.raises(ValueError, match=message):
         r_zero(kind, p, elem)
-    with pytest.raises(ValueError, match="not an element"):
+    with pytest.raises(ValueError, match=message):
         r_part(kind, p, 1, elem)
 
 
@@ -361,6 +370,38 @@ def test_arithmetic_index_tables_match_payload_oracle(kind):
                     index[_oracle_r_part(kind, parts, j, x)]
                     for x in payloads)
             assert table == part_oracles[key]
+
+
+@pytest.mark.parametrize("kind", ["linear", "subsets", "signs"])
+def test_arithmetic_tables_follow_the_family_order(kind, monkeypatch):
+    # the tables read the order of _family, not one of their own: with
+    # every U_n reversed, each table of total <= 5 is the payload oracle
+    # read through the reversed index
+    @lru_cache(maxsize=None)
+    def reversed_family(kind, n):
+        elems = _family(kind, n)[0][::-1]
+        return elems, {p: i for i, p in enumerate(elems)}
+
+    caches = (preoperadic._deletions, preoperadic._restriction_table,
+              r_index_tables)
+    monkeypatch.setattr(preoperadic, "_family", reversed_family)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        for parts in _all_compositions(5):
+            payloads = reversed_family(kind, sum(parts))[0]
+            r0, part_tables = r_index_tables(kind, parts)
+            index_k = reversed_family(kind, len(parts))[1]
+            assert r0 == tuple(map(index_k.__getitem__,
+                                   _oracle_r_zero(kind, parts, payloads)))
+            for j, table in enumerate(part_tables, start=1):
+                index = reversed_family(kind, parts[j - 1])[1]
+                assert table == tuple(
+                    index[_oracle_r_part(kind, parts, j, x)]
+                    for x in payloads)
+    finally:
+        for cache in caches:
+            cache.cache_clear()
 
 
 def test_matrix_of_d_tables_build_no_tree(fixture_dir, monkeypatch):
