@@ -3,33 +3,34 @@
 kind        set            element
 ----        ---            -------
 linear      C_n            int in 1..n
-binary      Y_n            binary PlanarTree of weight n
-planar      T_n            PlanarTree of weight n
+binary      Y_n            binary tree of weight n
+planar      T_n            planar tree of weight n
 subsets     P_n            non-empty frozenset of 1..n
 signs       Q_n            length-n tuple over {-1, 0, +1}
 
 An element is this value itself, its payload; it carries neither its
-kind nor n.  Every family is finite, non-empty and carries a canonical
-total order, and the tables and cochains index an element by its
-position in that order, its canonical index.  ``enumerate_params``
-grafts each tree family from the smaller ones in its own cache.
+kind nor n; a tree is the plain tuple of its children (``trees``).
+Every family is finite, non-empty and carries a canonical total order,
+and the tables and cochains index an element by its position in that
+order, its canonical index.  ``enumerate_params`` grafts each tree
+family from the smaller ones in its own cache.
 """
 
 from functools import lru_cache
 from itertools import product
 
 from .fields import _at_least
-from .trees import LEAF, PlanarTree, _compositions, tree_text
+from .trees import LEAF, _compositions, _weight, tree_text
 
 KINDS = ("linear", "binary", "planar", "subsets", "signs")
 TREE_KINDS = ("binary", "planar")      # the kinds whose elements are trees
 
 
 def param_text(kind, p):
-    """The text of p, an element of the ``kind`` family; a tree may be
-    given as the plain tuple equal to it.  Anything that is not an element
-    of U_n, n read from p, raises ValueError naming the kind.  The test
-    builds U_n, as every map that reads an element of U_n does."""
+    """The text of p, an element of the ``kind`` family.  Anything that is
+    not an element of U_n, n read from p, raises ValueError naming the
+    kind.  The test builds U_n, as every map that reads an element of U_n
+    does."""
     if kind not in KINDS:
         raise ValueError("unknown parameter kind %r" % kind)
     try:
@@ -50,19 +51,12 @@ def param_text(kind, p):
 def _n_of(kind, p):
     """The n of the one family U_n that can hold p, read from p."""
     if kind in TREE_KINDS:
-        return _leaves(p) - 1
+        return _weight(p)
     if kind == "subsets":
         return max(p)
     if kind == "signs":
         return len(p)
     return p
-
-
-def _leaves(t):
-    """The number of leaves of t, a tree or a nested plain tuple."""
-    if not isinstance(t, tuple):
-        raise TypeError("a tree is a tuple, not %s" % type(t).__name__)
-    return sum(map(_leaves, t)) if t else 1
 
 
 # typed: 2.0 and True reach the judge below, not the entries of 2 and 1
@@ -79,7 +73,7 @@ def enumerate_params(kind, n):
         pools = [(LEAF,)] + [enumerate_params(kind, c) for c in range(1, n)]
         arities = (2,) if kind == "binary" else range(2, n + 2)
         return tuple(sorted(
-            PlanarTree(children) for k in arities
+            children for k in arities
             for parts in _compositions(n + 1, k)
             for children in product(*[pools[c - 1] for c in parts])))
     if kind == "subsets":

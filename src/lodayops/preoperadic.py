@@ -12,8 +12,8 @@ are the one cache of restrictions.  Every family's table composes the
 cached tables ``_deletions`` of the labels outside the kept ones, each of
 which deletes one label from all of U_n and finds each result in
 U_(n-1)'s own index, so only ``params`` knows the families' order.  A
-tree deletion reads the deleted child's own smaller table and finds its
-result as a plain tuple, so no tree is built.
+tree deletion reads the deleted child's own smaller table and splices
+its result into the tuple of the other children.
 Composition, the matrices of d, the public ``r_zero``/``r_part`` and the
 law scan all read these tables through ``r_index_tables``, which judges
 each profile's tables once, when it builds them; ``r_zero``/``r_part``
@@ -30,7 +30,7 @@ from itertools import accumulate, islice
 
 from .fields import _all_at_least, _at_least
 from .params import _family, family_size, param_text
-from .trees import LEAF, _compositions
+from .trees import LEAF, _compositions, _weight
 
 
 @lru_cache(maxsize=None)
@@ -40,8 +40,8 @@ def _deletions(kind, n):
     element left by the deletion in U_(n-1)'s own index, so no order of
     the family is assumed here.  On a tree, the deleted leaf's vertex is
     spliced out if it is left with one child; a child of weight w >= 2
-    loses its leaf by its own family's table of U_w, and the result is
-    found as a plain tuple, so no tree is built."""
+    loses its leaf by its own family's table of U_w, whose result takes
+    the child's place."""
     elems, index = _family(kind, n)[0], _family(kind, n - 1)[1]
     if kind == "linear" or kind == "subsets":
         # labels i - 1 and i + 1 meet: members m and m + 1 merge, m being
@@ -64,17 +64,17 @@ def _deletions(kind, n):
     flat = []           # per tree of U_n in turn, its deletions of leaves 0..n
     for t in elems:
         for pos, c in enumerate(t):
-            head, tail = t[:pos], t[pos + 1:]
-            if not c:
+            head, tail, w = t[:pos], t[pos + 1:], _weight(c)
+            if not w:
                 rest = head + tail
                 flat.append(index[rest[0] if len(rest) == 1 else rest])
-            elif c.weight == 1:
+            elif w == 1:
                 flat += [index[head + (LEAF,) + tail]] * 2
             else:
-                smaller = _family(kind, c.weight - 1)[0]
-                at = _family(kind, c.weight)[1][c]
+                smaller = _family(kind, w - 1)[0]
+                at = _family(kind, w)[1][c]
                 flat += [index[head + (smaller[table[at]],) + tail]
-                         for table in _deletions(kind, c.weight)]
+                         for table in _deletions(kind, w)]
     return tuple(tuple(islice(flat, i, None, n + 1)) for i in range(n + 1))
 
 
@@ -147,10 +147,14 @@ def _check_tables(kind, parts, maps):
 def _apply(kind, parts, j, elem):
     """R_0 of elem, an element of U_N, for j = 0, else R_j, read from the
     index tables of the profile ``parts``.  The cache refuses a list, and
-    the parts are judged after it, since a warm cache does not judge them."""
+    the parts are judged after it, since a warm cache does not judge them.
+    An unhashable elem has no index, and param_text refuses it."""
     r0, part_tables = r_index_tables(kind, parts)
     n = sum(_all_at_least(parts, 1, "part"))
-    i = _family(kind, n)[1].get(elem)
+    try:
+        i = _family(kind, n)[1].get(elem)
+    except TypeError:
+        i = None
     if i is None:
         raise ValueError("%s is not an element of U_%d of the %s family"
                          % (param_text(kind, elem), n, kind))

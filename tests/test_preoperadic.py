@@ -16,7 +16,7 @@ from lodayops.preoperadic import (Counterexample, SystemReport,
                                   _compositions_of, r_part, r_zero,
                                   r_index_tables, scan_instances,
                                   verify_system)
-from lodayops.trees import LEAF, PlanarTree, _compositions, face
+from lodayops.trees import LEAF, _compositions, face
 
 
 def test_linear_r_zero_block_index():
@@ -119,17 +119,20 @@ def test_arity_mismatch_is_an_error():
     ("signs", (1, 0, -1), "(+1,0,-1)"),
     ("planar", enumerate_params("planar", 3)[0], "(|,|,|,|)"),
     ("planar", LEAF, None),
-    ("binary", PlanarTree([LEAF] * 5), None),
+    ("binary", (LEAF,) * 5, None),
+    ("planar", [LEAF] * 5, None),
     ("linear", 0, None),
     ("linear", 5, "5"),
+    ("subsets", {1}, None),
+    ("subsets", [1], None),
 ], ids=["subset-out-of-range", "empty-subset", "sign-2", "sign-length-3",
-        "tree-weight-3", "bare-leaf", "binary-corolla", "linear-0",
-        "linear-n-plus-1"])
+        "tree-weight-3", "bare-leaf", "binary-corolla", "list-corolla",
+        "linear-0", "linear-n-plus-1", "unhashable-set", "unhashable-list"])
 def test_off_family_payloads_are_errors(kind, elem, text):
     # the maps read index tables, so a payload that is not in U_N, N = 4,
     # has no index; one that param_text accepts, an element of another
     # U_n, is named with the U_N it is not in, and any other is refused by
-    # param_text itself
+    # param_text itself, an unhashable one too
     p = (2, 2)
     if text is None:
         message = "is not an element of the %s family$" % kind
@@ -140,6 +143,10 @@ def test_off_family_payloads_are_errors(kind, elem, text):
         r_zero(kind, p, elem)
     with pytest.raises(ValueError, match=message):
         r_part(kind, p, 1, elem)
+
+
+def _leaves(t):
+    return 1 if not t else sum(map(_leaves, t))
 
 
 def _keep_leaves_direct(t, keep):
@@ -153,12 +160,12 @@ def _keep_leaves_direct(t, keep):
             r = rec(c, pos)
             if r is not None:
                 live.append(r)
-            pos += c.weight + 1
+            pos += _leaves(c)
         if not live:
             return None
         if len(live) == 1:
             return live[0]
-        return PlanarTree(live)
+        return tuple(live)
     out = rec(t, 0)
     assert out is not None
     return out
@@ -186,7 +193,7 @@ def _sequential_deletions(t):
         if tree:
             rec(i - 1, face(tree, i)[0], kept)
 
-    rec(t.weight, t, ())
+    rec(_leaves(t) - 1, t, ())
     return out
 
 
@@ -402,37 +409,6 @@ def test_arithmetic_tables_follow_the_family_order(kind, monkeypatch):
     finally:
         for cache in caches:
             cache.cache_clear()
-
-
-def test_matrix_of_d_tables_build_no_tree(fixture_dir, monkeypatch):
-    # with the families enumerated, every index table that d^1..d^5 of
-    # trias_dim1 (planar) and dias_dim1 (binary) read is built without
-    # constructing a tree
-    contexts = [MultContext(load_algebra(fixture_dir / name))
-                for name in ("trias_dim1.alg", "dias_dim1.alg")]
-    for ctx in contexts:
-        for n in range(1, 7):
-            enumerate_params(ctx.alg.kind, n)
-    built = Counter()
-    new = PlanarTree.__new__
-
-    def counted_new(cls, children=()):
-        built["PlanarTree"] += 1
-        return new(cls, children)
-
-    monkeypatch.setattr(PlanarTree, "__new__", counted_new)
-    r_index_tables.cache_clear()
-    preoperadic._restriction_table.cache_clear()
-    try:
-        for ctx in contexts:
-            for n in range(1, 6):
-                cohomology.matrix_of_d(ctx, n)
-        assert r_index_tables.cache_info().misses > 0
-        assert preoperadic._restriction_table.cache_info().misses > 0
-    finally:
-        r_index_tables.cache_clear()
-        preoperadic._restriction_table.cache_clear()
-    assert built["PlanarTree"] == 0
 
 
 def test_tree_index_tables_are_the_restriction_tables():

@@ -5,11 +5,11 @@ import pytest
 
 from lodayops.params import TREE_KINDS, enumerate_params, param_text
 from lodayops.preoperadic import r_zero
-from lodayops.trees import (LEAF, LEFT, MIDDLE, RIGHT, PlanarTree, face,
+from lodayops.trees import (LEAF, LEFT, MIDDLE, RIGHT, _weight, face,
                             tree_text)
 
-CORolla3 = PlanarTree([LEAF, LEAF, LEAF])
-T1 = PlanarTree([LEAF, LEAF])
+CORolla3 = (LEAF, LEAF, LEAF)
+T1 = (LEAF, LEAF)
 
 
 def is_binary(t):
@@ -86,7 +86,7 @@ def test_families_are_the_bracketings_in_tuple_order(kind):
                       if kind == "planar" or is_binary(t))
         got = enumerate_params(kind, n)
         assert list(got) == want
-        assert all(type(t) is PlanarTree for t in got)
+        assert all(type(t) is tuple for t in got)
     assert len(want) == {"binary": 132, "planar": 903}[kind]
 
 
@@ -98,35 +98,33 @@ def test_weights_and_leaf_labels():
     # a tree of weight n has n + 1 leaves, counted here by recursion
     for n in range(1, 5):
         for t in enumerate_params("planar", n):
-            assert t.weight == n
-            assert _leaves(t) == t.weight + 1
+            assert _weight(t) == n
+            assert _leaves(t) == n + 1
 
 
 def test_graft_decompose_inverse():
-    # grafting is the constructor and decomposition its tuple of children
-    assert PlanarTree([LEAF, LEAF]) == T1
-    assert tuple(CORolla3) == (LEAF, LEAF, LEAF)
-    assert tuple(T1) == (LEAF, LEAF)
+    # grafting is building the tuple of the children, and decomposition
+    # reads them back
+    assert tuple([LEAF, LEAF]) == T1
     for n in range(1, 6):
         for t in enumerate_params("planar", n):
-            assert PlanarTree(tuple(t)) == t
+            assert tuple(list(t)) == t
+            assert _weight(tuple(list(t))) == n
     with pytest.raises(ValueError):
-        PlanarTree([LEAF])
-    assert tuple(LEAF) == () and not LEAF
+        _weight((LEAF,))
+    assert LEAF == () and not LEAF and _weight(LEAF) == 0
 
 
 def test_graft_weight_formula():
-    a = PlanarTree([T1, LEAF])
-    assert a.weight == 2
-    parts = [T1, CORolla3, LEAF]
-    assert PlanarTree(parts).weight == \
-        sum(p.weight for p in parts) + len(parts) - 1
+    assert _weight((T1, LEAF)) == 2
+    parts = (T1, CORolla3, LEAF)
+    assert _weight(parts) == sum(map(_weight, parts)) + len(parts) - 1
 
 
 def test_delete_leaf_examples():
     assert delete_leaf(CORolla3, 1) == T1
-    assert delete_leaf(PlanarTree([T1, LEAF]), 0) == T1
-    assert type(delete_leaf(PlanarTree([T1, LEAF]), 2)) is PlanarTree
+    assert delete_leaf((T1, LEAF), 0) == T1
+    assert type(delete_leaf((T1, LEAF), 2)) is tuple
     # deleting from the two-leaf tree leaves the degenerate bare leaf
     assert delete_leaf(T1, 0) == LEAF
     with pytest.raises(ValueError, match="bare leaf"):
@@ -157,21 +155,21 @@ def test_binary_closed_under_deletion():
 def test_orientations_on_reference_tree():
     # an interior position reads the orientation of its leaf; the two
     # boundary positions follow the grafting rule, tested below
-    psi = PlanarTree([LEAF, LEAF, T1])
+    psi = (LEAF, LEAF, T1)
     assert symbol(psi, 1) == MIDDLE
     assert symbol(psi, 2) == LEFT
-    nested = PlanarTree([LEAF, T1, LEAF])
+    nested = (LEAF, T1, LEAF)
     assert symbol(nested, 1) == LEFT
     assert symbol(nested, 2) == RIGHT
 
 
 def test_boundary_symbols_on_reference_tree():
-    psi = PlanarTree([LEAF, LEAF, T1])  # psi_0 = psi_1 = leaf, psi_2 = T1, k = 2
+    psi = (LEAF, LEAF, T1)  # psi_0 = psi_1 = leaf, psi_2 = T1, k = 2
     assert symbol(psi, 0) == MIDDLE       # |psi_0| = 0, k > 1
     assert symbol(psi, 1) == MIDDLE       # orientation of leaf 1
     assert symbol(psi, 2) == LEFT         # orientation of leaf 2
     assert symbol(psi, 3) == LEFT         # terminal: |psi_k| = 1 > 0
-    comb = PlanarTree([T1, LEAF])
+    comb = (T1, LEAF)
     assert symbol(comb, 0) == RIGHT       # |psi_0| = 1 > 0
     assert symbol(comb, 2) == RIGHT       # terminal: k = 1, |psi_1| = 0
     assert symbol(T1, 0) == LEFT          # |psi_0| = 0, k = 1
@@ -190,21 +188,22 @@ def test_boundary_symbol_total():
 
 def test_tree_text_is_injective():
     assert tree_text(CORolla3) == "(|,|,|)"
-    assert tree_text(PlanarTree([LEAF, T1])) == "(|,(|,|))"
+    assert tree_text((LEAF, T1)) == "(|,(|,|))"
     for n in range(1, 8):
         for trees in (enumerate_params(kind, n) for kind in TREE_KINDS):
             assert len({tree_text(t) for t in trees}) == len(trees)
 
 
 def test_unary_vertex_rejected():
-    with pytest.raises(ValueError):
-        PlanarTree((LEAF,))
+    for t in ((LEAF,), (T1, (LEAF,)), ((LEAF, T1),)):
+        with pytest.raises(ValueError, match="is not a tree$"):
+            _weight(t)
 
 
 def test_non_tree_child_and_weight_zero_rejected():
-    # a plain tuple equals a tree but is not one
-    with pytest.raises(TypeError, match="children must be PlanarTree"):
-        PlanarTree((LEAF, ()))
+    for t in ((LEAF, 5), (T1, (LEAF, "ab")), (LEAF, [LEAF, LEAF])):
+        with pytest.raises(ValueError, match="is not a tree$"):
+            _weight(t)
     for kind in ("planar", "binary"):
         with pytest.raises(ValueError,
                            match="^n must be an int >= 1, got 0$"):
@@ -212,30 +211,46 @@ def test_non_tree_child_and_weight_zero_rejected():
 
 
 def test_tree_is_its_tuple_of_children():
+    # every vertex of every tree of the families is a plain tuple, so
     # equality, hashing and order are tuple's, implemented in C
-    assert PlanarTree.__hash__ is tuple.__hash__
-    assert PlanarTree((LEAF, LEAF)) == (LEAF, LEAF)
-    assert hash(T1) == hash((LEAF, LEAF)) and LEAF == ()
-    with pytest.raises(AttributeError):
-        T1.weight = 5
-    assert T1.weight == 1
+    def plain(t):
+        return type(t) is tuple and all(map(plain, t))
+
+    for n in range(1, 6):
+        for kind in TREE_KINDS:
+            assert all(map(plain, enumerate_params(kind, n)))
+    assert hash(T1) == hash(((), ())) and LEAF == ()
 
 
 @pytest.mark.parametrize("plain", [((), ()), ((), ((), ())),
                                    (((), ()), (), ())],
                          ids=["corolla2", "right-comb", "left-corolla"])
 def test_plain_tuple_tree_is_read_or_refused_by_name(plain):
-    # a plain tuple equals its tree, so r_zero takes it (R_0 on the parts
-    # (1, ..., 1) keeps every leaf); tree_text and param_text used to raise
-    # AttributeError on it, and so did face
-    tree = next(t for n in (1, 2, 3) for t in enumerate_params("planar", n)
-                if t == plain)
-    assert type(plain) is tuple and tree == plain
+    # a tuple built here equals the enumerated tree, and every reader
+    # takes it as that tree: r_zero (R_0 on the parts (1, ..., 1) keeps
+    # every leaf), tree_text, param_text and face at each leaf
+    n = _leaves(plain) - 1
+    tree = next(t for t in enumerate_params("planar", n) if t == plain)
+    assert tree is not plain
     assert tree_text(plain) == param_text("planar", plain) == tree_text(tree)
-    assert r_zero("planar", (1,) * tree.weight, plain) == tree
-    with pytest.raises(ValueError, match="^t must be a PlanarTree, not "
-                                         "tuple$"):
-        face(plain, 0)
+    assert r_zero("planar", (1,) * n, plain) == tree
+    for i in range(n + 1):
+        assert face(plain, i) == face(tree, i)
+
+
+@pytest.mark.parametrize("t", [[(), ()], ((), [(), ()]), ((),), ((), ((),)),
+                               5, ((), 5)],
+                         ids=["list", "nested-list", "one-child",
+                              "nested-one-child", "int", "int-child"])
+def test_non_tree_is_refused_by_every_reader(t):
+    # the one judge, _weight, refuses what is not a tree, and face and
+    # tree_text read a tree through it, so neither returns on a list
+    for read in (_weight, tree_text, lambda t: face(t, 0)):
+        with pytest.raises(ValueError, match="is not a tree$"):
+            read(t)
+    with pytest.raises(ValueError, match="is not an element of the planar "
+                                         "family$"):
+        param_text("planar", t)
 
 
 def test_canonical_tree_order_is_pinned():
