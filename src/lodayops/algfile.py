@@ -25,7 +25,7 @@ every syntax fault and reported at the line that gave the refused value.
 import codecs
 import sys
 
-from .algebra import AlgebraSpec, SpecError
+from . import algebra
 from .fields import _ascii_int, field_from_name, parse_scalar
 
 
@@ -120,8 +120,8 @@ def parse_algebra(text):
             cell = table.setdefault((i, j), {})
             cell[k] = cell.get(k, 0) + coeff
     try:
-        alg = AlgebraSpec(header["type"], field, dim, basis, tables)
-    except SpecError as exc:
+        alg = algebra.AlgebraSpec(header["type"], field, dim, basis, tables)
+    except algebra.SpecError as exc:
         raise AlgebraFileError(lines[exc.where], str(exc)) from None
     for op in alg.ops:
         if op not in blocks:

@@ -18,13 +18,11 @@ import random
 import sys
 import time
 
-from . import cohomology
-from .algebra import verify_axioms
+from . import algebra, cohomology, identities
 from .algfile import AlgebraFileError, load_algebra
 from .cochains import (Cochain, MultContext, canonical_multiplication, circ,
                        delta_trias)
 from .fields import _ascii_int, _at_least
-from .identities import drawn_cells, run_identity_suite
 from .params import KINDS, TREE_KINDS, enumerate_params, param_text
 from .preoperadic import AXIOM_IDS, scan_instances, verify_system
 
@@ -132,7 +130,7 @@ def cmd_verify_system(ns, report):
 
 def cmd_verify_algebra(ns, report):
     alg = _describe(report, ns)
-    violations = verify_axioms(alg)
+    violations = algebra.verify_axioms(alg)
     report.check("algebra-axioms", not violations)
     for v in violations[:20]:
         report.data("VIOLATION", "axiom=%d" % v.index, "triple=%s" % (v.triple,),
@@ -220,14 +218,15 @@ def cmd_gerstenhaber(ns, report):
 
 def cmd_identities(ns, report):
     alg = _describe(report, ns)
-    cells = drawn_cells(alg, ns.samples)
+    cells = identities.drawn_cells(alg, ns.samples)
     if cells > MAX_IDENTITY_CELLS:
         raise _Refused("identities --samples %d draws %d cochain cells, "
                        "over the limit of %d"
                        % (ns.samples, cells, MAX_IDENTITY_CELLS))
     report.meta("samples=%d seed=%d" % (ns.samples, ns.seed))
     ctx = _context(alg, report)
-    checks = run_identity_suite(ctx, random.Random(ns.seed), ns.samples)
+    checks = identities.run_identity_suite(ctx, random.Random(ns.seed),
+                                           ns.samples)
     _law_lines(report, sorted({c.law for c in checks}), checks, "pattern")
 
 

@@ -45,7 +45,7 @@ to the same d through the brace kernel.
 from functools import lru_cache
 from itertools import combinations, product
 
-from .algebra import PI_OPS
+from . import algebra
 from .fields import _all_at_least, _at_least, _mapping, _scalars
 from .params import TREE_KINDS, _family, enumerate_params, family_size
 from .preoperadic import r_index_tables
@@ -208,7 +208,7 @@ def canonical_multiplication(alg):
     d = alg.dim
     cells = {}
     get = cells.get
-    for u_idx, ops in enumerate(PI_OPS[alg.type_tag]):
+    for u_idx, ops in enumerate(algebra.PI_OPS[alg.type_tag]):
         for op in ops:
             for (i, j), row in alg.tables[op].items():
                 base = ((u_idx * d + i) * d + j) * d

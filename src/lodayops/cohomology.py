@@ -32,11 +32,10 @@ from collections import namedtuple
 from itertools import product
 from operator import itemgetter
 
-from . import linalg
+from . import identities, linalg
 from .cochains import (_collected, _over, _signed_sum, bracket, cochain_dim,
                        dot, zero_cochain)
 from .fields import _at_least
-from .identities import LawCheck
 from .params import family_size
 from .preoperadic import r_index_tables
 
@@ -272,8 +271,8 @@ def check_g_algebra(ctx, max_degree):
         comm = _signed_sum(ctx.alg, x.degree + y.degree, (
             (False, dot(ctx, x, y)),
             ((x.degree * y.degree) % 2 == 0, dot(ctx, y, x))))
-        checks.append(LawCheck(comm_law, (x.degree, y.degree),
-                               is_coboundary(ctx, comm)))
+        checks.append(identities.LawCheck(comm_law, (x.degree, y.degree),
+                                          is_coboundary(ctx, comm)))
 
     for x, y, z in classes(3):
         degrees = (x.degree, y.degree, z.degree)
@@ -281,15 +280,15 @@ def check_g_algebra(ctx, max_degree):
             (False, bracket(x, dot(ctx, y, z))),
             (True, dot(ctx, bracket(x, y), z)),
             ((x.shifted * y.degree) % 2 == 0, dot(ctx, y, bracket(x, z)))))
-        checks.append(LawCheck(derivation_law, degrees,
-                               is_coboundary(ctx, derivation)))
+        checks.append(identities.LawCheck(derivation_law, degrees,
+                                          is_coboundary(ctx, derivation)))
 
         jacobi = _signed_sum(ctx.alg, sum(degrees) - 2, (
             (False, bracket(x, bracket(y, z))),
             (True, bracket(bracket(x, y), z)),
             ((x.shifted * y.shifted) % 2 == 0, bracket(y, bracket(x, z)))))
-        checks.append(LawCheck(jacobi_law, degrees,
-                               is_coboundary(ctx, jacobi)))
+        checks.append(identities.LawCheck(jacobi_law, degrees,
+                                          is_coboundary(ctx, jacobi)))
 
     return GAlgebraReport(max_degree, checks,
                           {n: len(v) for n, v in reps.items()})

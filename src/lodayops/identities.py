@@ -280,7 +280,7 @@ def run_identity_suite(ctx, rng, samples):
         return results
     except BaseException:
         # stop the blocks still running; signal is imported only here, as
-        # every command imports this module
+        # the G-algebra checks load this module too
         from signal import SIGKILL
         for _, pid, _ in children:
             os.kill(pid, SIGKILL)

@@ -15,8 +15,18 @@ The traced run records a span per call of every public function of
 ``params``, ``preoperadic`` and ``cochains``, so per-element work in the
 structure maps and in the composition kernel must stay in private helpers;
 the planar scan job and the tricub identities job check that.
+
+The tracer finds each of ``job.py``'s ``MODULES`` as
+``sys.modules["lodayops.<m>"]`` right after the job's import line, and
+reads it with ``vars()``.  Both hold though a module is compiled only on
+its first attribute read: ``import lodayops`` registers every submodule
+but ``cli`` in ``sys.modules``, ``vars()`` loads a registered one, and
+``cli`` is imported by that line.  The package's names are its submodules
+and the re-exports that README's "Library entry points" imports from, each
+the very object its module defines.
 """
 
+import importlib
 import json
 import subprocess
 import sys
@@ -55,6 +65,58 @@ JOBS = {
         "argv": ["verify-system", "--kind", "planar", "--max-total", "4",
                  "--workers", "2"]},
 }
+
+
+# the package's re-exports, by the submodule that defines them
+EXPORTS = {
+    "algebra": ["AlgebraSpec", "multiply", "verify_axioms"],
+    "algfile": ["load_algebra", "parse_algebra", "serialize_algebra"],
+    "cochains": ["Cochain", "MultContext", "bracket", "brace", "circ",
+                 "canonical_multiplication", "delta_trias", "diff_d", "dot",
+                 "gamma", "identity_cochain"],
+    "cohomology": ["check_g_algebra", "coboundary_preimage",
+                   "cohomology_dims", "cocycle_representatives",
+                   "matrix_of_d"],
+    "fields": ["PrimeField", "QQ"],
+    "params": ["enumerate_params"],
+    "preoperadic": ["r_part", "r_zero", "verify_system"],
+}
+SUBMODULES = ["algebra", "algfile", "cochains", "cohomology", "fields",
+              "identities", "linalg", "params", "preoperadic", "trees"]
+
+
+def _fresh(code):
+    """The stdout words of ``code`` run in a new interpreter on src/."""
+    done = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import sys; sys.path[:0] = [%r, %r]; %s"
+         % (str(ROOT / "src"), str(JOB.parent), code)],
+        capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.split()
+
+
+def test_job_import_line_registers_every_traced_module():
+    missing = _fresh("from job import MODULES; "
+                     "from lodayops import algfile, cli, cochains; "
+                     "print(*(m for m in MODULES "
+                     "if 'lodayops.' + m not in sys.modules))")
+    assert missing == []
+
+
+def test_package_names():
+    public = _fresh("import lodayops; "
+                    "print(*(n for n in dir(lodayops) if n[0] != '_'))")
+    assert sorted(public) == sorted(
+        SUBMODULES + [n for names in EXPORTS.values() for n in names])
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_reexports_are_their_modules_objects(module):
+    import lodayops
+    home = importlib.import_module("lodayops." + module)
+    for name in EXPORTS[module]:
+        assert getattr(lodayops, name) is getattr(home, name), name
 
 
 @pytest.mark.parametrize("label", sorted(JOBS))

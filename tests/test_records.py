@@ -1,5 +1,5 @@
 """The package's records: read-only fields, report verdicts, and an import
-path that loads no ``dataclasses``."""
+path that loads no ``dataclasses`` and no module a command does not read."""
 
 import subprocess
 import sys
@@ -32,6 +32,33 @@ def test_cli_import_loads_no_dataclasses():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split() == []
+
+
+@pytest.mark.parametrize("argv, unloaded", [
+    (["verify-system", "--kind", "planar", "--max-total", "4"],
+     ["algebra", "cohomology", "identities", "linalg"]),
+    (["identities", "fixtures/trias_dim1.alg", "--samples", "52"],
+     ["linalg"]),
+    (["cohomology", "fixtures/trias_dim2.alg", "--max-degree", "3"],
+     ["identities"]),
+])
+def test_command_loads_only_the_modules_it_reads(argv, unloaded):
+    # every submodule is registered at import and compiled on its first
+    # attribute read; type() reads no attribute, so it does not load one,
+    # and a registered module stays a LazyLoader module until it is read
+    code = ("import sys, types; sys.path.insert(0, %r); "
+            "from lodayops import algfile, cli, cochains; "
+            "status = cli.main(%r); "
+            "print(status, *sorted(m for m, v in sys.modules.items() "
+            "if m.startswith('lodayops.') "
+            "and type(v) is not types.ModuleType))"
+            % (str(SRC), argv))
+    done = subprocess.run([sys.executable, "-S", "-c", code],
+                          cwd=SRC.parent, capture_output=True, text=True,
+                          timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1].split() == [
+        "0", *("lodayops." + name for name in unloaded)]
 
 
 JACOBI = LawCheck("graded-jacobi", (1, 1, 1), True)
